@@ -1,7 +1,7 @@
 """Command-line interface: every batch workflow of the laboratory.
 
 Subcommands: generate, import, validate, stats, agreement, aggregate,
-split, train, evaluate, tag, selfplay, render, report, bench.  All outputs
+split, train, evaluate, tag, selfplay, render, report.  All outputs
 are written atomically; failures print a machine-readable JSON error to
 stderr and exit nonzero.  The data root may also be supplied via the
 REFGAME_DATA environment variable."""
@@ -425,18 +425,6 @@ def _summary_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_bench(args) -> int:
-    from .bench import format_rows, run_benchmark
-    from .neural import kernels
-
-    rows = run_benchmark(
-        seq_len=args.seq_len, hidden=args.hidden, repeats=args.repeats, seed=args.seed
-    )
-    print(f"active backend: {kernels.get_backend()} (REFGAME_NUMBA={os.environ.get('REFGAME_NUMBA', '<unset>')})")
-    print(format_rows(rows))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refgame",
@@ -553,13 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("bench", help="compare numba and numpy kernel backends")
-    p.add_argument("--seq-len", type=int, default=120)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -28,6 +28,7 @@ from .io import atomic_write_text
 from .neural import (
     Adam,
     ParamStore,
+    add_gru_params,
     bce_with_logits,
     cross_entropy,
     cross_entropy_rows,
@@ -36,6 +37,8 @@ from .neural import (
     gru_sequence,
     gru_sequence_backward,
     linear,
+    mlp,
+    mlp_backward,
     sigmoid,
     softmax,
     softmax_backward,
@@ -241,9 +244,7 @@ class GroundingModel:
             c = config
             de = c.attr_dim + c.rel_dim
             store.add("emb", (len(vocab), c.embed_dim))
-            store.add("gru.W", (3 * c.hidden_dim, c.embed_dim))
-            store.add("gru.U", (3 * c.hidden_dim, c.hidden_dim))
-            store.add("gru.b", (3 * c.hidden_dim,), init="zeros")
+            add_gru_params(store, "gru", c.embed_dim, c.hidden_dim)
             store.add("enc_attr.W", (c.attr_dim, 4))
             store.add("enc_attr.b", (c.attr_dim,), init="zeros")
             store.add("enc_rel.W", (c.rel_dim, 5))
@@ -367,18 +368,17 @@ class GroundingModel:
             alpha = softmax(scores, axis=-1)
             context = alpha @ entities
             z = np.concatenate([h_in, context], axis=1)
-            u1 = tanh(linear(z, p["dial.W1"], p["dial.b1"]))
-            logits = linear(u1, p["dial.W2"], p["dial.b2"])
+            logits, u1 = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
             loss, dlogits = cross_entropy_rows(logits, ex.tokens[pos])
             losses["dial"] = loss
             if backward:
-                dlogits = cfg.w_dial * dlogits
-                g["dial.W2"] += dlogits.T @ u1
-                g["dial.b2"] += dlogits.sum(axis=0)
-                du1 = (dlogits @ p["dial.W2"]) * (1.0 - u1 * u1)
-                g["dial.W1"] += du1.T @ z
-                g["dial.b1"] += du1.sum(axis=0)
-                dz = du1 @ p["dial.W1"]
+                dz, dw1, db1, dw2, db2 = mlp_backward(
+                    cfg.w_dial * dlogits, z, u1, p["dial.W1"], p["dial.W2"]
+                )
+                g["dial.W1"] += dw1
+                g["dial.b1"] += db1
+                g["dial.W2"] += dw2
+                g["dial.b2"] += db2
                 d_hin = dz[:, : cfg.hidden_dim].copy()
                 d_context = dz[:, cfg.hidden_dim:]
                 d_entities += alpha.T @ d_context
@@ -409,10 +409,14 @@ class GroundingModel:
 
     # --- inference -----------------------------------------------------------
 
-    def encode_states(self, ex: StreamExample) -> np.ndarray:
-        x = self.store["emb"][ex.tokens]
-        h_seq, _ = gru_sequence(self.store["gru.W"], self.store["gru.U"], self.store["gru.b"], x)
+    def encode_tokens(self, tokens: np.ndarray) -> np.ndarray:
+        """Dialogue GRU states (T, H) over a token-id stream."""
+        p = self.store
+        h_seq, _ = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], p["emb"][tokens])
         return h_seq
+
+    def encode_states(self, ex: StreamExample) -> np.ndarray:
+        return self.encode_tokens(ex.tokens)
 
     def tsel_probs(self, ex: StreamExample, h_seq: np.ndarray | None = None) -> np.ndarray:
         if "tsel" not in self.heads:
@@ -432,10 +436,7 @@ class GroundingModel:
         if len(ex.markable_ids) == 0:
             return np.zeros((0, VIEW_SIZE))
         entities, _ = self._encode_entities(ex.attrs, ex.rel)
-        pos = ex.mark_positions
-        queries = (h_seq[pos[:, 0]] + h_seq[pos[:, 1]] + h_seq[pos[:, 2]]) / 3.0
-        scores, _ = self._attention(entities @ self.store["attn.We"].T, queries, "ref")
-        return sigmoid(scores)
+        return self.ref_probs_at(entities, h_seq, ex.mark_positions)
 
     def ref_probs_at(self, entities: np.ndarray, h_seq: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """REF probabilities for arbitrary (start, last, eou) stream positions."""
@@ -499,8 +500,7 @@ class DecoderState:
         alpha = softmax(scores, axis=-1)
         context = alpha @ self.entities
         z = np.concatenate([self.h[None, :], context], axis=1)
-        u1 = tanh(linear(z, p["dial.W1"], p["dial.b1"]))
-        logits = linear(u1, p["dial.W2"], p["dial.b2"])
+        logits, _ = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
         return softmax(logits[0])
 
     def tsel_probs(self) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Minimal differentiable-compute kernel: primitive layers with exact
 analytic gradients, a GRU, a linear-chain CRF, Adam, and finite-difference
 gradient verification.  numpy arrays throughout; the recurrent hot loops
-have numba and pure-numpy backends (see kernels.py)."""
+live in kernels.py."""
 
 from . import kernels
 from .adam import Adam

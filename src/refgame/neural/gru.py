@@ -1,4 +1,4 @@
-"""GRU cell and sequence wrappers over the kernel backends.
+"""GRU cell and sequence wrappers over the recurrent kernels.
 
 Parameter layout per GRU: W (3H, D_in), U (3H, H), b (3H,), gate blocks in
 z, r, h order (see kernels.py for the cell equations)."""

@@ -1,12 +1,5 @@
 """Hot recurrent kernels: GRU sequence forward/backward and linear-chain CRF
-forward/backward/Viterbi.
-
-Each kernel exists twice: a plain numpy loop and a numba ``@njit`` compile of
-the same function.  The active backend is chosen at import time from the
-``REFGAME_NUMBA`` environment variable ("0" forces the numpy path, "1" the
-jit path, unset = jit when numba imports cleanly) and can be switched at
-runtime with :func:`set_backend`.  ``refgame bench`` times the two paths
-against each other.
+forward/backward/Viterbi, as plain numpy loops.
 
 Conventions (fixed, documented, used by every caller):
   GRU gate order in the stacked (3H, .) parameter blocks is z, r, h with
@@ -20,33 +13,19 @@ Conventions (fixed, documented, used by every caller):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def get_backend() -> str:
+    """Name of the kernel implementation, recorded in run provenance."""
+    return "numpy"
 
 
 # --- GRU ------------------------------------------------------------------
 
-def _gru_forward(wx, u, h0, one):
+def gru_forward(wx: np.ndarray, u: np.ndarray, h0: np.ndarray):
     """wx: (T, 3H) precomputed input projections W x_t + b; u: (3H, H);
-    h0: (H,).  ``one`` is 1.0 in the working dtype (a Python literal would
-    promote float32 inputs to float64 under numba).  Returns h_seq, z_seq,
-    r_seq, hbar_seq, each (T, H)."""
+    h0: (H,).  Returns h_seq, z_seq, r_seq, hbar_seq, each (T, H)."""
     T = wx.shape[0]
     H = h0.shape[0]
     uz = u[0:H]
@@ -58,10 +37,10 @@ def _gru_forward(wx, u, h0, one):
     hb_seq = np.empty((T, H), dtype=wx.dtype)
     h = h0.copy()
     for t in range(T):
-        z = one / (one + np.exp(-(wx[t, 0:H] + np.dot(uz, h))))
-        r = one / (one + np.exp(-(wx[t, H:2 * H] + np.dot(ur, h))))
+        z = 1.0 / (1.0 + np.exp(-(wx[t, 0:H] + np.dot(uz, h))))
+        r = 1.0 / (1.0 + np.exp(-(wx[t, H:2 * H] + np.dot(ur, h))))
         hb = np.tanh(wx[t, 2 * H:3 * H] + np.dot(uh, r * h))
-        h = (one - z) * h + z * hb
+        h = (1.0 - z) * h + z * hb
         h_seq[t] = h
         z_seq[t] = z
         r_seq[t] = r
@@ -69,11 +48,14 @@ def _gru_forward(wx, u, h0, one):
     return h_seq, z_seq, r_seq, hb_seq
 
 
-def _gru_backward(uzT, urT, uhT, h_prev, z_seq, r_seq, hb_seq, dh_seq, one):
+def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq):
     """Backward through time.  h_prev[t] is the state entering step t.
     Returns da: (T, 3H) gradients on the pre-activations (z, r, h order)
     and dh0: gradient on the initial state."""
     T, H = z_seq.shape
+    uzT = np.ascontiguousarray(u[0:H].T)
+    urT = np.ascontiguousarray(u[H:2 * H].T)
+    uhT = np.ascontiguousarray(u[2 * H:3 * H].T)
     da = np.zeros((T, 3 * H), dtype=z_seq.dtype)
     dh = np.zeros(H, dtype=z_seq.dtype)
     for t in range(T - 1, -1, -1):
@@ -82,11 +64,11 @@ def _gru_backward(uzT, urT, uhT, h_prev, z_seq, r_seq, hb_seq, dh_seq, one):
         r = r_seq[t]
         hb = hb_seq[t]
         hp = h_prev[t]
-        daz = dht * (hb - hp) * z * (one - z)
-        dah = dht * z * (one - hb * hb)
+        daz = dht * (hb - hp) * z * (1.0 - z)
+        dah = dht * z * (1.0 - hb * hb)
         drh = np.dot(uhT, dah)
-        dar = drh * hp * r * (one - r)
-        dh = dht * (one - z) + np.dot(uzT, daz) + np.dot(urT, dar) + drh * r
+        dar = drh * hp * r * (1.0 - r)
+        dh = dht * (1.0 - z) + np.dot(uzT, daz) + np.dot(urT, dar) + drh * r
         da[t, 0:H] = daz
         da[t, H:2 * H] = dar
         da[t, 2 * H:3 * H] = dah
@@ -95,7 +77,7 @@ def _gru_backward(uzT, urT, uhT, h_prev, z_seq, r_seq, hb_seq, dh_seq, one):
 
 # --- linear-chain CRF -----------------------------------------------------
 
-def _crf_alphas(emissions, transitions, start):
+def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
     """Log-space forward recursion.  Returns (alpha (T, K), logZ)."""
     T, K = emissions.shape
     alpha = np.empty((T, K), dtype=emissions.dtype)
@@ -121,7 +103,7 @@ def _crf_alphas(emissions, transitions, start):
     return alpha, m + np.log(s)
 
 
-def _crf_betas(emissions, transitions):
+def crf_betas(emissions: np.ndarray, transitions: np.ndarray):
     """Log-space backward recursion.  beta[T-1] = 0."""
     T, K = emissions.shape
     beta = np.zeros((T, K), dtype=emissions.dtype)
@@ -139,7 +121,7 @@ def _crf_betas(emissions, transitions):
     return beta
 
 
-def _crf_viterbi(emissions, transitions, start):
+def crf_viterbi_path(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
     """Max-scoring tag path with lowest-index tie-breaking at every argmax.
     Returns (path (T,) int64, score)."""
     T, K = emissions.shape
@@ -168,78 +150,3 @@ def _crf_viterbi(emissions, transitions, start):
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
     return path, best
-
-
-_IMPLS = {
-    "gru_forward": _gru_forward,
-    "gru_backward": _gru_backward,
-    "crf_alphas": _crf_alphas,
-    "crf_betas": _crf_betas,
-    "crf_viterbi": _crf_viterbi,
-}
-
-_JITS = {name: njit(cache=False)(fn) for name, fn in _IMPLS.items()} if HAS_NUMBA else {}
-
-_BACKEND = "numpy"
-
-
-def set_backend(name: str) -> None:
-    """Select 'numba' or 'numpy'.  Raises if numba is requested but absent."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
-
-def get_backend() -> str:
-    return _BACKEND
-
-
-def _dispatch(name: str):
-    if _BACKEND == "numba":
-        return _JITS[name]
-    return _IMPLS[name]
-
-
-def backend_from_env() -> str:
-    flag = os.environ.get("REFGAME_NUMBA", "").strip()
-    if flag == "0":
-        return "numpy"
-    if flag == "1":
-        if not HAS_NUMBA:
-            raise RuntimeError("REFGAME_NUMBA=1 but numba is not installed")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-set_backend(backend_from_env())
-
-
-# --- public wrappers (backend-agnostic signatures) -------------------------
-
-def gru_forward(wx: np.ndarray, u: np.ndarray, h0: np.ndarray):
-    return _dispatch("gru_forward")(wx, u, h0, wx.dtype.type(1.0))
-
-
-def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq):
-    H = h_prev.shape[1]
-    uzT = np.ascontiguousarray(u[0:H].T)
-    urT = np.ascontiguousarray(u[H:2 * H].T)
-    uhT = np.ascontiguousarray(u[2 * H:3 * H].T)
-    return _dispatch("gru_backward")(
-        uzT, urT, uhT, h_prev, z_seq, r_seq, hb_seq, dh_seq, z_seq.dtype.type(1.0)
-    )
-
-
-def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
-    return _dispatch("crf_alphas")(emissions, transitions, start)
-
-
-def crf_betas(emissions: np.ndarray, transitions: np.ndarray):
-    return _dispatch("crf_betas")(emissions, transitions)
-
-
-def crf_viterbi_path(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
-    return _dispatch("crf_viterbi")(emissions, transitions, start)

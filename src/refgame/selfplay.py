@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Dialogue, Message, Selection
 from .errors import GameAbortedError
-from .model import EOU, SEL, THEM, YOU, DecoderState, GroundingModel
+from .model import EOU, SEL, THEM, YOU, DecoderState, GroundingModel, serialize_dialogue
 from .scenario import Scenario, View, view_feature_matrix
 
 
@@ -320,7 +320,6 @@ def annotate_transcript(
     head from the speaker's own perspective.  Returns (dialogue, markables,
     predicted referent sets keyed by markable id) and stores the
     predictions on the transcript."""
-    from .model import serialize_dialogue
     from .tagger import predict_markables
 
     if "ref" not in model.heads:
@@ -333,12 +332,7 @@ def annotate_transcript(
         if not marks:
             continue
         tokens, _, tok_pos, eou_pos = serialize_dialogue(dialogue, perspective, model.vocab)
-        x = model.store["emb"][tokens]
-        from .neural import gru_sequence
-
-        h_seq, _ = gru_sequence(
-            model.store["gru.W"], model.store["gru.U"], model.store["gru.b"], x
-        )
+        h_seq = model.encode_tokens(tokens)
         attrs, rel = view_feature_matrix(scenario, perspective)
         entities, _ = model._encode_entities(attrs, rel)
         positions = np.array(

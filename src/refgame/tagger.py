@@ -22,6 +22,7 @@ from .model import SPECIALS, Vocabulary
 from .neural import (
     Adam,
     ParamStore,
+    add_gru_params,
     crf_nll,
     crf_viterbi,
     gru_sequence,
@@ -125,9 +126,7 @@ class MarkableTagger:
             c = config
             store.add("emb", (len(vocab), c.embed_dim))
             for direction in ("fwd", "bwd"):
-                store.add(f"{direction}.W", (3 * c.hidden_dim, c.embed_dim))
-                store.add(f"{direction}.U", (3 * c.hidden_dim, c.hidden_dim))
-                store.add(f"{direction}.b", (3 * c.hidden_dim,), init="zeros")
+                add_gru_params(store, direction, c.embed_dim, c.hidden_dim)
             store.add("emit.W", (3, 2 * c.hidden_dim))
             store.add("emit.b", (3,), init="zeros")
             store.add("trans", (3, 3), init="zeros")

@@ -223,12 +223,6 @@ class TestSelfplayAndRender:
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_bench_small(capsys):
-    assert run("bench", "--seq-len", "8", "--hidden", "4", "--repeats", "1") == 0
-    out = capsys.readouterr().out
-    assert "gru_forward" in out and "crf_alphas" in out
-
-
 def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):
     workdir, split, model = trained
     eval_dir = tmp_path / "ev"

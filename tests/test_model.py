@@ -310,6 +310,7 @@ class TestDtype:
         model.store.zero_grads()
         losses = model.run_example(ex, backward=True)
         assert np.isfinite(losses["total"])
+        assert all(g.dtype == np.float32 for g in model.store.grads.values())
 
 
 class TestCheckpoint:

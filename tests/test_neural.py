@@ -197,6 +197,15 @@ class TestGRU:
             h = gru_cell(w, u, b, x[t], h)
             assert np.allclose(h_seq[t], h, atol=1e-12)
 
+        # float32 inputs stay float32 through the kernels, forward and backward
+        w32, u32, b32, x32 = (a.astype(np.float32) for a in (w, u, b, x))
+        h32, cache = gru_sequence(w32, u32, b32, x32)
+        assert h32.dtype == np.float32
+        assert np.allclose(h32, h_seq, atol=1e-5)
+        dx, grads, dh0 = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
+        assert dx.dtype == np.float32 and dh0.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+
 
 class TestCRF:
     def test_single_step_uniform(self):
