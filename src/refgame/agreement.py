@@ -16,8 +16,6 @@ import numpy as np
 from .corpus import AnnotatedCorpus, GoldEntry, Markable, ReferentJudgement, propagate_auto_referents
 from .errors import IntegrityError
 
-VIEW_SIZE = 7
-
 
 # --- gold aggregation -------------------------------------------------------
 

@@ -188,7 +188,8 @@ def cmd_train(args) -> int:
         from .tagger import TaggerConfig, train_tagger
 
         config = TaggerConfig(
-            epochs=args.epochs, seed=args.seed, lr=args.lr, batch_size=args.batch_size
+            epochs=args.epochs, seed=args.seed, lr=args.lr, batch_size=args.batch_size,
+            dtype=args.dtype,
         )
         result = train_tagger(corpus, split, config, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet)
         result.tagger.save(out)

@@ -26,20 +26,6 @@ def atomic_write_json(path, obj, *, indent: int | None = 2) -> None:
     atomic_write_text(path, json.dumps(obj, indent=indent, ensure_ascii=False) + "\n")
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def read_json(path):
     with open(path, encoding="utf-8") as f:
         return json.load(f)

@@ -15,7 +15,6 @@ supplies those).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -24,15 +23,15 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Message, Split
 from .errors import DivergenceError, SchemaError
-from .io import atomic_write_text
+from .io import atomic_write_text, read_json
 from .neural import (
-    Adam,
     ParamStore,
     add_gru_params,
     bce_with_logits,
     cross_entropy,
     cross_entropy_rows,
     dropout_mask,
+    fit,
     gru_cell,
     gru_sequence,
     gru_sequence_backward,
@@ -89,6 +88,47 @@ class Vocabulary:
             for msg in corpus.dialogues[did].messages:
                 seen.update(msg.tokens)
         return cls(sorted(seen))
+
+
+def save_checkpoint(net, prefix, fmt: str, **extra) -> None:
+    """Write ``net.store`` to ``<prefix>.params.json`` and a
+    ``<prefix>.meta.json`` sidecar with the format tag, ``net.config``,
+    ``net.vocab`` and any ``extra`` fields."""
+    prefix = Path(prefix)
+    net.store.save(prefix.with_suffix(".params.json"))
+    meta = {
+        "format": fmt,
+        "version": 1,
+        "config": asdict(net.config),
+        "vocab": list(net.vocab.tokens[len(SPECIALS):]),
+        **extra,
+    }
+    atomic_write_text(prefix.with_suffix(".meta.json"), json.dumps(meta))
+
+
+def load_checkpoint(cls, prefix, fmt: str, config_cls):
+    """Read a ``save_checkpoint`` pair back as ``cls(config, vocab, store)``.
+
+    Raises SchemaError when the meta file is not a ``fmt`` checkpoint or is
+    malformed, and when the parameters' names or shapes differ from the
+    layout that a fresh ``cls(config, vocab)`` declares."""
+    prefix = Path(prefix)
+    kind = fmt.removeprefix("refgame-")
+    try:
+        meta = read_json(prefix.with_suffix(".meta.json"))
+        if meta.get("format") != fmt:
+            raise SchemaError(f"{prefix}: not a {kind} checkpoint")
+        config, vocab = config_cls(**meta["config"]), Vocabulary(meta["vocab"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{prefix}: malformed {kind} checkpoint meta: {exc!r}") from exc
+    store = ParamStore.load(prefix.with_suffix(".params.json"))
+    try:
+        cls(config, vocab).store.load_values(store.params)
+    except ValueError as exc:
+        raise SchemaError(
+            f"{prefix}: parameters do not match the {kind} config and vocabulary: {exc}"
+        ) from exc
+    return cls(config, vocab, store=store)
 
 
 @dataclass(frozen=True)
@@ -456,28 +496,11 @@ class GroundingModel:
         )
 
     def save(self, prefix, history: list[dict] | None = None) -> None:
-        prefix = Path(prefix)
-        self.store.save(prefix.with_suffix(".params.json"))
-        meta = {
-            "format": "refgame-model",
-            "version": 1,
-            "config": asdict(self.config),
-            "vocab": list(self.vocab.tokens[len(SPECIALS):]),
-            "history": history or [],
-        }
-        atomic_write_text(prefix.with_suffix(".meta.json"), json.dumps(meta))
+        save_checkpoint(self, prefix, "refgame-model", history=history or [])
 
     @classmethod
     def load(cls, prefix) -> "GroundingModel":
-        prefix = Path(prefix)
-        with open(prefix.with_suffix(".meta.json"), encoding="utf-8") as f:
-            meta = json.load(f)
-        if meta.get("format") != "refgame-model":
-            raise SchemaError(f"{prefix}: not a model checkpoint")
-        config = ModelConfig(**meta["config"])
-        vocab = Vocabulary(meta["vocab"])
-        store = ParamStore.load(prefix.with_suffix(".params.json"))
-        return cls(config, vocab, store=store)
+        return load_checkpoint(cls, prefix, "refgame-model", ModelConfig)
 
 
 @dataclass
@@ -525,6 +548,13 @@ def _mean_losses(model: GroundingModel, examples: Sequence[StreamExample]) -> di
     return {k: v / len(examples) for k, v in sums.items()}
 
 
+def require_examples(**sets: Sequence) -> None:
+    """Training needs at least one example in each named set."""
+    for name, examples in sets.items():
+        if not examples:
+            raise SchemaError(f"empty {name} set: split.{name} yields no examples")
+
+
 def train_model(
     config: ModelConfig,
     corpus: AnnotatedCorpus,
@@ -539,51 +569,18 @@ def train_model(
     vocab = Vocabulary.from_corpus(corpus, split.train)
     train_ex = build_examples(corpus, split.train, vocab, gold)
     valid_ex = build_examples(corpus, split.valid, vocab, gold)
+    require_examples(train=train_ex, valid=valid_ex)
     model = GroundingModel(config, vocab)
-    opt = Adam(model.store, lr=config.lr)
-    rng = np.random.default_rng(config.seed)
-    best_val = float("inf")
-    best_params: dict[str, np.ndarray] | None = None
-    best_epoch = -1
-    patience_left = config.patience
-    history: list[dict] = []
-    log_lines: list[str] = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(train_ex))
-        train_total = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo: lo + config.batch_size]
-            model.store.zero_grads()
-            for i in batch:
-                losses = model.run_example(train_ex[i], train=True, rng=rng, backward=True)
-                train_total += losses["total"]
-            model.store.scale_grads(1.0 / len(batch))
-            model.store.clip_grad_global_norm(config.grad_clip)
-            opt.step()
+
+    def step(ex: StreamExample, rng: np.random.Generator) -> float:
+        return model.run_example(ex, train=True, rng=rng, backward=True)["total"]
+
+    def validate() -> tuple[float, dict]:
         valid = _mean_losses(model, valid_ex)
-        record = {
-            "epoch": epoch,
-            "train_loss": train_total / len(train_ex),
-            "valid_loss": valid["total"],
-            **{f"valid_{k}": v for k, v in valid.items() if k != "total"},
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-        history.append(record)
-        log_lines.append(json.dumps(record))
-        if not quiet:
-            print(log_lines[-1])
-        if valid["total"] < best_val:
-            best_val = valid["total"]
-            best_params = model.store.copy_values()
-            best_epoch = epoch
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
-    if best_params is not None:
-        model.store.load_values(best_params)
-    if log_path is not None:
-        atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+        total = valid.pop("total")
+        return total, {"valid_loss": total, **{f"valid_{k}": v for k, v in valid.items()}}
+
+    history, best_epoch = fit(
+        model.store, train_ex, step, validate, config, "train_loss", log_path=log_path, quiet=quiet
+    )
     return TrainResult(model=model, history=history, best_epoch=best_epoch)

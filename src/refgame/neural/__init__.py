@@ -4,7 +4,7 @@ gradient verification.  numpy arrays throughout; the recurrent hot loops
 live in kernels.py."""
 
 from . import kernels
-from .adam import Adam
+from .adam import Adam, fit
 from .crf import (
     crf_log_partition,
     crf_nll,
@@ -48,6 +48,7 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_rows",
     "dropout_mask",
+    "fit",
     "gradient_check",
     "gru_cell",
     "gru_sequence",

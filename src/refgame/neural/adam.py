@@ -1,10 +1,17 @@
-"""Adam optimizer over a ParamStore, with bias correction."""
+"""Adam optimizer over a ParamStore, with bias correction, and the one
+minibatch training loop that drives it."""
 
 from __future__ import annotations
+
+import json
+import math
+import time
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import DivergenceError
+from ..io import atomic_write_text
 from .params import ParamStore
 
 
@@ -41,3 +48,72 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def fit(
+    store: ParamStore,
+    examples: Sequence,
+    step: Callable[[object, np.random.Generator], float],
+    validate: Callable[[], tuple[float, dict]],
+    config,
+    loss_key: str,
+    *,
+    log_path=None,
+    quiet: bool = True,
+) -> tuple[list[dict], int]:
+    """Minibatch Adam with global-norm clipping and early stopping, reading
+    lr, grad_clip, batch_size, epochs, patience and seed from ``config``.
+
+    ``step(example, rng)`` accumulates one example's gradients into
+    ``store`` and returns its loss; ``validate()`` returns ``(score,
+    fields)``, lower score better.  The rng that shuffles each epoch is the
+    one handed to ``step``.  The best epoch's parameters are restored, and
+    each epoch record (mean loss under ``loss_key``, then ``fields``) goes
+    to stdout unless ``quiet`` and to the JSONL ``log_path``.  Returns
+    ``(history, best_epoch)``."""
+    opt = Adam(store, lr=config.lr)
+    rng = np.random.default_rng(config.seed)
+    best_score = math.inf
+    best_params: dict[str, np.ndarray] | None = None
+    best_epoch = -1
+    patience_left = config.patience
+    history: list[dict] = []
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        order = rng.permutation(len(examples))
+        total = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo: lo + config.batch_size]
+            store.zero_grads()
+            for i in batch:
+                loss = step(examples[i], rng)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+                total += loss
+            store.scale_grads(1.0 / len(batch))
+            store.clip_grad_global_norm(config.grad_clip)
+            opt.step()
+        score, fields = validate()
+        record = {
+            "epoch": epoch,
+            loss_key: total / len(examples),
+            **fields,
+            "seconds": round(time.perf_counter() - t0, 3),
+        }
+        history.append(record)
+        if not quiet:
+            print(json.dumps(record))
+        if score < best_score:
+            best_score = score
+            best_params = store.copy_values()
+            best_epoch = epoch
+            patience_left = config.patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    if best_params is not None:
+        store.load_values(best_params)
+    if log_path is not None:
+        atomic_write_text(log_path, "\n".join(map(json.dumps, history)) + "\n")
+    return history, best_epoch

@@ -99,9 +99,3 @@ def crf_viterbi(
     start = _check(emissions, transitions, start)
     path, score = kernels.crf_viterbi_path(emissions, transitions, start)
     return [int(t) for t in path], float(score)
-
-
-def crf_marginal_check(emissions, transitions, start=None, atol: float = 1e-9) -> bool:
-    """Posteriors at every position sum to 1 (sanity hook used by tests)."""
-    unary, _, _ = crf_posteriors(emissions, transitions, start)
-    return bool(np.allclose(unary.sum(axis=1), 1.0, atol=atol))

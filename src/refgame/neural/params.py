@@ -78,7 +78,9 @@ class ParamStore:
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         if set(values) != set(self.params):
-            raise ValueError("parameter name mismatch while loading values")
+            missing = sorted(set(self.params) - set(values))
+            unexpected = sorted(set(values) - set(self.params))
+            raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {unexpected}")
         for k, v in values.items():
             if v.shape != self.params[k].shape:
                 raise ValueError(f"shape mismatch for {k}: {v.shape} vs {self.params[k].shape}")

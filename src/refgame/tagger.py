@@ -7,24 +7,19 @@ penalties so emission/transition scores stay finite everywhere."""
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedCorpus, Markable, Split
-from .errors import DivergenceError, SchemaError
-from .io import atomic_write_text
-from .model import SPECIALS, Vocabulary
+from .model import Vocabulary, load_checkpoint, require_examples, save_checkpoint
 from .neural import (
-    Adam,
     ParamStore,
     add_gru_params,
     crf_nll,
     crf_viterbi,
+    fit,
     gru_sequence,
     gru_sequence_backward,
     linear,
@@ -209,28 +204,11 @@ class MarkableTagger:
         return 2 * precision * recall / (precision + recall)
 
     def save(self, prefix) -> None:
-        prefix = Path(prefix)
-        self.store.save(prefix.with_suffix(".params.json"))
-        meta = {
-            "format": "refgame-tagger",
-            "version": 1,
-            "config": asdict(self.config),
-            "vocab": list(self.vocab.tokens[len(SPECIALS):]),
-        }
-        atomic_write_text(prefix.with_suffix(".meta.json"), json.dumps(meta))
+        save_checkpoint(self, prefix, "refgame-tagger")
 
     @classmethod
     def load(cls, prefix) -> "MarkableTagger":
-        prefix = Path(prefix)
-        with open(prefix.with_suffix(".meta.json"), encoding="utf-8") as f:
-            meta = json.load(f)
-        if meta.get("format") != "refgame-tagger":
-            raise SchemaError(f"{prefix}: not a tagger checkpoint")
-        return cls(
-            TaggerConfig(**meta["config"]),
-            Vocabulary(meta["vocab"]),
-            store=ParamStore.load(prefix.with_suffix(".params.json")),
-        )
+        return load_checkpoint(cls, prefix, "refgame-tagger", TaggerConfig)
 
 
 @dataclass
@@ -253,54 +231,17 @@ def train_tagger(
     vocab = Vocabulary.from_corpus(corpus, split.train)
     train_ex = build_tag_examples(corpus, split.train, vocab)
     valid_ex = build_tag_examples(corpus, split.valid, vocab)
+    require_examples(train=train_ex, valid=valid_ex)
     tagger = MarkableTagger(config, vocab)
-    opt = Adam(tagger.store, lr=config.lr)
-    rng = np.random.default_rng(config.seed)
-    best_acc = -1.0
-    best_params = None
-    best_epoch = -1
-    patience_left = config.patience
-    history: list[dict] = []
-    lines: list[str] = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(train_ex))
-        total = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo: lo + config.batch_size]
-            tagger.store.zero_grads()
-            for i in batch:
-                loss = tagger.nll(train_ex[i], backward=True)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite tagger loss at epoch {epoch}")
-                total += loss
-            tagger.store.scale_grads(1.0 / len(batch))
-            tagger.store.clip_grad_global_norm(config.grad_clip)
-            opt.step()
+
+    def validate() -> tuple[float, dict]:
         acc = tagger.token_accuracy(valid_ex)
-        record = {
-            "epoch": epoch,
-            "train_nll": total / len(train_ex),
-            "valid_token_accuracy": acc,
-            "seconds": round(time.perf_counter() - t0, 3),
-        }
-        history.append(record)
-        lines.append(json.dumps(record))
-        if not quiet:
-            print(lines[-1])
-        if acc > best_acc:
-            best_acc = acc
-            best_params = tagger.store.copy_values()
-            best_epoch = epoch
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
-    if best_params is not None:
-        tagger.store.load_values(best_params)
-    if log_path is not None:
-        atomic_write_text(log_path, "\n".join(lines) + "\n")
+        return -acc, {"valid_token_accuracy": acc}
+
+    history, best_epoch = fit(
+        tagger.store, train_ex, lambda ex, rng: tagger.nll(ex, backward=True), validate,
+        config, "train_nll", log_path=log_path, quiet=quiet,
+    )
     return TaggerTrainResult(tagger=tagger, history=history, best_epoch=best_epoch)
 
 

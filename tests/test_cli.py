@@ -176,6 +176,17 @@ class TestModelCommands:
         for m in marks:
             assert m["start_token"] < m["end_token"]
 
+    def test_tagger_train_honours_dtype(self, data_dir, tagger_ckpt, tmp_path):
+        split = tagger_ckpt.parent / "split.json"
+        out = tmp_path / "tagger32"
+        assert run(
+            "train", "--data", data_dir, "--split", split, "--task", "tagger",
+            "--out", out, "--epochs", "1", "--dtype", "float32", "--quiet",
+        ) == 0
+        params = json.loads(out.with_suffix(".params.json").read_text())
+        assert params["dtype"] == "float32"
+        assert {rec["dtype"] for rec in params["params"].values()} == {"float32"}
+
     def test_selfplay_annotated_transcripts(self, trained, tagger_ckpt, tmp_path):
         workdir, split, model = trained
         out = tmp_path / "spa"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import Split
-from refgame.errors import DivergenceError
+from refgame.errors import DivergenceError, SchemaError
 from refgame.model import (
     EOU,
     SEL,
@@ -327,6 +328,32 @@ class TestCheckpoint:
             losses_a = model.run_example(ex)
             losses_b = loaded.run_example(ex)
             assert losses_a == losses_b
+
+    @pytest.mark.parametrize("other", [
+        dict(variant="TSEL"),                                   # missing parameters
+        dict(variant="TSEL-REF-DIAL", vocab=["dot", "dark"]),   # emb/dial shapes differ
+    ])
+    def test_load_rejects_params_of_another_layout(self, micro, tmp_path, other):
+        corpus, gold, ids, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=9, **TINY), vocab)
+        model.save(tmp_path / "model")
+        other_vocab = Vocabulary(other["vocab"]) if "vocab" in other else vocab
+        GroundingModel(ModelConfig(variant=other["variant"], seed=9, **TINY), other_vocab).save(
+            tmp_path / "other"
+        )
+        (tmp_path / "other.params.json").replace(tmp_path / "model.params.json")
+        with pytest.raises(SchemaError, match="do not match"):
+            GroundingModel.load(tmp_path / "model")
+
+    def test_load_rejects_meta_without_config(self, micro, tmp_path):
+        corpus, gold, ids, vocab = micro
+        GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
+        meta_path = tmp_path / "model.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match="config"):
+            GroundingModel.load(tmp_path / "model")
 
     def test_eval_batch_order_independent(self, micro):
         corpus, gold, ids, vocab = micro

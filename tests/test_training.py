@@ -1,0 +1,61 @@
+from __future__ import annotations
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from refgame.agreement import aggregate_corpus_gold
+from refgame.corpus import Split
+from refgame.errors import SchemaError
+from refgame.model import ModelConfig, train_model
+from refgame.neural import ParamStore, fit
+from refgame.synth import make_synthetic_corpus
+from refgame.tagger import TaggerConfig, train_tagger
+
+
+def test_fit_stops_after_patience_and_restores_best(tmp_path):
+    store = ParamStore(seed=0)
+    store.add("w", (2, 2))
+    config = SimpleNamespace(lr=0.1, grad_clip=1.0, batch_size=2, epochs=10, patience=2, seed=0)
+
+    def step(example, rng):
+        store.grads["w"] += example
+        return 1.0
+
+    scores = iter([3.0, 1.0, 2.0, 2.0, 2.0])
+    snapshots = []
+
+    def validate():
+        snapshots.append(store.copy_values())
+        return next(scores), {"valid_score": len(snapshots)}
+
+    log = tmp_path / "fit.log.jsonl"
+    history, best_epoch = fit(
+        store, [1.0, -2.0, 0.5], step, validate, config, "train_loss", log_path=log
+    )
+    assert len(history) == 4
+    assert best_epoch == 1
+    assert [list(rec) for rec in history] == [["epoch", "train_loss", "valid_score", "seconds"]] * 4
+    assert np.array_equal(store["w"], snapshots[1]["w"])
+    assert not np.array_equal(store["w"], snapshots[3]["w"])
+    lines = log.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == history
+
+
+@pytest.mark.parametrize("empty", ["train", "valid"])
+@pytest.mark.parametrize("task", ["model", "tagger"])
+def test_empty_split_set_raises_schema_error(task, empty):
+    corpus = make_synthetic_corpus(3, seed=4)
+    ids = tuple(sorted(corpus.dialogues))
+    split = Split(
+        train=() if empty == "train" else ids, valid=() if empty == "valid" else ids, test=ids, seed=0
+    )
+    with pytest.raises(SchemaError, match=f"empty {empty} set"):
+        if task == "model":
+            cfg = ModelConfig(variant="TSEL", embed_dim=4, hidden_dim=4, attr_dim=2, rel_dim=2,
+                              attn_dim=4, mlp_dim=4, epochs=1)
+            train_model(cfg, corpus, split, aggregate_corpus_gold(corpus))
+        else:
+            train_tagger(corpus, split, TaggerConfig(embed_dim=4, hidden_dim=4, epochs=1))
