@@ -355,11 +355,3 @@ def color_kde(
         bw = bandwidth if bandwidth is not None else silverman_bandwidth(colors)
         out[adj] = ColorKDE(adjective=adj, samples=tuple(colors), bandwidth=bw)
     return out
-
-
-def kde_overlap(a: ColorKDE, b: ColorKDE, lo: float = -64.0, hi: float = 320.0, n: int = 2048) -> float:
-    """Integral of min(density_a, density_b): nonzero iff the curves overlap."""
-    x = np.linspace(lo, hi, n)
-    da = a.density(x)
-    db = b.density(x)
-    return float(np.trapezoid(np.minimum(da, db), x))

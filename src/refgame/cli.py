@@ -184,12 +184,14 @@ def cmd_train(args) -> int:
     corpus = load_corpus(_data_dir(args))
     split = Split.from_dict(read_json(args.split))
     out = Path(args.out)
+    # sizes given on the command line; the config classes hold the defaults
+    dims = {k: v for k in ("embed_dim", "hidden_dim") if (v := getattr(args, k)) is not None}
     if args.task == "tagger":
         from .tagger import TaggerConfig, train_tagger
 
         config = TaggerConfig(
             epochs=args.epochs, seed=args.seed, lr=args.lr, batch_size=args.batch_size,
-            dtype=args.dtype,
+            dtype=args.dtype, **dims,
         )
         result = train_tagger(corpus, split, config, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet)
         result.tagger.save(out)
@@ -207,13 +209,12 @@ def cmd_train(args) -> int:
         lr=args.lr,
         batch_size=args.batch_size,
         dropout=args.dropout,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
         attr_dim=args.attr_dim,
         rel_dim=args.rel_dim,
         attn_dim=args.attn_dim,
         mlp_dim=args.mlp_dim,
         dtype=args.dtype,
+        **dims,
     )
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
@@ -486,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--embed-dim", type=int, default=256)
-    p.add_argument("--hidden-dim", type=int, default=256)
+    p.add_argument("--embed-dim", type=int, help="default: 256 for the model, 64 for the tagger")
+    p.add_argument("--hidden-dim", type=int, help="default: 256 for the model, 128 for the tagger")
     p.add_argument("--attr-dim", type=int, default=128)
     p.add_argument("--rel-dim", type=int, default=128)
     p.add_argument("--attn-dim", type=int, default=256)

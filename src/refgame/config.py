@@ -31,13 +31,6 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-def dump_config(values: dict[str, str]) -> str:
-    lines = [HEADER]
-    for key in sorted(values):
-        lines.append(f"{key} = {values[key]}")
-    return "\n".join(lines) + "\n"
-
-
 def typed(values: dict[str, str], key: str, cast, default):
     if key not in values:
         return default

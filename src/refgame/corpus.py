@@ -431,17 +431,6 @@ def split_dataset(corpus: AnnotatedCorpus, seed: int) -> Split:
     return Split(train=train, valid=valid, test=test, seed=seed)
 
 
-def subset_corpus(corpus: AnnotatedCorpus, dialogue_ids: Iterable[str]) -> AnnotatedCorpus:
-    keep = set(dialogue_ids)
-    dialogues = [d for i, d in corpus.dialogues.items() if i in keep]
-    markables = [m for m in corpus.markables.values() if m.dialogue_id in keep]
-    mk_ids = {m.id for m in markables}
-    judgements = [j for js in corpus.judgements.values() for j in js if j.markable_id in mk_ids]
-    scen_ids = {d.scenario_id for d in dialogues}
-    scenarios = [s for i, s in corpus.scenarios.items() if i in scen_ids]
-    return AnnotatedCorpus.build(scenarios, dialogues, markables, judgements, validate=False)
-
-
 # --- canonical JSON io ------------------------------------------------------------
 
 def _event_to_dict(e: Event) -> dict:

@@ -88,15 +88,13 @@ def evaluate_model(
     per_example_ref: list[float | None] = []
     per_example_tsel: list[float] = []
     for ex in examples:
-        h_seq = model.encode_states(ex)
-        if "tsel" in model.heads:
-            probs = model.tsel_probs(ex, h_seq)
-            hit = float(int(np.argmax(probs)) == ex.tsel_target)
+        probs = model.predict(ex)
+        if "tsel" in probs:
+            hit = float(int(np.argmax(probs["tsel"])) == ex.tsel_target)
             tsel_hits.append(hit)
             per_example_tsel.append(hit)
-        if "ref" in model.heads and len(ex.markable_ids) > 0:
-            probs = model.ref_probs(ex, h_seq)
-            pred = probs >= 0.5
+        if "ref" in probs and len(ex.markable_ids) > 0:
+            pred = probs["ref"] >= 0.5
             goldm = ex.ref_targets >= 0.5
             match = pred == goldm
             per_entity_hits += int(match.sum())

@@ -15,13 +15,13 @@ supplies those).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Message, Split
+from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Markable, Message, Split
 from .errors import DivergenceError, SchemaError
 from .io import atomic_write_text, read_json
 from .neural import (
@@ -209,6 +209,17 @@ def serialize_dialogue(
     )
 
 
+def markable_positions(markables: Sequence[Markable], tok_pos, eou_pos) -> np.ndarray:
+    """(M, 3) stream positions of each markable's first token, last token and
+    its utterance's <eou>, from ``serialize_dialogue``'s position maps."""
+    rows = [
+        (tok_pos[m.utterance_index, m.start_token], tok_pos[m.utterance_index, m.end_token - 1],
+         eou_pos[m.utterance_index])
+        for m in markables
+    ]
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+
+
 def build_examples(
     corpus: AnnotatedCorpus,
     dialogue_ids: Iterable[str],
@@ -226,8 +237,7 @@ def build_examples(
             tokens, dial_positions, tok_pos, eou_pos = serialize_dialogue(d, perspective, vocab)
             view = scenario.view(perspective)
             order = {eid: i for i, eid in enumerate(view.visible)}
-            mark_ids: list[str] = []
-            positions: list[tuple[int, int, int]] = []
+            marks: list[Markable] = []
             targets: list[np.ndarray] = []
             for mid in corpus.markables_by_dialogue.get(did, ()):
                 m = corpus.markables[mid]
@@ -239,14 +249,7 @@ def build_examples(
                 row = np.zeros(VIEW_SIZE)
                 for e in entry.referents:
                     row[order[e]] = 1.0
-                mark_ids.append(mid)
-                positions.append(
-                    (
-                        tok_pos[(m.utterance_index, m.start_token)],
-                        tok_pos[(m.utterance_index, m.end_token - 1)],
-                        eou_pos[m.utterance_index],
-                    )
-                )
+                marks.append(m)
                 targets.append(row)
             attrs, rel = view_feature_matrix(scenario, perspective)
             out.append(
@@ -256,12 +259,8 @@ def build_examples(
                     tokens=tokens,
                     dial_positions=dial_positions,
                     tsel_target=order[d.selections[perspective]],
-                    markable_ids=mark_ids,
-                    mark_positions=(
-                        np.asarray(positions, dtype=np.int64)
-                        if positions
-                        else np.zeros((0, 3), dtype=np.int64)
-                    ),
+                    markable_ids=[m.id for m in marks],
+                    mark_positions=markable_positions(marks, tok_pos, eou_pos),
                     ref_targets=(np.stack(targets) if targets else np.zeros((0, VIEW_SIZE))),
                     attrs=attrs,
                     rel=rel,
@@ -304,12 +303,14 @@ class GroundingModel:
 
     # --- building blocks ---------------------------------------------------
 
-    def _encode_entities(self, attrs: np.ndarray, rel: np.ndarray):
+    def encode_entities(self, attrs: np.ndarray, rel: np.ndarray):
+        """Entity encodings (7, De), their ``attn.We`` projection (7, A) and
+        the cache for ``_encode_entities_backward``."""
         p = self.store
         attr_emb = tanh(linear(attrs, p["enc_attr.W"], p["enc_attr.b"]))
         rel_tanh = tanh(linear(rel, p["enc_rel.W"], p["enc_rel.b"]))
         entities = np.concatenate([attr_emb, rel_tanh.sum(axis=1)], axis=1)
-        return entities, (attr_emb, rel_tanh)
+        return entities, entities @ p["attn.We"].T, (attr_emb, rel_tanh)
 
     def _encode_entities_backward(self, attrs, rel, cache, d_entities) -> None:
         attr_emb, rel_tanh = cache
@@ -320,6 +321,11 @@ class GroundingModel:
         dr = d_entities[:, None, self.config.attr_dim:] * (1.0 - rel_tanh * rel_tanh)
         g["enc_rel.W"] += np.einsum("ijd,ijf->df", dr, rel)
         g["enc_rel.b"] += dr.sum(axis=(0, 1))
+
+    def _encode_tokens(self, tokens: np.ndarray):
+        """Dialogue GRU states (T, H) over a token-id stream, and their cache."""
+        p = self.store
+        return gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], p["emb"][tokens])
 
     def _attention(self, entities_proj: np.ndarray, queries: np.ndarray, head: str):
         """Scores for each of the 7 entities against each query row:
@@ -342,6 +348,46 @@ class GroundingModel:
         d_queries = np.einsum("qid,dh->qh", dact, p["attn.Wq"])
         return d_entities, d_queries
 
+    # --- the three heads ----------------------------------------------------
+
+    def _head_forward(self, head: str, entities, entities_proj, queries):
+        """One head over query rows (Q, H): entity scores (Q, 7) for TSEL and
+        REF, next-token logits (Q, V) for DIAL.  Returns (out, cache), where
+        the cache holds what ``_head_backward`` needs."""
+        if head not in self.heads:
+            raise ValueError(f"variant {self.config.variant} has no {head.upper()} head")
+        scores, act = self._attention(entities_proj, queries, head)
+        if head != "dial":
+            return scores, (entities, queries, act)
+        p = self.store
+        alpha = softmax(scores, axis=-1)
+        z = np.concatenate([queries, alpha @ entities], axis=1)
+        logits, u1 = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
+        return logits, (entities, queries, act, alpha, z, u1)
+
+    def _head_backward(self, head: str, dout, cache, d_entities):
+        """Backward of ``_head_forward``: accumulates parameter grads, adds
+        the entity gradient into ``d_entities`` and returns the query
+        gradient (Q, H)."""
+        entities, queries, act, *dial = cache
+        if head != "dial":
+            de, dq = self._attention_backward(dout, act, entities, queries, head)
+            d_entities += de
+            return dq
+        p, g = self.store, self.store.grads
+        alpha, z, u1 = dial
+        dz, *grads = mlp_backward(dout, z, u1, p["dial.W1"], p["dial.W2"])
+        for name, grad in zip(("dial.W1", "dial.b1", "dial.W2", "dial.b2"), grads):
+            g[name] += grad
+        d_queries = dz[:, : self.config.hidden_dim].copy()
+        d_context = dz[:, self.config.hidden_dim:]
+        d_entities += alpha.T @ d_context
+        dscores = softmax_backward(d_context @ entities.T, alpha, axis=-1)
+        de, dq = self._attention_backward(dscores, act, entities, queries, "dial")
+        d_entities += de
+        d_queries += dq
+        return d_queries
+
     # --- joint forward/backward over one example ----------------------------
 
     def run_example(
@@ -356,10 +402,8 @@ class GroundingModel:
         parameter gradients are accumulated into the store."""
         p, g = self.store, self.store.grads
         cfg = self.config
-        entities, enc_cache = self._encode_entities(ex.attrs, ex.rel)
-        entities_proj = entities @ p["attn.We"].T
-        x = p["emb"][ex.tokens]
-        h_seq, gru_cache = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], x)
+        entities, entities_proj, enc_cache = self.encode_entities(ex.attrs, ex.rel)
+        h_seq, gru_cache = self._encode_tokens(ex.tokens)
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ValueError("training forward needs an rng for dropout")
@@ -375,27 +419,19 @@ class GroundingModel:
 
         if "tsel" in self.heads:
             q = hd[-1][None, :]
-            scores, act = self._attention(entities_proj, q, "tsel")
-            loss, dscores = cross_entropy(scores[0], ex.tsel_target)
-            losses["tsel"] = loss
+            scores, cache = self._head_forward("tsel", entities, entities_proj, q)
+            losses["tsel"], dscores = cross_entropy(scores[0], ex.tsel_target)
             if backward:
-                de, dq = self._attention_backward(
-                    cfg.w_tsel * dscores[None, :], act, entities, q, "tsel"
-                )
-                d_entities += de
+                dq = self._head_backward("tsel", cfg.w_tsel * dscores[None, :], cache, d_entities)
                 d_hd[-1] += dq[0]
 
         if "ref" in self.heads and len(ex.markable_ids) > 0:
             pos = ex.mark_positions
-            queries = (hd[pos[:, 0]] + hd[pos[:, 1]] + hd[pos[:, 2]]) / 3.0
-            scores, act = self._attention(entities_proj, queries, "ref")
-            loss, dscores = bce_with_logits(scores, ex.ref_targets)
-            losses["ref"] = loss
+            queries = _ref_queries(hd, pos)
+            scores, cache = self._head_forward("ref", entities, entities_proj, queries)
+            losses["ref"], dscores = bce_with_logits(scores, ex.ref_targets)
             if backward:
-                de, dq = self._attention_backward(
-                    cfg.w_ref * dscores, act, entities, queries, "ref"
-                )
-                d_entities += de
+                dq = self._head_backward("ref", cfg.w_ref * dscores, cache, d_entities)
                 for col in range(3):
                     np.add.at(d_hd, pos[:, col], dq / 3.0)
         elif "ref" in self.heads:
@@ -404,29 +440,10 @@ class GroundingModel:
         if "dial" in self.heads:
             pos = ex.dial_positions
             h_in = hd[pos - 1]
-            scores, act = self._attention(entities_proj, h_in, "dial")
-            alpha = softmax(scores, axis=-1)
-            context = alpha @ entities
-            z = np.concatenate([h_in, context], axis=1)
-            logits, u1 = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
-            loss, dlogits = cross_entropy_rows(logits, ex.tokens[pos])
-            losses["dial"] = loss
+            logits, cache = self._head_forward("dial", entities, entities_proj, h_in)
+            losses["dial"], dlogits = cross_entropy_rows(logits, ex.tokens[pos])
             if backward:
-                dz, dw1, db1, dw2, db2 = mlp_backward(
-                    cfg.w_dial * dlogits, z, u1, p["dial.W1"], p["dial.W2"]
-                )
-                g["dial.W1"] += dw1
-                g["dial.b1"] += db1
-                g["dial.W2"] += dw2
-                g["dial.b2"] += db2
-                d_hin = dz[:, : cfg.hidden_dim].copy()
-                d_context = dz[:, cfg.hidden_dim:]
-                d_entities += alpha.T @ d_context
-                dalpha = d_context @ entities.T
-                dscores = softmax_backward(dalpha, alpha, axis=-1)
-                de, dq = self._attention_backward(dscores, act, entities, h_in, "dial")
-                d_entities += de
-                d_hin += dq
+                d_hin = self._head_backward("dial", cfg.w_dial * dlogits, cache, d_entities)
                 np.add.at(d_hd, pos - 1, d_hin)
 
         total = sum(
@@ -449,51 +466,37 @@ class GroundingModel:
 
     # --- inference -----------------------------------------------------------
 
-    def encode_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Dialogue GRU states (T, H) over a token-id stream."""
-        p = self.store
-        h_seq, _ = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], p["emb"][tokens])
-        return h_seq
+    def predict(self, ex: StreamExample) -> dict[str, np.ndarray]:
+        """Probabilities of the model's TSEL and REF heads for one example:
+        ``"tsel"`` (7,) over the view and ``"ref"`` (M, 7) per markable.  One
+        GRU pass and one entity encoding serve both heads."""
+        h_seq, _ = self._encode_tokens(ex.tokens)
+        entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
+        out = {}
+        if "tsel" in self.heads:
+            scores, _ = self._head_forward("tsel", entities, entities_proj, h_seq[-1][None, :])
+            out["tsel"] = softmax(scores[0])
+        if "ref" in self.heads:
+            queries = _ref_queries(h_seq, ex.mark_positions)
+            scores, _ = self._head_forward("ref", entities, entities_proj, queries)
+            out["ref"] = sigmoid(scores)
+        return out
 
-    def encode_states(self, ex: StreamExample) -> np.ndarray:
-        return self.encode_tokens(ex.tokens)
-
-    def tsel_probs(self, ex: StreamExample, h_seq: np.ndarray | None = None) -> np.ndarray:
-        if "tsel" not in self.heads:
-            raise ValueError(f"variant {self.config.variant} has no TSEL head")
-        if h_seq is None:
-            h_seq = self.encode_states(ex)
-        entities, _ = self._encode_entities(ex.attrs, ex.rel)
-        scores, _ = self._attention(entities @ self.store["attn.We"].T, h_seq[-1][None, :], "tsel")
-        return softmax(scores[0])
-
-    def ref_probs(self, ex: StreamExample, h_seq: np.ndarray | None = None) -> np.ndarray:
-        """(M, 7) inclusion probabilities for the example's markables."""
-        if "ref" not in self.heads:
-            raise ValueError(f"variant {self.config.variant} has no REF head")
-        if h_seq is None:
-            h_seq = self.encode_states(ex)
-        if len(ex.markable_ids) == 0:
-            return np.zeros((0, VIEW_SIZE))
-        entities, _ = self._encode_entities(ex.attrs, ex.rel)
-        return self.ref_probs_at(entities, h_seq, ex.mark_positions)
-
-    def ref_probs_at(self, entities: np.ndarray, h_seq: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """REF probabilities for arbitrary (start, last, eou) stream positions."""
-        queries = (h_seq[positions[:, 0]] + h_seq[positions[:, 1]] + h_seq[positions[:, 2]]) / 3.0
-        scores, _ = self._attention(entities @ self.store["attn.We"].T, queries, "ref")
+    def ref_probs_at(self, attrs, rel, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """REF probabilities (M, 7) for (start, last, eou) stream positions in
+        ``tokens``, seen from the view whose features are ``attrs``/``rel``."""
+        entities, entities_proj, _ = self.encode_entities(attrs, rel)
+        h_seq, _ = self._encode_tokens(tokens)
+        queries = _ref_queries(h_seq, positions)
+        scores, _ = self._head_forward("ref", entities, entities_proj, queries)
         return sigmoid(scores)
 
     # --- incremental decoding (selfplay) --------------------------------------
 
     def start_state(self, attrs: np.ndarray, rel: np.ndarray) -> "DecoderState":
-        entities, _ = self._encode_entities(attrs, rel)
-        return DecoderState(
-            model=self,
-            entities=entities,
-            entities_proj=entities @ self.store["attn.We"].T,
-            h=np.zeros(self.config.hidden_dim, dtype=self.store.dtype),
-        )
+        entities, entities_proj, _ = self.encode_entities(attrs, rel)
+        h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
+        return DecoderState(model=self, entities=entities, entities_proj=entities_proj, h=h)
 
     def save(self, prefix, history: list[dict] | None = None) -> None:
         save_checkpoint(self, prefix, "refgame-model", history=history or [])
@@ -501,6 +504,11 @@ class GroundingModel:
     @classmethod
     def load(cls, prefix) -> "GroundingModel":
         return load_checkpoint(cls, prefix, "refgame-model", ModelConfig)
+
+
+def _ref_queries(h: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """REF query rows: the mean of the states at each (start, last, eou) row."""
+    return (h[positions[:, 0]] + h[positions[:, 1]] + h[positions[:, 2]]) / 3.0
 
 
 @dataclass
@@ -517,18 +525,19 @@ class DecoderState:
         x = p["emb"][token_id]
         self.h = gru_cell(p["gru.W"], p["gru.U"], p["gru.b"], x, self.h)
 
+    def fork(self) -> "DecoderState":
+        """An independent copy to decode ahead from."""
+        return replace(self, h=self.h.copy())
+
+    def _probs(self, head: str) -> np.ndarray:
+        out, _ = self.model._head_forward(head, self.entities, self.entities_proj, self.h[None, :])
+        return softmax(out[0])
+
     def next_token_probs(self) -> np.ndarray:
-        p = self.model.store
-        scores, _ = self.model._attention(self.entities_proj, self.h[None, :], "dial")
-        alpha = softmax(scores, axis=-1)
-        context = alpha @ self.entities
-        z = np.concatenate([self.h[None, :], context], axis=1)
-        logits, _ = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
-        return softmax(logits[0])
+        return self._probs("dial")
 
     def tsel_probs(self) -> np.ndarray:
-        scores, _ = self.model._attention(self.entities_proj, self.h[None, :], "tsel")
-        return softmax(scores[0])
+        return self._probs("tsel")
 
 
 # --- training loop -------------------------------------------------------------

@@ -110,21 +110,31 @@ class ParamStore:
         atomic_write_text(path, json.dumps(self.to_json_obj()))
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ParamStore":
-        if obj.get("format") != "refgame-params":
+    def from_json_obj(cls, obj) -> "ParamStore":
+        """Raises SchemaError unless ``obj`` is a well-formed parameter object:
+        every record has a known dtype, strict base64 data and exactly the
+        bytes its shape needs."""
+        if not isinstance(obj, dict) or obj.get("format") != "refgame-params":
             raise SchemaError("not a parameter checkpoint")
         if obj.get("version") != CHECKPOINT_VERSION:
             raise SchemaError(f"unsupported checkpoint version {obj.get('version')!r}")
-        store = cls(seed=int(obj.get("seed", 0)), dtype=np.dtype(obj["dtype"]))
-        for name, rec in obj["params"].items():
-            dt = np.dtype(rec["dtype"]).newbyteorder("<")
-            arr = np.frombuffer(base64.b64decode(rec["data"]), dtype=dt)
-            arr = arr.astype(np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
-            store.params[name] = arr
-            store.grads[name] = np.zeros_like(arr)
+        try:
+            store = cls(seed=int(obj.get("seed", 0)), dtype=np.dtype(obj["dtype"]))
+            for name, rec in obj["params"].items():
+                dt = np.dtype(rec["dtype"]).newbyteorder("<")
+                arr = np.frombuffer(base64.b64decode(rec["data"], validate=True), dtype=dt)
+                arr = arr.astype(np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
+                store.params[name] = arr
+                store.grads[name] = np.zeros_like(arr)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed parameter checkpoint: {exc!r}") from exc
         return store
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json_obj(json.load(f))
+        """Read a ``save`` file; any damage raises SchemaError naming it."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_json_obj(json.load(f))
+        except (SchemaError, ValueError) as exc:
+            raise SchemaError(f"{path}: {exc}") from exc

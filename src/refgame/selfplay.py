@@ -19,7 +19,9 @@ import numpy as np
 
 from .corpus import Dialogue, Message, Selection
 from .errors import GameAbortedError
-from .model import EOU, SEL, THEM, YOU, DecoderState, GroundingModel, serialize_dialogue
+from .model import (
+    EOU, SEL, THEM, YOU, DecoderState, GroundingModel, markable_positions, serialize_dialogue,
+)
 from .scenario import Scenario, View, view_feature_matrix
 
 
@@ -164,11 +166,6 @@ def pick_darkest(scenario: Scenario, view: View, rng: np.random.Generator) -> in
     return min((scenario.entity(e) for e in view.visible), key=lambda ent: ent.color).id
 
 
-def pick_lowest_shared(scenario: Scenario, view: View, rng: np.random.Generator) -> int:
-    # peeks at the full scenario; for deterministic protocol tests only
-    return min(scenario.shared_ids)
-
-
 def random_agent() -> ScriptedAgent:
     return ScriptedAgent(pick_random)
 
@@ -212,12 +209,8 @@ class ModelAgent:
         vocab = self.model.vocab
         out: list[str] = []
         wants_selection = False
-        # speak from our own perspective; the harness echoes via observe()
-        probe = self.state  # not yet fed; tokens are fed back by observe()
-        state = DecoderState(
-            model=probe.model, entities=probe.entities,
-            entities_proj=probe.entities_proj, h=probe.h.copy(),
-        )
+        # speak from a fork of our own state; observe() feeds the tokens back
+        state = self.state.fork()
         state.feed(vocab.encode(YOU))
         for _ in range(self.max_tokens):
             probs = state.next_token_probs().copy()
@@ -332,21 +325,9 @@ def annotate_transcript(
         if not marks:
             continue
         tokens, _, tok_pos, eou_pos = serialize_dialogue(dialogue, perspective, model.vocab)
-        h_seq = model.encode_tokens(tokens)
         attrs, rel = view_feature_matrix(scenario, perspective)
-        entities, _ = model._encode_entities(attrs, rel)
-        positions = np.array(
-            [
-                [
-                    tok_pos[(m.utterance_index, m.start_token)],
-                    tok_pos[(m.utterance_index, m.end_token - 1)],
-                    eou_pos[m.utterance_index],
-                ]
-                for m in marks
-            ],
-            dtype=np.int64,
-        )
-        probs = model.ref_probs_at(entities, h_seq, positions)
+        positions = markable_positions(marks, tok_pos, eou_pos)
+        probs = model.ref_probs_at(attrs, rel, tokens, positions)
         view = scenario.view(perspective)
         for m, row in zip(marks, probs):
             predictions[m.id] = frozenset(

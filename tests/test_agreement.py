@@ -15,7 +15,6 @@ from refgame.agreement import (
     agreement_by_referent_count,
     color_kde,
     fleiss_multi_pi,
-    kde_overlap,
     markable_exact_rates,
     pairwise_entity_agreement,
     pearson,
@@ -261,7 +260,10 @@ class TestColorKDE:
 
     def test_adjective_distributions_overlap(self, medium_corpus):
         kdes = color_kde(medium_corpus, ["dark", "light"])
-        assert kde_overlap(kdes["dark"], kdes["light"]) > 0.0
+        # integral of min(density_dark, density_light): nonzero iff the curves overlap
+        x = np.linspace(-64.0, 320.0, 2048)
+        overlap = np.trapezoid(np.minimum(kdes["dark"].density(x), kdes["light"].density(x)), x)
+        assert overlap > 0.0
 
     def test_unknown_adjective_raises(self, medium_corpus):
         with pytest.raises(ValueError):

@@ -187,6 +187,23 @@ class TestModelCommands:
         assert params["dtype"] == "float32"
         assert {rec["dtype"] for rec in params["params"].values()} == {"float32"}
 
+    def test_tagger_train_honours_dims(self, data_dir, tagger_ckpt, tmp_path):
+        split = tagger_ckpt.parent / "split.json"
+        out = tmp_path / "tagger_small"
+        assert run(
+            "train", "--data", data_dir, "--split", split, "--task", "tagger",
+            "--out", out, "--epochs", "1", "--embed-dim", "8", "--hidden-dim", "10", "--quiet",
+        ) == 0
+        shapes = {
+            name: tuple(rec["shape"])
+            for name, rec in json.loads(out.with_suffix(".params.json").read_text())["params"].items()
+        }
+        assert shapes["emb"][1] == 8
+        for direction in ("fwd", "bwd"):
+            assert shapes[f"{direction}.W"] == (30, 8)
+            assert shapes[f"{direction}.U"] == (30, 10)
+        assert shapes["emit.W"] == (3, 20)
+
     def test_selfplay_annotated_transcripts(self, trained, tagger_ckpt, tmp_path):
         workdir, split, model = trained
         out = tmp_path / "spa"

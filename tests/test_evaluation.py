@@ -29,16 +29,10 @@ def test_perfect_predictions_give_perfect_metrics(setup):
         heads = model.heads
         vocab = model.vocab
 
-        def encode_states(self, ex):
-            return None
-
-        def tsel_probs(self, ex, h=None):
-            out = np.zeros(7)
-            out[ex.tsel_target] = 1.0
-            return out
-
-        def ref_probs(self, ex, h=None):
-            return ex.ref_targets.astype(float)
+        def predict(self, ex):
+            tsel = np.zeros(7)
+            tsel[ex.tsel_target] = 1.0
+            return {"tsel": tsel, "ref": ex.ref_targets.astype(float)}
 
     report = evaluate_model(Oracle(), corpus, ids, gold)
     assert report.tsel_accuracy == 100.0
@@ -57,19 +51,13 @@ def test_hand_counted_off_by_one(setup):
         heads = model.heads
         vocab = model.vocab
 
-        def encode_states(self, ex):
-            return None
-
-        def tsel_probs(self, ex, h=None):
-            out = np.zeros(7)
-            out[ex.tsel_target] = 1.0
-            return out
-
-        def ref_probs(self, ex, h=None):
-            probs = ex.ref_targets.astype(float).copy()
-            if len(probs):
-                probs[:, 0] = 1.0 - probs[:, 0]
-            return probs
+        def predict(self, ex):
+            tsel = np.zeros(7)
+            tsel[ex.tsel_target] = 1.0
+            ref = ex.ref_targets.astype(float).copy()
+            if len(ref):
+                ref[:, 0] = 1.0 - ref[:, 0]
+            return {"tsel": tsel, "ref": ref}
 
     # restrict to one example with exactly two markables -> 12/14 correct
     examples = build_examples(corpus, ids, model.vocab, gold)

@@ -28,6 +28,36 @@ from refgame.synth import make_synthetic_corpus
 TINY = dict(embed_dim=5, hidden_dim=6, attr_dim=4, rel_dim=3, attn_dim=5, mlp_dim=6, dropout=0.0)
 
 
+def _damaged_record(**change):
+    """A params-file damage that changes or (for None) drops fields of the
+    ``emb`` record."""
+
+    def damage(obj):
+        rec = obj["params"]["emb"]
+        for key, value in change.items():
+            if value is None:
+                del rec[key]
+            else:
+                rec[key] = value(rec)
+        return json.dumps(obj)
+
+    return damage
+
+
+PARAMS_DAMAGE = {
+    "not JSON": lambda obj: json.dumps(obj)[:-1],
+    "JSON list": lambda obj: json.dumps([obj]),
+    "no params key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "params"}),
+    "no dtype key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "dtype"}),
+    "record without shape": _damaged_record(shape=None),
+    "record without dtype": _damaged_record(dtype=None),
+    "record without data": _damaged_record(data=None),
+    "bad base64": _damaged_record(data=lambda rec: rec["data"][:-1]),
+    "unknown dtype": _damaged_record(dtype=lambda rec: "float1000"),
+    "data longer than shape": _damaged_record(shape=lambda rec: [1, rec["shape"][1]]),
+}
+
+
 @pytest.fixture(scope="module")
 def micro():
     corpus = make_synthetic_corpus(2, seed=3)
@@ -104,17 +134,17 @@ class TestForward:
         model.store.params["enc_attr.W"][...] = 0.0
         model.store.params["enc_rel.W"][...] = 0.0
         ex = _examples(micro)[0]
-        entities, _ = model._encode_entities(ex.attrs, ex.rel)
+        entities, _, _ = model.encode_entities(ex.attrs, ex.rel)
         assert np.allclose(entities, 0.0)
 
     def test_relational_sum_permutation_invariant(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
         ex = _examples(micro)[0]
-        entities, _ = model._encode_entities(ex.attrs, ex.rel)
+        entities, _, _ = model.encode_entities(ex.attrs, ex.rel)
         rng = np.random.default_rng(0)
         perm = rng.permutation(6)
-        entities2, _ = model._encode_entities(ex.attrs, ex.rel[:, perm, :])
+        entities2, _, _ = model.encode_entities(ex.attrs, ex.rel[:, perm, :])
         assert np.allclose(entities, entities2)
 
     def test_identical_entities_identical_scores(self, micro):
@@ -130,21 +160,21 @@ class TestForward:
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
         model.store.params["attn.v_tsel"][...] = 0.0
         ex = _examples(micro)[0]
-        probs = model.tsel_probs(ex)
+        probs = model.predict(ex)["tsel"]
         assert np.allclose(probs, 1 / 7)
 
     def test_tsel_probs_sum_to_one(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL", seed=1, **TINY), vocab)
         for ex in _examples(micro):
-            assert model.tsel_probs(ex).sum() == pytest.approx(1.0)
+            assert model.predict(ex)["tsel"].sum() == pytest.approx(1.0)
 
     def test_ref_probs_half_at_zero_logits(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="REF", seed=0, **TINY), vocab)
         model.store.params["attn.v_ref"][...] = 0.0
         ex = next(e for e in _examples(micro) if e.markable_ids)
-        assert np.allclose(model.ref_probs(ex), 0.5)
+        assert np.allclose(model.predict(ex)["ref"], 0.5)
 
     def test_dial_distribution_sums_to_one(self, micro):
         *_, vocab = micro
@@ -165,13 +195,31 @@ class TestForward:
         state.feed(vocab.encode(YOU))
         assert np.allclose(state.next_token_probs(), 1 / len(vocab))
 
+    def test_incremental_decoding_matches_training_forward(self, micro):
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=6, **TINY), vocab)
+        for ex in _examples(micro):
+            losses = model.run_example(ex)
+            state = model.start_state(ex.attrs, ex.rel)
+            dial_positions = set(ex.dial_positions.tolist())
+            nll = []
+            for t, token in enumerate(ex.tokens):
+                if t in dial_positions:
+                    nll.append(-math.log(state.next_token_probs()[token]))
+                state.feed(token)
+            assert len(nll) == len(dial_positions)
+            assert np.mean(nll) == pytest.approx(losses["dial"], rel=1e-12, abs=0)
+            tsel = -math.log(state.tsel_probs()[ex.tsel_target])
+            assert tsel == pytest.approx(losses["tsel"], rel=1e-12, abs=0)
+
     def test_variant_gating(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
-        losses = model.run_example(_examples(micro)[0])
-        assert set(losses) == {"tsel", "total"}
-        with pytest.raises(ValueError):
-            model.ref_probs(_examples(micro)[0])
+        ex = _examples(micro)[0]
+        assert set(model.run_example(ex)) == {"tsel", "total"}
+        assert set(model.predict(ex)) == {"tsel"}
+        with pytest.raises(ValueError, match="no REF head"):
+            model.ref_probs_at(ex.attrs, ex.rel, ex.tokens, ex.mark_positions)
 
     def test_entity_permutation_equivariance(self, micro):
         *_, vocab = micro
@@ -190,8 +238,8 @@ class TestForward:
             for c, new_j in enumerate(others(new_i)):
                 rel2[new_i, c] = ex.rel[old_i, old_cols[perm[new_j]]]
         ex2 = StreamExample(**{**ex.__dict__, "attrs": ex.attrs[perm], "rel": rel2})
-        assert np.allclose(model.tsel_probs(ex2), model.tsel_probs(ex)[perm])
-        assert np.allclose(model.ref_probs(ex2), model.ref_probs(ex)[:, perm])
+        assert np.allclose(model.predict(ex2)["tsel"], model.predict(ex)["tsel"][perm])
+        assert np.allclose(model.predict(ex2)["ref"], model.predict(ex)["ref"][:, perm])
 
 
 class TestGradients:
@@ -248,7 +296,7 @@ class TestTraining:
         for ex in examples:
             if not ex.markable_ids:
                 continue
-            pred = result.model.ref_probs(ex) >= 0.5
+            pred = result.model.predict(ex)["ref"] >= 0.5
             assert np.array_equal(pred, ex.ref_targets >= 0.5)
 
     def test_fifty_dialogue_ref_capacity(self):
@@ -324,7 +372,7 @@ class TestCheckpoint:
         assert loaded.config == model.config
         assert loaded.vocab.tokens == model.vocab.tokens
         for ex in _examples(micro):
-            assert np.array_equal(loaded.tsel_probs(ex), model.tsel_probs(ex))
+            assert np.array_equal(loaded.predict(ex)["tsel"], model.predict(ex)["tsel"])
             losses_a = model.run_example(ex)
             losses_b = loaded.run_example(ex)
             assert losses_a == losses_b
@@ -343,6 +391,15 @@ class TestCheckpoint:
         )
         (tmp_path / "other.params.json").replace(tmp_path / "model.params.json")
         with pytest.raises(SchemaError, match="do not match"):
+            GroundingModel.load(tmp_path / "model")
+
+    @pytest.mark.parametrize("damage", sorted(PARAMS_DAMAGE))
+    def test_load_rejects_damaged_params_file(self, micro, tmp_path, damage):
+        corpus, gold, ids, vocab = micro
+        GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
+        path = tmp_path / "model.params.json"
+        path.write_text(PARAMS_DAMAGE[damage](json.loads(path.read_text())))
+        with pytest.raises(SchemaError, match="model.params.json"):
             GroundingModel.load(tmp_path / "model")
 
     def test_load_rejects_meta_without_config(self, micro, tmp_path):

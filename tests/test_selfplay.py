@@ -15,7 +15,6 @@ from refgame.selfplay import (
     ScriptedAgent,
     center_agent,
     darkest_agent,
-    pick_lowest_shared,
     pick_random,
     random_agent,
     run_batch,
@@ -26,6 +25,12 @@ from refgame.selfplay import (
 from refgame.synth import make_synthetic_corpus
 
 CFG = ScenarioConfig()
+
+
+def pick_lowest_shared(scenario, view, rng) -> int:
+    """Peeks at the full scenario, so both players always agree."""
+    return min(scenario.shared_ids)
+
 PROTO = ProtocolConfig(seed=0)
 
 
