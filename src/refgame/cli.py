@@ -177,22 +177,31 @@ def _load_gold(path) -> dict:
     }
 
 
+# config fields that `train` flags set; ModelConfig and TaggerConfig hold the defaults
+TRAIN_FLAGS = (
+    "variant", "epochs", "seed", "lr", "batch_size", "dropout", "embed_dim", "hidden_dim",
+    "attr_dim", "rel_dim", "attn_dim", "mlp_dim", "dtype",
+)
+
+
 def cmd_train(args) -> int:
+    from dataclasses import fields
+
     from .corpus import Split, load_corpus
     from .agreement import aggregate_corpus_gold
 
     corpus = load_corpus(_data_dir(args))
     split = Split.from_dict(read_json(args.split))
     out = Path(args.out)
-    # sizes given on the command line; the config classes hold the defaults
-    dims = {k: v for k in ("embed_dim", "hidden_dim") if (v := getattr(args, k)) is not None}
+    given = {k: v for k in TRAIN_FLAGS if (v := getattr(args, k)) is not None}
     if args.task == "tagger":
         from .tagger import TaggerConfig, train_tagger
 
-        config = TaggerConfig(
-            epochs=args.epochs, seed=args.seed, lr=args.lr, batch_size=args.batch_size,
-            dtype=args.dtype, **dims,
-        )
+        model_only = sorted(set(given) - {f.name for f in fields(TaggerConfig)})
+        if model_only:
+            flags = ", ".join("--" + k.replace("_", "-") for k in model_only)
+            raise RefgameError(f"--task tagger does not take {flags}")
+        config = TaggerConfig(**given)
         result = train_tagger(corpus, split, config, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet)
         result.tagger.save(out)
         best = result.history[result.best_epoch]
@@ -202,25 +211,12 @@ def cmd_train(args) -> int:
     from .model import ModelConfig, train_model
 
     gold = _load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
-    config = ModelConfig(
-        variant=args.variant,
-        epochs=args.epochs,
-        seed=args.seed,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-        attr_dim=args.attr_dim,
-        rel_dim=args.rel_dim,
-        attn_dim=args.attn_dim,
-        mlp_dim=args.mlp_dim,
-        dtype=args.dtype,
-        **dims,
-    )
+    config = ModelConfig(**given)
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
     )
     result.model.save(out, history=result.history)
-    print(json.dumps({"task": "model", "variant": args.variant, "best_epoch": result.best_epoch}))
+    print(json.dumps({"task": "model", "variant": config.variant, "best_epoch": result.best_epoch}))
     return 0
 
 
@@ -476,24 +472,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("train", help="train a model or the markable tagger")
+    p = sub.add_parser(
+        "train", help="train a model or the markable tagger",
+        description="Flags left out take the ModelConfig or TaggerConfig default.",
+    )
     p.add_argument("--data")
     p.add_argument("--split", required=True)
     p.add_argument("--task", choices=("model", "tagger"), default="model")
-    p.add_argument("--variant", default="TSEL-REF-DIAL")
+    p.add_argument("--variant")
     p.add_argument("--gold", help="gold referents JSON (default: aggregate on the fly)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--embed-dim", type=int, help="default: 256 for the model, 64 for the tagger")
-    p.add_argument("--hidden-dim", type=int, help="default: 256 for the model, 128 for the tagger")
-    p.add_argument("--attr-dim", type=int, default=128)
-    p.add_argument("--rel-dim", type=int, default=128)
-    p.add_argument("--attn-dim", type=int, default=256)
-    p.add_argument("--mlp-dim", type=int, default=256)
-    p.add_argument("--dtype", default="float64")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--attr-dim", type=int)
+    p.add_argument("--rel-dim", type=int)
+    p.add_argument("--attn-dim", type=int)
+    p.add_argument("--mlp-dim", type=int)
+    p.add_argument("--dtype")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)

@@ -319,7 +319,7 @@ class GroundingModel:
         g["enc_attr.W"] += da.T @ attrs
         g["enc_attr.b"] += da.sum(axis=0)
         dr = d_entities[:, None, self.config.attr_dim:] * (1.0 - rel_tanh * rel_tanh)
-        g["enc_rel.W"] += np.einsum("ijd,ijf->df", dr, rel)
+        g["enc_rel.W"] += dr.reshape(-1, dr.shape[-1]).T @ rel.reshape(-1, rel.shape[-1])
         g["enc_rel.b"] += dr.sum(axis=(0, 1))
 
     def _encode_tokens(self, tokens: np.ndarray):
@@ -336,17 +336,22 @@ class GroundingModel:
         return act @ p[f"attn.v_{head}"], act
 
     def _attention_backward(self, dscores, act, entities, queries, head: str):
-        """Returns (d_entities, d_queries); accumulates parameter grads."""
+        """Returns (d_entities, d_queries); accumulates parameter grads.
+
+        ``act`` is (Q, 7, A) and the pre-activation is ``We e_i + Wq h_q +
+        b``, so its gradient reduces to a per-entity sum (7, A) over the
+        queries and a per-query sum (Q, A) over the entities, each of which
+        then meets its weight in one matmul."""
         p, g = self.store, self.store.grads
         v = p[f"attn.v_{head}"]
-        g[f"attn.v_{head}"] += np.einsum("qi,qid->d", dscores, act)
+        g[f"attn.v_{head}"] += dscores.reshape(-1) @ act.reshape(-1, act.shape[-1])
         dact = dscores[:, :, None] * v[None, None, :] * (1.0 - act * act)
-        g["attn.We"] += np.einsum("qid,ie->de", dact, entities)
-        g["attn.Wq"] += np.einsum("qid,qh->dh", dact, queries)
-        g["attn.b"] += dact.sum(axis=(0, 1))
-        d_entities = np.einsum("qid,de->ie", dact, p["attn.We"])
-        d_queries = np.einsum("qid,dh->qh", dact, p["attn.Wq"])
-        return d_entities, d_queries
+        d_pre_e = dact.sum(axis=0)
+        d_pre_q = dact.sum(axis=1)
+        g["attn.We"] += d_pre_e.T @ entities
+        g["attn.Wq"] += d_pre_q.T @ queries
+        g["attn.b"] += d_pre_q.sum(axis=0)
+        return d_pre_e @ p["attn.We"], d_pre_q @ p["attn.Wq"]
 
     # --- the three heads ----------------------------------------------------
 

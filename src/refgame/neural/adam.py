@@ -68,8 +68,11 @@ def fit(
     ``store`` and returns its loss; ``validate()`` returns ``(score,
     fields)``, lower score better.  The rng that shuffles each epoch is the
     one handed to ``step``.  The best epoch's parameters are restored, and
-    each epoch record (mean loss under ``loss_key``, then ``fields``) goes
-    to stdout unless ``quiet`` and to the JSONL ``log_path``.  Returns
+    each epoch record goes to stdout unless ``quiet`` and to the JSONL
+    ``log_path``.  A record holds the mean loss under ``loss_key``, the
+    mean pre-clip gradient norm over the epoch's minibatches
+    (``grad_norm``), the share of minibatches that were clipped
+    (``clip_rate``), then ``fields`` and the epoch's ``seconds``.  Returns
     ``(history, best_epoch)``."""
     opt = Adam(store, lr=config.lr)
     rng = np.random.default_rng(config.seed)
@@ -82,6 +85,7 @@ def fit(
         t0 = time.perf_counter()
         order = rng.permutation(len(examples))
         total = 0.0
+        norms = []
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo: lo + config.batch_size]
             store.zero_grads()
@@ -91,12 +95,14 @@ def fit(
                     raise DivergenceError(f"non-finite training loss at epoch {epoch}")
                 total += loss
             store.scale_grads(1.0 / len(batch))
-            store.clip_grad_global_norm(config.grad_clip)
+            norms.append(store.clip_grad_global_norm(config.grad_clip))
             opt.step()
         score, fields = validate()
         record = {
             "epoch": epoch,
             loss_key: total / len(examples),
+            "grad_norm": sum(norms) / len(norms),
+            "clip_rate": sum(n > config.grad_clip > 0 for n in norms) / len(norms),
             **fields,
             "seconds": round(time.perf_counter() - t0, 3),
         }

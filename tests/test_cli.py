@@ -204,6 +204,51 @@ class TestModelCommands:
             assert shapes[f"{direction}.U"] == (30, 10)
         assert shapes["emit.W"] == (3, 20)
 
+    @pytest.mark.parametrize("task", ["tagger", "model"])
+    def test_train_flags_left_out_take_config_defaults(self, data_dir, tagger_ckpt, tmp_path,
+                                                       monkeypatch, task):
+        from dataclasses import replace
+
+        from refgame import model, tagger
+        from refgame.model import ModelConfig
+        from refgame.tagger import TaggerConfig
+
+        # record the config the CLI built, then train a small, short copy of it
+        seen = []
+        small = dict(epochs=1, embed_dim=4, hidden_dim=4)
+        if task == "tagger":
+            real_tagger = tagger.train_tagger
+
+            def fake_tagger(corpus, split, config, **kw):
+                seen.append(config)
+                return real_tagger(corpus, split, replace(config, **small), **kw)
+
+            monkeypatch.setattr(tagger, "train_tagger", fake_tagger)
+        else:
+            real_model = model.train_model
+            small.update(variant="TSEL", attr_dim=2, rel_dim=2, attn_dim=4, mlp_dim=4)
+
+            def fake_model(config, *args, **kw):
+                seen.append(config)
+                return real_model(replace(config, **small), *args, **kw)
+
+            monkeypatch.setattr(model, "train_model", fake_model)
+        split = tagger_ckpt.parent / "split.json"
+        assert run(
+            "train", "--data", data_dir, "--split", split, "--task", task,
+            "--out", tmp_path / task, "--quiet",
+        ) == 0
+        assert seen == [TaggerConfig() if task == "tagger" else ModelConfig()]
+        assert seen[0].epochs == (20 if task == "tagger" else 30)
+
+    def test_tagger_train_rejects_model_only_flags(self, data_dir, tagger_ckpt, tmp_path, capsys):
+        split = tagger_ckpt.parent / "split.json"
+        assert run(
+            "train", "--data", data_dir, "--split", split, "--task", "tagger",
+            "--out", tmp_path / "t", "--dropout", "0.1", "--attn-dim", "4", "--quiet",
+        ) == 1
+        assert "--attn-dim, --dropout" in json.loads(capsys.readouterr().err)["message"]
+
     def test_selfplay_annotated_transcripts(self, trained, tagger_ckpt, tmp_path):
         workdir, split, model = trained
         out = tmp_path / "spa"

@@ -279,6 +279,64 @@ class TestGradients:
         assert report.max_rel_err < 1e-4
 
 
+def _attention_backward_einsum(p, dscores, act, entities, queries, head):
+    """Reference attention backward: the six einsum contractions, written
+    out over the (Q, 7, A) pre-activation gradient."""
+    v = p[f"attn.v_{head}"]
+    dact = dscores[:, :, None] * v[None, None, :] * (1.0 - act * act)
+    grads = {
+        f"attn.v_{head}": np.einsum("qi,qid->d", dscores, act),
+        "attn.We": np.einsum("qid,ie->de", dact, entities),
+        "attn.Wq": np.einsum("qid,qh->dh", dact, queries),
+        "attn.b": dact.sum(axis=(0, 1)),
+    }
+    d_entities = np.einsum("qid,de->ie", dact, p["attn.We"])
+    d_queries = np.einsum("qid,dh->qh", dact, p["attn.Wq"])
+    return grads, d_entities, d_queries
+
+
+class TestBackwardMatchesEinsumReference:
+    CFG = dict(embed_dim=7, hidden_dim=11, attr_dim=6, rel_dim=5, attn_dim=9, mlp_dim=8)
+
+    @pytest.mark.parametrize("n_queries", (1, 13))
+    @pytest.mark.parametrize("head", ("tsel", "ref", "dial"))
+    def test_attention_backward(self, micro, head, n_queries):
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=3, **self.CFG), vocab)
+        ex = _examples(micro)[0]
+        rng = np.random.default_rng(n_queries)
+        entities, entities_proj, _ = model.encode_entities(ex.attrs, ex.rel)
+        queries = rng.standard_normal((n_queries, self.CFG["hidden_dim"]))
+        _, act = model._attention(entities_proj, queries, head)
+        dscores = rng.standard_normal((n_queries, 7))
+
+        model.store.zero_grads()
+        d_entities, d_queries = model._attention_backward(dscores, act, entities, queries, head)
+        grads, ref_entities, ref_queries = _attention_backward_einsum(
+            model.store, dscores, act, entities, queries, head
+        )
+        np.testing.assert_allclose(d_entities, ref_entities, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d_queries, ref_queries, rtol=1e-12, atol=0)
+        for name, grad in model.store.grads.items():
+            expected = grads.get(name, np.zeros_like(grad))
+            np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_encoder_rel_weight(self, micro):
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL", seed=4, **self.CFG), vocab)
+        ex = _examples(micro)[1]
+        entities, _, cache = model.encode_entities(ex.attrs, ex.rel)
+        d_entities = np.random.default_rng(0).standard_normal(entities.shape)
+
+        model.store.zero_grads()
+        model._encode_entities_backward(ex.attrs, ex.rel, cache, d_entities)
+        _, rel_tanh = cache
+        dr = d_entities[:, None, self.CFG["attr_dim"]:] * (1.0 - rel_tanh * rel_tanh)
+        np.testing.assert_allclose(
+            model.store.grads["enc_rel.W"], np.einsum("ijd,ijf->df", dr, ex.rel), rtol=1e-12, atol=0
+        )
+
+
 class TestTraining:
     def test_single_example_overfit_exact(self):
         corpus = make_synthetic_corpus(1, seed=40, flip_rate=0.0)

@@ -37,7 +37,9 @@ def test_fit_stops_after_patience_and_restores_best(tmp_path):
     )
     assert len(history) == 4
     assert best_epoch == 1
-    assert [list(rec) for rec in history] == [["epoch", "train_loss", "valid_score", "seconds"]] * 4
+    assert [list(rec) for rec in history] == [
+        ["epoch", "train_loss", "grad_norm", "clip_rate", "valid_score", "seconds"]
+    ] * 4
     assert np.array_equal(store["w"], snapshots[1]["w"])
     assert not np.array_equal(store["w"], snapshots[3]["w"])
     lines = log.read_text().splitlines()
@@ -59,3 +61,38 @@ def test_empty_split_set_raises_schema_error(task, empty):
             train_model(cfg, corpus, split, aggregate_corpus_gold(corpus))
         else:
             train_tagger(corpus, split, TaggerConfig(embed_dim=4, hidden_dim=4, epochs=1))
+
+
+@pytest.mark.parametrize("task", ["model", "tagger"])
+def test_epoch_records_gradient_norm_and_clip_rate(task):
+    corpus = make_synthetic_corpus(4, seed=6)
+    ids = tuple(sorted(corpus.dialogues))
+    split = Split(train=ids, valid=ids, test=ids, seed=0)
+    if task == "model":
+        cfg = ModelConfig(variant="TSEL-REF", embed_dim=6, hidden_dim=6, attr_dim=3, rel_dim=3,
+                          attn_dim=5, mlp_dim=5, epochs=3, patience=3, batch_size=3, seed=2)
+        train = lambda: train_model(cfg, corpus, split, aggregate_corpus_gold(corpus)).history
+    else:
+        cfg = TaggerConfig(embed_dim=6, hidden_dim=6, epochs=3, patience=3, batch_size=3, seed=2)
+        train = lambda: train_tagger(corpus, split, cfg).history
+    history = train()
+    assert len(history) == 3
+    for rec in history:
+        assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+        assert 0 <= rec["clip_rate"] <= 1
+    strip = lambda hist: [{k: v for k, v in rec.items() if k != "seconds"} for rec in hist]
+    assert strip(train()) == strip(history)
+
+
+def test_clip_rate_counts_clipped_minibatches():
+    store = ParamStore(seed=0)
+    store.add("w", (1,))
+    config = SimpleNamespace(lr=0.0, grad_clip=1.0, batch_size=1, epochs=1, patience=1, seed=0)
+
+    def step(example, rng):
+        store.grads["w"] += example
+        return 0.0
+
+    history, _ = fit(store, [0.5, -3.0, 2.0, 1.0], step, lambda: (0.0, {}), config, "loss")
+    assert history[0]["grad_norm"] == pytest.approx((0.5 + 3.0 + 2.0 + 1.0) / 4)
+    assert history[0]["clip_rate"] == 0.5
