@@ -369,58 +369,16 @@ def cmd_report(args) -> int:
                 if "variant" in record and "target_selection" in record:
                     eval_reports.append(record)
     if eval_reports:
-        summary = _results_summary(eval_reports)
+        from .evaluation import summary_csv, summary_table
+
+        summary = summary_table(eval_reports)
         atomic_write_json(out / "results_summary.json", summary)
-        atomic_write_text(out / "results_summary.csv", _summary_csv(summary))
+        atomic_write_text(out / "results_summary.csv", summary_csv(summary))
         index.append("results_summary.json")
         index.append("results_summary.csv")
     atomic_write_json(out / "index.json", {"files": sorted(set(index)), "version": __version__})
     print(f"bundled {len(index)} files into {out}")
     return 0
-
-
-def _results_summary(records: list) -> list:
-    """Per-variant mean +- sd rows in the headline results-table layout."""
-    from collections import defaultdict
-
-    import numpy as np
-
-    rows = []
-    by_variant = defaultdict(list)
-    for r in records:
-        by_variant[r["variant"]].append(r)
-    for variant in sorted(by_variant):
-        group = by_variant[variant]
-
-        def agg(key):
-            vals = [r[key] for r in group if r.get(key) is not None]
-            if not vals:
-                return None
-            return {"mean": float(np.mean(vals)), "sd": float(np.std(vals))}
-
-        rows.append({
-            "Model": variant,
-            "Target Selection": agg("target_selection"),
-            "Reference Resolution": agg("reference_resolution"),
-            "Exact Match": agg("exact_match"),
-            "seeds": sorted(r.get("seed", 0) for r in group),
-        })
-    return rows
-
-
-def _summary_csv(rows: list) -> str:
-    def cell(stat):
-        if stat is None:
-            return "-"
-        return f"{stat['mean']:.2f}+-{stat['sd']:.2f}"
-
-    lines = ["Model,Target Selection,Reference Resolution,Exact Match"]
-    for row in rows:
-        lines.append(
-            f"{row['Model']},{cell(row['Target Selection'])},"
-            f"{cell(row['Reference Resolution'])},{cell(row['Exact Match'])}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,10 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RefgameError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except (FileNotFoundError, KeyError) as exc:
+    except (RefgameError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -105,8 +105,6 @@ class AnnotatedCorpus:
         dialogues: Iterable[Dialogue],
         markables: Iterable[Markable],
         judgements: Iterable[ReferentJudgement],
-        *,
-        validate: bool = True,
     ) -> "AnnotatedCorpus":
         sc = {s.id: s for s in scenarios}
         dl = {d.id: d for d in dialogues}
@@ -131,8 +129,7 @@ class AnnotatedCorpus:
             vocabulary=vocab,
             markables_by_dialogue={k: tuple(v) for k, v in by_dialogue.items()},
         )
-        if validate:
-            validate_corpus(corpus)
+        validate_corpus(corpus)
         return corpus
 
     def speaker_view(self, markable: Markable):
@@ -542,7 +539,7 @@ def save_corpus(corpus: AnnotatedCorpus, path) -> None:
     )
 
 
-def load_corpus(path, *, validate: bool = True) -> AnnotatedCorpus:
+def load_corpus(path) -> AnnotatedCorpus:
     path = Path(path)
     for name in FILES:
         if not (path / name).exists():
@@ -551,7 +548,7 @@ def load_corpus(path, *, validate: bool = True) -> AnnotatedCorpus:
     dialogues = [dialogue_from_dict(d) for d in _read_list(path / "dialogues.json")]
     markables = [markable_from_dict(m) for m in _read_list(path / "markables.json")]
     judgements = [judgement_from_dict(j) for j in _read_list(path / "judgements.json")]
-    return AnnotatedCorpus.build(scenarios, dialogues, markables, judgements, validate=validate)
+    return AnnotatedCorpus.build(scenarios, dialogues, markables, judgements)
 
 
 def _read_list(path) -> list:

@@ -145,29 +145,41 @@ def evaluate_model(
     )
 
 
-def ref_tsel_correlation(
-    ref_accuracy: Sequence[float], tsel_success: Sequence[float]
-) -> float | None:
-    """Pearson correlation between per-dialogue mean REF entity accuracy and
-    the binary TSEL outcome over the same dialogues; None (flagged undefined)
-    when either series has zero variance."""
-    return pearson(ref_accuracy, tsel_success)
+def _mean_sd(values) -> dict | None:
+    vals = [v for v in values if v is not None]
+    if not vals:
+        return None
+    return {"mean": float(np.mean(vals)), "sd": float(np.std(vals))}
 
 
-def summary_table(reports: Sequence[EvalReport]) -> dict:
-    """Mean +- sd over seeds, shaped like the headline results table."""
+def summary_table(records: Sequence[Mapping]) -> list[dict]:
+    """Per-variant mean +- sd over seeds, shaped like the headline results
+    table.  ``records`` are ``EvalReport.to_dict()`` outputs (report.json)."""
+    by_variant: dict[str, list[Mapping]] = {}
+    for r in records:
+        by_variant.setdefault(r["variant"], []).append(r)
+    return [
+        {
+            "Model": variant,
+            "Target Selection": _mean_sd(r.get("target_selection") for r in group),
+            "Reference Resolution": _mean_sd(r.get("reference_resolution") for r in group),
+            "Exact Match": _mean_sd(r.get("exact_match") for r in group),
+            "seeds": sorted(r.get("seed", 0) for r in group),
+        }
+        for variant, group in sorted(by_variant.items())
+    ]
 
-    def stats(values):
-        vals = [v for v in values if v is not None]
-        if not vals:
-            return None
-        return {"mean": float(np.mean(vals)), "sd": float(np.std(vals))}
 
-    return {
-        "Model": reports[0].variant if reports else None,
-        "Target Selection": stats([r.tsel_accuracy for r in reports]),
-        "Reference Resolution": stats([r.ref_accuracy for r in reports]),
-        "Exact Match": stats([r.ref_exact_match for r in reports]),
-        "Ref/TSEL Correlation": stats([r.ref_tsel_correlation for r in reports]),
-        "seeds": [r.seed for r in reports],
-    }
+def summary_csv(rows: Sequence[Mapping]) -> str:
+    """``summary_table`` rows as CSV, one ``mean+-sd`` cell per metric."""
+
+    def cell(stat):
+        return "-" if stat is None else f"{stat['mean']:.2f}+-{stat['sd']:.2f}"
+
+    lines = ["Model,Target Selection,Reference Resolution,Exact Match"]
+    for row in rows:
+        lines.append(
+            f"{row['Model']},{cell(row['Target Selection'])},"
+            f"{cell(row['Reference Resolution'])},{cell(row['Exact Match'])}"
+        )
+    return "\n".join(lines) + "\n"

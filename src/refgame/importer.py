@@ -6,8 +6,8 @@ Released data was not available while this adapter was written, so it
 targets the documented *bundle* layout below and accepts a field-map JSON
 that renames keys when the real files differ.  All unit conversions happen
 here: entity coordinates are affinely rescaled into the world box, sizes
-into the configured size range, colors accept numbers in [0, 256) or
-grayscale hex strings.
+into the default scenario size range (the range the models' features
+assume), colors accept numbers in [0, 256) or grayscale hex strings.
 
 Expected bundle layout (directory):
   scenarios.json   list of {"uuid", "kbs": [[entity...], [entity...]]}
@@ -39,7 +39,7 @@ from .corpus import (
 )
 from .errors import SchemaError
 from .io import read_json
-from .scenario import COLOR_RANGE, Entity, Scenario, ScenarioConfig, View
+from .scenario import COLOR_RANGE, DEFAULT_CONFIG, Entity, Scenario, View
 
 AGENT_NAMES = {0: "A", 1: "B", "0": "A", "1": "B", "A": "A", "B": "B"}
 
@@ -75,7 +75,7 @@ class _Affine:
         return self.a * v + self.b
 
 
-def import_scenario(record: dict, config: ScenarioConfig) -> tuple[Scenario, dict]:
+def import_scenario(record: dict) -> tuple[Scenario, dict]:
     """Returns (scenario, original-entity-id -> dense-id map)."""
     try:
         uuid = str(record["uuid"])
@@ -102,7 +102,7 @@ def import_scenario(record: dict, config: ScenarioConfig) -> tuple[Scenario, dic
     sizes = [float(e["size"]) for e in raw.values()]
     fx = _Affine(min(xs), max(xs), -0.9, 0.9)
     fy = _Affine(min(ys), max(ys), -0.9, 0.9)
-    fs = _Affine(min(sizes), max(sizes), config.size_min, config.size_max)
+    fs = _Affine(min(sizes), max(sizes), DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max)
 
     id_map = {key: i for i, key in enumerate(sorted(raw, key=str))}
     entities = tuple(
@@ -215,22 +215,16 @@ def import_markable(record: dict, dialogues: dict[str, Dialogue]) -> Markable:
         raise SchemaError(f"malformed markable record {record.get('markable_id')!r}: {exc}") from exc
 
 
-def import_bundle(
-    src,
-    *,
-    field_map: dict | None = None,
-    config: ScenarioConfig | None = None,
-) -> AnnotatedCorpus:
+def import_bundle(src, *, field_map: dict | None = None) -> AnnotatedCorpus:
     """Read a release bundle directory and build a validated corpus."""
     src = Path(src)
     fm = dict(DEFAULT_FIELD_MAP)
     fm.update(field_map or {})
-    config = config or ScenarioConfig()
 
     scenarios = []
     id_maps: dict[str, dict] = {}
     for record in read_json(src / fm["scenarios_file"]):
-        scenario, id_map = import_scenario(record, config)
+        scenario, id_map = import_scenario(record)
         scenarios.append(scenario)
         id_maps[scenario.id] = id_map
 

@@ -131,6 +131,12 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
     return cls(config, vocab, store=store)
 
 
+def check_dtype(dtype: str) -> None:
+    """The kernels run in float32 or float64 only."""
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str = "TSEL-REF-DIAL"
@@ -154,6 +160,7 @@ class ModelConfig:
 
     def __post_init__(self):
         variant_heads(self.variant)
+        check_dtype(self.dtype)
         for name in ("embed_dim", "hidden_dim", "attr_dim", "rel_dim", "attn_dim", "mlp_dim"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

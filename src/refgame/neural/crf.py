@@ -55,17 +55,9 @@ def crf_posteriors(
     alpha, logz = kernels.crf_alphas(emissions, transitions, start)
     beta = kernels.crf_betas(emissions, transitions)
     unary = np.exp(alpha + beta - logz)
-    t_steps = emissions.shape[0]
-    pair = np.zeros((max(t_steps - 1, 0), emissions.shape[1], emissions.shape[1]), dtype=emissions.dtype)
-    for t in range(t_steps - 1):
-        log_pair = (
-            alpha[t][:, None]
-            + transitions
-            + emissions[t + 1][None, :]
-            + beta[t + 1][None, :]
-            - logz
-        )
-        pair[t] = np.exp(log_pair)
+    pair = np.exp(
+        alpha[:-1, :, None] + transitions + emissions[1:, None, :] + beta[1:, None, :] - logz
+    )
     return unary, pair, float(logz)
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .ops import sigmoid, tanh
 from .params import ParamStore
 
 
@@ -22,12 +21,7 @@ def add_gru_params(store: ParamStore, prefix: str, input_dim: int, hidden_dim: i
 
 def gru_cell(w: np.ndarray, u: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One step; used for incremental decoding in selfplay."""
-    hidden = h.shape[0]
-    a = w @ x + b
-    z = sigmoid(a[0:hidden] + u[0:hidden] @ h)
-    r = sigmoid(a[hidden:2 * hidden] + u[hidden:2 * hidden] @ h)
-    hb = tanh(a[2 * hidden:] + u[2 * hidden:] @ (r * h))
-    return (1.0 - z) * h + z * hb
+    return kernels.gru_step(w @ x + b, u, h)[0]
 
 
 @dataclass
@@ -41,12 +35,11 @@ class GRUCache:
 
 
 def gru_sequence(
-    w: np.ndarray, u: np.ndarray, b: np.ndarray, x_seq: np.ndarray, h0: np.ndarray | None = None
+    w: np.ndarray, u: np.ndarray, b: np.ndarray, x_seq: np.ndarray
 ) -> tuple[np.ndarray, GRUCache]:
-    """Run the GRU over x_seq (T, D_in); returns (h_seq (T, H), cache)."""
-    hidden = u.shape[1]
-    if h0 is None:
-        h0 = np.zeros(hidden, dtype=x_seq.dtype)
+    """Run the GRU over x_seq (T, D_in) from a zero state; returns
+    (h_seq (T, H), cache)."""
+    h0 = np.zeros(u.shape[1], dtype=x_seq.dtype)
     wx = x_seq @ w.T + b
     h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u, h0)
     return h_seq, GRUCache(x_seq, h0, h_seq, z_seq, r_seq, hb_seq)

@@ -1,5 +1,8 @@
 """Hot recurrent kernels: GRU sequence forward/backward and linear-chain CRF
-forward/backward/Viterbi, as plain numpy loops.
+forward/backward/Viterbi.  Each recurrence is written once: ``gru_step`` is
+the one GRU cell, which ``gru_forward`` loops over and incremental decoding
+calls per token, and each CRF recursion loops over time only, working on
+whole tag vectors and (K, K) score matrices at every step.
 
 Conventions (fixed, documented, used by every caller):
   GRU gate order in the stacked (3H, .) parameter blocks is z, r, h with
@@ -23,28 +26,29 @@ def get_backend() -> str:
 
 # --- GRU ------------------------------------------------------------------
 
+def gru_step(a: np.ndarray, u: np.ndarray, h: np.ndarray):
+    """One GRU step.  a: (3H,) input projection W x + b; u: (3H, H); h: (H,).
+    Returns (h', z, r, hbar), each (H,)."""
+    H = h.shape[0]
+    z = 1.0 / (1.0 + np.exp(-(a[0:H] + np.dot(u[0:H], h))))
+    r = 1.0 / (1.0 + np.exp(-(a[H:2 * H] + np.dot(u[H:2 * H], h))))
+    hb = np.tanh(a[2 * H:3 * H] + np.dot(u[2 * H:3 * H], r * h))
+    return (1.0 - z) * h + z * hb, z, r, hb
+
+
 def gru_forward(wx: np.ndarray, u: np.ndarray, h0: np.ndarray):
     """wx: (T, 3H) precomputed input projections W x_t + b; u: (3H, H);
     h0: (H,).  Returns h_seq, z_seq, r_seq, hbar_seq, each (T, H)."""
     T = wx.shape[0]
     H = h0.shape[0]
-    uz = u[0:H]
-    ur = u[H:2 * H]
-    uh = u[2 * H:3 * H]
     h_seq = np.empty((T, H), dtype=wx.dtype)
     z_seq = np.empty((T, H), dtype=wx.dtype)
     r_seq = np.empty((T, H), dtype=wx.dtype)
     hb_seq = np.empty((T, H), dtype=wx.dtype)
-    h = h0.copy()
+    h = h0
     for t in range(T):
-        z = 1.0 / (1.0 + np.exp(-(wx[t, 0:H] + np.dot(uz, h))))
-        r = 1.0 / (1.0 + np.exp(-(wx[t, H:2 * H] + np.dot(ur, h))))
-        hb = np.tanh(wx[t, 2 * H:3 * H] + np.dot(uh, r * h))
-        h = (1.0 - z) * h + z * hb
+        h, z_seq[t], r_seq[t], hb_seq[t] = gru_step(wx[t], u, h)
         h_seq[t] = h
-        z_seq[t] = z
-        r_seq[t] = r
-        hb_seq[t] = hb
     return h_seq, z_seq, r_seq, hb_seq
 
 
@@ -79,74 +83,41 @@ def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq
 
 def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
     """Log-space forward recursion.  Returns (alpha (T, K), logZ)."""
-    T, K = emissions.shape
-    alpha = np.empty((T, K), dtype=emissions.dtype)
+    T = emissions.shape[0]
+    alpha = np.empty_like(emissions)
     alpha[0] = emissions[0] + start
     for t in range(1, T):
-        for k in range(K):
-            m = alpha[t - 1, 0] + transitions[0, k]
-            for j in range(1, K):
-                v = alpha[t - 1, j] + transitions[j, k]
-                if v > m:
-                    m = v
-            s = 0.0
-            for j in range(K):
-                s += np.exp(alpha[t - 1, j] + transitions[j, k] - m)
-            alpha[t, k] = emissions[t, k] + m + np.log(s)
-    m = alpha[T - 1, 0]
-    for k in range(1, K):
-        if alpha[T - 1, k] > m:
-            m = alpha[T - 1, k]
-    s = 0.0
-    for k in range(K):
-        s += np.exp(alpha[T - 1, k] - m)
-    return alpha, m + np.log(s)
+        s = alpha[t - 1][:, None] + transitions
+        m = s.max(axis=0)
+        alpha[t] = emissions[t] + m + np.log(np.exp(s - m).sum(axis=0))
+    m = alpha[T - 1].max()
+    return alpha, m + np.log(np.exp(alpha[T - 1] - m).sum())
 
 
 def crf_betas(emissions: np.ndarray, transitions: np.ndarray):
     """Log-space backward recursion.  beta[T-1] = 0."""
-    T, K = emissions.shape
-    beta = np.zeros((T, K), dtype=emissions.dtype)
+    T = emissions.shape[0]
+    beta = np.zeros_like(emissions)
     for t in range(T - 2, -1, -1):
-        for j in range(K):
-            m = transitions[j, 0] + emissions[t + 1, 0] + beta[t + 1, 0]
-            for k in range(1, K):
-                v = transitions[j, k] + emissions[t + 1, k] + beta[t + 1, k]
-                if v > m:
-                    m = v
-            s = 0.0
-            for k in range(K):
-                s += np.exp(transitions[j, k] + emissions[t + 1, k] + beta[t + 1, k] - m)
-            beta[t, j] = m + np.log(s)
+        s = transitions + emissions[t + 1] + beta[t + 1]
+        m = s.max(axis=1)
+        beta[t] = m + np.log(np.exp(s - m[:, None]).sum(axis=1))
     return beta
 
 
 def crf_viterbi_path(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
     """Max-scoring tag path with lowest-index tie-breaking at every argmax.
     Returns (path (T,) int64, score)."""
-    T, K = emissions.shape
-    delta = np.empty((T, K), dtype=emissions.dtype)
-    back = np.zeros((T, K), dtype=np.int64)
+    T = emissions.shape[0]
+    delta = np.empty_like(emissions)
+    back = np.zeros(emissions.shape, dtype=np.int64)
     delta[0] = emissions[0] + start
     for t in range(1, T):
-        for k in range(K):
-            best = delta[t - 1, 0] + transitions[0, k]
-            arg = 0
-            for j in range(1, K):
-                v = delta[t - 1, j] + transitions[j, k]
-                if v > best:
-                    best = v
-                    arg = j
-            delta[t, k] = emissions[t, k] + best
-            back[t, k] = arg
-    best = delta[T - 1, 0]
-    arg = 0
-    for k in range(1, K):
-        if delta[T - 1, k] > best:
-            best = delta[T - 1, k]
-            arg = k
+        s = delta[t - 1][:, None] + transitions
+        back[t] = s.argmax(axis=0)
+        delta[t] = emissions[t] + s.max(axis=0)
     path = np.empty(T, dtype=np.int64)
-    path[T - 1] = arg
+    path[T - 1] = delta[T - 1].argmax()
     for t in range(T - 1, 0, -1):
         path[t - 1] = back[t, path[t]]
-    return path, best
+    return path, delta[T - 1, path[T - 1]]

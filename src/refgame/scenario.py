@@ -240,69 +240,50 @@ def generate_scenarios(
 
 # --- attribute conditioning for the models -------------------------------
 
-def normalize_entity(
-    e: Entity,
-    view: View,
-    *,
-    size_min: float = DEFAULT_CONFIG.size_min,
-    size_max: float = DEFAULT_CONFIG.size_max,
-) -> np.ndarray:
+def normalize_entity(e: Entity, view: View) -> np.ndarray:
     """Map an entity's attributes into the view-local [-1, 1] frame.
 
     Position is re-centered on the view center and divided by the radius;
-    size and color are affine maps of their ranges onto [-1, 1].  The map
-    is invertible given the view.  Raises if the entity is not visible.
+    size (in DEFAULT_CONFIG's range, which the importer rescales into) and
+    color are affine maps of their ranges onto [-1, 1].  The map is
+    invertible given the view.  Raises if the entity is not visible.
     """
     if e.id not in view.visible:
         raise ValueError(f"entity {e.id} not visible in view {view.agent}")
     nx = (e.x - view.center[0]) / view.radius
     ny = (e.y - view.center[1]) / view.radius
+    size_min, size_max = DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max
     nsize = 2.0 * (e.size - size_min) / (size_max - size_min) - 1.0
     ncolor = 2.0 * e.color / COLOR_RANGE - 1.0
     return np.array([nx, ny, nsize, ncolor], dtype=np.float64)
 
 
-def pair_features(
-    e_i: Entity,
-    e_j: Entity,
-    view: View,
-    *,
-    size_min: float = DEFAULT_CONFIG.size_min,
-    size_max: float = DEFAULT_CONFIG.size_max,
-) -> np.ndarray:
+def pair_features(e_i: Entity, e_j: Entity, view: View) -> np.ndarray:
     """Relational features of entity j relative to entity i, on normalized
     attributes: (dx, dy, euclidean distance, dsize, dcolor), deltas j - i."""
     if e_i.id == e_j.id:
         raise ValueError(f"pair_features of entity {e_i.id} with itself")
-    a = normalize_entity(e_i, view, size_min=size_min, size_max=size_max)
-    b = normalize_entity(e_j, view, size_min=size_min, size_max=size_max)
+    a = normalize_entity(e_i, view)
+    b = normalize_entity(e_j, view)
     dx, dy = b[0] - a[0], b[1] - a[1]
     return np.array(
         [dx, dy, math.hypot(dx, dy), b[2] - a[2], b[3] - a[3]], dtype=np.float64
     )
 
 
-def view_feature_matrix(
-    scenario: Scenario,
-    agent: str,
-    *,
-    size_min: float = DEFAULT_CONFIG.size_min,
-    size_max: float = DEFAULT_CONFIG.size_max,
-) -> tuple[np.ndarray, np.ndarray]:
+def view_feature_matrix(scenario: Scenario, agent: str) -> tuple[np.ndarray, np.ndarray]:
     """Stacked model inputs for one view: (7, 4) normalized attributes and
     (7, 6, 5) pairwise relational features in canonical visible order."""
     view = scenario.view(agent)
     ents = [scenario.entity(i) for i in view.visible]
-    attrs = np.stack(
-        [normalize_entity(e, view, size_min=size_min, size_max=size_max) for e in ents]
-    )
+    attrs = np.stack([normalize_entity(e, view) for e in ents])
     rel = np.zeros((VIEW_SIZE, VIEW_SIZE - 1, 5), dtype=np.float64)
     for i, ei in enumerate(ents):
         col = 0
         for j, ej in enumerate(ents):
             if i == j:
                 continue
-            rel[i, col] = pair_features(ei, ej, view, size_min=size_min, size_max=size_max)
+            rel[i, col] = pair_features(ei, ej, view)
             col += 1
     return attrs, rel
 

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import AnnotatedCorpus, Markable, Split
-from .model import Vocabulary, load_checkpoint, require_examples, save_checkpoint
+from .model import Vocabulary, check_dtype, load_checkpoint, require_examples, save_checkpoint
 from .neural import (
     ParamStore,
     add_gru_params,
@@ -76,6 +76,9 @@ class TaggerConfig:
     seed: int = 0
     dtype: str = "float64"
 
+    def __post_init__(self):
+        check_dtype(self.dtype)
+
 
 @dataclass
 class TagExample:
@@ -127,16 +130,13 @@ class MarkableTagger:
             store.add("trans", (3, 3), init="zeros")
         self.store = store
 
-    def _emissions(self, tokens: np.ndarray, backward: bool = False):
+    def _emissions(self, tokens: np.ndarray):
         p = self.store
         x = p["emb"][tokens]
         h_f, cache_f = gru_sequence(p["fwd.W"], p["fwd.U"], p["fwd.b"], x)
         h_b_rev, cache_b = gru_sequence(p["bwd.W"], p["bwd.U"], p["bwd.b"], x[::-1].copy())
         h = np.concatenate([h_f, h_b_rev[::-1]], axis=1)
-        emissions = linear(h, p["emit.W"], p["emit.b"])
-        if not backward:
-            return emissions, None
-        return emissions, (x, cache_f, cache_b, h)
+        return linear(h, p["emit.W"], p["emit.b"]), (x, cache_f, cache_b, h)
 
     def _emissions_backward(self, tokens: np.ndarray, cache, d_emissions) -> None:
         p, g = self.store, self.store.grads
@@ -157,7 +157,7 @@ class MarkableTagger:
         np.add.at(g["emb"], tokens, dx)
 
     def nll(self, ex: TagExample, backward: bool = False) -> float:
-        emissions, cache = self._emissions(ex.tokens, backward=backward)
+        emissions, cache = self._emissions(ex.tokens)
         loss, d_em, d_tr, _ = crf_nll(emissions, self.store["trans"], ex.tags)
         if backward:
             self.store.grads["trans"] += d_tr

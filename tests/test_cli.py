@@ -296,6 +296,28 @@ class TestSelfplayAndRender:
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--variant", "FOO"),
+    ("train", "--task", "tagger", "--dtype", "float1000"),
+    ("train", "--dtype", "int64", "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"),
+    ("split",),
+], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few"])
+def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, argv):
+    if argv[0] == "split":
+        small = tmp_path / "small"
+        save_corpus(make_synthetic_corpus(5, seed=1), small)
+        args = (*argv, "--data", small, "--out", tmp_path / "s.json")
+    else:
+        split = tmp_path / "split.json"
+        assert run("split", "--data", data_dir, "--out", split) == 0
+        capsys.readouterr()
+        args = (*argv, "--data", data_dir, "--split", split, "--out", tmp_path / "m", "--quiet")
+    assert run(*args) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
 def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):
     workdir, split, model = trained
     eval_dir = tmp_path / "ev"

@@ -270,6 +270,6 @@ class TestRoundTrip:
         ]
         scen_ids = {d.scenario_id for d in dialogues}
         scenarios = [s for i, s in medium_corpus.scenarios.items() if i in scen_ids]
-        sub = AnnotatedCorpus.build(scenarios, dialogues, markables, judgements, validate=False)
+        sub = AnnotatedCorpus.build(scenarios, dialogues, markables, judgements)
         assert set(sub.dialogues) == set(ids)
         assert all(m.dialogue_id in set(ids) for m in sub.markables.values())

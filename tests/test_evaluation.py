@@ -112,10 +112,10 @@ def test_correlation_independent_series_near_zero():
 def test_summary_table_mean_sd(setup):
     corpus, gold, ids, model = setup
     r = evaluate_model(model, corpus, ids, gold)
-    table = summary_table([r, r])
-    assert table["Model"] == "TSEL-REF"
-    assert table["Target Selection"]["sd"] == 0.0
-    assert table["Target Selection"]["mean"] == pytest.approx(r.tsel_accuracy)
+    (row,) = summary_table([r.to_dict(), r.to_dict()])
+    assert row["Model"] == "TSEL-REF"
+    assert row["Target Selection"]["sd"] == 0.0
+    assert row["Target Selection"]["mean"] == pytest.approx(r.tsel_accuracy)
 
 
 def test_report_serialization(setup):
@@ -126,9 +126,3 @@ def test_report_serialization(setup):
     csv_text = r.grouped_csv()
     assert csv_text.startswith("# Referents,% Accuracy,% Exact Match,Count")
 
-
-def test_ref_tsel_correlation_contract():
-    from refgame.evaluation import ref_tsel_correlation
-
-    assert ref_tsel_correlation([1, 0, 1, 0], [1, 0, 1, 0]) == pytest.approx(1.0)
-    assert ref_tsel_correlation([0.9, 0.9, 0.9], [1, 0, 1]) is None

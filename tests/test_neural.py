@@ -22,6 +22,7 @@ from refgame.neural import (
     gru_cell,
     gru_sequence,
     gru_sequence_backward,
+    kernels,
     linear,
     linear_backward,
     logsumexp,
@@ -200,6 +201,7 @@ class TestGRU:
         w32, u32, b32, x32 = (a.astype(np.float32) for a in (w, u, b, x))
         h32, cache = gru_sequence(w32, u32, b32, x32)
         assert h32.dtype == np.float32
+        assert gru_cell(w32, u32, b32, x32[0], h32[0]).dtype == np.float32
         assert np.allclose(h32, h_seq, atol=1e-5)
         dx, grads, dh0 = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
         assert dx.dtype == np.float32 and dh0.dtype == np.float32
@@ -277,6 +279,114 @@ class TestCRF:
         em = np.array([[0.0, np.inf]])
         with pytest.raises(ValueError):
             crf_log_partition(em, np.zeros((2, 2)))
+
+
+def _ref_alphas(emissions, transitions, start):
+    """Scalar forward recursion, one tag pair at a time (reference)."""
+    T, K = emissions.shape
+    alpha = np.empty((T, K), dtype=emissions.dtype)
+    alpha[0] = emissions[0] + start
+    for t in range(1, T):
+        for k in range(K):
+            m = alpha[t - 1, 0] + transitions[0, k]
+            for j in range(1, K):
+                v = alpha[t - 1, j] + transitions[j, k]
+                if v > m:
+                    m = v
+            s = 0.0
+            for j in range(K):
+                s += np.exp(alpha[t - 1, j] + transitions[j, k] - m)
+            alpha[t, k] = emissions[t, k] + m + np.log(s)
+    m = alpha[T - 1, 0]
+    for k in range(1, K):
+        if alpha[T - 1, k] > m:
+            m = alpha[T - 1, k]
+    s = 0.0
+    for k in range(K):
+        s += np.exp(alpha[T - 1, k] - m)
+    return alpha, m + np.log(s)
+
+
+def _ref_betas(emissions, transitions):
+    """Scalar backward recursion (reference)."""
+    T, K = emissions.shape
+    beta = np.zeros((T, K), dtype=emissions.dtype)
+    for t in range(T - 2, -1, -1):
+        for j in range(K):
+            m = transitions[j, 0] + emissions[t + 1, 0] + beta[t + 1, 0]
+            for k in range(1, K):
+                v = transitions[j, k] + emissions[t + 1, k] + beta[t + 1, k]
+                if v > m:
+                    m = v
+            s = 0.0
+            for k in range(K):
+                s += np.exp(transitions[j, k] + emissions[t + 1, k] + beta[t + 1, k] - m)
+            beta[t, j] = m + np.log(s)
+    return beta
+
+
+def _ref_viterbi(emissions, transitions, start):
+    """Scalar Viterbi with lowest-index tie-breaking (reference)."""
+    T, K = emissions.shape
+    delta = np.empty((T, K), dtype=emissions.dtype)
+    back = np.zeros((T, K), dtype=np.int64)
+    delta[0] = emissions[0] + start
+    for t in range(1, T):
+        for k in range(K):
+            best = delta[t - 1, 0] + transitions[0, k]
+            arg = 0
+            for j in range(1, K):
+                v = delta[t - 1, j] + transitions[j, k]
+                if v > best:
+                    best = v
+                    arg = j
+            delta[t, k] = emissions[t, k] + best
+            back[t, k] = arg
+    best = delta[T - 1, 0]
+    arg = 0
+    for k in range(1, K):
+        if delta[T - 1, k] > best:
+            best = delta[T - 1, k]
+            arg = k
+    path = np.empty(T, dtype=np.int64)
+    path[T - 1] = arg
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path, best
+
+
+class TestCRFKernelsMatchScalarReference:
+    """The tag-vector CRF kernels equal the scalar loops bit for bit."""
+
+    @staticmethod
+    def _case(seed, dtype):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 9))
+        K = int(rng.integers(2, 5))
+        em = rng.normal(scale=2.0, size=(T, K))
+        tr = rng.normal(size=(K, K))
+        st = rng.normal(size=K)
+        if seed % 3 == 1:  # all-zero scores: every argmax is a tie
+            em[:], tr[:], st[:] = 0.0, 0.0, 0.0
+        elif seed % 3 == 2:  # the tagger's decode-time constraint penalties
+            tr[K - 1, 1] += -1e4
+            st[1] = -1e4
+        return em.astype(dtype), tr.astype(dtype), st.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equal_to_scalar_loops(self, seed, dtype):
+        em, tr, st = self._case(seed, dtype)
+        alpha, logz = kernels.crf_alphas(em, tr, st)
+        ref_alpha, ref_logz = _ref_alphas(em, tr, st)
+        assert alpha.dtype == dtype and np.array_equal(alpha, ref_alpha)
+        assert np.array_equal(logz, ref_logz)
+        beta = kernels.crf_betas(em, tr)
+        assert beta.dtype == dtype and np.array_equal(beta, _ref_betas(em, tr))
+        path, score = kernels.crf_viterbi_path(em, tr, st)
+        ref_path, ref_score = _ref_viterbi(em, tr, st)
+        assert np.array_equal(path, ref_path)
+        assert np.array_equal(score, ref_score)
 
 
 class TestAdam:
