@@ -13,6 +13,8 @@ import json
 import os
 import shutil
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -276,12 +278,14 @@ def cmd_selfplay(args) -> int:
         max_tokens_per_utterance=args.max_tokens,
         seed=args.seed,
     )
+    dtype = None
     if args.agent == "model":
         if not args.model:
             raise RefgameError("--agent model needs --model PREFIX")
         factory = CheckpointAgentFactory(
             args.model, temperature=args.temperature, max_tokens=args.max_tokens
         )
+        dtype = factory.model.config.dtype
     elif args.agent == "random":
         factory = random_agent
     elif args.agent == "center":
@@ -290,21 +294,24 @@ def cmd_selfplay(args) -> int:
         factory = darkest_agent
     else:
         raise RefgameError(f"unknown agent {args.agent!r}")
+    t0 = time.perf_counter()
     result = run_batch(factory, scenarios, protocol, jobs=args.jobs)
+    seconds = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.tagger:
         if args.agent != "model":
             raise RefgameError("--tagger annotation needs --agent model")
-        from .model import GroundingModel
         from .render import render_dialogue
         from .selfplay import annotate_transcript
         from .tagger import MarkableTagger
 
-        model = GroundingModel.load(args.model)
+        model = factory.model
         tagger = MarkableTagger.load(args.tagger)
         by_id = {s.id: s for s in scenarios}
         for i, transcript in enumerate(result.transcripts):
+            if transcript.aborted:
+                continue
             scenario = by_id[transcript.scenario_id]
             dialogue, markables, refs = annotate_transcript(
                 transcript, scenario, model, tagger, dialogue_id=f"game{i:05d}"
@@ -313,6 +320,18 @@ def cmd_selfplay(args) -> int:
                 html = render_dialogue(dialogue, scenario, markables, refs)
                 atomic_write_text(out / f"game{i:05d}.html", html)
     atomic_write_text(out / "summary.csv", result.summary_csv())
+    atomic_write_json(out / "summary.json", {
+        **result.summary(seconds),
+        "config": {
+            "protocol": asdict(protocol),
+            "agent": args.agent,
+            "model": args.model if args.agent == "model" else None,
+            "dtype": dtype,
+            "seed": args.seed,
+            "jobs": args.jobs,
+        },
+        "version": __version__,
+    })
     atomic_write_text(out / "transcripts.jsonl", result.transcripts_jsonl())
     print(result.summary_csv().strip())
     return 0

@@ -307,6 +307,8 @@ class GroundingModel:
                 store.add("dial.W2", (len(vocab), c.mlp_dim))
                 store.add("dial.b2", (len(vocab),), init="zeros")
         self.store = store
+        self._input_table: np.ndarray | None = None
+        self._input_table_version = -1
 
     # --- building blocks ---------------------------------------------------
 
@@ -505,6 +507,19 @@ class GroundingModel:
 
     # --- incremental decoding (selfplay) --------------------------------------
 
+    def input_table(self) -> np.ndarray:
+        """The GRU input projection of every token for incremental decoding,
+        ``(V, 3H)``.  Row ``t`` is the matvec ``gru.W @ emb[t] + gru.b``;
+        one GEMM would round differently in the last bits, and the rows
+        must equal projecting the token when it is fed.  Built on first use
+        and again whenever ``store.version`` has moved."""
+        p = self.store
+        if self._input_table_version != p.version:
+            w, b = p["gru.W"], p["gru.b"]
+            self._input_table = np.stack([w @ x + b for x in p["emb"]])
+            self._input_table_version = p.version
+        return self._input_table
+
     def start_state(self, attrs: np.ndarray, rel: np.ndarray) -> "DecoderState":
         entities, entities_proj, _ = self.encode_entities(attrs, rel)
         h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
@@ -533,9 +548,8 @@ class DecoderState:
     h: np.ndarray
 
     def feed(self, token_id: int) -> None:
-        p = self.model.store
-        x = p["emb"][token_id]
-        self.h = gru_cell(p["gru.W"], p["gru.U"], p["gru.b"], x, self.h)
+        a = self.model.input_table()[token_id]
+        self.h = gru_cell(a, self.model.store["gru.U"], self.h)
 
     def fork(self) -> "DecoderState":
         """An independent copy to decode ahead from."""

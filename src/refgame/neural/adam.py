@@ -35,6 +35,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
+        self.store.version += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name, p in self.store.params.items():

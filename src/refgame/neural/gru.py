@@ -19,9 +19,10 @@ def add_gru_params(store: ParamStore, prefix: str, input_dim: int, hidden_dim: i
     store.add(f"{prefix}.b", (3 * hidden_dim,), init="zeros")
 
 
-def gru_cell(w: np.ndarray, u: np.ndarray, b: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One step; used for incremental decoding in selfplay."""
-    return kernels.gru_step(w @ x + b, u, h)[0]
+def gru_cell(a: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One step from a precomputed input projection ``a = W x + b``; used
+    for incremental decoding in selfplay."""
+    return kernels.gru_step(a, u, h)[0]
 
 
 @dataclass

@@ -19,7 +19,11 @@ CHECKPOINT_VERSION = 1
 class ParamStore:
     """Ordered mapping name -> parameter array, plus a same-shaped gradient
     buffer per parameter.  Initialization is deterministic given the seed:
-    matrices are uniform(-a, a) with a = 1/sqrt(fan_in), vectors zeros."""
+    matrices are uniform(-a, a) with a = 1/sqrt(fan_in), vectors zeros.
+
+    ``version`` counts the updates made through ``load_values`` and
+    ``Adam.step``; a value derived from the parameters is current while the
+    version it was built at is."""
 
     def __init__(self, seed: int = 0, dtype=np.float64):
         self.seed = seed
@@ -27,6 +31,7 @@ class ParamStore:
         self.rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.version = 0
 
     def add(self, name: str, shape: tuple[int, ...], init: str = "auto") -> np.ndarray:
         if name in self.params:
@@ -85,6 +90,7 @@ class ParamStore:
             if v.shape != self.params[k].shape:
                 raise ValueError(f"shape mismatch for {k}: {v.shape} vs {self.params[k].shape}")
             self.params[k][...] = v
+        self.version += 1
 
     # --- checkpoint io ----------------------------------------------------
 

@@ -49,6 +49,8 @@ class GameTranscript:
     success: bool = False
     forced: bool = False
     predicted_referents: dict | None = None             # markable id -> [entity ids]
+    aborted: bool = False
+    abort_message: str | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -64,6 +66,9 @@ class GameTranscript:
             out["predicted_referents"] = {
                 mid: sorted(refs) for mid, refs in self.predicted_referents.items()
             }
+        if self.aborted:
+            out["aborted"] = True
+            out["abort_message"] = self.abort_message
         return out
 
     def to_dialogue(self, dialogue_id: str) -> Dialogue:
@@ -179,7 +184,14 @@ def darkest_agent() -> ScriptedAgent:
 
 
 class ModelAgent:
-    """Wraps a trained generation-capable model (a DIAL variant) for play."""
+    """Wraps a trained generation-capable model (a DIAL variant) for play.
+
+    ``act`` decodes ahead on a fork of the committed state.  When
+    ``observe`` then reports exactly the utterance it emitted, the fork,
+    which has already consumed ``<you>`` and those tokens, becomes the
+    committed state and only ``<eou>`` is fed; any other observation
+    (a truncated utterance, a ``[SEL]`` event, the partner's turn) is fed
+    token by token onto the committed state."""
 
     def __init__(self, model: GroundingModel, temperature: float = 0.25,
                  max_tokens: int = 30):
@@ -192,24 +204,30 @@ class ModelAgent:
         self.state: DecoderState | None = None
         self.view: View | None = None
         self.rng: np.random.Generator | None = None
+        self._ahead: tuple[DecoderState, tuple[str, ...]] | None = None
 
     def reset(self, scenario: Scenario, role: str, rng: np.random.Generator) -> None:
         attrs, rel = view_feature_matrix(scenario, role)
         self.state = self.model.start_state(attrs, rel)
         self.view = scenario.view(role)
         self.rng = rng
+        self._ahead = None
 
     def observe(self, speaker_is_self: bool, tokens: Sequence[str]) -> None:
-        self.state.feed(self.model.vocab.encode(YOU if speaker_is_self else THEM))
-        for t in tokens:
-            self.state.feed(self.model.vocab.encode(t))
-        self.state.feed(self.model.vocab.encode(EOU))
+        encode = self.model.vocab.encode
+        ahead, self._ahead = self._ahead, None
+        if speaker_is_self and ahead is not None and ahead[1] == tuple(tokens):
+            self.state = ahead[0]
+        else:
+            self.state.feed(encode(YOU if speaker_is_self else THEM))
+            for t in tokens:
+                self.state.feed(encode(t))
+        self.state.feed(encode(EOU))
 
     def act(self) -> tuple[list[str], bool]:
         vocab = self.model.vocab
         out: list[str] = []
         wants_selection = False
-        # speak from a fork of our own state; observe() feeds the tokens back
         state = self.state.fork()
         state.feed(vocab.encode(YOU))
         for _ in range(self.max_tokens):
@@ -228,6 +246,7 @@ class ModelAgent:
                 break
             out.append(token)
             state.feed(token_id)
+        self._ahead = (state, tuple(out))
         return out, wants_selection
 
     def select(self) -> int:
@@ -286,9 +305,14 @@ def run_game(
 
 @dataclass
 class BatchResult:
+    """Per shared count: ``games`` played, ``aborted`` among them, and the
+    ``successes`` and success ``rates`` of the games that finished (a count
+    whose games all aborted has no rate)."""
+
     rates: dict[int, float]
     games: dict[int, int]
     successes: dict[int, int]
+    aborted: dict[int, int]
     transcripts: list[GameTranscript] = field(default_factory=list)
 
     def summary_csv(self) -> str:
@@ -299,6 +323,29 @@ class BatchResult:
 
     def transcripts_jsonl(self) -> str:
         return "\n".join(json.dumps(t.to_dict()) for t in self.transcripts) + "\n"
+
+    def summary(self, seconds: float) -> dict:
+        """Game counts, success rate per shared count, the forced-selection
+        rate and mean utterances and tokens over the finished games (None
+        when every game aborted), and games and emitted tokens per second
+        for a batch that took ``seconds``."""
+        done = [t for t in self.transcripts if not t.aborted]
+        tokens = [sum(len(m["tokens"]) for m in t.messages) for t in done]
+
+        def mean(values):
+            return sum(values) / len(done) if done else None
+
+        return {
+            "games": len(self.transcripts),
+            "aborted_games": sum(self.aborted.values()),
+            "success_rate": {str(k): self.rates[k] for k in sorted(self.rates)},
+            "forced_rate": mean([t.forced for t in done]),
+            "utterances_per_game": mean([len(t.messages) for t in done]),
+            "tokens_per_game": mean(tokens),
+            "seconds": seconds,
+            "games_per_s": len(self.transcripts) / seconds,
+            "tokens_per_s": sum(tokens) / seconds,
+        }
 
 
 def annotate_transcript(
@@ -355,18 +402,28 @@ class CheckpointAgentFactory:
         self.__dict__.update(state)
         self._model = None
 
-    def __call__(self) -> "ModelAgent":
+    @property
+    def model(self) -> GroundingModel:
+        """The checkpoint's model, loaded on first use in this process."""
         if self._model is None:
-            from .model import GroundingModel
-
             self._model = GroundingModel.load(self.prefix)
-        return ModelAgent(self._model, temperature=self.temperature, max_tokens=self.max_tokens)
+        return self._model
+
+    def __call__(self) -> "ModelAgent":
+        return ModelAgent(self.model, temperature=self.temperature, max_tokens=self.max_tokens)
 
 
 def _play_one(payload) -> GameTranscript:
+    """One game; an aborted game comes back as a transcript that records it."""
     agent_factory, scenario, protocol, stream = payload
     rng = np.random.default_rng(stream)
-    return run_game(agent_factory(), agent_factory(), scenario, protocol, rng)
+    try:
+        return run_game(agent_factory(), agent_factory(), scenario, protocol, rng)
+    except GameAbortedError as exc:
+        return GameTranscript(
+            scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed,
+            aborted=True, abort_message=str(exc),
+        )
 
 
 def run_batch(
@@ -378,8 +435,9 @@ def run_batch(
     """Play every scenario with a fresh agent pair.  Per-game rng streams
     are spawned from protocol.seed by scenario order and results are
     reduced in that order, so rates and transcripts do not depend on
-    scheduling.  ``jobs`` > 1 distributes games over a process pool (the
-    agent factory must then be picklable)."""
+    scheduling.  A game that raises ``GameAbortedError`` is recorded as
+    aborted and the batch goes on.  ``jobs`` > 1 distributes games over a
+    process pool (the agent factory must then be picklable)."""
     scenario_list = list(scenarios)
     streams = np.random.SeedSequence(protocol.seed).spawn(max(len(scenario_list), 1))
     payloads = [
@@ -395,10 +453,13 @@ def run_batch(
         transcripts = [_play_one(p) for p in payloads]
     games: dict[int, int] = {}
     successes: dict[int, int] = {}
+    aborted: dict[int, int] = {}
     for scenario, transcript in zip(scenario_list, transcripts):
-        games[scenario.num_shared] = games.get(scenario.num_shared, 0) + 1
-        successes[scenario.num_shared] = successes.get(scenario.num_shared, 0) + int(
-            transcript.success
-        )
-    rates = {k: successes[k] / games[k] for k in games}
-    return BatchResult(rates=rates, games=games, successes=successes, transcripts=transcripts)
+        k = scenario.num_shared
+        games[k] = games.get(k, 0) + 1
+        successes[k] = successes.get(k, 0) + int(transcript.success)
+        aborted[k] = aborted.get(k, 0) + int(transcript.aborted)
+    rates = {k: successes[k] / (games[k] - aborted[k]) for k in games if games[k] > aborted[k]}
+    return BatchResult(
+        rates=rates, games=games, successes=successes, aborted=aborted, transcripts=transcripts
+    )

@@ -166,6 +166,33 @@ class TestModelCommands:
         assert lines[0] == "num_shared,games,successes,success_rate"
         assert lines[1].startswith("4,2,")
 
+    def test_selfplay_summary_json(self, trained, tmp_path):
+        from refgame import __version__
+
+        workdir, split, model = trained
+        out = tmp_path / "sps"
+        assert run(
+            "selfplay", "--agent", "model", "--model", model, "--shared", "4,5",
+            "--games", "3", "--seed", "2", "--max-utterances", "4",
+            "--max-tokens", "8", "--out", out,
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        transcripts = [json.loads(line) for line in (out / "transcripts.jsonl").read_text().splitlines()]
+        tokens = sum(len(m["tokens"]) for t in transcripts for m in t["messages"])
+        assert (summary["games"], summary["aborted_games"]) == (6, 0)
+        assert set(summary["success_rate"]) == {"4", "5"}
+        assert summary["forced_rate"] == sum(t["forced"] for t in transcripts) / 6
+        assert summary["utterances_per_game"] == sum(len(t["messages"]) for t in transcripts) / 6
+        assert summary["tokens_per_game"] == tokens / 6
+        assert summary["games_per_s"] == pytest.approx(6 / summary["seconds"])
+        assert summary["tokens_per_s"] == pytest.approx(tokens / summary["seconds"])
+        assert summary["config"] == {
+            "protocol": {"temperature": 0.25, "max_utterances": 4,
+                         "max_tokens_per_utterance": 8, "seed": 2},
+            "agent": "model", "model": str(model), "dtype": "float64", "seed": 2, "jobs": 1,
+        }
+        assert summary["version"] == __version__
+
     def test_tagger_train_and_tag(self, data_dir, tagger_ckpt, tmp_path):
         out = tmp_path / "markables.json"
         assert run(

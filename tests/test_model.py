@@ -22,7 +22,7 @@ from refgame.model import (
     serialize_dialogue,
     train_model,
 )
-from refgame.neural import gradient_check
+from refgame.neural import Adam, gradient_check, gru_cell
 from refgame.synth import make_synthetic_corpus
 
 TINY = dict(embed_dim=5, hidden_dim=6, attr_dim=4, rel_dim=3, attn_dim=5, mlp_dim=6, dropout=0.0)
@@ -211,6 +211,30 @@ class TestForward:
             assert np.mean(nll) == pytest.approx(losses["dial"], rel=1e-12, abs=0)
             tsel = -math.log(state.tsel_probs()[ex.tsel_target])
             assert tsel == pytest.approx(losses["tsel"], rel=1e-12, abs=0)
+
+    def test_input_table_follows_parameter_updates(self, micro):
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-DIAL", seed=3, **TINY), vocab)
+        ex = _examples(micro)[0]
+        tokens = [int(t) for t in ex.tokens[:4]]
+        p = model.store
+
+        def assert_feeds_match_matvec():
+            state = model.start_state(ex.attrs, ex.rel)
+            h = np.zeros(model.config.hidden_dim)
+            for t in tokens:
+                state.feed(t)
+                h = gru_cell(p["gru.W"] @ p["emb"][t] + p["gru.b"], p["gru.U"], h)
+                assert np.array_equal(state.h, h)
+
+        assert_feeds_match_matvec()  # builds the table
+        rng = np.random.default_rng(0)
+        for name in p.names():
+            p.grads[name][...] = rng.normal(size=p.grads[name].shape)
+        Adam(p, lr=0.1).step()
+        assert_feeds_match_matvec()
+        p.load_values({k: v + rng.normal(size=v.shape) for k, v in p.copy_values().items()})
+        assert_feeds_match_matvec()
 
     def test_variant_gating(self, micro):
         *_, vocab = micro

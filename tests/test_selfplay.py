@@ -7,7 +7,8 @@ import pytest
 
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import AnnotatedCorpus, Split
-from refgame.model import ModelConfig, train_model
+from refgame.errors import GameAbortedError
+from refgame.model import EOU, SEL, THEM, YOU, GroundingModel, ModelConfig, train_model
 from refgame.scenario import ScenarioConfig, generate_scenario, generate_scenarios
 from refgame.selfplay import (
     ModelAgent,
@@ -131,6 +132,31 @@ class TestScriptedGames:
         expected = 4 / 49
         assert result.rates[4] == pytest.approx(expected, abs=0.02)
 
+    def test_aborted_game_does_not_lose_the_batch(self):
+        scenarios = generate_scenarios(CFG, {4: 3, 5: 3}, seed=21)
+        bad = scenarios[1]
+
+        def pick(scenario, view, rng):
+            if scenario.id == bad.id:
+                return -1  # no such entity in any view
+            return pick_lowest_shared(scenario, view, rng)
+
+        result = run_batch(lambda: ScriptedAgent(pick), scenarios, ProtocolConfig(seed=0))
+        assert [t.scenario_id for t in result.transcripts] == [s.id for s in scenarios]
+        aborted = result.transcripts[1].to_dict()
+        assert aborted["aborted"] is True
+        assert "outside its view" in aborted["abort_message"]
+        for t in result.transcripts[:1] + result.transcripts[2:]:
+            assert t.success and "aborted" not in t.to_dict()
+        assert result.games == {4: 3, 5: 3}
+        assert result.aborted == {4: 1, 5: 0}
+        assert result.successes == {4: 2, 5: 3}
+        assert result.rates == {4: 1.0, 5: 1.0}
+        summary = result.summary(seconds=2.0)
+        assert (summary["games"], summary["aborted_games"]) == (6, 1)
+        assert summary["forced_rate"] == 0.0
+        assert summary["games_per_s"] == 3.0
+
     def test_center_agent_monotone_smoke(self):
         scenarios = generate_scenarios(CFG, {4: 200, 5: 200, 6: 200}, seed=13)
         result = run_batch(center_agent, scenarios, ProtocolConfig(seed=2))
@@ -185,7 +211,93 @@ def tiny_model():
     return train_model(cfg, corpus, split, gold).model
 
 
+class RefeedingAgent(ModelAgent):
+    """Reference agent: decodes on a throwaway fork and feeds every observed
+    utterance token by token, its own included."""
+
+    def act(self):
+        vocab = self.model.vocab
+        out, wants_selection = [], False
+        state = self.state.fork()
+        state.feed(vocab.encode(YOU))
+        for _ in range(self.max_tokens):
+            probs = state.next_token_probs().copy()
+            for t in self.forbidden:
+                probs[t] = 0.0
+            total = probs.sum()
+            if total <= 0:
+                raise GameAbortedError("model assigned zero mass to all legal tokens")
+            token_id = sample_token(probs / total, self.temperature, self.rng)
+            token = vocab.decode(token_id)
+            if token == SEL:
+                wants_selection = True
+                break
+            if token == EOU:
+                break
+            out.append(token)
+            state.feed(token_id)
+        return out, wants_selection
+
+    def observe(self, speaker_is_self, tokens):
+        encode = self.model.vocab.encode
+        self.state.feed(encode(YOU if speaker_is_self else THEM))
+        for t in tokens:
+            self.state.feed(encode(t))
+        self.state.feed(encode(EOU))
+
+
+class LoggedAgent(ModelAgent):
+    """ModelAgent that records the (length, wants_selection) of each act."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def act(self):
+        tokens, wants_selection = super().act()
+        self.log.append((len(tokens), wants_selection))
+        return tokens, wants_selection
+
+
 class TestModelAgent:
+    def test_feed_once_matches_refeeding(self, tiny_model):
+        # Biasing <eou> and [SEL] at temperature 1 makes games that hit each
+        # observe() path: utterances cut by the protocol's token cap, empty
+        # utterances, and selections with and without tokens.
+        model = GroundingModel(tiny_model.config, tiny_model.vocab)
+        model.store.load_values(tiny_model.store.copy_values())
+        model.store["dial.b2"][model.vocab.encode(EOU)] += 0.5
+        model.store["dial.b2"][model.vocab.encode(SEL)] += 0.5
+        cap, max_tokens = 4, 12
+        proto = ProtocolConfig(temperature=1.0, max_utterances=6, max_tokens_per_utterance=cap)
+        log: list[tuple[int, bool]] = []
+        for i, scenario in enumerate(generate_scenarios(CFG, {4: 3, 6: 3}, seed=11)):
+            ref = [RefeedingAgent(model, temperature=1.0, max_tokens=max_tokens) for _ in "AB"]
+            new = [LoggedAgent(model, temperature=1.0, max_tokens=max_tokens, log=log)
+                   for _ in "AB"]
+            expected = run_game(*ref, scenario, proto, np.random.default_rng(i))
+            got = run_game(*new, scenario, proto, np.random.default_rng(i))
+            assert got.to_dict() == expected.to_dict()
+            for r, n in zip(ref, new):
+                assert np.array_equal(n.state.h, r.state.h)
+        assert any(n > cap for n, _ in log)
+        assert (0, False) in log and (0, True) in log
+        assert any(n > 0 and sel for n, sel in log)
+
+    def test_reset_drops_the_decoded_ahead_state(self, tiny_model):
+        scenario = generate_scenario(CFG, 5, np.random.default_rng(8))
+        agent = ModelAgent(tiny_model, temperature=1.0, max_tokens=12)
+        ref = RefeedingAgent(tiny_model, temperature=1.0, max_tokens=12)
+        for a in (agent, ref):
+            a.reset(scenario, "A", np.random.default_rng(0))
+        tokens, _ = agent.act()
+        ref.act()
+        for a in (agent, ref):
+            a.reset(scenario, "B", np.random.default_rng(1))
+            a.observe(True, tokens)
+        assert np.array_equal(agent.state.h, ref.state.h)
+        assert np.array_equal(agent.state.tsel_probs(), ref.state.tsel_probs())
+
     def test_game_replays_identically(self, tiny_model):
         scenario = generate_scenario(CFG, 5, np.random.default_rng(8))
         proto = ProtocolConfig(seed=0, max_utterances=6, max_tokens_per_utterance=12)
