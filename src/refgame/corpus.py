@@ -437,6 +437,8 @@ def _event_to_dict(e: Event) -> dict:
 
 
 def _event_from_dict(d: dict) -> Event:
+    if not isinstance(d, dict):
+        raise SchemaError(f"event must be an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "message":
         return Message(speaker=str(d["speaker"]), tokens=tuple(str(t) for t in d["tokens"]))
@@ -494,11 +496,19 @@ def markable_from_dict(d: dict) -> Markable:
             generic=bool(d.get("generic", False)),
             all_referents=bool(d.get("all_referents", False)),
             no_referent=bool(d.get("no_referent", False)),
-            anaphora_of=d.get("anaphora_of"),
-            cataphora_of=d.get("cataphora_of"),
+            anaphora_of=_link(d, "anaphora_of"),
+            cataphora_of=_link(d, "cataphora_of"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed markable record: {exc}") from exc
+
+
+def _link(d: dict, key: str) -> str | None:
+    """A markable's optional link: another markable's id, or null."""
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key} must be a markable id or null, got {type(value).__name__}")
+    return value
 
 
 def judgement_to_dict(j: ReferentJudgement) -> dict:

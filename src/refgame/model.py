@@ -28,7 +28,6 @@ from .neural import (
     ParamStore,
     add_gru_params,
     bce_with_logits,
-    cross_entropy,
     cross_entropy_rows,
     dropout_mask,
     fit,
@@ -53,6 +52,9 @@ SEL = "<selection>"
 SPECIALS = (UNK, YOU, THEM, EOU, SEL)
 
 VARIANTS = ("TSEL", "REF", "TSEL-REF", "TSEL-DIAL", "TSEL-REF-DIAL")
+# Heads run in this fixed order, never in the order of a variant's frozenset,
+# which follows string hashing; the order fixes how gradients accumulate.
+HEADS = ("tsel", "ref", "dial")
 
 
 def variant_heads(variant: str) -> frozenset[str]:
@@ -298,7 +300,7 @@ class GroundingModel:
             store.add("attn.We", (c.attn_dim, de))
             store.add("attn.Wq", (c.attn_dim, c.hidden_dim))
             store.add("attn.b", (c.attn_dim,), init="zeros")
-            for head in ("tsel", "ref", "dial"):
+            for head in HEADS:
                 if head in self.heads:
                     store.add(f"attn.v_{head}", (c.attn_dim,), init="uniform")
             if "dial" in self.heads:
@@ -430,35 +432,20 @@ class GroundingModel:
         losses: dict[str, float] = {}
         d_hd = np.zeros_like(hd) if backward else None
         d_entities = np.zeros_like(entities) if backward else None
-
-        if "tsel" in self.heads:
-            q = hd[-1][None, :]
-            scores, cache = self._head_forward("tsel", entities, entities_proj, q)
-            losses["tsel"], dscores = cross_entropy(scores[0], ex.tsel_target)
+        for head in HEADS:
+            if head not in self.heads:
+                continue
+            rows, targets = _head_rows(ex, head)
+            if len(rows) == 0:  # a markable-free example has no REF query
+                losses[head] = 0.0
+                continue
+            out, cache = self._head_forward(head, entities, entities_proj, _queries(hd, rows))
+            loss_fn = bce_with_logits if head == "ref" else cross_entropy_rows
+            losses[head], dout = loss_fn(out, targets)
             if backward:
-                dq = self._head_backward("tsel", cfg.w_tsel * dscores[None, :], cache, d_entities)
-                d_hd[-1] += dq[0]
-
-        if "ref" in self.heads and len(ex.markable_ids) > 0:
-            pos = ex.mark_positions
-            queries = _ref_queries(hd, pos)
-            scores, cache = self._head_forward("ref", entities, entities_proj, queries)
-            losses["ref"], dscores = bce_with_logits(scores, ex.ref_targets)
-            if backward:
-                dq = self._head_backward("ref", cfg.w_ref * dscores, cache, d_entities)
-                for col in range(3):
-                    np.add.at(d_hd, pos[:, col], dq / 3.0)
-        elif "ref" in self.heads:
-            losses["ref"] = 0.0
-
-        if "dial" in self.heads:
-            pos = ex.dial_positions
-            h_in = hd[pos - 1]
-            logits, cache = self._head_forward("dial", entities, entities_proj, h_in)
-            losses["dial"], dlogits = cross_entropy_rows(logits, ex.tokens[pos])
-            if backward:
-                d_hin = self._head_backward("dial", cfg.w_dial * dlogits, cache, d_entities)
-                np.add.at(d_hd, pos - 1, d_hin)
+                w = getattr(cfg, f"w_{head}")
+                dq = self._head_backward(head, w * dout, cache, d_entities)
+                np.add.at(d_hd, rows.T, dq / rows.shape[1])
 
         total = sum(
             getattr(cfg, f"w_{head}") * value for head, value in losses.items()
@@ -470,7 +457,7 @@ class GroundingModel:
             )
         if backward:
             d_h = d_hd * mask if mask is not None else d_hd
-            dx, gru_grads, _ = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, d_h)
+            dx, gru_grads = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, d_h)
             g["gru.W"] += gru_grads["W"]
             g["gru.U"] += gru_grads["U"]
             g["gru.b"] += gru_grads["b"]
@@ -487,13 +474,11 @@ class GroundingModel:
         h_seq, _ = self._encode_tokens(ex.tokens)
         entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
         out = {}
-        if "tsel" in self.heads:
-            scores, _ = self._head_forward("tsel", entities, entities_proj, h_seq[-1][None, :])
-            out["tsel"] = softmax(scores[0])
-        if "ref" in self.heads:
-            queries = _ref_queries(h_seq, ex.mark_positions)
-            scores, _ = self._head_forward("ref", entities, entities_proj, queries)
-            out["ref"] = sigmoid(scores)
+        for head in ("tsel", "ref"):
+            if head in self.heads:
+                rows, _ = _head_rows(ex, head)
+                scores, _ = self._head_forward(head, entities, entities_proj, _queries(h_seq, rows))
+                out[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
         return out
 
     def ref_probs_at(self, attrs, rel, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -501,8 +486,7 @@ class GroundingModel:
         ``tokens``, seen from the view whose features are ``attrs``/``rel``."""
         entities, entities_proj, _ = self.encode_entities(attrs, rel)
         h_seq, _ = self._encode_tokens(tokens)
-        queries = _ref_queries(h_seq, positions)
-        scores, _ = self._head_forward("ref", entities, entities_proj, queries)
+        scores, _ = self._head_forward("ref", entities, entities_proj, _queries(h_seq, positions))
         return sigmoid(scores)
 
     # --- incremental decoding (selfplay) --------------------------------------
@@ -533,9 +517,21 @@ class GroundingModel:
         return load_checkpoint(cls, prefix, "refgame-model", ModelConfig)
 
 
-def _ref_queries(h: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """REF query rows: the mean of the states at each (start, last, eou) row."""
-    return (h[positions[:, 0]] + h[positions[:, 1]] + h[positions[:, 2]]) / 3.0
+def _head_rows(ex: StreamExample, head: str) -> tuple[np.ndarray, np.ndarray]:
+    """A head's ``(Q, k)`` row index into the example's dialogue states and
+    its Q targets.  Query q is the mean of the k states ``rows[q]``: TSEL
+    reads the last state, REF each markable's (start, last, eou) states and
+    DIAL the state before each predicted token."""
+    if head == "tsel":
+        return np.array([[len(ex.tokens) - 1]]), np.array([ex.tsel_target])
+    if head == "ref":
+        return ex.mark_positions, ex.ref_targets
+    return ex.dial_positions[:, None] - 1, ex.tokens[ex.dial_positions]
+
+
+def _queries(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Query rows (Q, H), each the mean of the states ``h[rows[q]]``."""
+    return h[rows].sum(axis=1) / rows.shape[1]
 
 
 @dataclass

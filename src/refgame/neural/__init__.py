@@ -16,7 +16,6 @@ from .gradcheck import GradCheckReport, gradient_check
 from .gru import add_gru_params, gru_cell, gru_sequence, gru_sequence_backward
 from .ops import (
     bce_with_logits,
-    cross_entropy,
     cross_entropy_rows,
     dropout_mask,
     linear,
@@ -45,7 +44,6 @@ __all__ = [
     "crf_path_score",
     "crf_posteriors",
     "crf_viterbi",
-    "cross_entropy",
     "cross_entropy_rows",
     "dropout_mask",
     "fit",

@@ -28,7 +28,6 @@ def gru_cell(a: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
 @dataclass
 class GRUCache:
     x_seq: np.ndarray
-    h0: np.ndarray
     h_seq: np.ndarray
     z_seq: np.ndarray
     r_seq: np.ndarray
@@ -40,19 +39,18 @@ def gru_sequence(
 ) -> tuple[np.ndarray, GRUCache]:
     """Run the GRU over x_seq (T, D_in) from a zero state; returns
     (h_seq (T, H), cache)."""
-    h0 = np.zeros(u.shape[1], dtype=x_seq.dtype)
     wx = x_seq @ w.T + b
-    h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u, h0)
-    return h_seq, GRUCache(x_seq, h0, h_seq, z_seq, r_seq, hb_seq)
+    h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u)
+    return h_seq, GRUCache(x_seq, h_seq, z_seq, r_seq, hb_seq)
 
 
 def gru_sequence_backward(
     w: np.ndarray, u: np.ndarray, cache: GRUCache, dh_seq: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """Returns (dx_seq, grads {'W','U','b'}, dh0)."""
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Returns (dx_seq, grads {'W','U','b'})."""
     hidden = u.shape[1]
-    h_prev = np.vstack([cache.h0[None, :], cache.h_seq[:-1]])
-    da, dh0 = kernels.gru_backward(
+    h_prev = np.vstack([np.zeros_like(cache.h_seq[:1]), cache.h_seq[:-1]])
+    da = kernels.gru_backward(
         u, h_prev, cache.z_seq, cache.r_seq, cache.hb_seq, dh_seq
     )
     dW = da.T @ cache.x_seq
@@ -62,4 +60,4 @@ def gru_sequence_backward(
     dU[0:hidden] = da[:, 0:hidden].T @ h_prev
     dU[hidden:2 * hidden] = da[:, hidden:2 * hidden].T @ h_prev
     dU[2 * hidden:] = da[:, 2 * hidden:].T @ (cache.r_seq * h_prev)
-    return dx, {"W": dW, "U": dU, "b": db}, dh0
+    return dx, {"W": dW, "U": dU, "b": db}

@@ -36,16 +36,17 @@ def gru_step(a: np.ndarray, u: np.ndarray, h: np.ndarray):
     return (1.0 - z) * h + z * hb, z, r, hb
 
 
-def gru_forward(wx: np.ndarray, u: np.ndarray, h0: np.ndarray):
-    """wx: (T, 3H) precomputed input projections W x_t + b; u: (3H, H);
-    h0: (H,).  Returns h_seq, z_seq, r_seq, hbar_seq, each (T, H)."""
+def gru_forward(wx: np.ndarray, u: np.ndarray):
+    """wx: (T, 3H) precomputed input projections W x_t + b; u: (3H, H).
+    Runs from a zero state.  Returns h_seq, z_seq, r_seq, hbar_seq, each
+    (T, H)."""
     T = wx.shape[0]
-    H = h0.shape[0]
+    H = u.shape[1]
     h_seq = np.empty((T, H), dtype=wx.dtype)
     z_seq = np.empty((T, H), dtype=wx.dtype)
     r_seq = np.empty((T, H), dtype=wx.dtype)
     hb_seq = np.empty((T, H), dtype=wx.dtype)
-    h = h0
+    h = np.zeros(H, dtype=wx.dtype)
     for t in range(T):
         h, z_seq[t], r_seq[t], hb_seq[t] = gru_step(wx[t], u, h)
         h_seq[t] = h
@@ -54,8 +55,7 @@ def gru_forward(wx: np.ndarray, u: np.ndarray, h0: np.ndarray):
 
 def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq):
     """Backward through time.  h_prev[t] is the state entering step t.
-    Returns da: (T, 3H) gradients on the pre-activations (z, r, h order)
-    and dh0: gradient on the initial state."""
+    Returns da: (T, 3H) gradients on the pre-activations (z, r, h order)."""
     T, H = z_seq.shape
     uzT = np.ascontiguousarray(u[0:H].T)
     urT = np.ascontiguousarray(u[H:2 * H].T)
@@ -76,7 +76,7 @@ def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq
         da[t, 0:H] = daz
         da[t, H:2 * H] = dar
         da[t, 2 * H:3 * H] = dah
-    return da, dh
+    return da
 
 
 # --- linear-chain CRF -----------------------------------------------------

@@ -68,15 +68,6 @@ def logsumexp(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarr
     return out
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Single-row CE: loss = -log softmax(logits)[target]; returns dlogits."""
-    p = softmax(logits)
-    loss = -float(np.log(max(p[target], np.finfo(p.dtype).tiny)))
-    d = p.copy()
-    d[target] -= 1.0
-    return loss, d
-
-
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean CE over rows.  logits: (N, V), targets: (N,) int.  Returns
     (loss, dlogits) with dlogits already divided by N."""

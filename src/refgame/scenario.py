@@ -93,7 +93,6 @@ class ScenarioConfig:
     size_max: float = 0.06
     min_separation: float = 0.08
     max_attempts: int = 1000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.world_min < self.world_max:
@@ -221,12 +220,10 @@ def generate_scenario(
 def generate_scenarios(
     config: ScenarioConfig,
     counts: dict[int, int],
-    seed: int | None = None,
+    seed: int,
 ) -> list[Scenario]:
     """Generate ``counts[k]`` scenarios per shared count k from independent,
     reproducible rng streams (one spawned stream per scenario)."""
-    if seed is None:
-        seed = config.seed
     total = sum(counts.values())
     streams = np.random.SeedSequence(seed).spawn(total)
     out: list[Scenario] = []

@@ -261,43 +261,43 @@ def run_game(
     protocol: ProtocolConfig,
     rng: np.random.Generator,
 ) -> GameTranscript:
-    """Play one game; deterministic given the rng state."""
+    """Play one game; deterministic given the rng state.  An exception from
+    any agent call ends the game as a ``GameAbortedError`` naming the
+    scenario."""
     transcript = GameTranscript(
         scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed
     )
     agents = {"A": agent_a, "B": agent_b}
-    for role, agent in agents.items():
-        agent.reset(scenario, role, rng)
-    speaker = "A"
-    ended_by_selection = False
-    for _ in range(protocol.max_utterances):
-        try:
+    try:
+        for role, agent in agents.items():
+            agent.reset(scenario, role, rng)
+        speaker = "A"
+        ended_by_selection = False
+        for _ in range(protocol.max_utterances):
             tokens, wants_selection = agents[speaker].act()
-        except GameAbortedError:
-            raise
-        except Exception as exc:  # surface agent bugs with game context
-            raise GameAbortedError(
-                f"agent {speaker} failed on scenario {scenario.id}: {exc}"
-            ) from exc
-        tokens = tokens[: protocol.max_tokens_per_utterance]
-        if tokens:
-            transcript.messages.append({"speaker": speaker, "tokens": tokens})
-            for role, agent in agents.items():
-                agent.observe(role == speaker, tokens)
-        if wants_selection:
-            # the selection control token is its own event, as in training
-            for role, agent in agents.items():
-                agent.observe(role == speaker, [SEL])
-            ended_by_selection = True
-            break
-        speaker = "B" if speaker == "A" else "A"
-    transcript.forced = not ended_by_selection
-    picks = {}
-    for role, agent in agents.items():
-        entity = int(agent.select())
-        if entity not in scenario.view(role).visible:
-            raise GameAbortedError(f"agent {role} selected entity {entity} outside its view")
-        picks[role] = entity
+            tokens = tokens[: protocol.max_tokens_per_utterance]
+            if tokens:
+                transcript.messages.append({"speaker": speaker, "tokens": tokens})
+                for role, agent in agents.items():
+                    agent.observe(role == speaker, tokens)
+            if wants_selection:
+                # the selection control token is its own event, as in training
+                for role, agent in agents.items():
+                    agent.observe(role == speaker, [SEL])
+                ended_by_selection = True
+                break
+            speaker = "B" if speaker == "A" else "A"
+        transcript.forced = not ended_by_selection
+        picks = {}
+        for role, agent in agents.items():
+            entity = int(agent.select())
+            if entity not in scenario.view(role).visible:
+                raise GameAbortedError(f"agent {role} selected entity {entity} outside its view")
+            picks[role] = entity
+    except GameAbortedError:
+        raise
+    except Exception as exc:  # surface agent bugs with game context
+        raise GameAbortedError(f"game on scenario {scenario.id} failed: {exc!r}") from exc
     transcript.selections = picks
     transcript.success = picks["A"] == picks["B"]
     return transcript

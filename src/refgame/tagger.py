@@ -145,8 +145,8 @@ class MarkableTagger:
         g["emit.W"] += dw
         g["emit.b"] += db
         hid = self.config.hidden_dim
-        dx_f, grads_f, _ = gru_sequence_backward(p["fwd.W"], p["fwd.U"], cache_f, dh[:, :hid])
-        dx_b, grads_b, _ = gru_sequence_backward(
+        dx_f, grads_f = gru_sequence_backward(p["fwd.W"], p["fwd.U"], cache_f, dh[:, :hid])
+        dx_b, grads_b = gru_sequence_backward(
             p["bwd.W"], p["bwd.U"], cache_b, dh[::-1, hid:].copy()
         )
         for direction, grads in (("fwd", grads_f), ("bwd", grads_b)):

@@ -174,7 +174,7 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
             return float(((h_seq - tgt) ** 2).sum())
 
         h_seq, cache = gru_sequence(p2["W"], p2["U"], p2["b"], p2["x"])
-        dxx, grads, _ = gru_sequence_backward(p2["W"], p2["U"], cache, 2 * (h_seq - tgt))
+        dxx, grads = gru_sequence_backward(p2["W"], p2["U"], cache, 2 * (h_seq - tgt))
         rep = gradient_check(
             gru_loss, p2, {"W": grads["W"], "U": grads["U"], "b": grads["b"], "x": dxx}, seed=seed
         )

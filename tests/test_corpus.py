@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,21 @@ class TestRoundTrip:
         assert not loaded.dialogues and not loaded.markables
 
     def test_missing_file_schema_error(self, tmp_path):
+        with pytest.raises(SchemaError):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("damage", ["event_not_object", "events_as_object", "link_is_list"])
+    def test_damaged_record_schema_error(self, tmp_path, damage):
+        save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
+        name = "markables.json" if damage == "link_is_list" else "dialogues.json"
+        records = json.loads((tmp_path / name).read_text())
+        if damage == "event_not_object":
+            records[0]["events"][0] = "hello"
+        elif damage == "events_as_object":
+            records[0]["events"] = {"type": "message", "speaker": "A", "tokens": ["hi"]}
+        else:
+            records[0]["anaphora_of"] = [records[1]["id"]]
+        (tmp_path / name).write_text(json.dumps(records))
         with pytest.raises(SchemaError):
             load_corpus(tmp_path)
 

@@ -143,7 +143,7 @@ class TestGradChecks:
 
         h, cache = gru_sequence(params["W"], params["U"], params["b"], params["x"])
         dh = 2 * (h - target)
-        dx, grads, _ = gru_sequence_backward(params["W"], params["U"], cache, dh)
+        dx, grads = gru_sequence_backward(params["W"], params["U"], cache, dh)
         rep = gradient_check(
             loss_fn, params, {"W": grads["W"], "U": grads["U"], "b": grads["b"], "x": dx}, seed=seed
         )
@@ -203,8 +203,8 @@ class TestGRU:
         assert h32.dtype == np.float32
         assert gru_cell(w32 @ x32[0] + b32, u32, h32[0]).dtype == np.float32
         assert np.allclose(h32, h_seq, atol=1e-5)
-        dx, grads, dh0 = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
-        assert dx.dtype == np.float32 and dh0.dtype == np.float32
+        dx, grads = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
+        assert dx.dtype == np.float32
         assert all(g.dtype == np.float32 for g in grads.values())
 
 

@@ -132,12 +132,18 @@ class TestScriptedGames:
         expected = 4 / 49
         assert result.rates[4] == pytest.approx(expected, abs=0.02)
 
-    def test_aborted_game_does_not_lose_the_batch(self):
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param("outside_view", "outside its view", id="outside_view"),
+        pytest.param("raises", "ValueError('policy bug')", id="raises"),
+    ])
+    def test_aborted_game_does_not_lose_the_batch(self, fault, message):
         scenarios = generate_scenarios(CFG, {4: 3, 5: 3}, seed=21)
         bad = scenarios[1]
 
         def pick(scenario, view, rng):
             if scenario.id == bad.id:
+                if fault == "raises":
+                    raise ValueError("policy bug")
                 return -1  # no such entity in any view
             return pick_lowest_shared(scenario, view, rng)
 
@@ -145,7 +151,7 @@ class TestScriptedGames:
         assert [t.scenario_id for t in result.transcripts] == [s.id for s in scenarios]
         aborted = result.transcripts[1].to_dict()
         assert aborted["aborted"] is True
-        assert "outside its view" in aborted["abort_message"]
+        assert message in aborted["abort_message"]
         for t in result.transcripts[:1] + result.transcripts[2:]:
             assert t.success and "aborted" not in t.to_dict()
         assert result.games == {4: 3, 5: 3}

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import refgame
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import Split
 from refgame.errors import SchemaError
@@ -96,3 +101,35 @@ def test_clip_rate_counts_clipped_minibatches():
     history, _ = fit(store, [0.5, -3.0, 2.0, 1.0], step, lambda: (0.0, {}), config, "loss")
     assert history[0]["grad_norm"] == pytest.approx((0.5 + 3.0 + 2.0 + 1.0) / 4)
     assert history[0]["clip_rate"] == 0.5
+
+
+TRAIN_AND_SAVE = """
+import sys
+from refgame.agreement import aggregate_corpus_gold
+from refgame.corpus import Split
+from refgame.model import ModelConfig, train_model
+from refgame.synth import make_synthetic_corpus
+
+corpus = make_synthetic_corpus(4, seed=6)
+ids = tuple(sorted(corpus.dialogues))
+cfg = ModelConfig(variant="TSEL-REF-DIAL", embed_dim=6, hidden_dim=6, attr_dim=3, rel_dim=3,
+                  attn_dim=5, mlp_dim=5, epochs=2, patience=2, batch_size=3, seed=2)
+result = train_model(cfg, corpus, Split(ids, ids, ids, 0), aggregate_corpus_gold(corpus))
+result.model.save(sys.argv[1])
+"""
+
+
+def test_seeded_training_does_not_depend_on_string_hashing(tmp_path):
+    """A variant's heads are a frozenset, whose order follows PYTHONHASHSEED;
+    the heads must still run, and their gradients accumulate, in one fixed
+    order."""
+    src = str(Path(refgame.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    params = []
+    for hash_seed in ("0", "1"):
+        prefix = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(prefix)], env=env,
+                       check=True, timeout=300)
+        params.append(prefix.with_suffix(".params.json").read_bytes())
+    assert params[0] == params[1]
