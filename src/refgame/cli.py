@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import RefgameError
-from .io import atomic_write_json, atomic_write_text, read_json
+from .io import atomic_write_json, atomic_write_text, read_json, read_records
 
 
 def _data_dir(args) -> Path:
@@ -145,17 +145,11 @@ def cmd_agreement(args) -> int:
 
 def cmd_aggregate(args) -> int:
     from .agreement import aggregate_corpus_gold
-    from .corpus import load_corpus
+    from .corpus import load_corpus, save_gold
 
     corpus = load_corpus(_data_dir(args))
     gold = aggregate_corpus_gold(corpus)
-    atomic_write_json(
-        args.out,
-        {
-            mid: {"referents": sorted(entry.referents), "dropped": entry.dropped}
-            for mid, entry in sorted(gold.items())
-        },
-    )
+    save_gold(gold, args.out)
     print(f"aggregated gold for {len(gold)} markables -> {args.out}")
     return 0
 
@@ -170,15 +164,6 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _load_gold(path) -> dict:
-    from .corpus import GoldEntry
-
-    return {
-        mid: GoldEntry(referents=frozenset(rec["referents"]), dropped=rec["dropped"])
-        for mid, rec in read_json(path).items()
-    }
-
-
 # config fields that `train` flags set; ModelConfig and TaggerConfig hold the defaults
 TRAIN_FLAGS = (
     "variant", "epochs", "seed", "lr", "batch_size", "dropout", "embed_dim", "hidden_dim",
@@ -189,7 +174,7 @@ TRAIN_FLAGS = (
 def cmd_train(args) -> int:
     from dataclasses import fields
 
-    from .corpus import Split, load_corpus
+    from .corpus import Split, load_corpus, load_gold
     from .agreement import aggregate_corpus_gold
 
     corpus = load_corpus(_data_dir(args))
@@ -212,7 +197,7 @@ def cmd_train(args) -> int:
 
     from .model import ModelConfig, train_model
 
-    gold = _load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
+    gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
     config = ModelConfig(**given)
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
@@ -224,14 +209,14 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .agreement import aggregate_corpus_gold
-    from .corpus import Split, load_corpus
+    from .corpus import Split, load_corpus, load_gold
     from .evaluation import evaluate_model
     from .model import GroundingModel
 
     corpus = load_corpus(_data_dir(args))
     split = Split.from_dict(read_json(args.split))
     model = GroundingModel.load(args.model)
-    gold = _load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
+    gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
     report = evaluate_model(model, corpus, split.test, gold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -251,7 +236,7 @@ def cmd_tag(args) -> int:
     from .tagger import MarkableTagger, predict_markables
 
     tagger = MarkableTagger.load(args.model)
-    dialogues = [dialogue_from_dict(d) for d in read_json(args.input)]
+    dialogues = read_records(args.input, dialogue_from_dict)
     markables = predict_markables(tagger, dialogues)
     atomic_write_json(args.out, [markable_to_dict(m) for m in markables])
     print(f"tagged {len(dialogues)} dialogues -> {len(markables)} markables")
@@ -338,7 +323,7 @@ def cmd_selfplay(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .corpus import load_corpus
+    from .corpus import load_corpus, load_gold
     from .render import render_dialogue, render_judgements, render_view
 
     corpus = load_corpus(_data_dir(args))
@@ -349,7 +334,7 @@ def cmd_render(args) -> int:
             corpus.markables[mid]
             for mid in corpus.markables_by_dialogue.get(args.dialogue, ())
         ]
-        gold = _load_gold(args.gold) if args.gold else {}
+        gold = load_gold(args.gold) if args.gold else {}
         refs = {
             mid: entry.referents
             for mid, entry in gold.items()

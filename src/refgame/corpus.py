@@ -8,7 +8,6 @@ markables.json, judgements.json.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IntegrityError, SchemaError
-from .io import atomic_write_json, read_json
+from .io import atomic_write_json, from_record, read_json, read_list, read_records
 from .scenario import AGENTS, Scenario, load_scenarios, save_scenarios
 
 
@@ -402,14 +401,14 @@ class Split:
     train: tuple[str, ...]
     valid: tuple[str, ...]
     test: tuple[str, ...]
-    seed: int
+    seed: int = 0
 
     def to_dict(self) -> dict:
         return {"train": list(self.train), "valid": list(self.valid), "test": list(self.test), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Split":
-        return cls(tuple(d["train"]), tuple(d["valid"]), tuple(d["test"]), int(d.get("seed", 0)))
+        return from_record(cls, d, **{k: tuple(read_list(d, k, str)) for k in ("train", "valid", "test")})
 
 
 def split_dataset(corpus: AnnotatedCorpus, seed: int) -> Split:
@@ -437,13 +436,11 @@ def _event_to_dict(e: Event) -> dict:
 
 
 def _event_from_dict(d: dict) -> Event:
-    if not isinstance(d, dict):
-        raise SchemaError(f"event must be an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "message":
-        return Message(speaker=str(d["speaker"]), tokens=tuple(str(t) for t in d["tokens"]))
+        return from_record(Message, d, tokens=tuple(read_list(d, "tokens", str)))
     if kind == "selection":
-        return Selection(speaker=str(d["speaker"]), entity_id=int(d["entity_id"]))
+        return from_record(Selection, d)
     raise SchemaError(f"unknown event type {kind!r}")
 
 
@@ -457,81 +454,45 @@ def dialogue_to_dict(d: Dialogue) -> dict:
 
 
 def dialogue_from_dict(d: dict) -> Dialogue:
-    try:
-        return Dialogue(
-            id=str(d["id"]),
-            scenario_id=str(d["scenario_id"]),
-            events=tuple(_event_from_dict(e) for e in d["events"]),
-            outcome=bool(d["outcome"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed dialogue record: {exc}") from exc
+    return from_record(
+        Dialogue, d, events=tuple(_event_from_dict(e) for e in read_list(d, "events", dict))
+    )
 
 
 def markable_to_dict(m: Markable) -> dict:
-    return {
-        "id": m.id,
-        "dialogue_id": m.dialogue_id,
-        "utterance_index": m.utterance_index,
-        "start_token": m.start_token,
-        "end_token": m.end_token,
-        "speaker": m.speaker,
-        "generic": m.generic,
-        "all_referents": m.all_referents,
-        "no_referent": m.no_referent,
-        "anaphora_of": m.anaphora_of,
-        "cataphora_of": m.cataphora_of,
-    }
+    return dict(vars(m))
 
 
 def markable_from_dict(d: dict) -> Markable:
-    try:
-        return Markable(
-            id=str(d["id"]),
-            dialogue_id=str(d["dialogue_id"]),
-            utterance_index=int(d["utterance_index"]),
-            start_token=int(d["start_token"]),
-            end_token=int(d["end_token"]),
-            speaker=str(d["speaker"]),
-            generic=bool(d.get("generic", False)),
-            all_referents=bool(d.get("all_referents", False)),
-            no_referent=bool(d.get("no_referent", False)),
-            anaphora_of=_link(d, "anaphora_of"),
-            cataphora_of=_link(d, "cataphora_of"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed markable record: {exc}") from exc
-
-
-def _link(d: dict, key: str) -> str | None:
-    """A markable's optional link: another markable's id, or null."""
-    value = d.get(key)
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"{key} must be a markable id or null, got {type(value).__name__}")
-    return value
+    return from_record(Markable, d)
 
 
 def judgement_to_dict(j: ReferentJudgement) -> dict:
-    return {
-        "markable_id": j.markable_id,
-        "annotator_id": j.annotator_id,
-        "referents": sorted(j.referents),
-        "ambiguous": j.ambiguous,
-        "unidentifiable": j.unidentifiable,
-    }
+    return {**vars(j), "referents": sorted(j.referents)}
 
 
 def judgement_from_dict(d: dict) -> ReferentJudgement:
-    try:
-        return ReferentJudgement(
-            markable_id=str(d["markable_id"]),
-            annotator_id=str(d["annotator_id"]),
-            referents=frozenset(int(i) for i in d["referents"]),
-            ambiguous=bool(d.get("ambiguous", False)),
-            unidentifiable=bool(d.get("unidentifiable", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed judgement record: {exc}") from exc
+    return from_record(ReferentJudgement, d, referents=frozenset(read_list(d, "referents", int)))
+
+
+def save_gold(gold: Mapping[str, GoldEntry], path) -> None:
+    """Write aggregated gold as {markable id: {"referents", "dropped"}}."""
+    atomic_write_json(
+        path, {mid: {**vars(e), "referents": sorted(e.referents)} for mid, e in sorted(gold.items())}
+    )
+
+
+def load_gold(path) -> dict[str, GoldEntry]:
+    data = read_json(path)
+    if type(data) is not dict:
+        raise SchemaError(f"{path} must hold a JSON object")
+    gold = {}
+    for mid, d in data.items():
+        try:
+            gold[mid] = from_record(GoldEntry, d, referents=frozenset(read_list(d, "referents", int)))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}, markable {mid}: {exc}") from None
+    return gold
 
 
 FILES = ("scenarios.json", "dialogues.json", "markables.json", "judgements.json")
@@ -555,14 +516,7 @@ def load_corpus(path) -> AnnotatedCorpus:
         if not (path / name).exists():
             raise SchemaError(f"missing corpus file {name} under {path}")
     scenarios = load_scenarios(path / "scenarios.json")
-    dialogues = [dialogue_from_dict(d) for d in _read_list(path / "dialogues.json")]
-    markables = [markable_from_dict(m) for m in _read_list(path / "markables.json")]
-    judgements = [judgement_from_dict(j) for j in _read_list(path / "judgements.json")]
+    dialogues = read_records(path / "dialogues.json", dialogue_from_dict)
+    markables = read_records(path / "markables.json", markable_from_dict)
+    judgements = read_records(path / "judgements.json", judgement_from_dict)
     return AnnotatedCorpus.build(scenarios, dialogues, markables, judgements)
-
-
-def _read_list(path) -> list:
-    data = read_json(path)
-    if not isinstance(data, list):
-        raise SchemaError(f"{path} must hold a JSON list")
-    return data

@@ -38,7 +38,7 @@ from .corpus import (
     Selection,
 )
 from .errors import SchemaError
-from .io import read_json
+from .io import from_record, read_json
 from .scenario import COLOR_RANGE, DEFAULT_CONFIG, Entity, Scenario, View
 
 AGENT_NAMES = {0: "A", 1: "B", "0": "A", "1": "B", "A": "A", "B": "B"}
@@ -198,20 +198,12 @@ def import_markable(record: dict, dialogues: dict[str, Dialogue]) -> Markable:
             start, end = _char_span_to_tokens(
                 tokens, int(record["start_char"]), int(record["end_char"])
             )
-        return Markable(
-            id=mid,
-            dialogue_id=did,
-            utterance_index=utt,
-            start_token=start,
-            end_token=end,
-            speaker=speaker,
-            generic=bool(record.get("generic", False)),
-            all_referents=bool(record.get("all_referents", False)),
-            no_referent=bool(record.get("no_referent", False)),
-            anaphora_of=record.get("anaphora_of"),
-            cataphora_of=record.get("cataphora_of"),
+        # the flags and links share the canonical names, so the strict reader takes them
+        return from_record(
+            Markable, record, id=mid, dialogue_id=did, utterance_index=utt,
+            start_token=start, end_token=end, speaker=speaker,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (SchemaError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed markable record {record.get('markable_id')!r}: {exc}") from exc
 
 
@@ -246,12 +238,11 @@ def import_bundle(src, *, field_map: dict | None = None) -> AnnotatedCorpus:
             raise SchemaError(f"judgement on unknown markable {mid}")
         sid = dialogues[mark_dialogue[mid]].scenario_id
         judgements.append(
-            ReferentJudgement(
+            from_record(
+                ReferentJudgement, record,
                 markable_id=mid,
                 annotator_id=str(record["annotator"]),
                 referents=frozenset(id_maps[sid][r] for r in record["referents"]),
-                ambiguous=bool(record.get("ambiguous", False)),
-                unidentifiable=bool(record.get("unidentifiable", False)),
             )
         )
 

@@ -25,7 +25,6 @@ from .ops import (
     mlp,
     mlp_backward,
     sigmoid,
-    sigmoid_backward,
     softmax,
     softmax_backward,
     tanh,
@@ -59,7 +58,6 @@ __all__ = [
     "mlp",
     "mlp_backward",
     "sigmoid",
-    "sigmoid_backward",
     "softmax",
     "softmax_backward",
     "tanh",

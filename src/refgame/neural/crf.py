@@ -39,11 +39,7 @@ def crf_path_score(
     emissions: np.ndarray, transitions: np.ndarray, tags, start: np.ndarray | None = None
 ) -> float:
     start = _check(emissions, transitions, start)
-    tags = np.asarray(tags, dtype=np.int64)
-    score = float(start[tags[0]]) + float(emissions[np.arange(len(tags)), tags].sum())
-    if len(tags) > 1:
-        score += float(transitions[tags[:-1], tags[1:]].sum())
-    return score
+    return _path_score(emissions, transitions, np.asarray(tags, dtype=np.int64), start)
 
 
 def crf_posteriors(
@@ -51,14 +47,7 @@ def crf_posteriors(
 ):
     """Returns (unary (T, K), pairwise (T-1, K, K), logZ): exact marginals
     P(y_t = k) and P(y_t = j, y_{t+1} = k) from forward-backward."""
-    start = _check(emissions, transitions, start)
-    alpha, logz = kernels.crf_alphas(emissions, transitions, start)
-    beta = kernels.crf_betas(emissions, transitions)
-    unary = np.exp(alpha + beta - logz)
-    pair = np.exp(
-        alpha[:-1, :, None] + transitions + emissions[1:, None, :] + beta[1:, None, :] - logz
-    )
-    return unary, pair, float(logz)
+    return _posteriors(emissions, transitions, _check(emissions, transitions, start))
 
 
 def crf_nll(
@@ -71,10 +60,10 @@ def crf_nll(
 
     Returns (nll, d_emissions, d_transitions, d_start); each gradient is
     expected counts under the model minus observed gold counts."""
-    start_vec = _check(emissions, transitions, start)
+    start = _check(emissions, transitions, start)
     tags = np.asarray(tags, dtype=np.int64)
-    unary, pair, logz = crf_posteriors(emissions, transitions, start_vec)
-    nll = logz - crf_path_score(emissions, transitions, tags, start_vec)
+    unary, pair, logz = _posteriors(emissions, transitions, start)
+    nll = logz - _path_score(emissions, transitions, tags, start)
     d_em = unary.copy()
     d_em[np.arange(len(tags)), tags] -= 1.0
     d_tr = pair.sum(axis=0)
@@ -82,6 +71,23 @@ def crf_nll(
     d_start = unary[0].copy()
     d_start[tags[0]] -= 1.0
     return float(nll), d_em, d_tr, d_start
+
+
+def _path_score(emissions, transitions, tags, start) -> float:
+    score = float(start[tags[0]]) + float(emissions[np.arange(len(tags)), tags].sum())
+    if len(tags) > 1:
+        score += float(transitions[tags[:-1], tags[1:]].sum())
+    return score
+
+
+def _posteriors(emissions, transitions, start):
+    alpha, logz = kernels.crf_alphas(emissions, transitions, start)
+    beta = kernels.crf_betas(emissions, transitions)
+    unary = np.exp(alpha + beta - logz)
+    pair = np.exp(
+        alpha[:-1, :, None] + transitions + emissions[1:, None, :] + beta[1:, None, :] - logz
+    )
+    return unary, pair, float(logz)
 
 
 def crf_viterbi(

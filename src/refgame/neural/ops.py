@@ -41,10 +41,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return dout * out * (1.0 - out)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)

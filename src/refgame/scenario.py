@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, SchemaError
+from .io import atomic_write_json, from_record, read_list, read_records
 
 AGENTS = ("A", "B")
 SHARED_COUNTS = (4, 5, 6)
@@ -307,43 +308,25 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    try:
-        entities = tuple(
-            Entity(
-                id=int(e["id"]), x=float(e["x"]), y=float(e["y"]),
-                size=float(e["size"]), color=float(e["color"]),
-            )
-            for e in d["entities"]
-        )
-        views = {}
-        for agent in AGENTS:
-            v = d["views"][agent]
-            views[agent] = View(
-                agent=agent,
-                center=(float(v["center"][0]), float(v["center"][1])),
-                radius=float(v["radius"]),
-                visible=tuple(int(i) for i in v["visible"]),
-            )
-        return Scenario(
-            id=str(d["id"]),
-            entities=entities,
-            view_a=views["A"],
-            view_b=views["B"],
-            num_shared=int(d["num_shared"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed scenario record: {exc}") from exc
+    entities = tuple(from_record(Entity, e) for e in read_list(d, "entities", dict))
+    views = d.get("views")
+    view_a, view_b = (_view_from_dict(views, agent) for agent in AGENTS)
+    return from_record(Scenario, d, entities=entities, view_a=view_a, view_b=view_b)
+
+
+def _view_from_dict(views, agent: str) -> View:
+    v = views.get(agent) if type(views) is dict else None
+    center = read_list(v, "center", float)
+    if len(center) != 2:
+        raise SchemaError(f"view {agent}: center must hold 2 numbers, got {len(center)}")
+    return from_record(
+        View, v, agent=agent, center=tuple(center), visible=tuple(read_list(v, "visible", int))
+    )
 
 
 def save_scenarios(scenarios: list[Scenario], path) -> None:
-    from .io import atomic_write_json
-
     atomic_write_json(path, [scenario_to_dict(s) for s in scenarios])
 
 
 def load_scenarios(path) -> list[Scenario]:
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, list):
-        raise SchemaError("scenarios file must hold a JSON list")
-    return [scenario_from_dict(d) for d in data]
+    return read_records(path, scenario_from_dict)

@@ -323,26 +323,39 @@ class TestSelfplayAndRender:
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("train", "--variant", "FOO"),
-    ("train", "--task", "tagger", "--dtype", "float1000"),
-    ("train", "--dtype", "int64", "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"),
-    ("split",),
-], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few"])
-def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, argv):
-    if argv[0] == "split":
+LIST_FILE = "<a file holding []>"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("train", "--variant", "FOO"), "ValueError"),
+    (("train", "--task", "tagger", "--dtype", "float1000"), "ValueError"),
+    (("train", "--dtype", "int64", "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"), "ValueError"),
+    (("split",), "ValueError"),
+    (("train", "--split", LIST_FILE), "SchemaError"),
+    (("evaluate", "--gold", LIST_FILE), "SchemaError"),
+], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list"])
+def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request, argv, error):
+    list_file = tmp_path / "list.json"
+    list_file.write_text("[]\n")
+    command, *flags = (list_file if a == LIST_FILE else a for a in argv)
+    if command == "split":
         small = tmp_path / "small"
         save_corpus(make_synthetic_corpus(5, seed=1), small)
-        args = (*argv, "--data", small, "--out", tmp_path / "s.json")
+        args = (command, "--data", small, "--out", tmp_path / "s.json")
     else:
         split = tmp_path / "split.json"
         assert run("split", "--data", data_dir, "--out", split) == 0
         capsys.readouterr()
-        args = (*argv, "--data", data_dir, "--split", split, "--out", tmp_path / "m", "--quiet")
-    assert run(*args) == 1
+        args = (command, "--data", data_dir, "--split", split, "--out", tmp_path / "m")
+        if command == "evaluate":
+            args += ("--model", request.getfixturevalue("trained")[2])
+        else:
+            args += ("--quiet",)
+    # a flag given in argv comes last, so it overrides the defaults above
+    assert run(*args, *flags) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValueError"
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import re
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refgame.corpus import (
+    FILES,
     AnnotatedCorpus,
     Dialogue,
     GoldEntry,
@@ -13,6 +22,7 @@ from refgame.corpus import (
     Message,
     ReferentJudgement,
     Selection,
+    Split,
     corpus_stats,
     load_corpus,
     propagate_auto_referents,
@@ -221,6 +231,10 @@ class TestSplit:
         assert len(all_ids) == len(s1.train) + len(s1.valid) + len(s1.test)
         assert all_ids == set(medium_corpus.dialogues)
 
+    def test_ids_must_be_a_list_of_strings(self):
+        with pytest.raises(SchemaError, match="'train' must be a list of str"):
+            Split.from_dict({"train": "abc", "valid": [], "test": [], "seed": 0})
+
     def test_too_small_corpus(self):
         corpus = make_synthetic_corpus(6, seed=2)
         with pytest.raises(ValueError):
@@ -262,6 +276,34 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             load_corpus(tmp_path)
 
+    # one coercion the loaders once made per case: (file, record, key, damaged value)
+    @pytest.mark.parametrize("name,locate,key,value", [
+        ("dialogues.json", lambda r: r["events"][0], "tokens", "hello"),
+        ("dialogues.json", lambda r: r, "outcome", "false"),
+        ("markables.json", lambda r: r, "generic", "no"),
+        ("markables.json", lambda r: r, "start_token", 0.9),
+        ("markables.json", lambda r: r, "end_token", True),
+        ("judgements.json", lambda r: r, "referents", "12"),
+        ("scenarios.json", lambda r: r["entities"][0], "id", 3.7),
+    ], ids=["tokens", "outcome", "generic", "start_token", "end_token", "referents", "entity_id"])
+    def test_coercible_value_schema_error(self, tmp_path, name, locate, key, value):
+        save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
+        records = json.loads((tmp_path / name).read_text())
+        locate(records[1])[key] = value
+        (tmp_path / name).write_text(json.dumps(records))
+        with pytest.raises(SchemaError, match=re.escape(f"{name}, record 1: ") + f".*{key}"):
+            load_corpus(tmp_path)
+
+    def test_saved_bytes_unchanged(self, tmp_path):
+        save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
+        digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in FILES}
+        assert digests == {
+            "scenarios.json": "7a82de117ad17d6c1fa43bc300eb5cb591f965ad08478f18b898e60a0d8337e3",
+            "dialogues.json": "e14e197a864ea64df793e0fe8be52aa1a09b7613c55ea885132855782ca280af",
+            "markables.json": "f843c9b8bf9ed91746522abe5331b565b429ff2336bad21e6cbbbb1840e9b073",
+            "judgements.json": "0836a7ac8eb89fe20de77b2dd165fc2110a33edc707bc2e585e6d5b79ad034fe",
+        }
+
     def test_judgement_referent_invariant_corpus_wide(self, medium_corpus):
         for mid, js in medium_corpus.judgements.items():
             visible = medium_corpus.visible_to_speaker(medium_corpus.markables[mid])
@@ -290,3 +332,83 @@ class TestRoundTrip:
         sub = AnnotatedCorpus.build(scenarios, dialogues, markables, judgements)
         assert set(sub.dialogues) == set(ids)
         assert all(m.dialogue_id in set(ids) for m in sub.markables.values())
+
+
+# --- fuzz: a field given a JSON type it does not accept ------------------------
+
+# every field of every record kind, with the JSON kinds it accepts; "[k]" is a
+# list whose items are of kind k.  Events 0 and -1 of a synthetic dialogue are
+# a message and a selection.
+FIELDS = [
+    ("scenarios.json", (), "id", "str"),
+    ("scenarios.json", (), "entities", "[object]"),
+    ("scenarios.json", (), "views", "object"),
+    ("scenarios.json", (), "num_shared", "int"),
+    *[("scenarios.json", ("entities", 0), k, "number") for k in ("x", "y", "size", "color")],
+    ("scenarios.json", ("entities", 0), "id", "int"),
+    ("scenarios.json", ("views", "A"), "center", "[number]"),
+    ("scenarios.json", ("views", "B"), "radius", "number"),
+    ("scenarios.json", ("views", "A"), "visible", "[int]"),
+    *[("dialogues.json", (), k, "str") for k in ("id", "scenario_id")],
+    ("dialogues.json", (), "events", "[object]"),
+    ("dialogues.json", (), "outcome", "bool"),
+    *[("dialogues.json", ("events", 0), k, "str") for k in ("type", "speaker")],
+    ("dialogues.json", ("events", 0), "tokens", "[str]"),
+    ("dialogues.json", ("events", -1), "entity_id", "int"),
+    *[("markables.json", (), k, "str") for k in ("id", "dialogue_id", "speaker")],
+    *[("markables.json", (), k, "int") for k in ("utterance_index", "start_token", "end_token")],
+    *[("markables.json", (), k, "bool") for k in ("generic", "all_referents", "no_referent")],
+    *[("markables.json", (), k, "str|null") for k in ("anaphora_of", "cataphora_of")],
+    *[("judgements.json", (), k, "str") for k in ("markable_id", "annotator_id")],
+    ("judgements.json", (), "referents", "[int]"),
+    *[("judgements.json", (), k, "bool") for k in ("ambiguous", "unidentifiable")],
+]
+
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 300),
+    "float": st.floats(-3, 300, allow_nan=False),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(0, 6), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+ACCEPTS = {"number": {"int", "float"}, "str|null": {"str", "null"}}
+
+
+def _wrong_value(accepted: str):
+    """A JSON value of a kind the field does not accept."""
+    item = accepted[1:-1] if accepted.startswith("[") else None
+    allowed = {"list"} if item else ACCEPTS.get(accepted, {accepted})
+    wrong = st.sampled_from(sorted(JSON_KINDS.keys() - allowed)).flatmap(JSON_KINDS.get)
+    if item is None:
+        return wrong
+    return st.one_of(wrong, st.lists(_wrong_value(item), min_size=1, max_size=3))
+
+
+@cache
+def _saved_corpus() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(make_synthetic_corpus(12, seed=3), tmp)
+        return {name: json.loads((Path(tmp) / name).read_text()) for name in FILES}
+
+
+@st.composite
+def _damaged_corpus(draw):
+    name, path, key, accepted = draw(st.sampled_from(FIELDS))
+    records = copy.deepcopy(_saved_corpus())
+    target = draw(st.sampled_from(records[name]))
+    for step in path:
+        target = target[step]
+    target[key] = draw(_wrong_value(accepted))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(_damaged_corpus())
+def test_wrong_json_type_schema_error(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in records.items():
+            (Path(tmp) / name).write_text(json.dumps(data))
+        with pytest.raises(SchemaError):
+            load_corpus(tmp)

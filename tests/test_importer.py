@@ -144,3 +144,17 @@ def test_field_map_renames_files(tmp_path):
     (src / "transcripts.json").unlink()
     corpus = import_bundle(src, field_map={"transcripts_file": "dialogs.json"})
     assert len(corpus.dialogues) == 1
+
+
+@pytest.mark.parametrize("name,index,key,value", [
+    ("markables.json", 0, "no_referent", "false"),
+    ("markables.json", 1, "generic", 0),
+    ("judgements.json", 3, "ambiguous", "no"),
+])
+def test_flag_must_be_boolean(tmp_path, name, index, key, value):
+    bundle = make_bundle(tmp_path)
+    records = json.loads((bundle / name).read_text())
+    records[index][key] = value
+    (bundle / name).write_text(json.dumps(records))
+    with pytest.raises(SchemaError, match=key):
+        import_bundle(bundle)

@@ -80,8 +80,29 @@ class TestOps:
         assert loss == pytest.approx(naive, rel=1e-10)
 
 
+def sigmoid_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d sigmoid from its output.  The REF head trains on logits, so nothing
+    in the package backpropagates through a sigmoid; only this check does."""
+    return dout * out * (1.0 - out)
+
+
 class TestGradChecks:
     """Every primitive's analytic backward vs central differences, >=20 seeds."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_linear_sigmoid_composite(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {"W": rng.normal(size=(4, 3)), "b": rng.normal(size=4), "x": rng.normal(size=(5, 3))}
+        target = rng.normal(size=(5, 4))
+
+        def loss_fn():
+            out = sigmoid(linear(params["x"], params["W"], params["b"]))
+            return float(((out - target) ** 2).sum())
+
+        out = sigmoid(linear(params["x"], params["W"], params["b"]))
+        dx, dw, db = linear_backward(sigmoid_backward(2 * (out - target), out), params["x"], params["W"])
+        rep = gradient_check(loss_fn, params, {"W": dw, "b": db, "x": dx}, seed=seed)
+        assert rep.max_rel_err < 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_linear_tanh_composite(self, seed):
