@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .errors import RefgameError
+from .errors import RefgameError, SchemaError
 from .io import atomic_write_json, atomic_write_text, read_json, read_records
 
 
@@ -30,29 +30,31 @@ def _data_dir(args) -> Path:
 
 
 def _scenario_config(args):
-    from .config import load_config, typed
+    """The ScenarioConfig a ``--config`` file sets: ``scenario.<field>`` for
+    each float or int field and ``scenario.center_distance_<k>``, each cast
+    by its annotation.  Any other key raises SchemaError."""
+    from dataclasses import fields
+
+    from .config import load_config
     from .scenario import ScenarioConfig
 
     values = load_config(args.config) if getattr(args, "config", None) else {}
+    casts = {"float": float, "int": int}
+    distances = ScenarioConfig().center_distance
+    # config key -> (ScenarioConfig field or center_distance k, its annotation)
+    keys = {f"scenario.{f.name}": (f.name, f.type) for f in fields(ScenarioConfig) if f.type in casts}
+    keys.update({f"scenario.center_distance_{k}": (k, "float") for k in distances})
     kwargs = {}
-    for key, cast in (
-        ("world_min", float), ("world_max", float), ("view_radius", float),
-        ("size_min", float), ("size_max", float), ("min_separation", float),
-        ("max_attempts", int),
-    ):
-        v = typed(values, f"scenario.{key}", cast, None)
-        if v is not None:
-            kwargs[key] = v
-    distances = {}
-    for k in (4, 5, 6):
-        v = typed(values, f"scenario.center_distance_{k}", float, None)
-        if v is not None:
-            distances[k] = v
-    if distances:
-        base = ScenarioConfig().center_distance
-        base.update(distances)
-        kwargs["center_distance"] = base
-    return ScenarioConfig(**kwargs)
+    for key, raw in values.items():
+        if key not in keys:
+            raise SchemaError(f"{args.config}: unknown config key {key!r}")
+        name, kind = keys[key]
+        try:
+            value = casts[kind](raw)
+        except ValueError:
+            raise SchemaError(f"{args.config}: {key} = {raw!r} is not {kind}") from None
+        (distances if name in distances else kwargs)[name] = value
+    return ScenarioConfig(**kwargs, center_distance=distances)
 
 
 def cmd_generate(args) -> int:
@@ -70,8 +72,7 @@ def cmd_import(args) -> int:
     from .corpus import save_corpus
     from .importer import import_bundle
 
-    field_map = read_json(args.field_map) if args.field_map else None
-    corpus = import_bundle(args.src, field_map=field_map)
+    corpus = import_bundle(args.src)
     save_corpus(corpus, args.out)
     print(f"imported {len(corpus.dialogues)} dialogues, {len(corpus.markables)} markables -> {args.out}")
     return 0
@@ -271,14 +272,8 @@ def cmd_selfplay(args) -> int:
             args.model, temperature=args.temperature, max_tokens=args.max_tokens
         )
         dtype = factory.model.config.dtype
-    elif args.agent == "random":
-        factory = random_agent
-    elif args.agent == "center":
-        factory = center_agent
-    elif args.agent == "darkest":
-        factory = darkest_agent
     else:
-        raise RefgameError(f"unknown agent {args.agent!r}")
+        factory = {"random": random_agent, "center": center_agent, "darkest": darkest_agent}[args.agent]
     t0 = time.perf_counter()
     result = run_batch(factory, scenarios, protocol, jobs=args.jobs)
     seconds = time.perf_counter() - t0
@@ -403,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("import", help="import a release bundle into the canonical schema")
     p.add_argument("--src", required=True)
-    p.add_argument("--field-map")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_import)
 

@@ -2,8 +2,8 @@
 
 Format: first non-empty line is a version header ``# refgame-config v1``;
 every other line is ``key = value`` (dotted keys, ``#`` comments, blank
-lines allowed).  CLI flags override file values; every experiment parameter
-is therefore file-recordable."""
+lines allowed).  ``refgame generate`` and ``refgame selfplay`` read the
+``scenario.*`` keys of such a file and reject any other key."""
 
 from __future__ import annotations
 
@@ -29,15 +29,3 @@ def load_config(path) -> dict[str, str]:
         key, value = ln.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def typed(values: dict[str, str], key: str, cast, default):
-    if key not in values:
-        return default
-    raw = values[key]
-    try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise SchemaError(f"config key {key}={raw!r}: {exc}") from exc

@@ -3,15 +3,18 @@ canonical corpus schema.
 
 The canonical schema is defined by this package (corpus.py / scenario.py).
 Released data was not available while this adapter was written, so it
-targets the documented *bundle* layout below and accepts a field-map JSON
-that renames keys when the real files differ.  All unit conversions happen
-here: entity coordinates are affinely rescaled into the world box, sizes
-into the default scenario size range (the range the models' features
-assume), colors accept numbers in [0, 256) or grayscale hex strings.
+targets the documented *bundle* layout below.  Every value is read through
+the strict readers of ``io``: a missing key, a value of the wrong JSON type
+(a bool is never a number, an index or an agent), an unknown id or an
+offset outside its utterance raises SchemaError naming the file and
+record.  All unit conversions happen here: entity coordinates are affinely
+rescaled into the world box, sizes into the default scenario size range
+(the range the models' features assume), colors accept numbers in
+[0, 256) or grayscale hex strings.
 
 Expected bundle layout (directory):
   scenarios.json   list of {"uuid", "kbs": [[entity...], [entity...]]}
-                   entity = {"id", "x", "y", "size", "color"}
+                   entity = {"id": string or int, "x", "y", "size", "color"}
   transcripts.json list of {"uuid", "scenario_uuid", "events": [event...]}
                    event = {"action": "message", "agent": 0|1, "data": text}
                          | {"action": "select",  "agent": 0|1, "data": entity id}
@@ -27,6 +30,7 @@ Expected bundle layout (directory):
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .corpus import (
@@ -38,23 +42,19 @@ from .corpus import (
     Selection,
 )
 from .errors import SchemaError
-from .io import from_record, read_json
+from .io import from_record, read_list, read_records, read_value
 from .scenario import COLOR_RANGE, DEFAULT_CONFIG, Entity, Scenario, View
 
 AGENT_NAMES = {0: "A", 1: "B", "0": "A", "1": "B", "A": "A", "B": "B"}
 
-DEFAULT_FIELD_MAP = {
-    "scenarios_file": "scenarios.json",
-    "transcripts_file": "transcripts.json",
-    "markables_file": "markables.json",
-    "judgements_file": "judgements.json",
-}
+# a release's own entity ids
+RawId = int | str
 
 
 def _parse_color(value) -> float:
-    if isinstance(value, (int, float)):
+    if type(value) is not str:
         c = float(value)
-    elif isinstance(value, str) and value.startswith("#") and len(value) == 7:
+    elif re.fullmatch("#[0-9a-fA-F]{6}", value):
         r, g, b = (int(value[i: i + 2], 16) for i in (1, 3, 5))
         c = (r + g + b) / 3.0
     else:
@@ -62,6 +62,19 @@ def _parse_color(value) -> float:
     if not 0.0 <= c < COLOR_RANGE + 1:
         raise SchemaError(f"color {c} outside [0, {COLOR_RANGE})")
     return min(c, COLOR_RANGE - 1e-9)
+
+
+def _agent(record, key: str) -> str:
+    value = read_value(record, key, RawId)
+    if value not in AGENT_NAMES:
+        raise SchemaError(f"{key!r} must name agent 0/1 or A/B, got {value!r}")
+    return AGENT_NAMES[value]
+
+
+def _dense_id(id_map: dict, raw: RawId) -> int:
+    if raw not in id_map:
+        raise SchemaError(f"unknown entity {raw!r}")
+    return id_map[raw]
 
 
 class _Affine:
@@ -77,43 +90,37 @@ class _Affine:
 
 def import_scenario(record: dict) -> tuple[Scenario, dict]:
     """Returns (scenario, original-entity-id -> dense-id map)."""
-    try:
-        uuid = str(record["uuid"])
-        kbs = record["kbs"]
-        if len(kbs) != 2:
-            raise SchemaError(f"scenario {uuid}: expected 2 agent contexts, got {len(kbs)}")
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed scenario record: {exc}") from exc
+    uuid = read_value(record, "uuid", str)
+    kbs = read_list(record, "kbs", list)
+    if len(kbs) != 2:
+        raise SchemaError(f"scenario {uuid}: expected 2 agent contexts, got {len(kbs)}")
 
-    raw: dict[object, dict] = {}
-    membership: dict[object, list[int]] = {}
+    raw: dict[RawId, tuple[float, float, float, float]] = {}
+    membership: dict[RawId, list[int]] = {}
     for agent_idx, kb in enumerate(kbs):
-        if len(kb) != 7:
-            raise SchemaError(f"scenario {uuid}: agent {agent_idx} context must list 7 entities")
-        for e in kb:
-            key = e["id"]
-            if key in raw and raw[key] != e:
+        keys = [read_value(e, "id", RawId) for e in kb]
+        if len(keys) != 7 or len(set(keys)) != 7:
+            raise SchemaError(f"scenario {uuid}: agent {agent_idx} context must list 7 distinct entities")
+        for key, e in zip(keys, kb):
+            attrs = (
+                read_value(e, "x", float),
+                read_value(e, "y", float),
+                read_value(e, "size", float),
+                _parse_color(read_value(e, "color", float | str)),
+            )
+            if raw.setdefault(key, attrs) != attrs:
                 raise SchemaError(f"scenario {uuid}: entity {key} has conflicting attributes")
-            raw[key] = e
             membership.setdefault(key, []).append(agent_idx)
 
-    xs = [float(e["x"]) for e in raw.values()]
-    ys = [float(e["y"]) for e in raw.values()]
-    sizes = [float(e["size"]) for e in raw.values()]
+    xs, ys, sizes, _ = zip(*raw.values())
     fx = _Affine(min(xs), max(xs), -0.9, 0.9)
     fy = _Affine(min(ys), max(ys), -0.9, 0.9)
     fs = _Affine(min(sizes), max(sizes), DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max)
 
     id_map = {key: i for i, key in enumerate(sorted(raw, key=str))}
     entities = tuple(
-        Entity(
-            id=id_map[key],
-            x=fx(float(raw[key]["x"])),
-            y=fy(float(raw[key]["y"])),
-            size=fs(float(raw[key]["size"])),
-            color=_parse_color(raw[key]["color"]),
-        )
-        for key in sorted(raw, key=str)
+        Entity(id=id_map[key], x=fx(x), y=fy(y), size=fs(size), color=color)
+        for key, (x, y, size, color) in sorted(raw.items(), key=lambda kv: str(kv[0]))
     )
     by_id = {e.id: e for e in entities}
 
@@ -136,35 +143,27 @@ def import_scenario(record: dict) -> tuple[Scenario, dict]:
     return scenario, id_map
 
 
-def _tokenize(text: str) -> tuple[str, ...]:
-    return tuple(text.split())
-
-
-def import_dialogue(record: dict, id_map: dict) -> Dialogue:
-    try:
-        uuid = str(record["uuid"])
-        events = []
-        picks = {}
-        for ev in record["events"]:
-            agent = AGENT_NAMES[ev["agent"]]
-            if ev["action"] == "message":
-                events.append(Message(speaker=agent, tokens=_tokenize(str(ev["data"]))))
-            elif ev["action"] == "select":
-                entity = id_map[ev["data"]]
-                picks[agent] = entity
-                events.append(Selection(speaker=agent, entity_id=entity))
-            else:
-                raise SchemaError(f"dialogue {uuid}: unknown action {ev['action']!r}")
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed transcript record: {exc}") from exc
+def import_dialogue(record: dict, id_maps: dict[str, dict]) -> Dialogue:
+    uuid = read_value(record, "uuid", str)
+    sid = read_value(record, "scenario_uuid", str)
+    if sid not in id_maps:
+        raise SchemaError(f"transcript {uuid}: unknown scenario {sid}")
+    events = []
+    picks = {}
+    for ev in read_list(record, "events", dict):
+        agent = _agent(ev, "agent")
+        action = read_value(ev, "action", str)
+        if action == "message":
+            events.append(Message(speaker=agent, tokens=tuple(read_value(ev, "data", str).split())))
+        elif action == "select":
+            entity = _dense_id(id_maps[sid], read_value(ev, "data", RawId))
+            picks[agent] = entity
+            events.append(Selection(speaker=agent, entity_id=entity))
+        else:
+            raise SchemaError(f"dialogue {uuid}: unknown action {action!r}")
     if set(picks) != {"A", "B"}:
         raise SchemaError(f"dialogue {uuid}: needs exactly one selection per agent")
-    return Dialogue(
-        id=uuid,
-        scenario_id=str(record["scenario_uuid"]),
-        events=tuple(events),
-        outcome=picks["A"] == picks["B"],
-    )
+    return Dialogue(id=uuid, scenario_id=sid, events=tuple(events), outcome=picks["A"] == picks["B"])
 
 
 def _char_span_to_tokens(tokens: tuple[str, ...], start_char: int, end_char: int) -> tuple[int, int]:
@@ -185,65 +184,53 @@ def _char_span_to_tokens(tokens: tuple[str, ...], start_char: int, end_char: int
 
 
 def import_markable(record: dict, dialogues: dict[str, Dialogue]) -> Markable:
-    try:
-        mid = str(record["markable_id"])
-        did = str(record["dialogue_uuid"])
-        utt = int(record["utterance"])
-        speaker = AGENT_NAMES[record["speaker"]]
-        dialogue = dialogues[did]
-        tokens = dialogue.messages[utt].tokens
-        if "start_token" in record:
-            start, end = int(record["start_token"]), int(record["end_token"])
-        else:
-            start, end = _char_span_to_tokens(
-                tokens, int(record["start_char"]), int(record["end_char"])
-            )
-        # the flags and links share the canonical names, so the strict reader takes them
-        return from_record(
-            Markable, record, id=mid, dialogue_id=did, utterance_index=utt,
-            start_token=start, end_token=end, speaker=speaker,
+    mid = read_value(record, "markable_id", str)
+    did = read_value(record, "dialogue_uuid", str)
+    utt = read_value(record, "utterance", int)
+    if did not in dialogues:
+        raise SchemaError(f"markable {mid}: unknown dialogue {did}")
+    messages = dialogues[did].messages
+    if not 0 <= utt < len(messages):
+        raise SchemaError(f"markable {mid}: no utterance {utt} in dialogue {did}")
+    tokens = messages[utt].tokens
+    if "start_token" in record:
+        start, end = read_value(record, "start_token", int), read_value(record, "end_token", int)
+    else:
+        start, end = _char_span_to_tokens(
+            tokens, read_value(record, "start_char", int), read_value(record, "end_char", int)
         )
-    except (SchemaError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed markable record {record.get('markable_id')!r}: {exc}") from exc
+    if not 0 <= start < end <= len(tokens):
+        raise SchemaError(f"markable {mid}: span ({start}, {end}) outside its {len(tokens)} tokens")
+    # the flags and links share the canonical names, so the strict reader takes them
+    return from_record(
+        Markable, record, id=mid, dialogue_id=did, utterance_index=utt,
+        start_token=start, end_token=end, speaker=_agent(record, "speaker"),
+    )
 
 
-def import_bundle(src, *, field_map: dict | None = None) -> AnnotatedCorpus:
+def import_judgement(record: dict, id_maps: dict[str, dict]) -> ReferentJudgement:
+    """``id_maps`` maps each markable id to its scenario's entity id map."""
+    mid = read_value(record, "markable_id", str)
+    if mid not in id_maps:
+        raise SchemaError(f"judgement on unknown markable {mid}")
+    return from_record(
+        ReferentJudgement, record,
+        markable_id=mid,
+        annotator_id=read_value(record, "annotator", str),
+        referents=frozenset(_dense_id(id_maps[mid], r) for r in read_list(record, "referents", RawId)),
+    )
+
+
+def import_bundle(src) -> AnnotatedCorpus:
     """Read a release bundle directory and build a validated corpus."""
     src = Path(src)
-    fm = dict(DEFAULT_FIELD_MAP)
-    fm.update(field_map or {})
-
-    scenarios = []
-    id_maps: dict[str, dict] = {}
-    for record in read_json(src / fm["scenarios_file"]):
-        scenario, id_map = import_scenario(record)
-        scenarios.append(scenario)
-        id_maps[scenario.id] = id_map
-
-    dialogues = {}
-    for record in read_json(src / fm["transcripts_file"]):
-        sid = str(record["scenario_uuid"])
-        if sid not in id_maps:
-            raise SchemaError(f"transcript {record.get('uuid')!r}: unknown scenario {sid}")
-        d = import_dialogue(record, id_maps[sid])
-        dialogues[d.id] = d
-
-    markables = [import_markable(r, dialogues) for r in read_json(src / fm["markables_file"])]
-
-    mark_dialogue = {m.id: m.dialogue_id for m in markables}
-    judgements = []
-    for record in read_json(src / fm["judgements_file"]):
-        mid = str(record["markable_id"])
-        if mid not in mark_dialogue:
-            raise SchemaError(f"judgement on unknown markable {mid}")
-        sid = dialogues[mark_dialogue[mid]].scenario_id
-        judgements.append(
-            from_record(
-                ReferentJudgement, record,
-                markable_id=mid,
-                annotator_id=str(record["annotator"]),
-                referents=frozenset(id_maps[sid][r] for r in record["referents"]),
-            )
-        )
-
-    return AnnotatedCorpus.build(scenarios, dialogues.values(), markables, judgements)
+    scenarios = read_records(src / "scenarios.json", import_scenario)
+    id_maps = {scenario.id: id_map for scenario, id_map in scenarios}
+    transcripts = read_records(src / "transcripts.json", lambda r: import_dialogue(r, id_maps))
+    dialogues = {d.id: d for d in transcripts}
+    markables = read_records(src / "markables.json", lambda r: import_markable(r, dialogues))
+    markable_id_maps = {m.id: id_maps[dialogues[m.dialogue_id].scenario_id] for m in markables}
+    judgements = read_records(
+        src / "judgements.json", lambda r: import_judgement(r, markable_id_maps)
+    )
+    return AnnotatedCorpus.build([s for s, _ in scenarios], dialogues.values(), markables, judgements)

@@ -32,24 +32,44 @@ def atomic_write_json(path, obj, *, indent: int | None = 2) -> None:
 
 
 def read_json(path):
+    """The JSON value in ``path``; a file that is not JSON raises SchemaError
+    naming it."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not JSON: {exc}") from None
 
 
 # --- strict record reading ----------------------------------------------------
 
 _NUMBER = frozenset((float, int))
 
-# the JSON types a record field accepts, by the field's annotation; matched by
-# exact type, so a bool is never a number and an int is never a bool
+# the JSON types a field accepts, by its annotation (or the type a reader is
+# given); matched by exact type, so a bool is never a number and an int is
+# never a bool
 _JSON_TYPES = {
     "str": frozenset((str,)),
     "int": frozenset((int,)),
     "float": _NUMBER,
     "bool": frozenset((bool,)),
     "str | None": frozenset((str, type(None))),
+    "int | str": frozenset((int, str)),
+    "float | str": frozenset((float, int, str)),
     "dict": frozenset((dict,)),
+    "list": frozenset((list,)),
 }
+
+
+def _kinds(kind) -> tuple[str, frozenset]:
+    name = getattr(kind, "__name__", str(kind))
+    return name, _JSON_TYPES[name]
+
+
+def _reject(field: str, value, kind: str):
+    if value is MISSING:
+        raise SchemaError(f"{field} is missing")
+    raise SchemaError(f"{field} must be {kind}, got {value!r:.60}")
 
 
 @cache
@@ -64,7 +84,8 @@ def from_record(cls, record, **parsed):
     must have the JSON type its annotation names (a float field also takes
     an int); a missing key takes the field's default.  Fields that need
     parsing (tuples, sets, nested records) arrive built in ``parsed``.
-    Extra keys are ignored.  Raises SchemaError naming the field.
+    Extra keys are ignored.  Raises SchemaError naming the field, also
+    when ``cls`` itself rejects the values with a ValueError.
     """
     if type(record) is not dict:
         raise SchemaError(f"{cls.__name__} record must be an object, got {type(record).__name__}")
@@ -73,22 +94,41 @@ def from_record(cls, record, **parsed):
             continue
         value = record.get(name, default)
         if type(value) not in kinds:
-            if value is MISSING:
-                raise SchemaError(f"{cls.__name__} record lacks {name!r}")
-            raise SchemaError(f"{cls.__name__}.{name} must be {annotation}, got {value!r:.60}")
+            _reject(f"{cls.__name__}.{name}", value, annotation)
         parsed[name] = float(value) if kinds is _NUMBER else value
-    return cls(**parsed)
+    try:
+        return cls(**parsed)
+    except ValueError as exc:
+        raise SchemaError(f"{cls.__name__}: {exc}") from None
 
 
-def read_list(record, key: str, kind: type) -> list:
-    """The JSON list ``record[key]``, whose items must all be of ``kind``
-    (``float`` items may be ints and come back as floats)."""
+def _object(record, key: str) -> dict:
     if type(record) is not dict:
         raise SchemaError(f"expected an object holding {key!r}, got {type(record).__name__}")
-    items = record.get(key)
-    kinds = _JSON_TYPES[kind.__name__]
+    return record
+
+
+def read_value(record, key: str, kind, default=MISSING):
+    """The JSON value ``record[key]``, which must be of ``kind`` (a type or a
+    union such as ``int | str``; a ``float`` may be an int and comes back as
+    a float).  A missing key gives ``default`` if one is given."""
+    record = _object(record, key)
+    if key not in record and default is not MISSING:
+        return default
+    value = record.get(key, MISSING)
+    name, kinds = _kinds(kind)
+    if type(value) not in kinds:
+        _reject(repr(key), value, name)
+    return float(value) if kinds is _NUMBER else value
+
+
+def read_list(record, key: str, kind) -> list:
+    """The JSON list ``record[key]``, whose items must all be of ``kind``
+    (``float`` items may be ints and come back as floats)."""
+    items = _object(record, key).get(key)
+    name, kinds = _kinds(kind)
     if type(items) is not list or not kinds.issuperset(map(type, items)):
-        raise SchemaError(f"{key!r} must be a list of {kind.__name__}, got {items!r:.60}")
+        raise SchemaError(f"{key!r} must be a list of {name}, got {items!r:.60}")
     return [float(v) for v in items] if kinds is _NUMBER else items
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Markable, Message, Split
 from .errors import DivergenceError, SchemaError
-from .io import atomic_write_text, read_json
+from .io import atomic_write_text, from_record, read_json, read_list, read_value
 from .neural import (
     ParamStore,
     add_gru_params,
@@ -109,28 +109,34 @@ def save_checkpoint(net, prefix, fmt: str, **extra) -> None:
 
 
 def load_checkpoint(cls, prefix, fmt: str, config_cls):
-    """Read a ``save_checkpoint`` pair back as ``cls(config, vocab, store)``.
+    """Read a ``save_checkpoint`` pair back into a fresh ``cls(config, vocab)``.
 
     Raises SchemaError when the meta file is not a ``fmt`` checkpoint or is
-    malformed, and when the parameters' names or shapes differ from the
-    layout that a fresh ``cls(config, vocab)`` declares."""
+    malformed, and when the parameters' names, shapes or dtype differ from
+    the layout that ``cls(config, vocab)`` declares."""
     prefix = Path(prefix)
     kind = fmt.removeprefix("refgame-")
+    meta_path = prefix.with_suffix(".meta.json")
+    meta = read_json(meta_path)
     try:
-        meta = read_json(prefix.with_suffix(".meta.json"))
-        if meta.get("format") != fmt:
-            raise SchemaError(f"{prefix}: not a {kind} checkpoint")
-        config, vocab = config_cls(**meta["config"]), Vocabulary(meta["vocab"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{prefix}: malformed {kind} checkpoint meta: {exc!r}") from exc
-    store = ParamStore.load(prefix.with_suffix(".params.json"))
+        if read_value(meta, "format", str) != fmt or read_value(meta, "version", int) != 1:
+            raise SchemaError(f"not a version 1 {kind} checkpoint")
+        config = from_record(config_cls, read_value(meta, "config", dict))
+        vocab = Vocabulary(read_list(meta, "vocab", str))
+    except (SchemaError, ValueError) as exc:
+        raise SchemaError(f"{meta_path}: {exc}") from None
+    params_path = prefix.with_suffix(".params.json")
+    store = ParamStore.load(params_path)
+    net = cls(config, vocab)
     try:
-        cls(config, vocab).store.load_values(store.params)
+        if store.dtype != net.store.dtype:
+            raise ValueError(f"dtype {store.dtype} is not {net.store.dtype}")
+        net.store.load_values(store.params)
     except ValueError as exc:
         raise SchemaError(
-            f"{prefix}: parameters do not match the {kind} config and vocabulary: {exc}"
+            f"{params_path}: parameters do not match the {kind} config and vocabulary: {exc}"
         ) from exc
-    return cls(config, vocab, store=store)
+    return net
 
 
 def check_dtype(dtype: str) -> None:
@@ -282,33 +288,30 @@ def build_examples(
 class GroundingModel:
     """Parameters plus forward/backward for all decoder combinations."""
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, store: ParamStore | None = None):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
         self.heads = variant_heads(config.variant)
-        dt = np.dtype(config.dtype)
-        if store is None:
-            store = ParamStore(seed=config.seed, dtype=dt)
-            c = config
-            de = c.attr_dim + c.rel_dim
-            store.add("emb", (len(vocab), c.embed_dim))
-            add_gru_params(store, "gru", c.embed_dim, c.hidden_dim)
-            store.add("enc_attr.W", (c.attr_dim, 4))
-            store.add("enc_attr.b", (c.attr_dim,), init="zeros")
-            store.add("enc_rel.W", (c.rel_dim, 5))
-            store.add("enc_rel.b", (c.rel_dim,), init="zeros")
-            store.add("attn.We", (c.attn_dim, de))
-            store.add("attn.Wq", (c.attn_dim, c.hidden_dim))
-            store.add("attn.b", (c.attn_dim,), init="zeros")
-            for head in HEADS:
-                if head in self.heads:
-                    store.add(f"attn.v_{head}", (c.attn_dim,), init="uniform")
-            if "dial" in self.heads:
-                store.add("dial.W1", (c.mlp_dim, c.hidden_dim + de))
-                store.add("dial.b1", (c.mlp_dim,), init="zeros")
-                store.add("dial.W2", (len(vocab), c.mlp_dim))
-                store.add("dial.b2", (len(vocab),), init="zeros")
-        self.store = store
+        self.store = store = ParamStore(seed=config.seed, dtype=np.dtype(config.dtype))
+        c = config
+        de = c.attr_dim + c.rel_dim
+        store.add("emb", (len(vocab), c.embed_dim))
+        add_gru_params(store, "gru", c.embed_dim, c.hidden_dim)
+        store.add("enc_attr.W", (c.attr_dim, 4))
+        store.add("enc_attr.b", (c.attr_dim,), init="zeros")
+        store.add("enc_rel.W", (c.rel_dim, 5))
+        store.add("enc_rel.b", (c.rel_dim,), init="zeros")
+        store.add("attn.We", (c.attn_dim, de))
+        store.add("attn.Wq", (c.attn_dim, c.hidden_dim))
+        store.add("attn.b", (c.attn_dim,), init="zeros")
+        for head in HEADS:
+            if head in self.heads:
+                store.add(f"attn.v_{head}", (c.attn_dim,), init="uniform")
+        if "dial" in self.heads:
+            store.add("dial.W1", (c.mlp_dim, c.hidden_dim + de))
+            store.add("dial.b1", (c.mlp_dim,), init="zeros")
+            store.add("dial.W2", (len(vocab), c.mlp_dim))
+            store.add("dial.b2", (len(vocab),), init="zeros")
         self._input_table: np.ndarray | None = None
         self._input_table_version = -1
 

@@ -5,13 +5,7 @@ live in kernels.py."""
 
 from . import kernels
 from .adam import Adam, fit
-from .crf import (
-    crf_log_partition,
-    crf_nll,
-    crf_path_score,
-    crf_posteriors,
-    crf_viterbi,
-)
+from .crf import crf_nll, crf_viterbi
 from .gradcheck import GradCheckReport, gradient_check
 from .gru import add_gru_params, gru_cell, gru_sequence, gru_sequence_backward
 from .ops import (
@@ -38,10 +32,7 @@ __all__ = [
     "ParamStore",
     "add_gru_params",
     "bce_with_logits",
-    "crf_log_partition",
     "crf_nll",
-    "crf_path_score",
-    "crf_posteriors",
     "crf_viterbi",
     "cross_entropy_rows",
     "dropout_mask",

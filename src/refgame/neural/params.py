@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..errors import SchemaError
-from ..io import atomic_write_text
+from ..io import atomic_write_text, read_json, read_list, read_value
 
 CHECKPOINT_VERSION = 1
 
@@ -87,8 +87,10 @@ class ParamStore:
             unexpected = sorted(set(values) - set(self.params))
             raise ValueError(f"parameter name mismatch: missing {missing}, unexpected {unexpected}")
         for k, v in values.items():
-            if v.shape != self.params[k].shape:
-                raise ValueError(f"shape mismatch for {k}: {v.shape} vs {self.params[k].shape}")
+            if v.shape != self.params[k].shape or v.dtype != self.params[k].dtype:
+                raise ValueError(
+                    f"{k} is {v.dtype}{list(v.shape)}, not {self.params[k].dtype}{list(self.params[k].shape)}"
+                )
             self.params[k][...] = v
         self.version += 1
 
@@ -118,29 +120,30 @@ class ParamStore:
     @classmethod
     def from_json_obj(cls, obj) -> "ParamStore":
         """Raises SchemaError unless ``obj`` is a well-formed parameter object:
-        every record has a known dtype, strict base64 data and exactly the
-        bytes its shape needs."""
-        if not isinstance(obj, dict) or obj.get("format") != "refgame-params":
+        every field has its JSON type, and every record has a known dtype,
+        strict base64 data and exactly the bytes its shape needs."""
+        if read_value(obj, "format", str) != "refgame-params":
             raise SchemaError("not a parameter checkpoint")
-        if obj.get("version") != CHECKPOINT_VERSION:
-            raise SchemaError(f"unsupported checkpoint version {obj.get('version')!r}")
+        if read_value(obj, "version", int) != CHECKPOINT_VERSION:
+            raise SchemaError(f"unsupported checkpoint version {obj['version']!r}")
         try:
-            store = cls(seed=int(obj.get("seed", 0)), dtype=np.dtype(obj["dtype"]))
-            for name, rec in obj["params"].items():
-                dt = np.dtype(rec["dtype"]).newbyteorder("<")
-                arr = np.frombuffer(base64.b64decode(rec["data"], validate=True), dtype=dt)
-                arr = arr.astype(np.dtype(rec["dtype"])).reshape(rec["shape"]).copy()
+            store = cls(seed=read_value(obj, "seed", int, 0), dtype=np.dtype(read_value(obj, "dtype", str)))
+            for name, rec in read_value(obj, "params", dict).items():
+                dtype = np.dtype(read_value(rec, "dtype", str))
+                data = base64.b64decode(read_value(rec, "data", str), validate=True)
+                arr = np.frombuffer(data, dtype=dtype.newbyteorder("<"))
+                arr = arr.astype(dtype).reshape(read_list(rec, "shape", int)).copy()
                 store.params[name] = arr
                 store.grads[name] = np.zeros_like(arr)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed parameter checkpoint: {exc!r}") from exc
         return store
 
     @classmethod
     def load(cls, path) -> "ParamStore":
         """Read a ``save`` file; any damage raises SchemaError naming it."""
+        obj = read_json(path)
         try:
-            with open(path, encoding="utf-8") as f:
-                return cls.from_json_obj(json.load(f))
-        except (SchemaError, ValueError) as exc:
+            return cls.from_json_obj(obj)
+        except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc

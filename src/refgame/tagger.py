@@ -116,19 +116,17 @@ def build_tag_examples(
 class MarkableTagger:
     """Bidirectional GRU token encoder + CRF over B/I/O tags."""
 
-    def __init__(self, config: TaggerConfig, vocab: Vocabulary, store: ParamStore | None = None):
+    def __init__(self, config: TaggerConfig, vocab: Vocabulary):
         self.config = config
         self.vocab = vocab
-        if store is None:
-            store = ParamStore(seed=config.seed, dtype=np.dtype(config.dtype))
-            c = config
-            store.add("emb", (len(vocab), c.embed_dim))
-            for direction in ("fwd", "bwd"):
-                add_gru_params(store, direction, c.embed_dim, c.hidden_dim)
-            store.add("emit.W", (3, 2 * c.hidden_dim))
-            store.add("emit.b", (3,), init="zeros")
-            store.add("trans", (3, 3), init="zeros")
-        self.store = store
+        self.store = store = ParamStore(seed=config.seed, dtype=np.dtype(config.dtype))
+        c = config
+        store.add("emb", (len(vocab), c.embed_dim))
+        for direction in ("fwd", "bwd"):
+            add_gru_params(store, direction, c.embed_dim, c.hidden_dim)
+        store.add("emit.W", (3, 2 * c.hidden_dim))
+        store.add("emit.b", (3,), init="zeros")
+        store.add("trans", (3, 3), init="zeros")
 
     def _emissions(self, tokens: np.ndarray):
         p = self.store

@@ -119,9 +119,7 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
     from refgame.model import GroundingModel, ModelConfig, Vocabulary, build_examples, train_model
     from refgame.neural import (
         ParamStore,
-        crf_log_partition,
         crf_nll,
-        crf_path_score,
         cross_entropy_rows,
         gradient_check,
         gru_sequence,
@@ -234,14 +232,21 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         assert rep.max_rel_err < TOL_GRAD, f"variant {variant}: {rep.max_rel_err}"
 
     # -- CRF log-partition vs exhaustive enumeration ------------------------
+    # crf_nll(gold) = log Z - score(gold), so log Z is the NLL plus the score
+    def path_score(em, tr, path, st):
+        return st[path[0]] + sum(em[t, k] for t, k in enumerate(path)) + sum(
+            tr[j, k] for j, k in zip(path, path[1:])
+        )
+
     for seed in range(20):
         r = np.random.default_rng(100 + seed)
         T, K = int(r.integers(1, 6)), int(r.integers(2, 5))
         em, tr, st = r.normal(size=(T, K)), r.normal(size=(K, K)), r.normal(size=K)
-        scores = [crf_path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
+        scores = [path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
         m = max(scores)
         brute = m + math.log(sum(math.exp(s - m) for s in scores))
-        assert abs(crf_log_partition(em, tr, st) - brute) < TOL_CRF
+        gold = tuple(int(k) for k in r.integers(0, K, size=T))
+        assert abs(crf_nll(em, tr, gold, st)[0] + path_score(em, tr, gold, st) - brute) < TOL_CRF
 
     # -- Fleiss multi-pi vs all-pairs brute force ---------------------------
     from collections import Counter

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from refgame.cli import main
-from refgame.config import HEADER, load_config, typed
+from refgame.cli import _scenario_config, main
+from refgame.config import HEADER, load_config
 from refgame.errors import SchemaError
 
 
@@ -40,16 +41,6 @@ def test_malformed_line(tmp_path):
         load_config(path)
 
 
-def test_typed_casts():
-    values = {"a": "3", "b": "0.5", "c": "yes"}
-    assert typed(values, "a", int, None) == 3
-    assert typed(values, "b", float, None) == 0.5
-    assert typed(values, "c", bool, None) is True
-    assert typed(values, "missing", int, 7) == 7
-    with pytest.raises(SchemaError):
-        typed({"a": "xx"}, "a", int, None)
-
-
 def test_cli_generate_honors_config(tmp_path):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(f"{HEADER}\nscenario.view_radius = 0.5\nscenario.size_max = 0.05\n")
@@ -63,3 +54,31 @@ def test_cli_generate_honors_config(tmp_path):
         assert record["views"]["A"]["radius"] == 0.5
         for e in record["entities"]:
             assert e["size"] <= 0.05
+
+
+def test_cli_config_casts_by_field_type(tmp_path):
+    path = tmp_path / "lab.cfg"
+    path.write_text(dump_config({
+        "scenario.max_attempts": "3",
+        "scenario.min_separation": "0.5",
+        "scenario.center_distance_4": "0.9",
+    }))
+    config = _scenario_config(argparse.Namespace(config=path))
+    assert config.max_attempts == 3 and type(config.max_attempts) is int
+    assert config.min_separation == 0.5
+    assert config.center_distance == {4: 0.9, 5: 0.75, 6: 0.5}
+
+
+@pytest.mark.parametrize("line", [
+    "scenario.max_attempts = 1.5",
+    "scenario.view_radius = abc",
+    "scenario.view_raduis = 0.5",
+    "train.epochs = 12",
+], ids=["int-field", "float-field", "misspelt-key", "key-no-command-reads"])
+def test_cli_bad_config_reports_schema_error(tmp_path, capsys, line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"{HEADER}\n{line}\n")
+    for command in ("generate", "selfplay"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "SchemaError" and line.split()[0] in error["message"]

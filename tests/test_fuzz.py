@@ -1,0 +1,208 @@
+"""Hypothesis fuzz of the readers of release bundles and checkpoints: a
+dropped key, a value of a wrong JSON type (a bool for a number included),
+truncated base64 or an offset outside its utterance either still loads (a
+dropped optional key) or raises SchemaError; no other exception escapes."""
+
+from __future__ import annotations
+
+import copy
+import json
+import tempfile
+from dataclasses import fields
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from refgame.errors import SchemaError
+from refgame.importer import import_bundle
+from refgame.model import GroundingModel, ModelConfig, Vocabulary
+from refgame.synth import make_synthetic_corpus
+from refgame.tagger import MarkableTagger, TaggerConfig
+from test_importer import make_bundle
+
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-3, 300),
+    "float": st.floats(-3, 300, allow_nan=False),
+    "str": st.text(max_size=4),
+    "list": st.lists(st.integers(0, 6), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+# the JSON kinds each field kind accepts; a field kind "[k]" is a list of k
+ACCEPTS = {
+    "number": {"int", "float"},
+    "id": {"int", "str"},
+    "color": {"int", "float", "str"},
+    "str|null": {"str", "null"},
+}
+
+
+def _wrong_value(accepted: str):
+    """A JSON value of a kind the field does not accept."""
+    item = accepted[1:-1] if accepted.startswith("[") else None
+    allowed = {"list"} if item else ACCEPTS.get(accepted, {accepted})
+    wrong = st.sampled_from(sorted(JSON_KINDS.keys() - allowed)).flatmap(JSON_KINDS.get)
+    if item is None:
+        return wrong
+    return st.one_of(wrong, st.lists(_wrong_value(item), min_size=1, max_size=3))
+
+
+@st.composite
+def _mutated(draw, files: dict, field_table: list):
+    """``files`` with one field of the table dropped or set to a wrong kind;
+    returns (mutation, files)."""
+    name, path, key, accepted = draw(st.sampled_from(field_table))
+    files = copy.deepcopy(files)
+    target = files[name]
+    for step in path:
+        target = target[step]
+    mutation = draw(st.sampled_from(("drop", "wrong type")))
+    if mutation == "drop":
+        target.pop(key, None)
+    else:
+        target[key] = draw(_wrong_value(accepted))
+    return mutation, files
+
+
+def _load(loader, files: dict, mutation: str):
+    """Write ``files`` and call ``loader`` on their directory.  Only a dropped
+    key may load; every other mutation must raise SchemaError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_text(json.dumps(data))
+        if mutation == "drop":
+            try:
+                loader(Path(tmp))
+            except SchemaError:
+                pass
+        else:
+            with pytest.raises(SchemaError):
+                loader(Path(tmp))
+
+
+# --- release bundles -------------------------------------------------------------
+
+@cache
+def _bundle() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        make_bundle(Path(tmp))
+        return {p.name: json.loads(p.read_text()) for p in Path(tmp).iterdir()}
+
+
+# (file, path to a record, key, field kind); transcript event 0 is a message
+# and event 2 a selection, markable 0 has a char span and markable 1 a token span
+BUNDLE_FIELDS = [
+    ("scenarios.json", (0,), "uuid", "str"),
+    ("scenarios.json", (0,), "kbs", "[list]"),
+    *[("scenarios.json", (0, "kbs", kb, i), "id", "id") for kb, i in ((0, 0), (1, 6))],
+    *[("scenarios.json", (0, "kbs", kb, i), key, "number")
+      for kb, i in ((0, 0), (1, 6)) for key in ("x", "y", "size")],
+    *[("scenarios.json", (0, "kbs", kb, i), "color", "color") for kb, i in ((0, 0), (1, 6))],
+    *[("transcripts.json", (0,), key, "str") for key in ("uuid", "scenario_uuid")],
+    ("transcripts.json", (0,), "events", "[object]"),
+    *[("transcripts.json", (0, "events", i), "action", "str") for i in (0, 2)],
+    *[("transcripts.json", (0, "events", i), "agent", "id") for i in (0, 2)],
+    ("transcripts.json", (0, "events", 0), "data", "str"),
+    ("transcripts.json", (0, "events", 2), "data", "id"),
+    *[("markables.json", (i,), key, kind) for i in (0, 1) for key, kind in (
+        ("markable_id", "str"), ("dialogue_uuid", "str"), ("utterance", "int"), ("speaker", "id"),
+    )],
+    *[("markables.json", (0,), key, "int") for key in ("start_char", "end_char")],
+    *[("markables.json", (1,), key, "int") for key in ("start_token", "end_token")],
+    *[("markables.json", (1,), key, "bool") for key in ("generic", "all_referents", "no_referent")],
+    *[("markables.json", (0,), key, "str|null") for key in ("anaphora_of", "cataphora_of")],
+    *[("judgements.json", (i,), key, kind) for i in (0, 3) for key, kind in (
+        ("markable_id", "str"), ("annotator", "str"), ("referents", "[id]"),
+    )],
+    *[("judgements.json", (3,), key, "bool") for key in ("ambiguous", "unidentifiable")],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(_bundle(), BUNDLE_FIELDS))
+def test_mutated_bundle_schema_error(mutated):
+    mutation, files = mutated
+    _load(import_bundle, files, mutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(0, "start_char"), (0, "end_char"), (0, "utterance"),
+                     (1, "start_token"), (1, "end_token"), (1, "utterance")]),
+    st.one_of(st.integers(max_value=-1), st.integers(min_value=20)),
+)
+def test_out_of_range_offset_schema_error(field, offset):
+    index, key = field
+    files = copy.deepcopy(_bundle())
+    files["markables.json"][index][key] = offset
+    _load(import_bundle, files, "out of range")
+
+
+# --- checkpoints ---------------------------------------------------------------
+
+NETS = {
+    "model": (GroundingModel, ModelConfig(
+        variant="TSEL-REF-DIAL", embed_dim=4, hidden_dim=5, attr_dim=3, rel_dim=2,
+        attn_dim=4, mlp_dim=5,
+    )),
+    "tagger": (MarkableTagger, TaggerConfig(embed_dim=4, hidden_dim=5, dtype="float32")),
+}
+FIELD_KINDS = {"str": "str", "int": "int", "float": "number"}
+
+
+@cache
+def _checkpoint(net: str) -> dict:
+    cls, config = NETS[net]
+    corpus = make_synthetic_corpus(2, seed=4)
+    vocab = Vocabulary.from_corpus(corpus, sorted(corpus.dialogues))
+    with tempfile.TemporaryDirectory() as tmp:
+        cls(config, vocab).save(Path(tmp) / "net")
+        return {p.name: json.loads(p.read_text()) for p in Path(tmp).iterdir()}
+
+
+def _checkpoint_fields(net: str) -> list:
+    """(file, path, key, field kind) for the meta file, its config and the
+    params file with two of its records."""
+    config = NETS[net][1]
+    meta = (("format", "str"), ("version", "int"), ("config", "object"), ("vocab", "[str]"))
+    params = (("format", "str"), ("version", "int"), ("seed", "int"), ("dtype", "str"), ("params", "object"))
+    record = (("shape", "[int]"), ("dtype", "str"), ("data", "str"))
+    return [
+        *[("net.meta.json", (), key, kind) for key, kind in meta],
+        *[("net.meta.json", ("config",), f.name, FIELD_KINDS[f.type]) for f in fields(config)],
+        *[("net.params.json", (), key, kind) for key, kind in params],
+        *[("net.params.json", ("params", name), key, kind)
+          for name in ("emb", "trans" if net == "tagger" else "attn.b") for key, kind in record],
+    ]
+
+
+@pytest.mark.parametrize("net", sorted(NETS))
+def test_mutated_checkpoint_schema_error(net):
+    cls = NETS[net][0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated(_checkpoint(net), _checkpoint_fields(net)))
+    def check(mutated):
+        mutation, files = mutated
+        _load(lambda path: cls.load(path / "net"), files, mutation)
+
+    check()
+
+
+@pytest.mark.parametrize("net", sorted(NETS))
+def test_truncated_base64_schema_error(net):
+    cls = NETS[net][0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(_checkpoint(net)["net.params.json"]["params"])), st.data())
+    def check(name, data):
+        files = copy.deepcopy(_checkpoint(net))
+        record = files["net.params.json"]["params"][name]
+        record["data"] = record["data"][: data.draw(st.integers(0, len(record["data"]) - 1))]
+        _load(lambda path: cls.load(path / "net"), files, "truncated")
+
+    check()

@@ -4,6 +4,7 @@ string entity ids, char-offset spans) into the canonical schema."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -138,14 +139,6 @@ def test_wrong_kb_size_rejected(tmp_path):
         import_bundle(src)
 
 
-def test_field_map_renames_files(tmp_path):
-    src = make_bundle(tmp_path)
-    (src / "dialogs.json").write_text((src / "transcripts.json").read_text())
-    (src / "transcripts.json").unlink()
-    corpus = import_bundle(src, field_map={"transcripts_file": "dialogs.json"})
-    assert len(corpus.dialogues) == 1
-
-
 @pytest.mark.parametrize("name,index,key,value", [
     ("markables.json", 0, "no_referent", "false"),
     ("markables.json", 1, "generic", 0),
@@ -157,4 +150,50 @@ def test_flag_must_be_boolean(tmp_path, name, index, key, value):
     records[index][key] = value
     (bundle / name).write_text(json.dumps(records))
     with pytest.raises(SchemaError, match=key):
+        import_bundle(bundle)
+
+
+DROP = object()
+
+
+# (file, path into the file, key, new value or DROP): a dropped key, a value
+# of the wrong JSON type, an unknown id or an index outside its range
+@pytest.mark.parametrize("name,path,key,value", [
+    ("judgements.json", (0,), "markable_id", DROP),
+    ("judgements.json", (0,), "annotator", DROP),
+    ("judgements.json", (0,), "referents", ["zz"]),
+    ("judgements.json", (0,), "referents", "s0"),
+    ("judgements.json", (0,), "referents", [True]),
+    ("transcripts.json", (0,), "scenario_uuid", DROP),
+    ("transcripts.json", (0, "events", 1), "agent", True),
+    ("transcripts.json", (0, "events", 2), "data", "zz"),
+    ("scenarios.json", (0, "kbs", 0, 4), "x", DROP),
+    ("scenarios.json", (0, "kbs", 0, 0), "x", "abc"),
+    ("scenarios.json", (0, "kbs", 0, 4), "x", True),
+    ("scenarios.json", (0, "kbs", 0, 4), "color", True),
+    ("scenarios.json", (0, "kbs", 0), 6, _entity("a1", 60, 200, 11, 120)),
+    ("markables.json", (1,), "utterance", 1.9),
+    ("markables.json", (1,), "utterance", -1),
+    ("markables.json", (1,), "start_token", "3"),
+    ("markables.json", (1,), "end_token", 9),
+    ("markables.json", (1,), "speaker", True),
+], ids=[
+    "judgement-without-markable-id", "judgement-without-annotator", "unknown-referent",
+    "referents-string", "referent-bool", "transcript-without-scenario", "agent-bool",
+    "select-unknown-entity", "entity-without-x", "x-string", "x-bool", "color-bool", "entity-listed-twice",
+    "utterance-float", "utterance-negative", "start-token-string", "end-token-past-utterance",
+    "speaker-bool",
+])
+def test_damaged_bundle_raises_schema_error(tmp_path, name, path, key, value):
+    bundle = make_bundle(tmp_path)
+    records = json.loads((bundle / name).read_text())
+    target = records
+    for step in path:
+        target = target[step]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    (bundle / name).write_text(json.dumps(records))
+    with pytest.raises(SchemaError, match=re.escape(f"{name}, record {path[0]}: ")):
         import_bundle(bundle)

@@ -55,6 +55,19 @@ PARAMS_DAMAGE = {
     "bad base64": _damaged_record(data=lambda rec: rec["data"][:-1]),
     "unknown dtype": _damaged_record(dtype=lambda rec: "float1000"),
     "data longer than shape": _damaged_record(shape=lambda rec: [1, rec["shape"][1]]),
+    "seed string": lambda obj: json.dumps({**obj, "seed": str(obj["seed"])}),
+    "seed float": lambda obj: json.dumps({**obj, "seed": obj["seed"] + 0.9}),
+    "seed bool": lambda obj: json.dumps({**obj, "seed": True}),
+    "file dtype unlike the meta's": lambda obj: json.dumps({**obj, "dtype": "float32"}),
+}
+
+# changes to the saved config in the meta file; each value has the wrong JSON type
+META_CONFIG_DAMAGE = {
+    "hidden_dim float": lambda config: {**config, "hidden_dim": float(config["hidden_dim"])},
+    "seed string": lambda config: {**config, "seed": str(config["seed"])},
+    "embed_dim bool": lambda config: {**config, "embed_dim": True},
+    "dropout string": lambda config: {**config, "dropout": str(config["dropout"])},
+    "lr null": lambda config: {**config, "lr": None},
 }
 
 
@@ -492,6 +505,17 @@ class TestCheckpoint:
         del meta["config"]
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(SchemaError, match="config"):
+            GroundingModel.load(tmp_path / "model")
+
+    @pytest.mark.parametrize("damage", sorted(META_CONFIG_DAMAGE))
+    def test_load_rejects_damaged_meta_config(self, micro, tmp_path, damage):
+        corpus, gold, ids, vocab = micro
+        GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
+        meta_path = tmp_path / "model.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"] = META_CONFIG_DAMAGE[damage](meta["config"])
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(SchemaError, match="model.meta.json"):
             GroundingModel.load(tmp_path / "model")
 
     def test_eval_batch_order_independent(self, micro):

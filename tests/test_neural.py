@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,7 @@ from refgame.neural import (
     Adam,
     ParamStore,
     bce_with_logits,
-    crf_log_partition,
     crf_nll,
-    crf_path_score,
-    crf_posteriors,
     crf_viterbi,
     cross_entropy_rows,
     dropout_mask,
@@ -229,11 +228,28 @@ class TestGRU:
         assert all(g.dtype == np.float32 for g in grads.values())
 
 
+def _path_score(emissions, transitions, tags, start=None) -> float:
+    """Score of one tag path, one term at a time (reference)."""
+    score = 0.0 if start is None else start[tags[0]]
+    for t, tag in enumerate(tags):
+        score += emissions[t, tag]
+        if t:
+            score += transitions[tags[t - 1], tag]
+    return float(score)
+
+
+def _log_partition(emissions, transitions, start=None) -> float:
+    """log Z from crf_nll: the NLL of any path plus that path's score."""
+    tags = [0] * len(emissions)
+    nll = crf_nll(emissions, transitions, tags, start)[0]
+    return nll + _path_score(emissions, transitions, tags, start)
+
+
 class TestCRF:
     def test_single_step_uniform(self):
         em = np.zeros((1, 2))
         tr = np.zeros((2, 2))
-        assert crf_log_partition(em, tr) == pytest.approx(math.log(2.0))
+        assert crf_nll(em, tr, [1])[0] == pytest.approx(math.log(2.0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_log_partition_vs_enumeration(self, seed):
@@ -243,10 +259,12 @@ class TestCRF:
         em = rng.normal(size=(T, K))
         tr = rng.normal(size=(K, K))
         st = rng.normal(size=K)
-        scores = [crf_path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
+        scores = [_path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
         m = max(scores)
         brute = m + math.log(sum(math.exp(s - m) for s in scores))
-        assert abs(crf_log_partition(em, tr, st) - brute) < 1e-9
+        gold = rng.integers(0, K, size=T)
+        assert abs(crf_nll(em, tr, gold, st)[0] - (brute - _path_score(em, tr, gold, st))) < 1e-9
+        assert abs(_ref_alphas(em, tr, st)[1] - brute) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_viterbi_vs_enumeration(self, seed):
@@ -256,12 +274,12 @@ class TestCRF:
         em = rng.normal(size=(T, K))
         tr = rng.normal(size=(K, K))
         paths = list(product(range(K), repeat=T))
-        scores = [crf_path_score(em, tr, p) for p in paths]
+        scores = [_path_score(em, tr, p) for p in paths]
         best = max(scores)
         path, score = crf_viterbi(em, tr)
         assert score == pytest.approx(best, abs=1e-9)
-        assert crf_path_score(em, tr, path) == pytest.approx(best, abs=1e-9)
-        assert score <= crf_log_partition(em, tr) + 1e-12
+        assert _path_score(em, tr, path) == pytest.approx(best, abs=1e-9)
+        assert score <= _log_partition(em, tr) + 1e-12
 
     def test_viterbi_lowest_index_ties(self):
         em = np.zeros((3, 3))
@@ -270,12 +288,29 @@ class TestCRF:
         assert path == [0, 0, 0]
 
     def test_posteriors_sum_to_one(self):
+        # crf_nll's gradients are the marginals minus the gold counts, so adding
+        # the gold counts back gives the marginals; check them by enumeration
         rng = np.random.default_rng(5)
-        em = rng.normal(size=(6, 3))
-        tr = rng.normal(size=(3, 3))
-        unary, pair, _ = crf_posteriors(em, tr)
+        T, K = 6, 3
+        em = rng.normal(size=(T, K))
+        tr = rng.normal(size=(K, K))
+        st = rng.normal(size=K)
+        tags = rng.integers(0, K, size=T)
+        _, d_em, d_tr, d_st = crf_nll(em, tr, tags, st)
+        unary, pairs = d_em.copy(), d_tr.copy()
+        unary[np.arange(T), tags] += 1.0
+        np.add.at(pairs, (tags[:-1], tags[1:]), 1.0)
         assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(pair.sum(axis=(1, 2)), 1.0, atol=1e-9)
+        assert pairs.sum() == pytest.approx(T - 1, abs=1e-9)
+        assert np.allclose(d_st + np.eye(K)[tags[0]], unary[0], atol=1e-12)
+        logz = _log_partition(em, tr, st)
+        brute_unary, brute_pairs = np.zeros((T, K)), np.zeros((K, K))
+        for path in product(range(K), repeat=T):
+            prob = math.exp(_path_score(em, tr, path, st) - logz)
+            brute_unary[np.arange(T), path] += prob
+            np.add.at(brute_pairs, (path[:-1], path[1:]), prob)
+        assert np.allclose(unary, brute_unary, atol=1e-9)
+        assert np.allclose(pairs, brute_pairs, atol=1e-9)
 
     def test_gold_path_likelihood_nonpositive(self):
         rng = np.random.default_rng(6)
@@ -289,17 +324,13 @@ class TestCRF:
         rng = np.random.default_rng(7)
         em = rng.normal(size=(4, 3))
         tr = rng.normal(size=(3, 3))
-        logz = crf_log_partition(em, tr)
-        total = sum(
-            math.exp(crf_path_score(em, tr, p) - logz)
-            for p in product(range(3), repeat=4)
-        )
+        total = sum(math.exp(-crf_nll(em, tr, p)[0]) for p in product(range(3), repeat=4))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_nonfinite_emissions_rejected(self):
         em = np.array([[0.0, np.inf]])
         with pytest.raises(ValueError):
-            crf_log_partition(em, np.zeros((2, 2)))
+            crf_nll(em, np.zeros((2, 2)), [0])
 
 
 def _ref_alphas(emissions, transitions, start):
@@ -493,3 +524,25 @@ class TestParamStore:
         norm = store.clip_grad_global_norm(1.0)
         assert norm == pytest.approx(20.0)
         assert store.grad_global_norm() == pytest.approx(1.0)
+
+
+# The ROADMAP keeps the finite-difference gradient checks, which only tests call.
+TEST_ONLY_EXPORTS = {"gradient_check", "GradCheckReport"}
+
+
+def test_every_neural_export_has_a_library_caller():
+    import refgame
+    import refgame.neural
+
+    src = Path(refgame.__file__).parent
+    text = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "neural" / "__init__.py"
+    )
+    uncalled = [
+        name for name in refgame.neural.__all__
+        if name not in TEST_ONLY_EXPORTS
+        and not re.search(rf"(?<!def )(?<!class )\b{re.escape(name)}\b", text)
+    ]
+    assert uncalled == []
