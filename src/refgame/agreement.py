@@ -331,14 +331,11 @@ def silverman_bandwidth(samples: Sequence[float]) -> float:
 def color_kde(
     corpus: AnnotatedCorpus,
     adjectives: Sequence[str],
-    gold: Mapping[str, GoldEntry] | None = None,
-    bandwidth: float | None = None,
+    gold: Mapping[str, GoldEntry],
 ) -> dict[str, ColorKDE]:
     """Density of gold-referent colors for markables containing each
-    adjective (exact token match inside the markable span).  Bandwidth is
-    Silverman's rule per adjective unless given."""
-    if gold is None:
-        gold = aggregate_corpus_gold(corpus)
+    adjective (exact token match inside the markable span), with
+    Silverman's-rule bandwidth per adjective."""
     out = {}
     for adj in adjectives:
         colors: list[float] = []
@@ -352,6 +349,7 @@ def color_kde(
             colors.extend(scenario.entity(e).color for e in sorted(entry.referents))
         if not colors:
             raise ValueError(f"no referent color samples for adjective {adj!r}")
-        bw = bandwidth if bandwidth is not None else silverman_bandwidth(colors)
-        out[adj] = ColorKDE(adjective=adj, samples=tuple(colors), bandwidth=bw)
+        out[adj] = ColorKDE(
+            adjective=adj, samples=tuple(colors), bandwidth=silverman_bandwidth(colors)
+        )
     return out

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .errors import RefgameError, SchemaError
+from .errors import RefgameError
 from .io import atomic_write_json, atomic_write_text, read_json, read_records
 
 
@@ -30,31 +30,9 @@ def _data_dir(args) -> Path:
 
 
 def _scenario_config(args):
-    """The ScenarioConfig a ``--config`` file sets: ``scenario.<field>`` for
-    each float or int field and ``scenario.center_distance_<k>``, each cast
-    by its annotation.  Any other key raises SchemaError."""
-    from dataclasses import fields
+    from .scenario import DEFAULT_CONFIG, load_scenario_config
 
-    from .config import load_config
-    from .scenario import ScenarioConfig
-
-    values = load_config(args.config) if getattr(args, "config", None) else {}
-    casts = {"float": float, "int": int}
-    distances = ScenarioConfig().center_distance
-    # config key -> (ScenarioConfig field or center_distance k, its annotation)
-    keys = {f"scenario.{f.name}": (f.name, f.type) for f in fields(ScenarioConfig) if f.type in casts}
-    keys.update({f"scenario.center_distance_{k}": (k, "float") for k in distances})
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in keys:
-            raise SchemaError(f"{args.config}: unknown config key {key!r}")
-        name, kind = keys[key]
-        try:
-            value = casts[kind](raw)
-        except ValueError:
-            raise SchemaError(f"{args.config}: {key} = {raw!r} is not {kind}") from None
-        (distances if name in distances else kwargs)[name] = value
-    return ScenarioConfig(**kwargs, center_distance=distances)
+    return load_scenario_config(args.config) if args.config else DEFAULT_CONFIG
 
 
 def cmd_generate(args) -> int:
@@ -185,9 +163,11 @@ def cmd_train(args) -> int:
     if args.task == "tagger":
         from .tagger import TaggerConfig, train_tagger
 
-        model_only = sorted(set(given) - {f.name for f in fields(TaggerConfig)})
+        model_only = set(given) - {f.name for f in fields(TaggerConfig)}
+        if args.gold:
+            model_only.add("gold")
         if model_only:
-            flags = ", ".join("--" + k.replace("_", "-") for k in model_only)
+            flags = ", ".join("--" + k.replace("_", "-") for k in sorted(model_only))
             raise RefgameError(f"--task tagger does not take {flags}")
         config = TaggerConfig(**given)
         result = train_tagger(corpus, split, config, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet)
@@ -255,21 +235,23 @@ def cmd_selfplay(args) -> int:
         run_batch,
     )
 
+    if args.agent == "model" and not args.model:
+        raise RefgameError("--agent model needs --model PREFIX")
+    if args.agent != "model" and (args.model or args.tagger):
+        raise RefgameError(f"--agent {args.agent} does not take --model or --tagger")
+    if args.render_games > 0 and not args.tagger:
+        raise RefgameError("--render-games needs --tagger")
     shared = [int(s) for s in args.shared.split(",")]
     config = _scenario_config(args)
     scenarios = generate_scenarios(config, {k: args.games for k in shared}, seed=args.seed)
-    protocol = ProtocolConfig(
-        temperature=args.temperature,
-        max_utterances=args.max_utterances,
-        max_tokens_per_utterance=args.max_tokens,
-        seed=args.seed,
-    )
+    # flags left out take the ProtocolConfig defaults
+    flags = {"temperature": args.temperature, "max_utterances": args.max_utterances,
+             "max_tokens_per_utterance": args.max_tokens}
+    protocol = ProtocolConfig(**{k: v for k, v in flags.items() if v is not None}, seed=args.seed)
     dtype = None
     if args.agent == "model":
-        if not args.model:
-            raise RefgameError("--agent model needs --model PREFIX")
         factory = CheckpointAgentFactory(
-            args.model, temperature=args.temperature, max_tokens=args.max_tokens
+            args.model, protocol.temperature, protocol.max_tokens_per_utterance
         )
         dtype = factory.model.config.dtype
     else:
@@ -280,8 +262,6 @@ def cmd_selfplay(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.tagger:
-        if args.agent != "model":
-            raise RefgameError("--tagger annotation needs --agent model")
         from .render import render_dialogue
         from .selfplay import annotate_transcript
         from .tagger import MarkableTagger
@@ -467,14 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_tag)
 
-    p = sub.add_parser("selfplay", help="play batches of referring games")
+    p = sub.add_parser(
+        "selfplay", help="play batches of referring games",
+        description="--temperature, --max-utterances and --max-tokens left out take the "
+                    "ProtocolConfig default.",
+    )
     p.add_argument("--agent", choices=("model", "random", "center", "darkest"), default="darkest")
     p.add_argument("--model")
     p.add_argument("--shared", default="4,5,6")
     p.add_argument("--games", type=int, default=100)
-    p.add_argument("--temperature", type=float, default=0.25)
-    p.add_argument("--max-utterances", type=int, default=20)
-    p.add_argument("--max-tokens", type=int, default=30)
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--max-utterances", type=int)
+    p.add_argument("--max-tokens", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")

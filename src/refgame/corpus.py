@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -100,14 +100,16 @@ class AnnotatedCorpus:
     @classmethod
     def build(
         cls,
-        scenarios: Iterable[Scenario],
-        dialogues: Iterable[Dialogue],
-        markables: Iterable[Markable],
+        scenarios: Collection[Scenario],
+        dialogues: Collection[Dialogue],
+        markables: Collection[Markable],
         judgements: Iterable[ReferentJudgement],
     ) -> "AnnotatedCorpus":
-        sc = {s.id: s for s in scenarios}
-        dl = {d.id: d for d in dialogues}
-        mk = {m.id: m for m in markables}
+        """Key the records by id and validate the corpus; two scenarios,
+        dialogues or markables with one id raise IntegrityError."""
+        sc = _by_id("scenario", scenarios)
+        dl = _by_id("dialogue", dialogues)
+        mk = _by_id("markable", markables)
         jd: dict[str, list[ReferentJudgement]] = {}
         for j in judgements:
             jd.setdefault(j.markable_id, []).append(j)
@@ -143,6 +145,14 @@ class AnnotatedCorpus:
 
     def markable_tokens(self, markable: Markable) -> tuple[str, ...]:
         return self.utterance_tokens(markable)[markable.start_token:markable.end_token]
+
+
+def _by_id(kind: str, records: Collection) -> dict:
+    by_id = {r.id: r for r in records}
+    if len(by_id) != len(records):
+        counts = Counter(r.id for r in records)
+        raise IntegrityError(f"duplicate {kind} id {next(k for k, n in counts.items() if n > 1)}")
+    return by_id
 
 
 # --- validation -------------------------------------------------------------

@@ -233,4 +233,4 @@ def import_bundle(src) -> AnnotatedCorpus:
     judgements = read_records(
         src / "judgements.json", lambda r: import_judgement(r, markable_id_maps)
     )
-    return AnnotatedCorpus.build([s for s, _ in scenarios], dialogues.values(), markables, judgements)
+    return AnnotatedCorpus.build([s for s, _ in scenarios], transcripts, markables, judgements)

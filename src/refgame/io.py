@@ -27,8 +27,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def atomic_write_json(path, obj, *, indent: int | None = 2) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=indent, ensure_ascii=False) + "\n")
+def atomic_write_json(path, obj) -> None:
+    atomic_write_text(path, json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
 
 
 def read_json(path):

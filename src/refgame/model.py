@@ -155,9 +155,6 @@ class ModelConfig:
     attn_dim: int = 256
     mlp_dim: int = 256
     dropout: float = 0.5
-    w_tsel: float = 1.0
-    w_ref: float = 1.0
-    w_dial: float = 1.0
     lr: float = 1e-3
     grad_clip: float = 0.5
     batch_size: int = 16
@@ -446,13 +443,10 @@ class GroundingModel:
             loss_fn = bce_with_logits if head == "ref" else cross_entropy_rows
             losses[head], dout = loss_fn(out, targets)
             if backward:
-                w = getattr(cfg, f"w_{head}")
-                dq = self._head_backward(head, w * dout, cache, d_entities)
+                dq = self._head_backward(head, dout, cache, d_entities)
                 np.add.at(d_hd, rows.T, dq / rows.shape[1])
 
-        total = sum(
-            getattr(cfg, f"w_{head}") * value for head, value in losses.items()
-        )
+        total = sum(losses.values())
         losses["total"] = total
         if not np.isfinite(total):
             raise DivergenceError(

@@ -15,20 +15,15 @@ from ..io import atomic_write_text
 from .params import ParamStore
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        store: ParamStore,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, store: ParamStore, lr: float = 1e-3):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
@@ -36,19 +31,19 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         self.store.version += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for name, p in self.store.params.items():
             g = self.store.grads[name]
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient for parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 def fit(

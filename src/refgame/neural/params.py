@@ -52,12 +52,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0

@@ -106,8 +106,6 @@ def render_dialogue(
     scenario: Scenario,
     markables: Sequence[Markable],
     referents: Mapping[str, frozenset[int] | set[int]],
-    *,
-    title: str = "",
 ) -> str:
     """Static HTML page: one SVG panel per agent view with highlight rings,
     and the dialogue text with markable spans underlined in matching
@@ -166,7 +164,7 @@ def render_dialogue(
     outcome = "success" if dialogue.outcome else "failure"
     svg_a = render_view(scenario.view_a, scenario, panel_highlights["A"], title="A's view")
     svg_b = render_view(scenario.view_b, scenario, panel_highlights["B"], title="B's view")
-    head = title or f"dialogue {dialogue.id}"
+    head = f"dialogue {dialogue.id}"
     return (
         "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"/>"
         f"<title>{escape_xml(head)}</title>"

@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import GenerationError, SchemaError
-from .io import atomic_write_json, from_record, read_list, read_records
+from .io import atomic_write_json, from_record, read_json, read_list, read_records, read_value
 
 AGENTS = ("A", "B")
 SHARED_COUNTS = (4, 5, 6)
@@ -110,6 +110,27 @@ class ScenarioConfig:
 
 
 DEFAULT_CONFIG = ScenarioConfig()
+
+
+def load_scenario_config(path) -> ScenarioConfig:
+    """The ScenarioConfig a JSON ``--config`` file sets: an object of
+    ScenarioConfig fields, with ``center_distance`` keyed by "4"/"5"/"6"
+    and merged over the defaults.  An unknown key, a value of the wrong
+    JSON type or one that ScenarioConfig rejects raises SchemaError naming
+    the file."""
+    record = read_json(path)
+    try:
+        distances = read_value(record, "center_distance", dict, {})
+        unknown = set(record) - {f.name for f in fields(ScenarioConfig)}
+        unknown |= {f"center_distance.{k}" for k in set(distances) - {str(k) for k in SHARED_COUNTS}}
+        if unknown:
+            raise SchemaError(f"unknown config keys {sorted(unknown)}")
+        merged = DEFAULT_CONFIG.center_distance | {
+            int(k): read_value(distances, k, float) for k in distances
+        }
+        return from_record(ScenarioConfig, record, center_distance=merged)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _inside_view(x: float, y: float, size: float, center: tuple[float, float], radius: float) -> bool:

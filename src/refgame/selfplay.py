@@ -193,8 +193,7 @@ class ModelAgent:
     (a truncated utterance, a ``[SEL]`` event, the partner's turn) is fed
     token by token onto the committed state."""
 
-    def __init__(self, model: GroundingModel, temperature: float = 0.25,
-                 max_tokens: int = 30):
+    def __init__(self, model: GroundingModel, temperature: float, max_tokens: int):
         if "dial" not in model.heads or "tsel" not in model.heads:
             raise ValueError("selfplay needs a variant with TSEL and DIAL heads")
         self.model = model
@@ -388,7 +387,7 @@ class CheckpointAgentFactory:
     """Picklable model-agent factory for multi-process batches: each worker
     loads the checkpoint once and reuses it."""
 
-    def __init__(self, prefix, temperature: float = 0.25, max_tokens: int = 30):
+    def __init__(self, prefix, temperature: float, max_tokens: int):
         self.prefix = str(prefix)
         self.temperature = temperature
         self.max_tokens = max_tokens

@@ -243,16 +243,11 @@ def train_tagger(
     return TaggerTrainResult(tagger=tagger, history=history, best_epoch=best_epoch)
 
 
-def predict_markables(
-    tagger: MarkableTagger, corpus_or_dialogues, dialogue_ids: Iterable[str] | None = None
-) -> list[Markable]:
-    """Run the tagger over dialogues and emit markable records (span
-    detection only; no flags or links)."""
+def predict_markables(tagger: MarkableTagger, corpus_or_dialogues) -> list[Markable]:
+    """Run the tagger over dialogues (a corpus's in id order) and emit
+    markable records (span detection only; no flags or links)."""
     if isinstance(corpus_or_dialogues, AnnotatedCorpus):
-        dialogues = [
-            corpus_or_dialogues.dialogues[d]
-            for d in (dialogue_ids if dialogue_ids is not None else sorted(corpus_or_dialogues.dialogues))
-        ]
+        dialogues = [corpus_or_dialogues.dialogues[d] for d in sorted(corpus_or_dialogues.dialogues)]
     else:
         dialogues = list(corpus_or_dialogues)
     out = []

@@ -285,7 +285,8 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         assert got == oracle
 
     # -- KDE normalization ---------------------------------------------------
-    kdes = color_kde(medium_corpus, ["dark", "light", "gray"])
+    gold = aggregate_corpus_gold(medium_corpus)
+    kdes = color_kde(medium_corpus, ["dark", "light", "gray"], gold)
     for kde in kdes.values():
         x, d = kde.grid(n=4096)
         assert abs(np.trapezoid(d, x) - 1.0) < TOL_KDE

@@ -253,21 +253,24 @@ class TestColorKDE:
         assert kde.density(128.0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_density_integrates_to_one(self, medium_corpus):
-        kdes = color_kde(medium_corpus, ["dark", "light"])
+        gold = aggregate_corpus_gold(medium_corpus)
+        kdes = color_kde(medium_corpus, ["dark", "light"], gold)
         for kde in kdes.values():
             x, d = kde.grid(n=2048)
             assert np.trapezoid(d, x) == pytest.approx(1.0, abs=1e-3)
 
     def test_adjective_distributions_overlap(self, medium_corpus):
-        kdes = color_kde(medium_corpus, ["dark", "light"])
+        gold = aggregate_corpus_gold(medium_corpus)
+        kdes = color_kde(medium_corpus, ["dark", "light"], gold)
         # integral of min(density_dark, density_light): nonzero iff the curves overlap
         x = np.linspace(-64.0, 320.0, 2048)
         overlap = np.trapezoid(np.minimum(kdes["dark"].density(x), kdes["light"].density(x)), x)
         assert overlap > 0.0
 
     def test_unknown_adjective_raises(self, medium_corpus):
+        gold = aggregate_corpus_gold(medium_corpus)
         with pytest.raises(ValueError):
-            color_kde(medium_corpus, ["zebra"])
+            color_kde(medium_corpus, ["zebra"], gold)
 
     def test_silverman_positive(self):
         rng = np.random.default_rng(0)

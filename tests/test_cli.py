@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,14 @@ class TestModelCommands:
         }
         assert summary["version"] == __version__
 
+    def test_selfplay_flags_left_out_take_protocol_defaults(self, tmp_path):
+        from refgame.selfplay import ProtocolConfig
+
+        out = tmp_path / "spd"
+        assert run("selfplay", "--shared", "4", "--games", "1", "--seed", "7", "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["protocol"] == asdict(ProtocolConfig(seed=7))
+
     def test_tagger_train_and_tag(self, data_dir, tagger_ckpt, tmp_path):
         out = tmp_path / "markables.json"
         assert run(
@@ -333,12 +342,18 @@ LIST_FILE = "<a file holding []>"
     (("split",), "ValueError"),
     (("train", "--split", LIST_FILE), "SchemaError"),
     (("evaluate", "--gold", LIST_FILE), "SchemaError"),
-], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list"])
+    (("selfplay", "--render-games", "2"), "RefgameError"),
+    (("selfplay", "--agent", "random", "--model", "no-such-model"), "RefgameError"),
+    (("train", "--task", "tagger", "--gold", "no-such-gold.json"), "RefgameError"),
+], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list",
+        "render-games-without-tagger", "model-with-scripted-agent", "tagger-gold"])
 def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request, argv, error):
     list_file = tmp_path / "list.json"
     list_file.write_text("[]\n")
     command, *flags = (list_file if a == LIST_FILE else a for a in argv)
-    if command == "split":
+    if command == "selfplay":
+        args = (command, "--games", "1", "--out", tmp_path / "sp")
+    elif command == "split":
         small = tmp_path / "small"
         save_corpus(make_synthetic_corpus(5, seed=1), small)
         args = (command, "--data", small, "--out", tmp_path / "s.json")

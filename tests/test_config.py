@@ -1,53 +1,27 @@
 from __future__ import annotations
 
-import argparse
 import json
+import re
 
 import pytest
 
-from refgame.cli import _scenario_config, main
-from refgame.config import HEADER, load_config
+from refgame.cli import main
 from refgame.errors import SchemaError
+from refgame.scenario import load_scenario_config
 
 
-def dump_config(values: dict[str, str]) -> str:
-    return "\n".join([HEADER, *(f"{key} = {values[key]}" for key in sorted(values))]) + "\n"
-
-
-def test_roundtrip(tmp_path):
-    values = {"scenario.view_radius": "0.8", "train.epochs": "12"}
-    path = tmp_path / "lab.cfg"
-    path.write_text(dump_config(values))
-    assert load_config(path) == values
-
-
-def test_header_required(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("scenario.view_radius = 0.8\n")
-    with pytest.raises(SchemaError):
-        load_config(path)
-
-
-def test_comments_and_blanks(tmp_path):
-    path = tmp_path / "ok.cfg"
-    path.write_text(f"{HEADER}\n\n# a comment\nkey = value with spaces\n")
-    assert load_config(path) == {"key": "value with spaces"}
-
-
-def test_malformed_line(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text(f"{HEADER}\njust-words\n")
-    with pytest.raises(SchemaError):
-        load_config(path)
+def write_config(tmp_path, values) -> str:
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(values))
+    return str(path)
 
 
 def test_cli_generate_honors_config(tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text(f"{HEADER}\nscenario.view_radius = 0.5\nscenario.size_max = 0.05\n")
+    cfg = write_config(tmp_path, {"view_radius": 0.5, "size_max": 0.05})
     out = tmp_path / "scen.json"
     assert main([
         "generate", "--shared", "5", "--count", "2", "--seed", "1",
-        "--config", str(cfg), "--out", str(out),
+        "--config", cfg, "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text())
     for record in payload:
@@ -57,28 +31,34 @@ def test_cli_generate_honors_config(tmp_path):
 
 
 def test_cli_config_casts_by_field_type(tmp_path):
-    path = tmp_path / "lab.cfg"
-    path.write_text(dump_config({
-        "scenario.max_attempts": "3",
-        "scenario.min_separation": "0.5",
-        "scenario.center_distance_4": "0.9",
+    config = load_scenario_config(write_config(tmp_path, {
+        "max_attempts": 3, "min_separation": 1, "center_distance": {"4": 0.9},
     }))
-    config = _scenario_config(argparse.Namespace(config=path))
     assert config.max_attempts == 3 and type(config.max_attempts) is int
-    assert config.min_separation == 0.5
+    assert config.min_separation == 1.0 and type(config.min_separation) is float
     assert config.center_distance == {4: 0.9, 5: 0.75, 6: 0.5}
 
 
-@pytest.mark.parametrize("line", [
-    "scenario.max_attempts = 1.5",
-    "scenario.view_radius = abc",
-    "scenario.view_raduis = 0.5",
-    "train.epochs = 12",
-], ids=["int-field", "float-field", "misspelt-key", "key-no-command-reads"])
-def test_cli_bad_config_reports_schema_error(tmp_path, capsys, line):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text(f"{HEADER}\n{line}\n")
+@pytest.mark.parametrize("text,fragment", [
+    ('{"max_attempts": 1.5}', "max_attempts"),
+    ('{"view_radius": "abc"}', "view_radius"),
+    ('{"size_max": true}', "size_max"),
+    ('{"view_raduis": 0.5}', "view_raduis"),
+    ('{"epochs": 12}', "epochs"),
+    ('{"center_distance": {"7": 0.4}}', "center_distance.7"),
+    ('{"center_distance": {"5": false}}', "'5'"),
+    ('{"size_min": 0.1, "size_max": 0.05}', "degenerate size range"),
+    ("[]", "object"),
+    ("# refgame-config v1\nscenario.view_radius = 0.8\n", "not JSON"),
+], ids=["int-field", "float-field", "bool", "misspelt-key", "key-no-command-reads",
+        "center-distance-key", "center-distance-bool", "bounds", "not-an-object", "text-format"])
+def test_cli_bad_config_reports_schema_error(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "lab.json"
+    cfg.write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(str(cfg))):
+        load_scenario_config(cfg)
     for command in ("generate", "selfplay"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 1
         error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "SchemaError" and line.split()[0] in error["message"]
+        assert error["error"] == "SchemaError"
+        assert str(cfg) in error["message"] and fragment in error["message"]

@@ -294,6 +294,15 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match=re.escape(f"{name}, record 1: ") + f".*{key}"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("name", ["scenarios.json", "dialogues.json", "markables.json"])
+    def test_duplicate_id_integrity_error(self, tmp_path, name):
+        save_corpus(make_synthetic_corpus(4, seed=3), tmp_path)
+        records = json.loads((tmp_path / name).read_text())
+        records.append(records[0])
+        (tmp_path / name).write_text(json.dumps(records))
+        with pytest.raises(IntegrityError, match=f"duplicate .* id {re.escape(records[0]['id'])}"):
+            load_corpus(tmp_path)
+
     def test_saved_bytes_unchanged(self, tmp_path):
         save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
         digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in FILES}

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from refgame.corpus import corpus_stats
-from refgame.errors import SchemaError
+from refgame.errors import IntegrityError, SchemaError
 from refgame.importer import _char_span_to_tokens, import_bundle
 from refgame.scenario import ScenarioConfig
 
@@ -127,6 +127,16 @@ def test_unknown_scenario_rejected(tmp_path):
     bad[0]["scenario_uuid"] = "nope"
     (src / "transcripts.json").write_text(json.dumps(bad))
     with pytest.raises(SchemaError):
+        import_bundle(src)
+
+
+@pytest.mark.parametrize("name", ["transcripts.json", "scenarios.json"])
+def test_duplicate_uuid_rejected(tmp_path, name):
+    src = make_bundle(tmp_path)
+    records = json.loads((src / name).read_text())
+    records.append(records[0])
+    (src / name).write_text(json.dumps(records))
+    with pytest.raises(IntegrityError, match=f"duplicate .* id {re.escape(records[0]['uuid'])}"):
         import_bundle(src)
 
 

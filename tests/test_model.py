@@ -242,7 +242,7 @@ class TestForward:
 
         assert_feeds_match_matvec()  # builds the table
         rng = np.random.default_rng(0)
-        for name in p.names():
+        for name in p.params:
             p.grads[name][...] = rng.normal(size=p.grads[name].shape)
         Adam(p, lr=0.1).step()
         assert_feeds_match_matvec()
@@ -471,6 +471,23 @@ class TestCheckpoint:
             losses_a = model.run_example(ex)
             losses_b = loaded.run_example(ex)
             assert losses_a == losses_b
+
+    def test_load_meta_with_loss_weights(self, micro, tmp_path):
+        # meta files written before the per-head loss weights were removed
+        # still carry them as 1.0
+        corpus, gold, ids, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=9, **TINY), vocab)
+        model.save(tmp_path / "model")
+        meta_path = tmp_path / "model.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"].update(w_tsel=1.0, w_ref=1.0, w_dial=1.0)
+        meta_path.write_text(json.dumps(meta))
+        loaded = GroundingModel.load(tmp_path / "model")
+        assert loaded.config == model.config
+        for ex in _examples(micro):
+            got, want = loaded.predict(ex), model.predict(ex)
+            assert set(got) == set(want)
+            assert all(np.array_equal(got[head], want[head]) for head in want)
 
     @pytest.mark.parametrize("other", [
         dict(variant="TSEL"),                                   # missing parameters

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import math
-import re
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,24 +523,3 @@ class TestParamStore:
         assert norm == pytest.approx(20.0)
         assert store.grad_global_norm() == pytest.approx(1.0)
 
-
-# The ROADMAP keeps the finite-difference gradient checks, which only tests call.
-TEST_ONLY_EXPORTS = {"gradient_check", "GradCheckReport"}
-
-
-def test_every_neural_export_has_a_library_caller():
-    import refgame
-    import refgame.neural
-
-    src = Path(refgame.__file__).parent
-    text = "\n".join(
-        path.read_text(encoding="utf-8")
-        for path in sorted(src.rglob("*.py"))
-        if path != src / "neural" / "__init__.py"
-    )
-    uncalled = [
-        name for name in refgame.neural.__all__
-        if name not in TEST_ONLY_EXPORTS
-        and not re.search(rf"(?<!def )(?<!class )\b{re.escape(name)}\b", text)
-    ]
-    assert uncalled == []

@@ -354,7 +354,7 @@ class TestModelAgent:
                         rel_dim=3, attn_dim=5, mlp_dim=6, dropout=0.0), vocab
         )
         with pytest.raises(ValueError):
-            ModelAgent(model)
+            ModelAgent(model, 0.25, 30)
 
 
 class TestAnnotation:
