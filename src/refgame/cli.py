@@ -29,6 +29,26 @@ def _data_dir(args) -> Path:
     return Path(data)
 
 
+def _shared_counts(value: str) -> list[int]:
+    """The argparse type of ``--shared``: comma-separated shared-entity
+    counts."""
+    counts = []
+    for item in value.split(","):
+        try:
+            counts.append(int(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} in {value!r} is not an integer") from None
+    return counts
+
+
+def _by_id(table, flag: str, key: str):
+    """``table[key]`` for the id given to ``flag``; an unknown id raises
+    RefgameError naming both."""
+    if key not in table:
+        raise RefgameError(f"{flag} {key!r}: no such id in the corpus")
+    return table[key]
+
+
 def _scenario_config(args):
     from .scenario import DEFAULT_CONFIG, load_scenario_config
 
@@ -38,9 +58,8 @@ def _scenario_config(args):
 def cmd_generate(args) -> int:
     from .scenario import generate_scenarios, save_scenarios
 
-    shared = [int(s) for s in args.shared.split(",")]
     config = _scenario_config(args)
-    scenarios = generate_scenarios(config, {k: args.count for k in shared}, seed=args.seed)
+    scenarios = generate_scenarios(config, {k: args.count for k in args.shared}, seed=args.seed)
     save_scenarios(scenarios, args.out)
     print(f"wrote {len(scenarios)} scenarios to {args.out}")
     return 0
@@ -241,9 +260,8 @@ def cmd_selfplay(args) -> int:
         raise RefgameError(f"--agent {args.agent} does not take --model or --tagger")
     if args.render_games > 0 and not args.tagger:
         raise RefgameError("--render-games needs --tagger")
-    shared = [int(s) for s in args.shared.split(",")]
     config = _scenario_config(args)
-    scenarios = generate_scenarios(config, {k: args.games for k in shared}, seed=args.seed)
+    scenarios = generate_scenarios(config, {k: args.games for k in args.shared}, seed=args.seed)
     # flags left out take the ProtocolConfig defaults
     flags = {"temperature": args.temperature, "max_utterances": args.max_utterances,
              "max_tokens_per_utterance": args.max_tokens}
@@ -303,7 +321,7 @@ def cmd_render(args) -> int:
 
     corpus = load_corpus(_data_dir(args))
     if args.dialogue:
-        dialogue = corpus.dialogues[args.dialogue]
+        dialogue = _by_id(corpus.dialogues, "--dialogue", args.dialogue)
         scenario = corpus.scenarios[dialogue.scenario_id]
         markables = [
             corpus.markables[mid]
@@ -318,9 +336,10 @@ def cmd_render(args) -> int:
         html = render_dialogue(dialogue, scenario, markables, refs)
         atomic_write_text(args.out, html)
     elif args.markable:
+        _by_id(corpus.markables, "--markable", args.markable)
         atomic_write_text(args.out, render_judgements(corpus, args.markable))
     elif args.scenario:
-        scenario = corpus.scenarios[args.scenario]
+        scenario = _by_id(corpus.scenarios, "--scenario", args.scenario)
         agent = args.agent_view or "A"
         atomic_write_text(
             args.out, render_view(scenario.view(agent), scenario, title=f"{agent}'s view")
@@ -369,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate scenarios")
-    p.add_argument("--shared", default="4,5,6")
+    p.add_argument("--shared", type=_shared_counts, default="4,5,6")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config")
@@ -454,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--agent", choices=("model", "random", "center", "darkest"), default="darkest")
     p.add_argument("--model")
-    p.add_argument("--shared", default="4,5,6")
+    p.add_argument("--shared", type=_shared_counts, default="4,5,6")
     p.add_argument("--games", type=int, default=100)
     p.add_argument("--temperature", type=float)
     p.add_argument("--max-utterances", type=int)

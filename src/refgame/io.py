@@ -3,6 +3,7 @@ and one strict reader that builds record dataclasses from JSON objects."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -31,12 +32,15 @@ def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
 
 
-def read_json(path):
-    """The JSON value in ``path``; a file that is not JSON raises SchemaError
-    naming it."""
-    with open(path, encoding="utf-8") as f:
+def read_json(path, sha256: str | None = None):
+    """The JSON value in ``path``; a file that is not JSON, or whose bytes do
+    not hash to a given ``sha256``, raises SchemaError naming it."""
+    with open(path, encoding="utf-8", newline="") as f:
         try:
-            return json.load(f)
+            text = f.read()
+            if sha256 is not None and hashlib.sha256(text.encode()).hexdigest() != sha256:
+                raise SchemaError(f"{path}: its SHA-256 is not the expected {sha256}")
+            return json.loads(text)
         except ValueError as exc:
             raise SchemaError(f"{path}: not JSON: {exc}") from None
 

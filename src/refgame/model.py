@@ -95,14 +95,15 @@ class Vocabulary:
 def save_checkpoint(net, prefix, fmt: str, **extra) -> None:
     """Write ``net.store`` to ``<prefix>.params.json`` and a
     ``<prefix>.meta.json`` sidecar with the format tag, ``net.config``,
-    ``net.vocab`` and any ``extra`` fields."""
+    ``net.vocab``, the SHA-256 of the params file and any ``extra``
+    fields."""
     prefix = Path(prefix)
-    net.store.save(prefix.with_suffix(".params.json"))
     meta = {
         "format": fmt,
         "version": 1,
         "config": asdict(net.config),
         "vocab": list(net.vocab.tokens[len(SPECIALS):]),
+        "params_sha256": net.store.save(prefix.with_suffix(".params.json")),
         **extra,
     }
     atomic_write_text(prefix.with_suffix(".meta.json"), json.dumps(meta))
@@ -112,8 +113,10 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
     """Read a ``save_checkpoint`` pair back into a fresh ``cls(config, vocab)``.
 
     Raises SchemaError when the meta file is not a ``fmt`` checkpoint or is
-    malformed, and when the parameters' names, shapes or dtype differ from
-    the layout that ``cls(config, vocab)`` declares."""
+    malformed, when the params file's bytes do not hash to the meta's
+    ``params_sha256`` (meta written before the hash existed has none), and
+    when the parameters' names, shapes or dtype differ from the layout that
+    ``cls(config, vocab)`` declares."""
     prefix = Path(prefix)
     kind = fmt.removeprefix("refgame-")
     meta_path = prefix.with_suffix(".meta.json")
@@ -123,10 +126,14 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
             raise SchemaError(f"not a version 1 {kind} checkpoint")
         config = from_record(config_cls, read_value(meta, "config", dict))
         vocab = Vocabulary(read_list(meta, "vocab", str))
+        digest = read_value(meta, "params_sha256", str, None)
     except (SchemaError, ValueError) as exc:
         raise SchemaError(f"{meta_path}: {exc}") from None
     params_path = prefix.with_suffix(".params.json")
-    store = ParamStore.load(params_path)
+    try:
+        store = ParamStore.load(params_path, digest)
+    except SchemaError as exc:
+        raise SchemaError(f"{exc} (the params file of {meta_path})") from None
     net = cls(config, vocab)
     try:
         if store.dtype != net.store.dtype:
@@ -334,9 +341,12 @@ class GroundingModel:
         g["enc_rel.b"] += dr.sum(axis=(0, 1))
 
     def _encode_tokens(self, tokens: np.ndarray):
-        """Dialogue GRU states (T, H) over a token-id stream, and their cache."""
+        """Dialogue GRU states (T, H) over a token-id stream, and their cache:
+        the packed GRU on a batch of one."""
         p = self.store
-        return gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], p["emb"][tokens])
+        x = p["emb"][tokens][:, None, :]
+        h_seq, cache = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], x, [len(tokens)])
+        return h_seq[:, 0], cache
 
     def _attention(self, entities_proj: np.ndarray, queries: np.ndarray, head: str):
         """Scores for each of the 7 entities against each query row:
@@ -454,11 +464,11 @@ class GroundingModel:
             )
         if backward:
             d_h = d_hd * mask if mask is not None else d_hd
-            dx, gru_grads = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, d_h)
+            dx, gru_grads = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, d_h[:, None])
             g["gru.W"] += gru_grads["W"]
             g["gru.U"] += gru_grads["U"]
             g["gru.b"] += gru_grads["b"]
-            np.add.at(g["emb"], ex.tokens, dx)
+            np.add.at(g["emb"], ex.tokens, dx[:, 0])
             self._encode_entities_backward(ex.attrs, ex.rel, enc_cache, d_entities)
         return losses
 
@@ -600,8 +610,9 @@ def train_model(
     require_examples(train=train_ex, valid=valid_ex)
     model = GroundingModel(config, vocab)
 
-    def step(ex: StreamExample, rng: np.random.Generator) -> float:
-        return model.run_example(ex, train=True, rng=rng, backward=True)["total"]
+    def step(batch: list[StreamExample], rng: np.random.Generator) -> list[float]:
+        # one example at a time, so dropout masks follow the shuffled order
+        return [model.run_example(ex, train=True, rng=rng, backward=True)["total"] for ex in batch]
 
     def validate() -> tuple[float, dict]:
         valid = _mean_losses(model, valid_ex)

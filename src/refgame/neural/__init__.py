@@ -1,13 +1,14 @@
 """Minimal differentiable-compute kernel: primitive layers with exact
 analytic gradients, a GRU, a linear-chain CRF, Adam, and finite-difference
 gradient verification.  numpy arrays throughout; the recurrent hot loops
-live in kernels.py."""
+live in kernels.py.  The imports below are the package's exports."""
 
 from . import kernels
 from .adam import Adam, fit
 from .crf import crf_nll, crf_viterbi
 from .gradcheck import GradCheckReport, gradient_check
 from .gru import add_gru_params, gru_cell, gru_sequence, gru_sequence_backward
+from .kernels import live_mask
 from .ops import (
     bce_with_logits,
     cross_entropy_rows,
@@ -25,32 +26,3 @@ from .ops import (
     tanh_backward,
 )
 from .params import ParamStore
-
-__all__ = [
-    "Adam",
-    "GradCheckReport",
-    "ParamStore",
-    "add_gru_params",
-    "bce_with_logits",
-    "crf_nll",
-    "crf_viterbi",
-    "cross_entropy_rows",
-    "dropout_mask",
-    "fit",
-    "gradient_check",
-    "gru_cell",
-    "gru_sequence",
-    "gru_sequence_backward",
-    "kernels",
-    "linear",
-    "linear_backward",
-    "log_softmax",
-    "logsumexp",
-    "mlp",
-    "mlp_backward",
-    "sigmoid",
-    "softmax",
-    "softmax_backward",
-    "tanh",
-    "tanh_backward",
-]

@@ -49,7 +49,7 @@ class Adam:
 def fit(
     store: ParamStore,
     examples: Sequence,
-    step: Callable[[object, np.random.Generator], float],
+    step: Callable[[list, np.random.Generator], Sequence[float]],
     validate: Callable[[], tuple[float, dict]],
     config,
     loss_key: str,
@@ -60,8 +60,9 @@ def fit(
     """Minibatch Adam with global-norm clipping and early stopping, reading
     lr, grad_clip, batch_size, epochs, patience and seed from ``config``.
 
-    ``step(example, rng)`` accumulates one example's gradients into
-    ``store`` and returns its loss; ``validate()`` returns ``(score,
+    ``step(batch, rng)`` accumulates a minibatch's summed gradients into
+    ``store`` and returns its per-example losses, in batch order; each is
+    checked and added in that order.  ``validate()`` returns ``(score,
     fields)``, lower score better.  The rng that shuffles each epoch is the
     one handed to ``step``.  The best epoch's parameters are restored, and
     each epoch record goes to stdout unless ``quiet`` and to the JSONL
@@ -85,8 +86,7 @@ def fit(
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo: lo + config.batch_size]
             store.zero_grads()
-            for i in batch:
-                loss = step(examples[i], rng)
+            for loss in step([examples[i] for i in batch], rng):
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss at epoch {epoch}")
                 total += loss

@@ -1,6 +1,6 @@
-"""Linear-chain CRF: negative log-likelihood with exact gradients
-(forward-backward), and Viterbi decoding with deterministic lowest-index
-tie-breaking."""
+"""Linear-chain CRF over packed batches (layout in kernels.py): per-row
+negative log-likelihoods with exact gradients (forward-backward), and
+Viterbi decoding with deterministic lowest-index tie-breaking."""
 
 from __future__ import annotations
 
@@ -9,10 +9,15 @@ import numpy as np
 from . import kernels
 
 
-def _check(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | None):
-    if emissions.ndim != 2 or emissions.shape[0] < 1 or emissions.shape[1] < 2:
-        raise ValueError("emissions must be (T>=1, K>=2)")
-    k = emissions.shape[1]
+def _check(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | None, lengths):
+    """Validated start scores."""
+    if emissions.ndim != 3 or min(emissions.shape[:2]) < 1 or emissions.shape[2] < 2:
+        raise ValueError("emissions must be (T>=1, B>=1, K>=2)")
+    lengths = np.asarray(lengths)
+    if lengths.shape != emissions.shape[1:2] or lengths[0] != len(emissions) or lengths[-1] < 1 \
+            or np.any(np.diff(lengths) > 0):
+        raise ValueError(f"lengths must be B non-increasing values in 1..T, the first T: {lengths}")
+    k = emissions.shape[2]
     if transitions.shape != (k, k):
         raise ValueError(f"transitions must be ({k}, {k})")
     if not np.all(np.isfinite(emissions)):
@@ -26,41 +31,36 @@ def _check(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | N
     return start
 
 
-def crf_nll(
-    emissions: np.ndarray,
-    transitions: np.ndarray,
-    tags,
-    start: np.ndarray | None = None,
-):
-    """Negative log-likelihood of the gold path and its exact gradients.
+def crf_nll(emissions: np.ndarray, transitions: np.ndarray, tags, lengths, start=None):
+    """Negative log-likelihood of each row's gold path in ``tags`` (T, B),
+    and the exact gradients of their sum.
 
-    Returns (nll, d_emissions, d_transitions, d_start); each gradient is
-    expected counts under the model minus observed gold counts."""
-    start = _check(emissions, transitions, start)
-    tags = np.asarray(tags, dtype=np.int64)
-    alpha, logz = kernels.crf_alphas(emissions, transitions, start)
-    beta = kernels.crf_betas(emissions, transitions)
-    unary = np.exp(alpha + beta - logz)
-    pair = np.exp(
-        alpha[:-1, :, None] + transitions + emissions[1:, None, :] + beta[1:, None, :] - logz
-    )
-    score = float(start[tags[0]]) + float(emissions[np.arange(len(tags)), tags].sum())
-    if len(tags) > 1:
-        score += float(transitions[tags[:-1], tags[1:]].sum())
-    nll = float(logz) - score
-    d_em = unary.copy()
-    d_em[np.arange(len(tags)), tags] -= 1.0
-    d_tr = pair.sum(axis=0)
-    np.subtract.at(d_tr, (tags[:-1], tags[1:]), 1.0)
-    d_start = unary[0].copy()
-    d_start[tags[0]] -= 1.0
-    return nll, d_em, d_tr, d_start
+    Returns (nll (B,), d_emissions (T, B, K), d_transitions, d_start); each
+    gradient is expected counts under the model minus observed gold counts,
+    and d_emissions is zero in padding."""
+    start = _check(emissions, transitions, start, lengths)
+    live = kernels.live_mask(lengths)
+    tags = np.where(live, np.asarray(tags, dtype=np.int64), 0)
+    alpha, logz = kernels.crf_alphas(emissions, transitions, start, lengths)
+    beta = kernels.crf_betas(emissions, transitions, lengths)
+    # padding gets log-marginal -inf, so marginal 0
+    unary = np.exp(np.where(live[..., None], alpha + beta - logz[:, None], -np.inf))
+    pair = np.exp(np.where(live[1:, :, None, None], alpha[:-1, :, :, None] + transitions
+                           + (emissions + beta - logz[:, None])[1:, :, None, :], -np.inf))
+    gold_emit = np.take_along_axis(emissions, tags[..., None], axis=2)[..., 0]
+    score = start[tags[0]] + np.where(live, gold_emit, 0.0).sum(axis=0) \
+        + np.where(live[1:], transitions[tags[:-1], tags[1:]], 0.0).sum(axis=0)
+    d_start = unary[0].sum(axis=0)
+    np.subtract.at(d_start, tags[0], 1.0)
+    d_tr = pair.sum(axis=(0, 1))
+    np.subtract.at(d_tr, (tags[:-1][live[1:]], tags[1:][live[1:]]), 1.0)
+    unary[live, tags[live]] -= 1.0
+    return logz - score, unary, d_tr, d_start
 
 
-def crf_viterbi(
-    emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray | None = None
-) -> tuple[list[int], float]:
-    """Best tag path and its score; ties break toward the lowest tag index."""
-    start = _check(emissions, transitions, start)
-    path, score = kernels.crf_viterbi_path(emissions, transitions, start)
-    return [int(t) for t in path], float(score)
+def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, lengths, start=None):
+    """Best tag path of each row (a list of lists) and the paths' scores;
+    ties break toward the lowest tag index."""
+    start = _check(emissions, transitions, start, lengths)
+    path, score = kernels.crf_viterbi_path(emissions, transitions, start, lengths)
+    return [path[:n, b].tolist() for b, n in enumerate(lengths)], score.tolist()

@@ -1,7 +1,8 @@
 """GRU cell and sequence wrappers over the recurrent kernels.
 
 Parameter layout per GRU: W (3H, D_in), U (3H, H), b (3H,), gate blocks in
-z, r, h order (see kernels.py for the cell equations)."""
+z, r, h order.  Sequences are packed batches (see kernels.py for the
+layout and the cell equations)."""
 
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ def add_gru_params(store: ParamStore, prefix: str, input_dim: int, hidden_dim: i
 
 
 def gru_cell(a: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One step from a precomputed input projection ``a = W x + b``; used
-    for incremental decoding in selfplay."""
-    return kernels.gru_step(a, u, h)[0]
+    """One step of one row from a precomputed input projection ``a = W x +
+    b``; used for incremental decoding in selfplay."""
+    return kernels.gru_step(a[None], u, h[None])[0][0]
 
 
 @dataclass
@@ -32,32 +33,29 @@ class GRUCache:
     z_seq: np.ndarray
     r_seq: np.ndarray
     hb_seq: np.ndarray
+    lengths: np.ndarray
 
 
 def gru_sequence(
-    w: np.ndarray, u: np.ndarray, b: np.ndarray, x_seq: np.ndarray
+    w: np.ndarray, u: np.ndarray, b: np.ndarray, x_seq: np.ndarray, lengths
 ) -> tuple[np.ndarray, GRUCache]:
-    """Run the GRU over x_seq (T, D_in) from a zero state; returns
-    (h_seq (T, H), cache)."""
-    wx = x_seq @ w.T + b
-    h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u)
-    return h_seq, GRUCache(x_seq, h_seq, z_seq, r_seq, hb_seq)
+    """Run the GRU from a zero state over each row of the packed batch x_seq
+    (T, B, D_in); returns (h_seq (T, B, H), cache).  The input projection
+    is one GEMM over all T*B rows."""
+    T, B, D = x_seq.shape
+    wx = (x_seq.reshape(T * B, D) @ w.T + b).reshape(T, B, -1)
+    h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u, lengths)
+    return h_seq, GRUCache(x_seq, h_seq, z_seq, r_seq, hb_seq, lengths)
 
 
 def gru_sequence_backward(
     w: np.ndarray, u: np.ndarray, cache: GRUCache, dh_seq: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns (dx_seq, grads {'W','U','b'})."""
-    hidden = u.shape[1]
-    h_prev = np.vstack([np.zeros_like(cache.h_seq[:1]), cache.h_seq[:-1]])
-    da = kernels.gru_backward(
-        u, h_prev, cache.z_seq, cache.r_seq, cache.hb_seq, dh_seq
-    )
-    dW = da.T @ cache.x_seq
-    db = da.sum(axis=0)
-    dx = da @ w
-    dU = np.empty_like(u)
-    dU[0:hidden] = da[:, 0:hidden].T @ h_prev
-    dU[hidden:2 * hidden] = da[:, hidden:2 * hidden].T @ h_prev
-    dU[2 * hidden:] = da[:, 2 * hidden:].T @ (cache.r_seq * h_prev)
-    return dx, {"W": dW, "U": dU, "b": db}
+    """Returns (dx_seq (T, B, D_in), grads {'W','U','b'} summed over rows)."""
+    H = u.shape[1]
+    h_prev = np.concatenate([np.zeros_like(cache.h_seq[:1]), cache.h_seq[:-1]])
+    da = kernels.gru_backward(u, h_prev, cache.z_seq, cache.r_seq, cache.hb_seq, dh_seq, cache.lengths)
+    # every (T, B, .) array as T*B rows; padding rows of da are zero
+    da, x, h_prev, r = (a.reshape(-1, a.shape[-1]) for a in (da, cache.x_seq, h_prev, cache.r_seq))
+    dU = np.concatenate([da[:, :H].T @ h_prev, da[:, H:2 * H].T @ h_prev, da[:, 2 * H:].T @ (r * h_prev)])
+    return (da @ w).reshape(cache.x_seq.shape), {"W": da.T @ x, "U": dU, "b": da.sum(axis=0)}

@@ -4,6 +4,16 @@ the one GRU cell, which ``gru_forward`` loops over and incremental decoding
 calls per token, and each CRF recursion loops over time only, working on
 whole tag vectors and (K, K) score matrices at every step.
 
+Packed batches: B sequences sorted longest first are laid out as ``(T, B,
+.)`` arrays with non-increasing row ``lengths`` (T = lengths[0]), as
+PyTorch's ``pack_padded_sequence`` orders them.  Step t runs only the
+first n_t rows, the live count (``_live``), so every step slices
+``[:n_t]``, with no masks and no compute on padding; outputs are zero in
+padding.  Code outside the recurrences that must tell steps from padding
+reads ``live_mask``, the (T, B) form of the same counts.  One sequence is
+the batch ``(T, 1, .)``, ``lengths = [T]``, for which every kernel gives
+the bytes of the one-sequence loops in float64.
+
 Conventions (fixed, documented, used by every caller):
   GRU gate order in the stacked (3H, .) parameter blocks is z, r, h with
     z = sigmoid(Wz x + Uz h + bz)
@@ -24,100 +34,109 @@ def get_backend() -> str:
     return "numpy"
 
 
+def live_mask(lengths) -> np.ndarray:
+    """(T, B) mask, true where a length-sorted row runs step t."""
+    return np.arange(lengths[0])[:, None] < np.asarray(lengths)
+
+
+def _live(lengths) -> list[int]:
+    """n_t for each step t: how many of the length-sorted rows run at step t."""
+    return np.count_nonzero(live_mask(lengths), axis=1).tolist()
+
+
 # --- GRU ------------------------------------------------------------------
 
 def gru_step(a: np.ndarray, u: np.ndarray, h: np.ndarray):
-    """One GRU step.  a: (3H,) input projection W x + b; u: (3H, H); h: (H,).
-    Returns (h', z, r, hbar), each (H,)."""
-    H = h.shape[0]
-    z = 1.0 / (1.0 + np.exp(-(a[0:H] + np.dot(u[0:H], h))))
-    r = 1.0 / (1.0 + np.exp(-(a[H:2 * H] + np.dot(u[H:2 * H], h))))
-    hb = np.tanh(a[2 * H:3 * H] + np.dot(u[2 * H:3 * H], r * h))
+    """One GRU step over n rows.  a: (n, 3H) input projections W x + b; u:
+    (3H, H); h: (n, H).  z and r come from one ``h @ U[:2H].T`` GEMM.
+    Returns (h', z, r, hbar), each (n, H)."""
+    H = h.shape[1]
+    zr = 1.0 / (1.0 + np.exp(-(a[:, :2 * H] + h @ u[:2 * H].T)))
+    z, r = zr[:, :H], zr[:, H:]
+    hb = np.tanh(a[:, 2 * H:] + (r * h) @ u[2 * H:].T)
     return (1.0 - z) * h + z * hb, z, r, hb
 
 
-def gru_forward(wx: np.ndarray, u: np.ndarray):
-    """wx: (T, 3H) precomputed input projections W x_t + b; u: (3H, H).
-    Runs from a zero state.  Returns h_seq, z_seq, r_seq, hbar_seq, each
-    (T, H)."""
-    T = wx.shape[0]
-    H = u.shape[1]
-    h_seq = np.empty((T, H), dtype=wx.dtype)
-    z_seq = np.empty((T, H), dtype=wx.dtype)
-    r_seq = np.empty((T, H), dtype=wx.dtype)
-    hb_seq = np.empty((T, H), dtype=wx.dtype)
-    h = np.zeros(H, dtype=wx.dtype)
-    for t in range(T):
-        h, z_seq[t], r_seq[t], hb_seq[t] = gru_step(wx[t], u, h)
-        h_seq[t] = h
+def gru_forward(wx: np.ndarray, u: np.ndarray, lengths):
+    """wx: (T, B, 3H) packed input projections W x_t + b; u: (3H, H).  Runs
+    each row from a zero state.  Returns h_seq, z_seq, r_seq, hbar_seq,
+    each (T, B, H)."""
+    T, B, _ = wx.shape
+    h_seq, z_seq, r_seq, hb_seq = (np.zeros((T, B, u.shape[1]), dtype=wx.dtype) for _ in range(4))
+    h = h_seq[0]   # zeros: the state entering step 0
+    for t, n in enumerate(_live(lengths)):
+        h_seq[t, :n], z_seq[t, :n], r_seq[t, :n], hb_seq[t, :n] = gru_step(wx[t, :n], u, h[:n])
+        h = h_seq[t]
     return h_seq, z_seq, r_seq, hb_seq
 
 
-def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq):
-    """Backward through time.  h_prev[t] is the state entering step t.
-    Returns da: (T, 3H) gradients on the pre-activations (z, r, h order)."""
-    T, H = z_seq.shape
-    uzT = np.ascontiguousarray(u[0:H].T)
-    urT = np.ascontiguousarray(u[H:2 * H].T)
-    uhT = np.ascontiguousarray(u[2 * H:3 * H].T)
-    da = np.zeros((T, 3 * H), dtype=z_seq.dtype)
-    dh = np.zeros(H, dtype=z_seq.dtype)
-    for t in range(T - 1, -1, -1):
-        dht = dh + dh_seq[t]
-        z = z_seq[t]
-        r = r_seq[t]
-        hb = hb_seq[t]
-        hp = h_prev[t]
+def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq, lengths):
+    """Backward through time over the packed batch.  h_prev[t] is the state
+    entering step t.  Returns da: (T, B, 3H) gradients on the
+    pre-activations (z, r, h order).  Each ``U^T D^T`` product reads a
+    contiguous ``U^T`` block, which for one row is the matvec bit for bit."""
+    T, B, H = z_seq.shape
+    uzT, urT, uhT = (np.ascontiguousarray(u[i * H:(i + 1) * H].T) for i in range(3))
+    da = np.zeros((T, B, 3 * H), dtype=z_seq.dtype)
+    dh = np.zeros((B, H), dtype=z_seq.dtype)
+    for t, n in reversed(list(enumerate(_live(lengths)))):
+        dht = dh[:n] + dh_seq[t, :n]
+        z, r, hb, hp = (a[t, :n] for a in (z_seq, r_seq, hb_seq, h_prev))
         daz = dht * (hb - hp) * z * (1.0 - z)
         dah = dht * z * (1.0 - hb * hb)
-        drh = np.dot(uhT, dah)
+        drh = (uhT @ dah.T).T
         dar = drh * hp * r * (1.0 - r)
-        dh = dht * (1.0 - z) + np.dot(uzT, daz) + np.dot(urT, dar) + drh * r
-        da[t, 0:H] = daz
-        da[t, H:2 * H] = dar
-        da[t, 2 * H:3 * H] = dah
+        dh[:n] = dht * (1.0 - z) + (uzT @ daz.T).T + (urT @ dar.T).T + drh * r
+        da[t, :n, 0:H], da[t, :n, H:2 * H], da[t, :n, 2 * H:] = daz, dar, dah
     return da
 
 
 # --- linear-chain CRF -----------------------------------------------------
 
-def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
-    """Log-space forward recursion.  Returns (alpha (T, K), logZ)."""
-    T = emissions.shape[0]
-    alpha = np.empty_like(emissions)
+def _ends(lengths):
+    """Index of each row's last step in a (T, B, .) array."""
+    return np.asarray(lengths) - 1, np.arange(len(lengths))
+
+
+def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, lengths):
+    """Log-space forward recursion over (n_t, K, K) scores per step.
+    Returns (alpha (T, B, K), logZ (B,) read at each row's last step)."""
+    alpha = np.zeros_like(emissions)
     alpha[0] = emissions[0] + start
-    for t in range(1, T):
-        s = alpha[t - 1][:, None] + transitions
-        m = s.max(axis=0)
-        alpha[t] = emissions[t] + m + np.log(np.exp(s - m).sum(axis=0))
-    m = alpha[T - 1].max()
-    return alpha, m + np.log(np.exp(alpha[T - 1] - m).sum())
-
-
-def crf_betas(emissions: np.ndarray, transitions: np.ndarray):
-    """Log-space backward recursion.  beta[T-1] = 0."""
-    T = emissions.shape[0]
-    beta = np.zeros_like(emissions)
-    for t in range(T - 2, -1, -1):
-        s = transitions + emissions[t + 1] + beta[t + 1]
+    for t, n in enumerate(_live(lengths)[1:], 1):
+        s = alpha[t - 1, :n, :, None] + transitions
         m = s.max(axis=1)
-        beta[t] = m + np.log(np.exp(s - m[:, None]).sum(axis=1))
+        alpha[t, :n] = emissions[t, :n] + m + np.log(np.exp(s - m[:, None, :]).sum(axis=1))
+    last = alpha[_ends(lengths)]
+    m = last.max(axis=1)
+    return alpha, m + np.log(np.exp(last - m[:, None]).sum(axis=1))
+
+
+def crf_betas(emissions: np.ndarray, transitions: np.ndarray, lengths):
+    """Log-space backward recursion; beta is 0 at each row's last step."""
+    beta = np.zeros_like(emissions)
+    for t, n in reversed(list(enumerate(_live(lengths)[1:]))):
+        s = transitions + emissions[t + 1, :n, None, :] + beta[t + 1, :n, None, :]
+        m = s.max(axis=2)
+        beta[t, :n] = m + np.log(np.exp(s - m[:, :, None]).sum(axis=2))
     return beta
 
 
-def crf_viterbi_path(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray):
-    """Max-scoring tag path with lowest-index tie-breaking at every argmax.
-    Returns (path (T,) int64, score)."""
-    T = emissions.shape[0]
-    delta = np.empty_like(emissions)
+def crf_viterbi_path(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, lengths):
+    """Max-scoring tag path of each row with lowest-index tie-breaking at
+    every argmax.  Returns (paths (T, B) int64, zero in padding; scores
+    (B,))."""
+    live = _live(lengths)
+    delta = np.zeros_like(emissions)
     back = np.zeros(emissions.shape, dtype=np.int64)
     delta[0] = emissions[0] + start
-    for t in range(1, T):
-        s = delta[t - 1][:, None] + transitions
-        back[t] = s.argmax(axis=0)
-        delta[t] = emissions[t] + s.max(axis=0)
-    path = np.empty(T, dtype=np.int64)
-    path[T - 1] = delta[T - 1].argmax()
-    for t in range(T - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, delta[T - 1, path[T - 1]]
+    for t, n in enumerate(live[1:], 1):
+        s = delta[t - 1, :n, :, None] + transitions
+        back[t, :n] = s.argmax(axis=1)
+        delta[t, :n] = emissions[t, :n] + s.max(axis=1)
+    ends = _ends(lengths)
+    path = np.zeros(emissions.shape[:2], dtype=np.int64)
+    path[ends] = delta[ends].argmax(axis=1)
+    for t in range(len(live) - 1, 0, -1):   # a row that ends at t - 1 keeps its argmax
+        path[t - 1, :live[t]] = back[t, np.arange(live[t]), path[t, :live[t]]]
+    return path, delta[ends].max(axis=1)

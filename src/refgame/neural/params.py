@@ -5,6 +5,7 @@ little-endian bytes, base64)."""
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 
@@ -108,8 +109,11 @@ class ParamStore:
             },
         }
 
-    def save(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_obj()))
+    def save(self, path) -> str:
+        """Write the store to ``path``; returns the SHA-256 of the bytes written."""
+        text = json.dumps(self.to_json_obj())
+        atomic_write_text(path, text)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     @classmethod
     def from_json_obj(cls, obj) -> "ParamStore":
@@ -134,9 +138,10 @@ class ParamStore:
         return store
 
     @classmethod
-    def load(cls, path) -> "ParamStore":
-        """Read a ``save`` file; any damage raises SchemaError naming it."""
-        obj = read_json(path)
+    def load(cls, path, sha256: str | None = None) -> "ParamStore":
+        """Read a ``save`` file; any damage, or bytes that do not hash to a
+        given ``sha256``, raises SchemaError naming it."""
+        obj = read_json(path, sha256)
         try:
             return cls.from_json_obj(obj)
         except SchemaError as exc:

@@ -24,11 +24,13 @@ from .neural import (
     gru_sequence_backward,
     linear,
     linear_backward,
+    live_mask,
 )
 
 B, I, O = 0, 1, 2
 TAG_NAMES = ("B", "I", "O")
 CONSTRAINT_PENALTY = -1e4
+DECODE_CHUNK = 64   # utterances per packed decode batch
 
 
 def spans_to_bio(spans: Sequence[tuple[int, int]], n_tokens: int) -> list[int]:
@@ -113,8 +115,22 @@ def build_tag_examples(
     return out
 
 
+def _by_length(seqs: Sequence) -> list[int]:
+    """Indices of ``seqs``, longest first; equal lengths keep their order."""
+    return sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+
+
+def _pack(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """Length-sorted int sequences -> a zero-padded (T, B) array."""
+    out = np.zeros((len(seqs[0]), len(seqs)), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        out[: len(seq), b] = seq
+    return out
+
+
 class MarkableTagger:
-    """Bidirectional GRU token encoder + CRF over B/I/O tags."""
+    """Bidirectional GRU token encoder + CRF over B/I/O tags, run on packed
+    batches of utterances (see ``neural/kernels.py`` for the layout)."""
 
     def __init__(self, config: TaggerConfig, vocab: Vocabulary):
         self.config = config
@@ -128,69 +144,92 @@ class MarkableTagger:
         store.add("emit.b", (3,), init="zeros")
         store.add("trans", (3, 3), init="zeros")
 
-    def _emissions(self, tokens: np.ndarray):
+    def _emissions(self, seqs: Sequence[np.ndarray]):
+        """Emission scores (T, B, 3) of token-id arrays sorted longest first,
+        packed as (T, B); returns them, the row lengths and the cache for
+        ``_emissions_backward``."""
         p = self.store
+        tokens = _pack(seqs)
+        lengths = np.array([len(seq) for seq in seqs])
+        steps = np.arange(len(tokens))[:, None]
+        live = live_mask(lengths)
+        # the backward GRU's step t of row b reads token lengths[b] - 1 - t;
+        # padding maps to itself, so ``flip`` reverses its own gather
+        flip = np.where(live, lengths - 1 - steps, steps), np.arange(len(lengths))
         x = p["emb"][tokens]
-        h_f, cache_f = gru_sequence(p["fwd.W"], p["fwd.U"], p["fwd.b"], x)
-        h_b_rev, cache_b = gru_sequence(p["bwd.W"], p["bwd.U"], p["bwd.b"], x[::-1].copy())
-        h = np.concatenate([h_f, h_b_rev[::-1]], axis=1)
-        return linear(h, p["emit.W"], p["emit.b"]), (x, cache_f, cache_b, h)
+        h_f, cache_f = gru_sequence(p["fwd.W"], p["fwd.U"], p["fwd.b"], x, lengths)
+        h_b, cache_b = gru_sequence(p["bwd.W"], p["bwd.U"], p["bwd.b"], x[flip], lengths)
+        h = np.concatenate([h_f, h_b[flip]], axis=2)
+        emissions = linear(h, p["emit.W"], p["emit.b"])
+        return emissions, lengths, (tokens, live, flip, cache_f, cache_b, h)
 
-    def _emissions_backward(self, tokens: np.ndarray, cache, d_emissions) -> None:
+    def _emissions_backward(self, cache, d_emissions) -> None:
         p, g = self.store, self.store.grads
-        x, cache_f, cache_b, h = cache
+        tokens, live, flip, cache_f, cache_b, h = cache
         dh, dw, db = linear_backward(d_emissions, h, p["emit.W"])
         g["emit.W"] += dw
         g["emit.b"] += db
         hid = self.config.hidden_dim
-        dx_f, grads_f = gru_sequence_backward(p["fwd.W"], p["fwd.U"], cache_f, dh[:, :hid])
-        dx_b, grads_b = gru_sequence_backward(
-            p["bwd.W"], p["bwd.U"], cache_b, dh[::-1, hid:].copy()
-        )
+        dx_f, grads_f = gru_sequence_backward(p["fwd.W"], p["fwd.U"], cache_f, dh[..., :hid])
+        dx_b, grads_b = gru_sequence_backward(p["bwd.W"], p["bwd.U"], cache_b, dh[..., hid:][flip])
         for direction, grads in (("fwd", grads_f), ("bwd", grads_b)):
             g[f"{direction}.W"] += grads["W"]
             g[f"{direction}.U"] += grads["U"]
             g[f"{direction}.b"] += grads["b"]
-        dx = dx_f + dx_b[::-1]
-        np.add.at(g["emb"], tokens, dx)
+        dx = dx_f + dx_b[flip]
+        np.add.at(g["emb"], tokens[live], dx[live])
 
-    def nll(self, ex: TagExample, backward: bool = False) -> float:
-        emissions, cache = self._emissions(ex.tokens)
-        loss, d_em, d_tr, _ = crf_nll(emissions, self.store["trans"], ex.tags)
+    def nll(self, examples: TagExample | Sequence[TagExample], backward: bool = False):
+        """CRF negative log-likelihood of one example, or a list of each
+        example's in the given order, from one packed forward pass; with
+        ``backward`` the gradients of their sum are accumulated into the
+        store."""
+        one = isinstance(examples, TagExample)
+        batch = [examples] if one else examples
+        order = _by_length([ex.tokens for ex in batch])
+        emissions, lengths, cache = self._emissions([batch[i].tokens for i in order])
+        tags = _pack([batch[i].tags for i in order])
+        nll, d_em, d_tr, _ = crf_nll(emissions, self.store["trans"], tags, lengths)
         if backward:
             self.store.grads["trans"] += d_tr
-            self._emissions_backward(ex.tokens, cache, d_em)
-        return loss
+            self._emissions_backward(cache, d_em)
+        losses = [0.0] * len(batch)
+        for i, loss in zip(order, nll.tolist()):
+            losses[i] = loss
+        return losses[0] if one else losses
 
-    def decode(self, tokens: np.ndarray) -> list[int]:
-        if len(tokens) == 0:
-            return []
-        emissions, _ = self._emissions(tokens)
+    def decode(self, tokens: np.ndarray | Sequence[np.ndarray]):
+        """Constrained Viterbi tag path of one token-id array, or a list of
+        the paths of a list of them in the given order.  They are sorted by
+        length and decoded in packed chunks of ``DECODE_CHUNK``; an empty
+        array decodes to ``[]``."""
+        one = isinstance(tokens, np.ndarray)
+        token_seqs = [tokens] if one else tokens
         trans = self.store["trans"].copy()
         trans[O, I] += CONSTRAINT_PENALTY
-        start = np.zeros(3, dtype=emissions.dtype)
+        start = np.zeros(3, dtype=trans.dtype)
         start[I] = CONSTRAINT_PENALTY
-        path, _ = crf_viterbi(emissions, trans, start)
-        return path
-
-    def tag_utterance(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
-        """Token strings -> predicted markable spans (possibly empty)."""
-        ids = np.asarray([self.vocab.encode(t) for t in tokens], dtype=np.int64)
-        return bio_to_spans(self.decode(ids))
+        paths: list[list[int]] = [[] for _ in token_seqs]
+        order = [i for i in _by_length(token_seqs) if len(token_seqs[i])]
+        for lo in range(0, len(order), DECODE_CHUNK):
+            chunk = order[lo: lo + DECODE_CHUNK]
+            emissions, lengths, _ = self._emissions([token_seqs[i] for i in chunk])
+            for i, path in zip(chunk, crf_viterbi(emissions, trans, lengths, start)[0]):
+                paths[i] = path
+        return paths[0] if one else paths
 
     def token_accuracy(self, examples: Sequence[TagExample]) -> float:
         hits = 0
         total = 0
-        for ex in examples:
-            pred = self.decode(ex.tokens)
+        for ex, pred in zip(examples, self.decode([ex.tokens for ex in examples])):
             hits += int(np.sum(np.asarray(pred) == ex.tags))
             total += len(ex.tags)
         return hits / total if total else 0.0
 
     def span_f1(self, examples: Sequence[TagExample]) -> float:
         tp = fp = fn = 0
-        for ex in examples:
-            pred = set(bio_to_spans(self.decode(ex.tokens)))
+        for ex, path in zip(examples, self.decode([ex.tokens for ex in examples])):
+            pred = set(bio_to_spans(path))
             gold = set(bio_to_spans(list(ex.tags)))
             tp += len(pred & gold)
             fp += len(pred - gold)
@@ -237,7 +276,7 @@ def train_tagger(
         return -acc, {"valid_token_accuracy": acc}
 
     history, best_epoch = fit(
-        tagger.store, train_ex, lambda ex, rng: tagger.nll(ex, backward=True), validate,
+        tagger.store, train_ex, lambda batch, rng: tagger.nll(batch, backward=True), validate,
         config, "train_nll", log_path=log_path, quiet=quiet,
     )
     return TaggerTrainResult(tagger=tagger, history=history, best_epoch=best_epoch)
@@ -250,18 +289,22 @@ def predict_markables(tagger: MarkableTagger, corpus_or_dialogues) -> list[Marka
         dialogues = [corpus_or_dialogues.dialogues[d] for d in sorted(corpus_or_dialogues.dialogues)]
     else:
         dialogues = list(corpus_or_dialogues)
+    utterances = [(d, u_idx, msg) for d in dialogues for u_idx, msg in enumerate(d.messages)]
+    paths = tagger.decode([
+        np.asarray([tagger.vocab.encode(t) for t in msg.tokens], dtype=np.int64)
+        for _, _, msg in utterances
+    ])
     out = []
-    for d in dialogues:
-        for u_idx, msg in enumerate(d.messages):
-            for s_idx, (start, end) in enumerate(tagger.tag_utterance(msg.tokens)):
-                out.append(
-                    Markable(
-                        id=f"{d.id}_auto_{u_idx}_{s_idx}",
-                        dialogue_id=d.id,
-                        utterance_index=u_idx,
-                        start_token=start,
-                        end_token=end,
-                        speaker=msg.speaker,
-                    )
+    for (d, u_idx, msg), path in zip(utterances, paths):
+        for s_idx, (start, end) in enumerate(bio_to_spans(path)):
+            out.append(
+                Markable(
+                    id=f"{d.id}_auto_{u_idx}_{s_idx}",
+                    dialogue_id=d.id,
+                    utterance_index=u_idx,
+                    start_token=start,
+                    end_token=end,
+                    speaker=msg.speaker,
                 )
+            )
     return out

@@ -162,15 +162,15 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         # GRU
         p2 = {
             "W": r.normal(size=(9, 4)) * 0.5, "U": r.normal(size=(9, 3)) * 0.5,
-            "b": r.normal(size=9) * 0.1, "x": r.normal(size=(4, 4)),
+            "b": r.normal(size=9) * 0.1, "x": r.normal(size=(4, 1, 4)),
         }
-        tgt = r.normal(size=(4, 3))
+        tgt = r.normal(size=(4, 1, 3))
 
         def gru_loss():
-            h_seq, _ = gru_sequence(p2["W"], p2["U"], p2["b"], p2["x"])
+            h_seq, _ = gru_sequence(p2["W"], p2["U"], p2["b"], p2["x"], [4])
             return float(((h_seq - tgt) ** 2).sum())
 
-        h_seq, cache = gru_sequence(p2["W"], p2["U"], p2["b"], p2["x"])
+        h_seq, cache = gru_sequence(p2["W"], p2["U"], p2["b"], p2["x"], [4])
         dxx, grads = gru_sequence_backward(p2["W"], p2["U"], cache, 2 * (h_seq - tgt))
         rep = gradient_check(
             gru_loss, p2, {"W": grads["W"], "U": grads["U"], "b": grads["b"], "x": dxx}, seed=seed
@@ -178,13 +178,13 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         assert rep.max_rel_err < TOL_GRAD, f"gru seed {seed}: {rep.max_rel_err}"
 
         # CRF nll
-        p3 = {"em": r.normal(size=(4, 3)), "tr": r.normal(size=(3, 3))}
-        tags = r.integers(0, 3, size=4)
+        p3 = {"em": r.normal(size=(4, 1, 3)), "tr": r.normal(size=(3, 3))}
+        tags = r.integers(0, 3, size=(4, 1))
 
         def crf_loss():
-            return crf_nll(p3["em"], p3["tr"], tags)[0]
+            return crf_nll(p3["em"], p3["tr"], tags, [4])[0][0]
 
-        _, d_em, d_tr, _ = crf_nll(p3["em"], p3["tr"], tags)
+        _, d_em, d_tr, _ = crf_nll(p3["em"], p3["tr"], tags, [4])
         rep = gradient_check(crf_loss, p3, {"em": d_em, "tr": d_tr}, seed=seed)
         assert rep.max_rel_err < TOL_GRAD, f"crf seed {seed}: {rep.max_rel_err}"
 
@@ -246,7 +246,8 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         m = max(scores)
         brute = m + math.log(sum(math.exp(s - m) for s in scores))
         gold = tuple(int(k) for k in r.integers(0, K, size=T))
-        assert abs(crf_nll(em, tr, gold, st)[0] + path_score(em, tr, gold, st) - brute) < TOL_CRF
+        nll = crf_nll(em[:, None], tr, np.array(gold)[:, None], [T], st)[0][0]
+        assert abs(nll + path_score(em, tr, gold, st) - brute) < TOL_CRF
 
     # -- Fleiss multi-pi vs all-pairs brute force ---------------------------
     from collections import Counter

@@ -331,6 +331,22 @@ class TestSelfplayAndRender:
         assert run("render", "--data", data_dir, "--out", "/tmp/x.svg") == 1
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("flag", ["--dialogue", "--scenario", "--markable"])
+    def test_render_unknown_id_names_flag_and_id(self, data_dir, tmp_path, capsys, flag):
+        assert run("render", "--data", data_dir, flag, "nope", "--out", tmp_path / "x.svg") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RefgameError"
+        assert flag in err["message"] and "'nope'" in err["message"]
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "selfplay"])
+    def test_bad_shared_item_names_flag_and_item(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--shared", "4,x", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --shared" in err and "'x'" in err
+
 
 LIST_FILE = "<a file holding []>"
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import copy
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from refgame.errors import SchemaError
 from refgame.importer import import_bundle
 from refgame.model import GroundingModel, ModelConfig, Vocabulary
+from refgame.neural import ParamStore
 from refgame.synth import make_synthetic_corpus
 from refgame.tagger import MarkableTagger, TaggerConfig
 from test_importer import make_bundle
@@ -154,14 +155,22 @@ NETS = {
 FIELD_KINDS = {"str": "str", "int": "int", "float": "number"}
 
 
+def _vocab() -> Vocabulary:
+    corpus = make_synthetic_corpus(2, seed=4)
+    return Vocabulary.from_corpus(corpus, sorted(corpus.dialogues))
+
+
 @cache
 def _checkpoint(net: str) -> dict:
+    """A saved checkpoint's files as JSON.  The meta carries no params hash
+    (such meta still loads), so a mutated params file reaches the params
+    reader rather than failing the hash check."""
     cls, config = NETS[net]
-    corpus = make_synthetic_corpus(2, seed=4)
-    vocab = Vocabulary.from_corpus(corpus, sorted(corpus.dialogues))
     with tempfile.TemporaryDirectory() as tmp:
-        cls(config, vocab).save(Path(tmp) / "net")
-        return {p.name: json.loads(p.read_text()) for p in Path(tmp).iterdir()}
+        cls(config, _vocab()).save(Path(tmp) / "net")
+        files = {p.name: json.loads(p.read_text()) for p in Path(tmp).iterdir()}
+    del files["net.meta.json"]["params_sha256"]
+    return files
 
 
 def _checkpoint_fields(net: str) -> list:
@@ -206,3 +215,26 @@ def test_truncated_base64_schema_error(net):
         _load(lambda path: cls.load(path / "net"), files, "truncated")
 
     check()
+
+
+@pytest.mark.parametrize("net", sorted(NETS))
+def test_swapped_params_file_schema_error(net, tmp_path):
+    # b's params fit a's config and vocabulary, so only the hash tells them apart
+    cls, config = NETS[net]
+    cls(config, _vocab()).save(tmp_path / "a")
+    cls(replace(config, seed=config.seed + 1), _vocab()).save(tmp_path / "b")
+    (tmp_path / "b.params.json").replace(tmp_path / "a.params.json")
+    with pytest.raises(SchemaError) as exc:
+        cls.load(tmp_path / "a")
+    assert "a.params.json" in str(exc.value) and "a.meta.json" in str(exc.value)
+
+    meta_path = tmp_path / "a.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["params_sha256"] = 5
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(SchemaError, match="params_sha256"):
+        cls.load(tmp_path / "a")
+    del meta["params_sha256"]
+    meta_path.write_text(json.dumps(meta))
+    assert cls.load(tmp_path / "a").store["emb"].tobytes() == ParamStore.load(
+        tmp_path / "a.params.json")["emb"].tobytes()

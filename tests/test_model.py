@@ -502,6 +502,13 @@ class TestCheckpoint:
             tmp_path / "other"
         )
         (tmp_path / "other.params.json").replace(tmp_path / "model.params.json")
+        with pytest.raises(SchemaError, match="SHA-256"):
+            GroundingModel.load(tmp_path / "model")
+        # meta written before the params hash: the layout check rejects the file
+        meta_path = tmp_path / "model.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["params_sha256"]
+        meta_path.write_text(json.dumps(meta))
         with pytest.raises(SchemaError, match="do not match"):
             GroundingModel.load(tmp_path / "model")
 

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from refgame.errors import DivergenceError, SchemaError
 from refgame.neural import (
@@ -145,21 +147,23 @@ class TestGradChecks:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gru_sequence(self, seed):
+        # a packed batch of three rows of lengths 3, 2 and 1
         rng = np.random.default_rng(seed)
         T, D, H = 3, 4, 5
+        lengths = [3, 2, 1]
         params = {
             "W": rng.normal(size=(3 * H, D)) * 0.5,
             "U": rng.normal(size=(3 * H, H)) * 0.5,
             "b": rng.normal(size=3 * H) * 0.1,
-            "x": rng.normal(size=(T, D)),
+            "x": rng.normal(size=(T, 3, D)),
         }
-        target = rng.normal(size=(T, H))
+        target = rng.normal(size=(T, 3, H))
 
         def loss_fn():
-            h, _ = gru_sequence(params["W"], params["U"], params["b"], params["x"])
+            h, _ = gru_sequence(params["W"], params["U"], params["b"], params["x"], lengths)
             return float(((h - target) ** 2).sum())
 
-        h, cache = gru_sequence(params["W"], params["U"], params["b"], params["x"])
+        h, cache = gru_sequence(params["W"], params["U"], params["b"], params["x"], lengths)
         dh = 2 * (h - target)
         dx, grads = gru_sequence_backward(params["W"], params["U"], cache, dh)
         rep = gradient_check(
@@ -169,19 +173,21 @@ class TestGradChecks:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_crf_nll(self, seed):
+        # a packed batch of three rows of lengths 4, 2 and 1
         rng = np.random.default_rng(seed)
         T, K = 4, 3
+        lengths = [4, 2, 1]
         params = {
-            "em": rng.normal(size=(T, K)),
+            "em": rng.normal(size=(T, 3, K)),
             "tr": rng.normal(size=(K, K)),
             "st": rng.normal(size=K),
         }
-        tags = rng.integers(0, K, size=T)
+        tags = rng.integers(0, K, size=(T, 3))
 
         def loss_fn():
-            return crf_nll(params["em"], params["tr"], tags, params["st"])[0]
+            return crf_nll(params["em"], params["tr"], tags, lengths, params["st"])[0].sum()
 
-        _, d_em, d_tr, d_st = crf_nll(params["em"], params["tr"], tags, params["st"])
+        _, d_em, d_tr, d_st = crf_nll(params["em"], params["tr"], tags, lengths, params["st"])
         rep = gradient_check(loss_fn, params, {"em": d_em, "tr": d_tr, "st": d_st}, seed=seed)
         assert rep.max_rel_err < 1e-4
 
@@ -208,18 +214,18 @@ class TestGRU:
         w = rng.normal(size=(3 * H, D))
         u = rng.normal(size=(3 * H, H))
         b = rng.normal(size=3 * H)
-        x = rng.normal(size=(T, D))
-        h_seq, _ = gru_sequence(w, u, b, x)
+        x = rng.normal(size=(T, 1, D))
+        h_seq, _ = gru_sequence(w, u, b, x, [T])
         h = np.zeros(H)
         for t in range(T):
-            h = gru_cell(w @ x[t] + b, u, h)
-            assert np.allclose(h_seq[t], h, atol=1e-12)
+            h = gru_cell(w @ x[t, 0] + b, u, h)
+            assert np.allclose(h_seq[t, 0], h, atol=1e-12)
 
         # float32 inputs stay float32 through the kernels, forward and backward
         w32, u32, b32, x32 = (a.astype(np.float32) for a in (w, u, b, x))
-        h32, cache = gru_sequence(w32, u32, b32, x32)
+        h32, cache = gru_sequence(w32, u32, b32, x32, [T])
         assert h32.dtype == np.float32
-        assert gru_cell(w32 @ x32[0] + b32, u32, h32[0]).dtype == np.float32
+        assert gru_cell(w32 @ x32[0, 0] + b32, u32, h32[0, 0]).dtype == np.float32
         assert np.allclose(h32, h_seq, atol=1e-5)
         dx, grads = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
         assert dx.dtype == np.float32
@@ -238,52 +244,67 @@ def _path_score(emissions, transitions, tags, start=None) -> float:
 
 def _log_partition(emissions, transitions, start=None) -> float:
     """log Z from crf_nll: the NLL of any path plus that path's score."""
-    tags = [0] * len(emissions)
-    nll = crf_nll(emissions, transitions, tags, start)[0]
-    return nll + _path_score(emissions, transitions, tags, start)
+    tags = np.zeros((len(emissions), 1), dtype=np.int64)
+    nll = crf_nll(emissions[:, None], transitions, tags, [len(emissions)], start)[0][0]
+    return nll + _path_score(emissions, transitions, tags[:, 0], start)
+
+
+def _ragged(rng, K, max_len=5, max_rows=4):
+    """Random rows of lengths 1..max_len, longest first, packed (T, B, K),
+    with the (T_b, K) emissions of each row."""
+    lengths = sorted(rng.integers(1, max_len + 1, size=int(rng.integers(1, max_rows + 1))),
+                     reverse=True)
+    packed = np.zeros((lengths[0], len(lengths), K))
+    rows = []
+    for b, n in enumerate(lengths):
+        packed[:n, b] = rng.normal(size=(n, K))
+        rows.append(packed[:n, b])
+    return packed, lengths, rows
 
 
 class TestCRF:
     def test_single_step_uniform(self):
-        em = np.zeros((1, 2))
+        em = np.zeros((1, 1, 2))
         tr = np.zeros((2, 2))
-        assert crf_nll(em, tr, [1])[0] == pytest.approx(math.log(2.0))
+        assert crf_nll(em, tr, [[1]], [1])[0][0] == pytest.approx(math.log(2.0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_log_partition_vs_enumeration(self, seed):
+        # every row of a ragged packed batch against its own enumeration
         rng = np.random.default_rng(seed)
-        T = int(rng.integers(1, 6))
         K = int(rng.integers(2, 5))
-        em = rng.normal(size=(T, K))
+        em, lengths, rows = _ragged(rng, K)
         tr = rng.normal(size=(K, K))
         st = rng.normal(size=K)
-        scores = [_path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
-        m = max(scores)
-        brute = m + math.log(sum(math.exp(s - m) for s in scores))
-        gold = rng.integers(0, K, size=T)
-        assert abs(crf_nll(em, tr, gold, st)[0] - (brute - _path_score(em, tr, gold, st))) < 1e-9
-        assert abs(_ref_alphas(em, tr, st)[1] - brute) < 1e-9
+        gold = rng.integers(0, K, size=em.shape[:2])
+        nll = crf_nll(em, tr, gold, lengths, st)[0]
+        _, logz = kernels.crf_alphas(em, tr, st, lengths)
+        for b, row in enumerate(rows):
+            T = len(row)
+            scores = [_path_score(row, tr, path, st) for path in product(range(K), repeat=T)]
+            m = max(scores)
+            brute = m + math.log(sum(math.exp(s - m) for s in scores))
+            assert abs(nll[b] - (brute - _path_score(row, tr, gold[:T, b], st))) < 1e-9
+            assert abs(logz[b] - brute) < 1e-9
+            assert abs(_ref_alphas(row, tr, st)[1] - brute) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_viterbi_vs_enumeration(self, seed):
         rng = np.random.default_rng(seed)
-        T = int(rng.integers(1, 6))
         K = int(rng.integers(2, 5))
-        em = rng.normal(size=(T, K))
+        em, lengths, rows = _ragged(rng, K)
         tr = rng.normal(size=(K, K))
-        paths = list(product(range(K), repeat=T))
-        scores = [_path_score(em, tr, p) for p in paths]
-        best = max(scores)
-        path, score = crf_viterbi(em, tr)
-        assert score == pytest.approx(best, abs=1e-9)
-        assert _path_score(em, tr, path) == pytest.approx(best, abs=1e-9)
-        assert score <= _log_partition(em, tr) + 1e-12
+        paths, scores = crf_viterbi(em, tr, lengths)
+        for row, path, score in zip(rows, paths, scores):
+            best = max(_path_score(row, tr, p) for p in product(range(K), repeat=len(row)))
+            assert len(path) == len(row)
+            assert score == pytest.approx(best, abs=1e-9)
+            assert _path_score(row, tr, path) == pytest.approx(best, abs=1e-9)
+            assert score <= _log_partition(row, tr) + 1e-12
 
     def test_viterbi_lowest_index_ties(self):
-        em = np.zeros((3, 3))
-        tr = np.zeros((3, 3))
-        path, _ = crf_viterbi(em, tr)
-        assert path == [0, 0, 0]
+        paths, _ = crf_viterbi(np.zeros((3, 2, 3)), np.zeros((3, 3)), [3, 1])
+        assert paths == [[0, 0, 0], [0]]
 
     def test_posteriors_sum_to_one(self):
         # crf_nll's gradients are the marginals minus the gold counts, so adding
@@ -294,8 +315,8 @@ class TestCRF:
         tr = rng.normal(size=(K, K))
         st = rng.normal(size=K)
         tags = rng.integers(0, K, size=T)
-        _, d_em, d_tr, d_st = crf_nll(em, tr, tags, st)
-        unary, pairs = d_em.copy(), d_tr.copy()
+        _, d_em, d_tr, d_st = crf_nll(em[:, None], tr, tags[:, None], [T], st)
+        unary, pairs = d_em[:, 0].copy(), d_tr.copy()
         unary[np.arange(T), tags] += 1.0
         np.add.at(pairs, (tags[:-1], tags[1:]), 1.0)
         assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
@@ -312,23 +333,31 @@ class TestCRF:
 
     def test_gold_path_likelihood_nonpositive(self):
         rng = np.random.default_rng(6)
-        em = rng.normal(size=(4, 3))
+        em = rng.normal(size=(4, 1, 3))
         tr = rng.normal(size=(3, 3))
-        tags = [0, 1, 1, 2]
-        nll, *_ = crf_nll(em, tr, tags)
-        assert nll >= 0.0  # log-likelihood <= 0
+        tags = [[0], [1], [1], [2]]
+        nll, *_ = crf_nll(em, tr, tags, [4])
+        assert nll[0] >= 0.0  # log-likelihood <= 0
 
     def test_path_probabilities_sum_to_one(self):
         rng = np.random.default_rng(7)
-        em = rng.normal(size=(4, 3))
+        em = rng.normal(size=(4, 1, 3))
         tr = rng.normal(size=(3, 3))
-        total = sum(math.exp(-crf_nll(em, tr, p)[0]) for p in product(range(3), repeat=4))
+        total = sum(
+            math.exp(-crf_nll(em, tr, np.array(p)[:, None], [4])[0][0])
+            for p in product(range(3), repeat=4)
+        )
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_nonfinite_emissions_rejected(self):
-        em = np.array([[0.0, np.inf]])
-        with pytest.raises(ValueError):
-            crf_nll(em, np.zeros((2, 2)), [0])
+        em = np.array([[[0.0, np.inf]]])
+        with pytest.raises(ValueError, match="non-finite emissions"):
+            crf_nll(em, np.zeros((2, 2)), [[0]], [1])
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [3], [3, 0], [4, 2]])
+    def test_bad_lengths_rejected(self, lengths):
+        with pytest.raises(ValueError, match="lengths"):
+            crf_viterbi(np.zeros((3, 2, 2)), np.zeros((2, 2)), lengths)
 
 
 def _ref_alphas(emissions, transitions, start):
@@ -406,14 +435,16 @@ def _ref_viterbi(emissions, transitions, start):
 
 
 class TestCRFKernelsMatchScalarReference:
-    """The tag-vector CRF kernels equal the scalar loops bit for bit."""
+    """Every row of a packed batch through the CRF kernels equals the scalar
+    loops on that row alone, bit for bit."""
 
     @staticmethod
     def _case(seed, dtype):
         rng = np.random.default_rng(seed)
         T = int(rng.integers(1, 9))
         K = int(rng.integers(2, 5))
-        em = rng.normal(scale=2.0, size=(T, K))
+        lengths = [T] + sorted(rng.integers(1, T + 1, size=seed % 4), reverse=True)
+        em = rng.normal(scale=2.0, size=(T, len(lengths), K))
         tr = rng.normal(size=(K, K))
         st = rng.normal(size=K)
         if seed % 3 == 1:  # all-zero scores: every argmax is a tie
@@ -421,22 +452,148 @@ class TestCRFKernelsMatchScalarReference:
         elif seed % 3 == 2:  # the tagger's decode-time constraint penalties
             tr[K - 1, 1] += -1e4
             st[1] = -1e4
-        return em.astype(dtype), tr.astype(dtype), st.astype(dtype)
+        return em.astype(dtype), tr.astype(dtype), st.astype(dtype), lengths
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("seed", range(30))
     def test_equal_to_scalar_loops(self, seed, dtype):
-        em, tr, st = self._case(seed, dtype)
-        alpha, logz = kernels.crf_alphas(em, tr, st)
-        ref_alpha, ref_logz = _ref_alphas(em, tr, st)
-        assert alpha.dtype == dtype and np.array_equal(alpha, ref_alpha)
-        assert np.array_equal(logz, ref_logz)
-        beta = kernels.crf_betas(em, tr)
-        assert beta.dtype == dtype and np.array_equal(beta, _ref_betas(em, tr))
-        path, score = kernels.crf_viterbi_path(em, tr, st)
-        ref_path, ref_score = _ref_viterbi(em, tr, st)
-        assert np.array_equal(path, ref_path)
-        assert np.array_equal(score, ref_score)
+        em, tr, st, lengths = self._case(seed, dtype)
+        alpha, logz = kernels.crf_alphas(em, tr, st, lengths)
+        beta = kernels.crf_betas(em, tr, lengths)
+        path, score = kernels.crf_viterbi_path(em, tr, st, lengths)
+        assert alpha.dtype == beta.dtype == logz.dtype == score.dtype == dtype
+        for b, n in enumerate(lengths):
+            row = em[:n, b]
+            ref_alpha, ref_logz = _ref_alphas(row, tr, st)
+            assert np.array_equal(alpha[:n, b], ref_alpha)
+            assert np.array_equal(logz[b], ref_logz)
+            assert np.array_equal(beta[:n, b], _ref_betas(row, tr))
+            ref_path, ref_score = _ref_viterbi(row, tr, st)
+            assert np.array_equal(path[:n, b], ref_path)
+            assert np.array_equal(score[b], ref_score)
+            # padding stays zero
+            assert not alpha[n:, b].any() and not beta[n:, b].any() and not path[n:, b].any()
+
+
+def _ref_gru_step(a, u, h):
+    """The one-row GRU step the packed kernel replaced (reference)."""
+    H = h.shape[0]
+    z = 1.0 / (1.0 + np.exp(-(a[0:H] + np.dot(u[0:H], h))))
+    r = 1.0 / (1.0 + np.exp(-(a[H:2 * H] + np.dot(u[H:2 * H], h))))
+    hb = np.tanh(a[2 * H:3 * H] + np.dot(u[2 * H:3 * H], r * h))
+    return (1.0 - z) * h + z * hb, z, r, hb
+
+
+def _ref_gru_forward(wx, u):
+    """One-sequence forward over (T, 3H) projections (reference)."""
+    T, H = wx.shape[0], u.shape[1]
+    outs = [np.empty((T, H), dtype=wx.dtype) for _ in range(4)]
+    h = np.zeros(H, dtype=wx.dtype)
+    for t in range(T):
+        h, outs[1][t], outs[2][t], outs[3][t] = _ref_gru_step(wx[t], u, h)
+        outs[0][t] = h
+    return tuple(outs)
+
+
+def _ref_gru_backward(u, h_prev, z_seq, r_seq, hb_seq, dh_seq):
+    """One-sequence backward through time (reference)."""
+    T, H = z_seq.shape
+    uzT = np.ascontiguousarray(u[0:H].T)
+    urT = np.ascontiguousarray(u[H:2 * H].T)
+    uhT = np.ascontiguousarray(u[2 * H:3 * H].T)
+    da = np.zeros((T, 3 * H), dtype=z_seq.dtype)
+    dh = np.zeros(H, dtype=z_seq.dtype)
+    for t in range(T - 1, -1, -1):
+        dht = dh + dh_seq[t]
+        z, r, hb, hp = z_seq[t], r_seq[t], hb_seq[t], h_prev[t]
+        daz = dht * (hb - hp) * z * (1.0 - z)
+        dah = dht * z * (1.0 - hb * hb)
+        drh = np.dot(uhT, dah)
+        dar = drh * hp * r * (1.0 - r)
+        dh = dht * (1.0 - z) + np.dot(uzT, daz) + np.dot(urT, dar) + drh * r
+        da[t, 0:H], da[t, H:2 * H], da[t, 2 * H:3 * H] = daz, dar, dah
+    return da
+
+
+_lengths = hst.lists(hst.integers(1, 7), min_size=1, max_size=6).map(
+    lambda xs: sorted(xs, reverse=True))
+
+
+class TestPackedKernels:
+    """A packed batch equals its rows run one at a time: bit for bit at
+    B=1 against the one-sequence loops, to 1e-10 for ragged batches."""
+
+    @given(seed=hst.integers(0, 2**32 - 1), T=hst.integers(1, 9), H=hst.sampled_from([1, 5, 32, 256]))
+    @settings(max_examples=40, deadline=None)
+    def test_gru_batch_of_one_is_the_one_sequence_kernel(self, seed, T, H):
+        # float64 only: in float32 a one-row sgemm and sgemv may round apart
+        dtype = np.float64
+        rng = np.random.default_rng(seed)
+        u = (rng.normal(size=(3 * H, H)) / np.sqrt(H)).astype(dtype)
+        wx = rng.normal(size=(T, 3 * H)).astype(dtype)
+        dh = rng.normal(size=(T, H)).astype(dtype)
+        ref = _ref_gru_forward(wx, u)
+        out = kernels.gru_forward(wx[:, None], u, [T])
+        for a, b in zip(out, ref):
+            assert a.dtype == dtype and np.array_equal(a[:, 0], b)
+        h_prev = np.vstack([np.zeros_like(ref[0][:1]), ref[0][:-1]])
+        ref_da = _ref_gru_backward(u, h_prev, *ref[1:], dh)
+        da = kernels.gru_backward(u, h_prev[:, None], *(o for o in out[1:]), dh[:, None], [T])
+        assert da.dtype == dtype and np.array_equal(da[:, 0], ref_da)
+        h = np.zeros(H, dtype=dtype)
+        for t in range(T):
+            h = gru_cell(wx[t], u, h)
+            assert np.array_equal(h, ref[0][t])
+
+    @given(seed=hst.integers(0, 2**32 - 1), lengths=_lengths)
+    @settings(max_examples=40, deadline=None)
+    def test_gru_packed_equals_per_sequence_sum(self, seed, lengths):
+        rng = np.random.default_rng(seed)
+        D, H = 3, 4
+        w = rng.normal(size=(3 * H, D)) * 0.5
+        u = rng.normal(size=(3 * H, H)) * 0.5
+        b = rng.normal(size=3 * H) * 0.1
+        T, B = lengths[0], len(lengths)
+        x = rng.normal(size=(T, B, D))
+        dh = rng.normal(size=(T, B, H))
+        h, cache = gru_sequence(w, u, b, x, lengths)
+        dx, grads = gru_sequence_backward(w, u, cache, dh)
+        summed = {k: np.zeros_like(v) for k, v in grads.items()}
+        for row, n in enumerate(lengths):
+            h1, cache1 = gru_sequence(w, u, b, x[:n, row:row + 1], [n])
+            dx1, grads1 = gru_sequence_backward(w, u, cache1, dh[:n, row:row + 1])
+            assert np.allclose(h[:n, row], h1[:, 0], rtol=0, atol=1e-10)
+            assert np.allclose(dx[:n, row], dx1[:, 0], rtol=0, atol=1e-10)
+            assert not h[n:, row].any() and not dx[n:, row].any()
+            for k in summed:
+                summed[k] += grads1[k]
+        for k in summed:
+            assert np.allclose(grads[k], summed[k], rtol=0, atol=1e-10)
+
+    @given(seed=hst.integers(0, 2**32 - 1), lengths=_lengths, K=hst.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_crf_packed_equals_per_sequence_sum(self, seed, lengths, K):
+        rng = np.random.default_rng(seed)
+        T, B = lengths[0], len(lengths)
+        em = rng.normal(scale=2.0, size=(T, B, K))
+        tr = rng.normal(size=(K, K))
+        start = rng.normal(size=K)
+        tags = rng.integers(0, K, size=(T, B))
+        nll, d_em, d_tr, d_st = crf_nll(em, tr, tags, lengths, start)
+        paths, scores = crf_viterbi(em, tr, lengths, start)
+        sum_tr, sum_st = np.zeros_like(d_tr), np.zeros_like(d_st)
+        for row, n in enumerate(lengths):
+            one = em[:n, row:row + 1]
+            nll1, d_em1, d_tr1, d_st1 = crf_nll(one, tr, tags[:n, row:row + 1], [n], start)
+            assert abs(nll[row] - nll1[0]) < 1e-10
+            assert np.allclose(d_em[:n, row], d_em1[:, 0], rtol=0, atol=1e-10)
+            assert not d_em[n:, row].any()
+            sum_tr += d_tr1
+            sum_st += d_st1
+            path1, score1 = crf_viterbi(one, tr, [n], start)
+            assert paths[row] == path1[0] and scores[row] == score1[0]
+        assert np.allclose(d_tr, sum_tr, rtol=0, atol=1e-10)
+        assert np.allclose(d_st, sum_st, rtol=0, atol=1e-10)
 
 
 class TestAdam:

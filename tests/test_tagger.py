@@ -13,6 +13,7 @@ from refgame.tagger import (
     I,
     O,
     MarkableTagger,
+    TagExample,
     TaggerConfig,
     bio_to_spans,
     build_tag_examples,
@@ -71,24 +72,45 @@ class TestBIO:
                 assert bio_to_spans(spans_to_bio(spans, len(msg.tokens))) == spans
 
 
+def _random_utterances(rng, n, vocab_size, max_len=15):
+    return [rng.integers(0, vocab_size, size=rng.integers(1, max_len)) for _ in range(n)]
+
+
 class TestDecode:
     def test_empty_utterance(self):
         vocab = Vocabulary(["a"])
         tagger = MarkableTagger(TINY, vocab)
-        assert tagger.tag_utterance([]) == []
+        empty = np.array([], dtype=np.int64)
+        assert tagger.decode(empty) == []
+        assert tagger.decode([empty, np.array([0, 0]), empty]) == [[], tagger.decode(np.array([0, 0])), []]
 
     def test_decoded_spans_never_overlap(self):
         vocab = Vocabulary(["a", "b", "c"])
         tagger = MarkableTagger(TaggerConfig(embed_dim=8, hidden_dim=6, seed=3), vocab)
-        rng = np.random.default_rng(0)
-        words = ["a", "b", "c"]
-        for _ in range(50):
-            tokens = [words[i] for i in rng.integers(0, 3, size=rng.integers(1, 15))]
-            spans = tagger.tag_utterance(tokens)
+        utterances = _random_utterances(np.random.default_rng(0), 50, len(vocab))
+        for tokens, path in zip(utterances, tagger.decode(utterances)):
+            assert len(path) == len(tokens)
+            spans = bio_to_spans(path)
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
                 assert e1 <= s2
             for s, e in spans:
                 assert 0 <= s < e <= len(tokens)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150))
+    @settings(max_examples=20, deadline=None)
+    def test_batched_decode_equals_one_at_a_time_and_keeps_constraints(self, seed, n):
+        # more utterances than one decode chunk holds, with I favoured
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(["a", "b", "c"])
+        tagger = MarkableTagger(TaggerConfig(embed_dim=8, hidden_dim=6, seed=seed % 7), vocab)
+        tagger.store.params["emit.b"][...] = rng.normal(scale=3.0, size=3) + np.array([0.0, 4.0, 0.0])
+        tagger.store.params["trans"][...] = rng.normal(scale=3.0, size=(3, 3))
+        utterances = _random_utterances(rng, n, len(vocab))
+        paths = tagger.decode(utterances)
+        for tokens, path in zip(utterances, paths):
+            assert path == tagger.decode(tokens)
+            assert path[0] != I
+            assert not any(a == O and b == I for a, b in zip(path, path[1:]))
 
     def test_constraint_blocks_leading_inside(self):
         vocab = Vocabulary(["a"])
@@ -117,6 +139,26 @@ class TestTraining:
         assert result.tagger.token_accuracy(examples) == 1.0
         assert result.tagger.span_f1(examples) == 1.0
 
+    @given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    @settings(max_examples=15, deadline=None)
+    def test_batched_nll_equals_per_utterance_sum(self, seed, lengths):
+        rng = np.random.default_rng(seed)
+        vocab = Vocabulary(["a", "b", "c", "d"])
+        tagger = MarkableTagger(TaggerConfig(embed_dim=8, hidden_dim=6, seed=seed % 5), vocab)
+        examples = [
+            TagExample("d", i, rng.integers(0, len(vocab), size=n), rng.integers(0, 3, size=n))
+            for i, n in enumerate(lengths)
+        ]
+        store = tagger.store
+        store.zero_grads()
+        losses = tagger.nll(examples, backward=True)
+        batched = {k: g.copy() for k, g in store.grads.items()}
+        store.zero_grads()
+        singles = [tagger.nll(ex, backward=True) for ex in examples]
+        assert np.allclose(losses, singles, rtol=0, atol=1e-10)
+        for k, g in store.grads.items():
+            assert np.allclose(batched[k], g, rtol=0, atol=1e-10), k
+
     def test_deterministic(self):
         corpus = make_synthetic_corpus(4, seed=51)
         ids = tuple(sorted(corpus.dialogues))
@@ -140,7 +182,8 @@ class TestCheckpointAndExport:
         loaded = MarkableTagger.load(tmp_path / "tagger")
         for did in ids:
             for msg in corpus.dialogues[did].messages:
-                assert loaded.tag_utterance(msg.tokens) == tagger.tag_utterance(msg.tokens)
+                ids = np.asarray([vocab.encode(t) for t in msg.tokens], dtype=np.int64)
+                assert loaded.decode(ids) == tagger.decode(ids)
 
     def test_predict_markables_records(self):
         corpus = make_synthetic_corpus(3, seed=53)

@@ -25,9 +25,9 @@ def test_fit_stops_after_patience_and_restores_best(tmp_path):
     store.add("w", (2, 2))
     config = SimpleNamespace(lr=0.1, grad_clip=1.0, batch_size=2, epochs=10, patience=2, seed=0)
 
-    def step(example, rng):
-        store.grads["w"] += example
-        return 1.0
+    def step(batch, rng):
+        store.grads["w"] += sum(batch)
+        return [1.0] * len(batch)
 
     scores = iter([3.0, 1.0, 2.0, 2.0, 2.0])
     snapshots = []
@@ -94,9 +94,9 @@ def test_clip_rate_counts_clipped_minibatches():
     store.add("w", (1,))
     config = SimpleNamespace(lr=0.0, grad_clip=1.0, batch_size=1, epochs=1, patience=1, seed=0)
 
-    def step(example, rng):
-        store.grads["w"] += example
-        return 0.0
+    def step(batch, rng):
+        store.grads["w"] += sum(batch)
+        return [0.0] * len(batch)
 
     history, _ = fit(store, [0.5, -3.0, 2.0, 1.0], step, lambda: (0.0, {}), config, "loss")
     assert history[0]["grad_norm"] == pytest.approx((0.5 + 3.0 + 2.0 + 1.0) / 4)
