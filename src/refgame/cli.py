@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import RefgameError
-from .io import atomic_write_json, atomic_write_text, read_json, read_records
+from .io import atomic_write_bytes, atomic_write_json, atomic_write_text, csv_text, read_json, read_records
 
 
 def _data_dir(args) -> Path:
@@ -112,19 +111,18 @@ def cmd_agreement(args) -> int:
     report = referent_agreement(corpus)
     atomic_write_json(out / "agreement.json", report.to_dict())
 
-    rows = agreement_by_referent_count(corpus)
-    lines = ["# Referents,% Agreement,% Exact,% Judgements"]
-    for r in rows:
-        lines.append(
-            f"{r.n_referents},{100 * r.agreement:.2f},{100 * r.exact_match:.2f},{r.pct_judgements:.2f}"
-        )
-    atomic_write_text(out / "by_referent_count.csv", "\n".join(lines) + "\n")
+    rows = [
+        (r.n_referents, f"{100 * r.agreement:.2f}", f"{100 * r.exact_match:.2f}", f"{r.pct_judgements:.2f}")
+        for r in agreement_by_referent_count(corpus)
+    ]
+    header = ("# Referents", "% Agreement", "% Exact", "% Judgements")
+    atomic_write_text(out / "by_referent_count.csv", csv_text(header, rows))
 
     corr = token_exact_match_correlation(corpus, min_count=args.min_count)
-    lines = ["token,rho,count"]
-    for tok, (rho, count) in sorted(corr.items(), key=lambda kv: kv[1][0]):
-        lines.append(f"{tok},{rho:.4f},{count}")
-    atomic_write_text(out / "token_correlation.csv", "\n".join(lines) + "\n")
+    rows = [
+        (tok, f"{rho:.4f}", count) for tok, (rho, count) in sorted(corr.items(), key=lambda kv: kv[1][0])
+    ]
+    atomic_write_text(out / "token_correlation.csv", csv_text(("token", "rho", "count"), rows))
 
     adjectives = [a for a in args.adjectives.split(",") if a]
     gold = aggregate_corpus_gold(corpus)
@@ -133,10 +131,8 @@ def cmd_agreement(args) -> int:
             kde = color_kde(corpus, [adj], gold=gold)[adj]
         except ValueError:
             continue
-        xs, ds = kde.grid(0.0, 256.0, 512)
-        lines = ["color,density"]
-        lines += [f"{x:.4f},{d:.8f}" for x, d in zip(xs, ds)]
-        atomic_write_text(out / f"kde_{adj}.csv", "\n".join(lines) + "\n")
+        rows = [(f"{x:.4f}", f"{d:.8f}") for x, d in zip(*kde.grid(0.0, 256.0, 512))]
+        atomic_write_text(out / f"kde_{adj}.csv", csv_text(("color", "density"), rows))
     print(f"agreement reports written to {out}")
     return 0
 
@@ -351,17 +347,23 @@ def cmd_render(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Mirror each input directory's reports under its own basename in
+    ``--out``, and summarize every evaluation ``report.json`` among them."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sources: dict[str, Path] = {}
+    for src in map(Path, args.inputs):
+        name = src.resolve().name
+        if name in sources:
+            raise RefgameError(f"report inputs {sources[name]} and {src} share the basename {name!r}")
+        sources[name] = src
     index = []
     eval_reports = []
-    for src in args.inputs:
-        src = Path(src)
+    for name, src in sources.items():
         files = sorted(p for p in src.rglob("*") if p.suffix in (".json", ".csv", ".svg", ".html", ".jsonl"))
         for p in files:
-            dest = out / p.name
-            shutil.copyfile(p, dest)
-            index.append(p.name)
+            rel = Path(name, p.relative_to(src))
+            atomic_write_bytes(out / rel, p.read_bytes())
+            index.append(rel.as_posix())
             if p.name == "report.json":
                 record = read_json(p)
                 if "variant" in record and "target_selection" in record:
@@ -372,9 +374,8 @@ def cmd_report(args) -> int:
         summary = summary_table(eval_reports)
         atomic_write_json(out / "results_summary.json", summary)
         atomic_write_text(out / "results_summary.csv", summary_csv(summary))
-        index.append("results_summary.json")
-        index.append("results_summary.csv")
-    atomic_write_json(out / "index.json", {"files": sorted(set(index)), "version": __version__})
+        index += ["results_summary.json", "results_summary.csv"]
+    atomic_write_json(out / "index.json", {"files": sorted(index), "version": __version__})
     print(f"bundled {len(index)} files into {out}")
     return 0
 

@@ -4,8 +4,6 @@ count), and the per-dialogue REF/TSEL correlation."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -13,7 +11,8 @@ import numpy as np
 
 from .agreement import pearson
 from .corpus import AnnotatedCorpus, GoldEntry
-from .model import GroundingModel, build_examples
+from .io import csv_text
+from .model import REF_THRESHOLD, GroundingModel, build_examples
 from .scenario import VIEW_SIZE
 
 
@@ -59,12 +58,10 @@ class EvalReport:
         }
 
     def grouped_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["# Referents", "% Accuracy", "% Exact Match", "Count"])
-        for r in self.grouped:
-            w.writerow([r.n_referents, f"{r.accuracy:.2f}", f"{r.exact_match:.2f}", r.count])
-        return buf.getvalue()
+        return csv_text(
+            ("# Referents", "% Accuracy", "% Exact Match", "Count"),
+            ((r.n_referents, f"{r.accuracy:.2f}", f"{r.exact_match:.2f}", r.count) for r in self.grouped),
+        )
 
 
 def evaluate_model(
@@ -75,71 +72,45 @@ def evaluate_model(
 ) -> EvalReport:
     """Frozen-model metrics over a dialogue set.  Dropped markables are
     excluded upstream (build_examples); entity accuracy averages the 7
-    binary decisions per markable; predictions threshold 0.5."""
+    binary decisions per markable; a referent is predicted where its REF
+    probability reaches ``REF_THRESHOLD``."""
     if not dialogue_ids:
         raise ValueError("empty evaluation split")
     examples = build_examples(corpus, dialogue_ids, model.vocab, gold)
-    tsel_hits: list[float] = []
-    per_entity_hits = 0
-    per_entity_total = 0
-    exact_hits = 0
-    n_markables = 0
-    by_count: dict[int, list[int]] = {}
-    per_example_ref: list[float | None] = []
-    per_example_tsel: list[float] = []
-    for ex in examples:
-        probs = model.predict(ex)
-        if "tsel" in probs:
-            hit = float(int(np.argmax(probs["tsel"])) == ex.tsel_target)
-            tsel_hits.append(hit)
-            per_example_tsel.append(hit)
-        if "ref" in probs and len(ex.markable_ids) > 0:
-            pred = probs["ref"] >= 0.5
-            goldm = ex.ref_targets >= 0.5
-            match = pred == goldm
-            per_entity_hits += int(match.sum())
-            per_entity_total += match.size
-            row_exact = match.all(axis=1)
-            exact_hits += int(row_exact.sum())
-            n_markables += len(ex.markable_ids)
-            per_example_ref.append(float(match.mean()))
-            for row in range(len(ex.markable_ids)):
-                n_ref = int(goldm[row].sum())
-                bucket = by_count.setdefault(n_ref, [0, 0, 0])
-                bucket[0] += int(match[row].sum())
-                bucket[1] += int(row_exact[row])
-                bucket[2] += 1
-        else:
-            per_example_ref.append(None)
-
-    grouped = [
-        GroupRow(
-            n_referents=n,
-            accuracy=100.0 * hits / (VIEW_SIZE * cnt),
-            exact_match=100.0 * exact / cnt,
-            count=cnt,
-        )
-        for n, (hits, exact, cnt) in sorted(by_count.items())
+    probs = [model.predict(ex) for ex in examples]
+    tsel_hits = [
+        float(np.argmax(p["tsel"]) == ex.tsel_target)
+        for p, ex in zip(probs, examples) if "tsel" in model.heads
     ]
+    # one row per markable of every example: its gold referents and which of
+    # its 7 decisions match them
+    gold_rows = np.concatenate([ex.ref_targets for ex in examples]) == 1.0
+    if "ref" in model.heads:
+        match = (np.concatenate([p["ref"] for p in probs]) >= REF_THRESHOLD) == gold_rows
+    else:  # no REF decisions to score
+        gold_rows = match = gold_rows[:0]
+    exact = match.all(axis=1)
+    n_gold = gold_rows.sum(axis=1)
+    grouped = []
+    for n in np.unique(n_gold):
+        rows = n_gold == n
+        count = int(rows.sum())
+        accuracy = 100.0 * int(match[rows].sum()) / (VIEW_SIZE * count)
+        grouped.append(GroupRow(int(n), accuracy, 100.0 * int(exact[rows].sum()) / count, count))
     correlation = None
     if "tsel" in model.heads and "ref" in model.heads:
-        pairs = [
-            (r, t)
-            for r, t in zip(per_example_ref, per_example_tsel)
-            if r is not None
-        ]
+        per_example = np.split(match, np.cumsum([len(ex.ref_targets) for ex in examples])[:-1])
+        pairs = [(float(m.mean()), hit) for m, hit in zip(per_example, tsel_hits) if len(m)]
         if len(pairs) >= 2:
-            correlation = pearson([p[0] for p in pairs], [p[1] for p in pairs])
+            correlation = pearson(*zip(*pairs))
     return EvalReport(
         variant=model.config.variant,
         seed=model.config.seed,
         tsel_accuracy=100.0 * float(np.mean(tsel_hits)) if tsel_hits else None,
-        ref_accuracy=(
-            100.0 * per_entity_hits / per_entity_total if per_entity_total else None
-        ),
-        ref_exact_match=(100.0 * exact_hits / n_markables if n_markables else None),
+        ref_accuracy=100.0 * int(match.sum()) / match.size if match.size else None,
+        ref_exact_match=100.0 * int(exact.sum()) / len(match) if len(match) else None,
         n_examples=len(examples),
-        n_markables=n_markables,
+        n_markables=len(match),
         grouped=grouped,
         ref_tsel_correlation=correlation,
     )
@@ -176,10 +147,5 @@ def summary_csv(rows: Sequence[Mapping]) -> str:
     def cell(stat):
         return "-" if stat is None else f"{stat['mean']:.2f}+-{stat['sd']:.2f}"
 
-    lines = ["Model,Target Selection,Reference Resolution,Exact Match"]
-    for row in rows:
-        lines.append(
-            f"{row['Model']},{cell(row['Target Selection'])},"
-            f"{cell(row['Reference Resolution'])},{cell(row['Exact Match'])}"
-        )
-    return "\n".join(lines) + "\n"
+    metrics = ("Target Selection", "Reference Resolution", "Exact Match")
+    return csv_text(("Model", *metrics), ((row["Model"], *(cell(row[m]) for m in metrics)) for row in rows))

@@ -1,26 +1,30 @@
 """Small file helpers: atomic writes so batch jobs never leave torn files,
-and one strict reader that builds record dataclasses from JSON objects."""
+one CSV writer, and one strict reader that builds record dataclasses from
+JSON objects."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 import tempfile
 from dataclasses import MISSING, fields
 from functools import cache
+from io import StringIO
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import SchemaError
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -28,8 +32,22 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
 def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV with "\n" line ends; a cell is quoted only when it holds a comma,
+    a quote or a line break."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def read_json(path, sha256: str | None = None):

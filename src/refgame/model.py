@@ -42,7 +42,7 @@ from .neural import (
     softmax_backward,
     tanh,
 )
-from .scenario import VIEW_SIZE, view_feature_matrix
+from .scenario import VIEW_SIZE, Scenario, view_feature_matrix
 
 UNK = "<unk>"
 YOU = "YOU:"
@@ -55,6 +55,8 @@ VARIANTS = ("TSEL", "REF", "TSEL-REF", "TSEL-DIAL", "TSEL-REF-DIAL")
 # Heads run in this fixed order, never in the order of a variant's frozenset,
 # which follows string hashing; the order fixes how gradients accumulate.
 HEADS = ("tsel", "ref", "dial")
+# a markable refers to an entity when its REF probability reaches this
+REF_THRESHOLD = 0.5
 
 
 def variant_heads(variant: str) -> frozenset[str]:
@@ -228,64 +230,66 @@ def serialize_dialogue(
     )
 
 
-def markable_positions(markables: Sequence[Markable], tok_pos, eou_pos) -> np.ndarray:
-    """(M, 3) stream positions of each markable's first token, last token and
-    its utterance's <eou>, from ``serialize_dialogue``'s position maps."""
-    rows = [
-        (tok_pos[m.utterance_index, m.start_token], tok_pos[m.utterance_index, m.end_token - 1],
-         eou_pos[m.utterance_index])
-        for m in markables
-    ]
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-
-
 def build_examples(
     corpus: AnnotatedCorpus,
     dialogue_ids: Iterable[str],
     vocab: Vocabulary,
     gold: Mapping[str, GoldEntry],
 ) -> list[StreamExample]:
-    """Two perspective examples per dialogue.  REF rows cover the
-    perspective speaker's non-generic markables with usable gold (dropped
-    markables are excluded)."""
+    """``dialogue_examples`` of each dialogue, with the corpus's markables."""
     out = []
     for did in dialogue_ids:
         d = corpus.dialogues[did]
-        scenario = corpus.scenarios[d.scenario_id]
-        for perspective in ("A", "B"):
-            tokens, dial_positions, tok_pos, eou_pos = serialize_dialogue(d, perspective, vocab)
-            view = scenario.view(perspective)
-            order = {eid: i for i, eid in enumerate(view.visible)}
-            marks: list[Markable] = []
-            targets: list[np.ndarray] = []
-            for mid in corpus.markables_by_dialogue.get(did, ()):
-                m = corpus.markables[mid]
-                if m.speaker != perspective or m.generic:
-                    continue
-                entry = gold.get(mid)
-                if entry is None or entry.dropped:
-                    continue
-                row = np.zeros(VIEW_SIZE)
-                for e in entry.referents:
-                    row[order[e]] = 1.0
-                marks.append(m)
-                targets.append(row)
-            attrs, rel = view_feature_matrix(scenario, perspective)
-            out.append(
-                StreamExample(
-                    dialogue_id=did,
-                    perspective=perspective,
-                    tokens=tokens,
-                    dial_positions=dial_positions,
-                    tsel_target=order[d.selections[perspective]],
-                    markable_ids=[m.id for m in marks],
-                    mark_positions=markable_positions(marks, tok_pos, eou_pos),
-                    ref_targets=(np.stack(targets) if targets else np.zeros((0, VIEW_SIZE))),
-                    attrs=attrs,
-                    rel=rel,
-                    entity_ids=view.visible,
-                )
+        markables = [corpus.markables[mid] for mid in corpus.markables_by_dialogue.get(did, ())]
+        out += dialogue_examples(d, corpus.scenarios[d.scenario_id], vocab, markables, gold)
+    return out
+
+
+def dialogue_examples(
+    dialogue: Dialogue,
+    scenario: Scenario,
+    vocab: Vocabulary,
+    markables: Sequence[Markable],
+    gold: Mapping[str, GoldEntry],
+) -> list[StreamExample]:
+    """The dialogue's two perspective examples, A then B.  REF rows cover
+    the perspective speaker's non-generic markables, in ``markables``
+    order, that have a ``gold`` entry which is not dropped; each row is
+    read at the stream positions of the markable's first token, last
+    token and its utterance's <eou>."""
+    out = []
+    for perspective in ("A", "B"):
+        tokens, dial_positions, tok_pos, eou_pos = serialize_dialogue(dialogue, perspective, vocab)
+        view = scenario.view(perspective)
+        order = {eid: i for i, eid in enumerate(view.visible)}
+        marks = [
+            m for m in markables
+            if m.speaker == perspective and not m.generic and m.id in gold and not gold[m.id].dropped
+        ]
+        targets = np.zeros((len(marks), VIEW_SIZE))
+        for row, m in zip(targets, marks):
+            row[[order[e] for e in gold[m.id].referents]] = 1.0
+        positions = [
+            (tok_pos[m.utterance_index, m.start_token], tok_pos[m.utterance_index, m.end_token - 1],
+             eou_pos[m.utterance_index])
+            for m in marks
+        ]
+        attrs, rel = view_feature_matrix(scenario, perspective)
+        out.append(
+            StreamExample(
+                dialogue_id=dialogue.id,
+                perspective=perspective,
+                tokens=tokens,
+                dial_positions=dial_positions,
+                tsel_target=order[dialogue.selections[perspective]],
+                markable_ids=[m.id for m in marks],
+                mark_positions=np.asarray(positions, dtype=np.int64).reshape(-1, 3),
+                ref_targets=targets,
+                attrs=attrs,
+                rel=rel,
+                entity_ids=view.visible,
             )
+        )
     return out
 
 
@@ -478,23 +482,22 @@ class GroundingModel:
         """Probabilities of the model's TSEL and REF heads for one example:
         ``"tsel"`` (7,) over the view and ``"ref"`` (M, 7) per markable.  One
         GRU pass and one entity encoding serve both heads."""
+        return self._predict(ex, [head for head in ("tsel", "ref") if head in self.heads])
+
+    def ref_probs_at(self, ex: StreamExample) -> np.ndarray:
+        """``predict``'s REF probabilities alone; a variant with no REF head
+        raises ValueError."""
+        return self._predict(ex, ["ref"])["ref"]
+
+    def _predict(self, ex: StreamExample, heads: Sequence[str]) -> dict[str, np.ndarray]:
         h_seq, _ = self._encode_tokens(ex.tokens)
         entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
         out = {}
-        for head in ("tsel", "ref"):
-            if head in self.heads:
-                rows, _ = _head_rows(ex, head)
-                scores, _ = self._head_forward(head, entities, entities_proj, _queries(h_seq, rows))
-                out[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
+        for head in heads:
+            rows, _ = _head_rows(ex, head)
+            scores, _ = self._head_forward(head, entities, entities_proj, _queries(h_seq, rows))
+            out[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
         return out
-
-    def ref_probs_at(self, attrs, rel, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """REF probabilities (M, 7) for (start, last, eou) stream positions in
-        ``tokens``, seen from the view whose features are ``attrs``/``rel``."""
-        entities, entities_proj, _ = self.encode_entities(attrs, rel)
-        h_seq, _ = self._encode_tokens(tokens)
-        scores, _ = self._head_forward("ref", entities, entities_proj, _queries(h_seq, positions))
-        return sigmoid(scores)
 
     # --- incremental decoding (selfplay) --------------------------------------
 

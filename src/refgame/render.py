@@ -112,19 +112,16 @@ def render_dialogue(
     colors.  Markables without referent entries are underlined in gray
     with no ring."""
     by_utt: dict[int, list[Markable]] = {}
-    order: dict[str, int] = {}
+    panel_highlights = {"A": {}, "B": {}}
+    colors: dict[str, str] = {}  # a highlighted markable's ring and underline color
     for m in sorted(markables, key=lambda m: (m.utterance_index, m.start_token)):
         if m.dialogue_id != dialogue.id:
             raise ValueError(f"markable {m.id} belongs to dialogue {m.dialogue_id}")
         by_utt.setdefault(m.utterance_index, []).append(m)
-        order[m.id] = len(order)
-    panel_highlights = {"A": {}, "B": {}}
-    for mid, idx in order.items():
-        refs = referents.get(mid)
-        if not refs:
-            continue
-        m = next(mk for mk in markables if mk.id == mid)
-        panel_highlights[m.speaker][mid] = sorted(refs)
+        if referents.get(m.id):
+            panel = panel_highlights[m.speaker]
+            colors[m.id] = highlight_color(len(panel))
+            panel[m.id] = sorted(referents[m.id])
 
     text_lines = []
     utt = -1
@@ -143,11 +140,7 @@ def render_dialogue(
                     continue
                 if m.end_token > len(tokens):
                     raise ValueError(f"markable {m.id} span exceeds utterance length")
-                color = (
-                    highlight_color(list(panel_highlights[m.speaker]).index(m.id))
-                    if m.id in panel_highlights[m.speaker]
-                    else "#999999"
-                )
+                color = colors.get(m.id, "#999999")
                 body = escape_xml(" ".join(tokens[t:m.end_token]))
                 pieces.append(
                     f'<span style="border-bottom:2px solid {color}">{body}</span>'

@@ -259,52 +259,30 @@ def generate_scenarios(
 
 # --- attribute conditioning for the models -------------------------------
 
-def normalize_entity(e: Entity, view: View) -> np.ndarray:
-    """Map an entity's attributes into the view-local [-1, 1] frame.
-
-    Position is re-centered on the view center and divided by the radius;
-    size (in DEFAULT_CONFIG's range, which the importer rescales into) and
-    color are affine maps of their ranges onto [-1, 1].  The map is
-    invertible given the view.  Raises if the entity is not visible.
-    """
-    if e.id not in view.visible:
-        raise ValueError(f"entity {e.id} not visible in view {view.agent}")
-    nx = (e.x - view.center[0]) / view.radius
-    ny = (e.y - view.center[1]) / view.radius
-    size_min, size_max = DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max
-    nsize = 2.0 * (e.size - size_min) / (size_max - size_min) - 1.0
-    ncolor = 2.0 * e.color / COLOR_RANGE - 1.0
-    return np.array([nx, ny, nsize, ncolor], dtype=np.float64)
-
-
-def pair_features(e_i: Entity, e_j: Entity, view: View) -> np.ndarray:
-    """Relational features of entity j relative to entity i, on normalized
-    attributes: (dx, dy, euclidean distance, dsize, dcolor), deltas j - i."""
-    if e_i.id == e_j.id:
-        raise ValueError(f"pair_features of entity {e_i.id} with itself")
-    a = normalize_entity(e_i, view)
-    b = normalize_entity(e_j, view)
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    return np.array(
-        [dx, dy, math.hypot(dx, dy), b[2] - a[2], b[3] - a[3]], dtype=np.float64
-    )
-
-
 def view_feature_matrix(scenario: Scenario, agent: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked model inputs for one view: (7, 4) normalized attributes and
-    (7, 6, 5) pairwise relational features in canonical visible order."""
+    """Model inputs for one view, rows in canonical ``view.visible`` order.
+
+    ``attrs`` (7, 4) holds each entity's (x, y, size, color) in the
+    view-local [-1, 1] frame: position re-centred on the view centre and
+    divided by the radius; size (in DEFAULT_CONFIG's range, which the
+    importer rescales into) and color affinely mapped from their ranges.
+    The map is invertible given the view.  ``rel`` (7, 6, 5) holds, for
+    entity i and each other entity j in view order, (dx, dy, euclidean
+    distance, dsize, dcolor) on those attributes, deltas j - i."""
     view = scenario.view(agent)
-    ents = [scenario.entity(i) for i in view.visible]
-    attrs = np.stack([normalize_entity(e, view) for e in ents])
-    rel = np.zeros((VIEW_SIZE, VIEW_SIZE - 1, 5), dtype=np.float64)
-    for i, ei in enumerate(ents):
-        col = 0
-        for j, ej in enumerate(ents):
-            if i == j:
-                continue
-            rel[i, col] = pair_features(ei, ej, view)
-            col += 1
-    return attrs, rel
+    raw = np.array([(e.x, e.y, e.size, e.color) for e in map(scenario.entity, view.visible)])
+    size_min, size_max = DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max
+    attrs = np.concatenate([
+        (raw[:, :2] - view.center) / view.radius,
+        2.0 * (raw[:, 2:] - (size_min, 0.0)) / (size_max - size_min, COLOR_RANGE) - 1.0,
+    ], axis=1)
+    n = len(attrs)
+    delta = (attrs[None, :, :] - attrs[:, None, :])[~np.eye(n, dtype=bool)].reshape(n, n - 1, 4)
+    # math.hypot per pair: np.hypot can round the last bit differently
+    dist = [math.hypot(dx, dy) for dx, dy in delta[..., :2].reshape(-1, 2).tolist()]
+    return attrs, np.concatenate(
+        [delta[..., :2], np.reshape(dist, (n, n - 1, 1)), delta[..., 2:]], axis=2
+    )
 
 
 # --- canonical JSON schema ------------------------------------------------

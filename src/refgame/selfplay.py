@@ -17,10 +17,11 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, Message, Selection
+from .corpus import Dialogue, GoldEntry, Message, Selection
 from .errors import GameAbortedError
+from .io import csv_text
 from .model import (
-    EOU, SEL, THEM, YOU, DecoderState, GroundingModel, markable_positions, serialize_dialogue,
+    EOU, REF_THRESHOLD, SEL, THEM, YOU, DecoderState, GroundingModel, dialogue_examples,
 )
 from .scenario import Scenario, View, view_feature_matrix
 
@@ -315,10 +316,10 @@ class BatchResult:
     transcripts: list[GameTranscript] = field(default_factory=list)
 
     def summary_csv(self) -> str:
-        lines = ["num_shared,games,successes,success_rate"]
-        for k in sorted(self.rates):
-            lines.append(f"{k},{self.games[k]},{self.successes[k]},{self.rates[k]:.4f}")
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("num_shared", "games", "successes", "success_rate"),
+            ((k, self.games[k], self.successes[k], f"{self.rates[k]:.4f}") for k in sorted(self.rates)),
+        )
 
     def transcripts_jsonl(self) -> str:
         return "\n".join(json.dumps(t.to_dict()) for t in self.transcripts) + "\n"
@@ -365,20 +366,14 @@ def annotate_transcript(
         raise ValueError("transcript annotation needs a variant with a REF head")
     dialogue = transcript.to_dialogue(dialogue_id or f"selfplay_{transcript.scenario_id}")
     markables = predict_markables(tagger, [dialogue])
+    # every detected markable gets a REF row; its target is unknown
+    unknown = {m.id: GoldEntry(frozenset()) for m in markables}
     predictions: dict[str, frozenset[int]] = {}
-    for perspective in ("A", "B"):
-        marks = [m for m in markables if m.speaker == perspective]
-        if not marks:
-            continue
-        tokens, _, tok_pos, eou_pos = serialize_dialogue(dialogue, perspective, model.vocab)
-        attrs, rel = view_feature_matrix(scenario, perspective)
-        positions = markable_positions(marks, tok_pos, eou_pos)
-        probs = model.ref_probs_at(attrs, rel, tokens, positions)
-        view = scenario.view(perspective)
-        for m, row in zip(marks, probs):
-            predictions[m.id] = frozenset(
-                int(view.visible[i]) for i in range(len(view.visible)) if row[i] >= 0.5
-            )
+    for ex in dialogue_examples(dialogue, scenario, model.vocab, markables, unknown):
+        if ex.markable_ids:
+            hits = model.ref_probs_at(ex) >= REF_THRESHOLD
+            for mid, row in zip(ex.markable_ids, hits):
+                predictions[mid] = frozenset(e for e, hit in zip(ex.entity_ids, row) if hit)
     transcript.predicted_referents = {k: sorted(v) for k, v in predictions.items()}
     return dialogue, markables, predictions
 

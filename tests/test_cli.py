@@ -103,7 +103,22 @@ class TestAnalyticsCommands:
         out = tmp_path / "bundle"
         assert run("report", src, "--out", out) == 0
         index = json.loads((out / "index.json").read_text())
-        assert "agreement.json" in index["files"]
+        assert "agr2/agreement.json" in index["files"]
+
+    def test_token_correlation_csv_quotes_tokens(self, data_dir, tmp_path, monkeypatch):
+        import csv
+
+        import refgame.agreement
+
+        monkeypatch.setattr(
+            refgame.agreement, "token_exact_match_correlation",
+            lambda corpus, min_count: {"it,": (0.5, 3), 'say "hi"': (-0.25, 4)},
+        )
+        out = tmp_path / "agr"
+        assert run("agreement", "--data", data_dir, "--out", out, "--adjectives", "") == 0
+        text = (out / "token_correlation.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert rows == [["token", "rho", "count"], ['say "hi"', "-0.2500", "4"], ["it,", "0.5000", "3"]]
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +168,9 @@ class TestModelCommands:
         ) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["variant"] == "TSEL-REF-DIAL"
-        assert (out / "grouped_by_referents.csv").exists()
+        grouped = (out / "grouped_by_referents.csv").read_bytes()
+        assert grouped.startswith(b"# Referents,% Accuracy,% Exact Match,Count\n")
+        assert b"\r" not in grouped
 
     def test_selfplay_model_agent(self, trained, tmp_path):
         workdir, split, model = trained
@@ -400,3 +417,31 @@ def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):
     assert summary[0]["Target Selection"]["sd"] == 0.0
     csv_text = (out / "results_summary.csv").read_text()
     assert csv_text.startswith("Model,Target Selection,Reference Resolution,Exact Match")
+
+
+def test_report_keeps_same_named_files_of_each_input(trained, data_dir, tmp_path, capsys):
+    workdir, split, model = trained
+    inputs = [tmp_path / "ev0", tmp_path / "ev1"]
+    for ev in inputs:
+        run("evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", ev)
+    out = tmp_path / "bundle"
+    assert run("report", *inputs, "--out", out) == 0
+    index = json.loads((out / "index.json").read_text())["files"]
+    assert index == sorted([
+        "ev0/grouped_by_referents.csv", "ev0/report.json",
+        "ev1/grouped_by_referents.csv", "ev1/report.json",
+        "results_summary.csv", "results_summary.json",
+    ])
+    for ev in inputs:
+        for name in ("report.json", "grouped_by_referents.csv"):
+            assert (out / ev.name / name).read_bytes() == (ev / name).read_bytes()
+    (row,) = json.loads((out / "results_summary.json").read_text())
+    assert len(row["seeds"]) == 2
+
+    # two inputs with one basename would share a directory in the bundle
+    clash = tmp_path / "other" / "ev0"
+    clash.mkdir(parents=True)
+    assert run("report", inputs[0], clash, "--out", tmp_path / "bundle2") == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert str(inputs[0]) in message and str(clash) in message
+    assert not (tmp_path / "bundle2").exists()

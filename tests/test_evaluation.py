@@ -126,3 +126,11 @@ def test_report_serialization(setup):
     csv_text = r.grouped_csv()
     assert csv_text.startswith("# Referents,% Accuracy,% Exact Match,Count")
 
+
+
+def test_grouped_csv_ends_lines_in_newline(setup):
+    corpus, gold, ids, model = setup
+    report = evaluate_model(model, corpus, ids, gold)
+    text = report.grouped_csv()
+    assert "\r" not in text
+    assert text.count("\n") == 1 + len(report.grouped)

@@ -256,7 +256,7 @@ class TestForward:
         assert set(model.run_example(ex)) == {"tsel", "total"}
         assert set(model.predict(ex)) == {"tsel"}
         with pytest.raises(ValueError, match="no REF head"):
-            model.ref_probs_at(ex.attrs, ex.rel, ex.tokens, ex.mark_positions)
+            model.ref_probs_at(ex)
 
     def test_entity_permutation_equivariance(self, micro):
         *_, vocab = micro

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 
 from refgame.errors import GenerationError
 from refgame.scenario import (
+    COLOR_RANGE,
+    DEFAULT_CONFIG,
     Entity,
+    Scenario,
     ScenarioConfig,
     View,
     generate_scenario,
     generate_scenarios,
     load_scenarios,
-    normalize_entity,
-    pair_features,
     save_scenarios,
     scenario_from_dict,
     scenario_to_dict,
+    view_feature_matrix,
 )
 
 CFG = ScenarioConfig()
@@ -83,34 +85,72 @@ def test_view_order_canonical():
         assert keys == sorted(keys)
 
 
+def _features(entities, center=(0.0, 0.0), radius=1.0):
+    """``view_feature_matrix`` of a view that shows ``entities`` in the given
+    order."""
+    view = View(agent="A", center=center, radius=radius, visible=tuple(e.id for e in entities))
+    scenario = Scenario(
+        id="s", entities=tuple(entities), view_a=view, view_b=View("B", center, radius, ()),
+        num_shared=0,
+    )
+    return view_feature_matrix(scenario, "A")
+
+
+def _per_pair_features(scenario, agent):
+    """Reference: view features built one entity and one pair at a time,
+    the form the array code replaced."""
+    view = scenario.view(agent)
+    size_min, size_max = DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max
+
+    def normalize(e):
+        return np.array([
+            (e.x - view.center[0]) / view.radius,
+            (e.y - view.center[1]) / view.radius,
+            2.0 * (e.size - size_min) / (size_max - size_min) - 1.0,
+            2.0 * e.color / COLOR_RANGE - 1.0,
+        ])
+
+    def pair(e_i, e_j):
+        a, b = normalize(e_i), normalize(e_j)
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        return np.array([dx, dy, math.hypot(dx, dy), b[2] - a[2], b[3] - a[3]])
+
+    ents = [scenario.entity(i) for i in view.visible]
+    attrs = np.stack([normalize(e) for e in ents])
+    rel = np.stack([np.stack([pair(ei, ej) for ej in ents if ej is not ei]) for ei in ents])
+    return attrs, rel
+
+
+def test_view_features_equal_per_pair_reference_bitwise():
+    scenarios = generate_scenarios(CFG, {4: 170, 5: 170, 6: 170}, seed=17)
+    for s in scenarios:
+        for agent in ("A", "B"):
+            attrs, rel = view_feature_matrix(s, agent)
+            ref_attrs, ref_rel = _per_pair_features(s, agent)
+            assert attrs.shape == (7, 4) and rel.shape == (7, 6, 5)
+            assert attrs.dtype == rel.dtype == np.float64
+            assert attrs.tobytes() == ref_attrs.tobytes()
+            assert rel.tobytes() == ref_rel.tobytes()
+
+
 def test_normalize_center_is_origin():
-    view = View(agent="A", center=(0.3, -0.2), radius=0.8, visible=(1,))
-    e = Entity(id=1, x=0.3, y=-0.2, size=0.04, color=128.0)
-    out = normalize_entity(e, view)
-    assert out[0] == pytest.approx(0.0)
-    assert out[1] == pytest.approx(0.0)
+    attrs, _ = _features([Entity(id=1, x=0.3, y=-0.2, size=0.04, color=128.0)], (0.3, -0.2), 0.8)
+    assert attrs[0, 0] == pytest.approx(0.0)
+    assert attrs[0, 1] == pytest.approx(0.0)
 
 
 def test_normalize_color_endpoints():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(1, 2))
     dark = Entity(id=1, x=0, y=0, size=0.04, color=0.0)
     bright = Entity(id=2, x=0, y=0, size=0.04, color=256.0)
-    assert normalize_entity(dark, view)[3] == pytest.approx(-1.0)
-    assert normalize_entity(bright, view)[3] == pytest.approx(1.0)
+    attrs, _ = _features([dark, bright])
+    assert attrs[0, 3] == pytest.approx(-1.0)
+    assert attrs[1, 3] == pytest.approx(1.0)
 
 
 def test_normalize_radius_scaling():
-    view = View(agent="A", center=(0.1, 0.2), radius=0.5, visible=(1,))
-    e = Entity(id=1, x=0.1 + 0.25, y=0.2, size=0.04, color=10.0)
-    out = normalize_entity(e, view)
-    assert out[0] == pytest.approx(0.5)
-    assert out[1] == pytest.approx(0.0)
-
-
-def test_normalize_requires_visibility():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(2,))
-    with pytest.raises(ValueError):
-        normalize_entity(Entity(id=1, x=0, y=0, size=0.04, color=1.0), view)
+    attrs, _ = _features([Entity(id=1, x=0.1 + 0.25, y=0.2, size=0.04, color=10.0)], (0.1, 0.2), 0.5)
+    assert attrs[0, 0] == pytest.approx(0.5)
+    assert attrs[0, 1] == pytest.approx(0.0)
 
 
 @given(
@@ -119,44 +159,37 @@ def test_normalize_requires_visibility():
 )
 @settings(max_examples=50, deadline=None)
 def test_normalize_is_invertible_affine(x, y, size, color):
-    view = View(agent="A", center=(0.1, -0.1), radius=0.9, visible=(7,))
-    e = Entity(id=7, x=x, y=y, size=size, color=color)
-    nx, ny, ns, nc = normalize_entity(e, view)
-    assert abs(nx * view.radius + view.center[0] - x) < 1e-12
-    assert abs(ny * view.radius + view.center[1] - y) < 1e-12
+    center, radius = (0.1, -0.1), 0.9
+    attrs, _ = _features([Entity(id=7, x=x, y=y, size=size, color=color)], center, radius)
+    nx, ny, ns, nc = attrs[0]
+    assert abs(nx * radius + center[0] - x) < 1e-12
+    assert abs(ny * radius + center[1] - y) < 1e-12
     assert abs((ns + 1) / 2 * (CFG.size_max - CFG.size_min) + CFG.size_min - size) < 1e-12
     assert abs((nc + 1) / 2 * 256.0 - color) < 1e-9
 
 
 def test_pair_features_identical_attributes():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(1, 2))
     a = Entity(id=1, x=0.2, y=0.3, size=0.04, color=100.0)
     b = Entity(id=2, x=0.2, y=0.3, size=0.04, color=100.0)
-    assert np.allclose(pair_features(a, b, view), np.zeros(5))
+    _, rel = _features([a, b])
+    assert rel.shape == (2, 1, 5)
+    assert np.allclose(rel, np.zeros((2, 1, 5)))
 
 
 def test_pair_features_345_triangle():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(1, 2))
     a = Entity(id=1, x=0.0, y=0.0, size=0.04, color=100.0)
     b = Entity(id=2, x=0.3, y=0.4, size=0.04, color=100.0)
-    assert pair_features(a, b, view)[2] == pytest.approx(0.5)
+    _, rel = _features([a, b])
+    assert rel[0, 0, 2] == pytest.approx(0.5)
 
 
 def test_pair_features_antisymmetric_except_distance():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(1, 2))
     a = Entity(id=1, x=0.1, y=-0.2, size=0.03, color=40.0)
     b = Entity(id=2, x=-0.4, y=0.5, size=0.055, color=200.0)
-    ab = pair_features(a, b, view)
-    ba = pair_features(b, a, view)
+    _, rel = _features([a, b])
+    ab, ba = rel[0, 0], rel[1, 0]
     assert np.allclose(ab[[0, 1, 3, 4]], -ba[[0, 1, 3, 4]])
     assert ab[2] == pytest.approx(ba[2])
-
-
-def test_pair_features_same_entity_error():
-    view = View(agent="A", center=(0.0, 0.0), radius=1.0, visible=(1,))
-    e = Entity(id=1, x=0, y=0, size=0.04, color=1.0)
-    with pytest.raises(ValueError):
-        pair_features(e, e, view)
 
 
 def test_scenario_json_roundtrip(tmp_path):

@@ -357,20 +357,24 @@ class TestModelAgent:
             ModelAgent(model, 0.25, 30)
 
 
+@pytest.fixture(scope="module")
+def tiny_tagger():
+    from refgame.tagger import TaggerConfig, train_tagger
+
+    corpus = make_synthetic_corpus(7, seed=50)
+    ids = tuple(sorted(corpus.dialogues))
+    split = Split(train=ids, valid=ids, test=ids, seed=0)
+    return train_tagger(
+        corpus, split,
+        TaggerConfig(embed_dim=16, hidden_dim=24, epochs=10, patience=10,
+                     batch_size=4, lr=5e-3, seed=0),
+    ).tagger
+
+
 class TestAnnotation:
-    def test_annotate_transcript_pipeline(self, tiny_model, tmp_path):
+    def test_annotate_transcript_pipeline(self, tiny_model, tiny_tagger, tmp_path):
         from refgame.render import render_dialogue
         from refgame.selfplay import annotate_transcript
-        from refgame.tagger import TaggerConfig, train_tagger
-
-        corpus = make_synthetic_corpus(7, seed=50)
-        ids = tuple(sorted(corpus.dialogues))
-        split = Split(train=ids, valid=ids, test=ids, seed=0)
-        tagger = train_tagger(
-            corpus, split,
-            TaggerConfig(embed_dim=16, hidden_dim=24, epochs=10, patience=10,
-                         batch_size=4, lr=5e-3, seed=0),
-        ).tagger
 
         scenario = generate_scenario(CFG, 5, np.random.default_rng(12))
         proto = ProtocolConfig(seed=2, max_utterances=6, max_tokens_per_utterance=12)
@@ -380,7 +384,7 @@ class TestAnnotation:
             scenario, proto, np.random.default_rng(3),
         )
         dialogue, markables, refs = annotate_transcript(
-            transcript, scenario, tiny_model, tagger
+            transcript, scenario, tiny_model, tiny_tagger
         )
         assert transcript.predicted_referents is not None
         assert set(transcript.predicted_referents) == {m.id for m in markables} & set(refs)
@@ -391,6 +395,33 @@ class TestAnnotation:
         html = render_dialogue(dialogue, scenario, markables, refs)
         assert html.startswith("<!DOCTYPE html>")
         assert transcript.to_dict().get("predicted_referents") is not None
+
+    def test_predictions_are_the_thresholded_ref_head(self, tiny_model, tiny_tagger):
+        from refgame.corpus import GoldEntry, Message
+        from refgame.model import REF_THRESHOLD, dialogue_examples
+        from refgame.selfplay import GameTranscript, annotate_transcript
+
+        corpus = make_synthetic_corpus(6, seed=51)
+        referred = 0
+        for d in corpus.dialogues.values():
+            # a corpus dialogue replayed as a finished game
+            transcript = GameTranscript(
+                scenario_id=d.scenario_id, num_shared=0, seed=0, success=d.outcome,
+                messages=[{"speaker": e.speaker, "tokens": list(e.tokens)}
+                          for e in d.events if isinstance(e, Message)],
+                selections=dict(d.selections),
+            )
+            scenario = corpus.scenarios[d.scenario_id]
+            dialogue, markables, refs = annotate_transcript(transcript, scenario, tiny_model, tiny_tagger)
+            unknown = {m.id: GoldEntry(frozenset()) for m in markables}
+            expected = {}
+            for ex in dialogue_examples(dialogue, scenario, tiny_model.vocab, markables, unknown):
+                for mid, row in zip(ex.markable_ids, tiny_model.predict(ex)["ref"] >= REF_THRESHOLD):
+                    expected[mid] = frozenset(np.asarray(ex.entity_ids)[row].tolist())
+            assert set(expected) == {m.id for m in markables}
+            assert refs == expected
+            referred += sum(len(v) > 0 for v in refs.values())
+        assert referred > 0
 
 
 def test_run_batch_jobs_match_sequential():
