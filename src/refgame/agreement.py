@@ -1,20 +1,24 @@
 """Judgement aggregation and every agreement/disagreement/pragmatics
 statistic: pairwise entity agreement, chance-corrected multi-pi, span
 start/end agreement, per-referent-count breakdowns, token/exact-match
-correlation, and color kernel density estimates."""
+correlation, and color kernel density estimates.
+
+Validation puts every judgement on a manual markable with referents inside
+the speaker's view, so two judgements of one markable agree on
+``VIEW_SIZE - len(a.referents ^ b.referents)`` of its entities."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedCorpus, GoldEntry, Markable, ReferentJudgement, propagate_auto_referents
-from .errors import IntegrityError
+from .scenario import VIEW_SIZE
 
 
 # --- gold aggregation -------------------------------------------------------
@@ -38,29 +42,13 @@ def aggregate_corpus_gold(corpus: AnnotatedCorpus) -> dict[str, GoldEntry]:
     """Gold referents for every non-generic markable: majority vote for the
     manually judged ones, automatic propagation (which takes precedence)
     for flagged/linked ones."""
-    manual = {
-        mid: aggregate_markable(js)
-        for mid, js in corpus.judgements.items()
-        if corpus.markables[mid].is_manual
-    }
-    gold = dict(manual)
-    gold.update(propagate_auto_referents(corpus, manual))
-    return gold
+    manual = {mid: aggregate_markable(js) for mid, js in corpus.judgements.items()}
+    return {**manual, **propagate_auto_referents(corpus, manual)}
 
 
-# --- pairwise agreement ------------------------------------------------------
-
-def pairwise_entity_agreement(
-    j1: ReferentJudgement, j2: ReferentJudgement, visible: frozenset[int]
-) -> tuple[float, bool]:
-    """Fraction of the 7 per-entity binary inclusion labels on which the two
-    judgements match, and whether the referent sets match exactly."""
-    if j1.markable_id != j2.markable_id:
-        raise ValueError("judgements are for different markables")
-    if not (j1.referents <= visible and j2.referents <= visible):
-        raise IntegrityError("judgement referents outside the shared view")
-    same = sum((e in j1.referents) == (e in j2.referents) for e in visible)
-    return same / len(visible), j1.referents == j2.referents
+def _multi_judged(corpus: AnnotatedCorpus) -> list[tuple[str, tuple[ReferentJudgement, ...]]]:
+    """(markable id, judgements) of every markable judged twice or more, in id order."""
+    return sorted((mid, js) for mid, js in corpus.judgements.items() if len(js) >= 2)
 
 
 # --- Fleiss's multi-pi --------------------------------------------------------
@@ -113,16 +101,6 @@ def fleiss_multi_pi(labels_per_item: Sequence[Sequence]) -> AgreementReport:
     return AgreementReport(observed, expected, pi, category_proportions=proportions)
 
 
-def _manual_multi_judged(corpus: AnnotatedCorpus) -> list[tuple[Markable, tuple[ReferentJudgement, ...]]]:
-    out = []
-    for mid, js in corpus.judgements.items():
-        m = corpus.markables[mid]
-        if m.is_manual and len(js) >= 2:
-            out.append((m, js))
-    out.sort(key=lambda pair: pair[0].id)
-    return out
-
-
 def referent_agreement(corpus: AnnotatedCorpus) -> AgreementReport:
     """Entity-level agreement over all manually judged markables (items =
     markable x entity binary labels), plus the markable-level exact match
@@ -130,23 +108,15 @@ def referent_agreement(corpus: AnnotatedCorpus) -> AgreementReport:
     items: list[list[int]] = []
     exact_pairs = 0
     exact_hits = 0
-    for m, js in _manual_multi_judged(corpus):
-        visible = sorted(corpus.visible_to_speaker(m))
-        for e in visible:
+    for mid, js in _multi_judged(corpus):
+        for e in sorted(corpus.visible_to_speaker(corpus.markables[mid])):
             items.append([int(e in j.referents) for j in js])
         for a, b in combinations(js, 2):
             exact_pairs += 1
             exact_hits += a.referents == b.referents
     if not items:
         raise ValueError("corpus has no multiply-judged manual markables")
-    report = fleiss_multi_pi(items)
-    return AgreementReport(
-        observed=report.observed,
-        expected=report.expected,
-        multi_pi=report.multi_pi,
-        exact_match=exact_hits / exact_pairs,
-        category_proportions=report.category_proportions,
-    )
+    return replace(fleiss_multi_pi(items), exact_match=exact_hits / exact_pairs)
 
 
 # --- span agreement -----------------------------------------------------------
@@ -165,23 +135,18 @@ def span_agreement(
     if len(annotations) < 2:
         raise ValueError("need at least 2 annotators")
     names = sorted(annotations)
-    starts: dict[str, dict[tuple[str, int, int], set[int]]] = {a: {} for a in names}
-    ends: dict[str, dict[tuple[str, int, int], set[int]]] = {a: {} for a in names}
-    covered: set[tuple[str, int]] = set()
-    for a in names:
-        for m in annotations[a]:
-            key = (m.dialogue_id, m.utterance_index)
-            covered.add(key)
-            starts[a].setdefault(key, set()).add(m.start_token)
-            ends[a].setdefault(key, set()).add(m.end_token - 1)
+    marks = {a: list(annotations[a]) for a in names}
+    # (dialogue, utterance, token) of each annotator's span starts and last tokens
+    starts = {a: {(m.dialogue_id, m.utterance_index, m.start_token) for m in marks[a]} for a in names}
+    ends = {a: {(m.dialogue_id, m.utterance_index, m.end_token - 1) for m in marks[a]} for a in names}
+    covered = {(m.dialogue_id, m.utterance_index) for ms in marks.values() for m in ms}
     start_items: list[list[int]] = []
     end_items: list[list[int]] = []
-    for key in sorted(covered):
-        dialogue_id, utt = key
-        n_tokens = len(corpus.dialogues[dialogue_id].messages[utt].tokens)
-        for t in range(n_tokens):
-            start_items.append([int(t in starts[a].get(key, set())) for a in names])
-            end_items.append([int(t in ends[a].get(key, set())) for a in names])
+    for dialogue_id, utt in sorted(covered):
+        for t in range(len(corpus.dialogues[dialogue_id].messages[utt].tokens)):
+            key = (dialogue_id, utt, t)
+            start_items.append([int(key in starts[a]) for a in names])
+            end_items.append([int(key in ends[a]) for a in names])
     return fleiss_multi_pi(start_items), fleiss_multi_pi(end_items)
 
 
@@ -200,37 +165,27 @@ def agreement_by_referent_count(corpus: AnnotatedCorpus) -> list[ReferentCountRo
     """For each referent count n: all judgements with |referents| = n paired
     against every other judgement of the same markable; mean entity
     agreement, mean exact match, and the share of such judgements."""
-    sums: dict[int, list[float]] = {}
-    totals: Counter = Counter()
-    grand_total = 0
-    for m, js in _manual_multi_judged(corpus):
-        visible = corpus.visible_to_speaker(m)
-        for j in js:
-            grand_total += 1
-            totals[len(j.referents)] += 1
+    buckets: dict[int, list] = {}  # n -> [agreement sum, exact sum, pairs, judgements]
+    for _, js in _multi_judged(corpus):
         for i, j in enumerate(js):
-            n = len(j.referents)
-            bucket = sums.setdefault(n, [0.0, 0.0, 0])
+            bucket = buckets.setdefault(len(j.referents), [0.0, 0.0, 0, 0])
+            bucket[3] += 1
             for k, other in enumerate(js):
-                if k == i:
-                    continue
-                agree, exact = pairwise_entity_agreement(j, other, visible)
-                bucket[0] += agree
-                bucket[1] += exact
-                bucket[2] += 1
-    rows = []
-    for n in sorted(sums):
-        agree_sum, exact_sum, pairs = sums[n]
-        rows.append(
-            ReferentCountRow(
-                n_referents=n,
-                agreement=agree_sum / pairs,
-                exact_match=exact_sum / pairs,
-                pct_judgements=100.0 * totals[n] / grand_total,
-                n_judgements=totals[n],
-            )
+                if k != i:
+                    bucket[0] += (VIEW_SIZE - len(j.referents ^ other.referents)) / VIEW_SIZE
+                    bucket[1] += j.referents == other.referents
+                    bucket[2] += 1
+    total = sum(bucket[3] for bucket in buckets.values())
+    return [
+        ReferentCountRow(
+            n_referents=n,
+            agreement=agree / pairs,
+            exact_match=exact / pairs,
+            pct_judgements=100.0 * count / total,
+            n_judgements=count,
         )
-    return rows
+        for n, (agree, exact, pairs, count) in sorted(buckets.items())
+    ]
 
 
 # --- token / exact-match correlation ----------------------------------------------
@@ -252,9 +207,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
 def markable_exact_rates(corpus: AnnotatedCorpus) -> dict[str, float]:
     """Mean pairwise exact-match rate per manually judged markable."""
     rates = {}
-    for m, js in _manual_multi_judged(corpus):
+    for mid, js in _multi_judged(corpus):
         pairs = list(combinations(js, 2))
-        rates[m.id] = sum(a.referents == b.referents for a, b in pairs) / len(pairs)
+        rates[mid] = sum(a.referents == b.referents for a, b in pairs) / len(pairs)
     return rates
 
 

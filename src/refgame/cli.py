@@ -348,18 +348,25 @@ def cmd_render(args) -> int:
 
 def cmd_report(args) -> int:
     """Mirror each input directory's reports under its own basename in
-    ``--out``, and summarize every evaluation ``report.json`` among them."""
+    ``--out``, and summarize every evaluation ``report.json`` among them.
+    Files under ``--out`` (an earlier bundle inside an input) are skipped."""
     out = Path(args.out)
     sources: dict[str, Path] = {}
     for src in map(Path, args.inputs):
+        if not src.is_dir():
+            raise RefgameError(f"report input {src} is not a directory")
         name = src.resolve().name
         if name in sources:
             raise RefgameError(f"report inputs {sources[name]} and {src} share the basename {name!r}")
         sources[name] = src
+    bundle = out.resolve()
     index = []
     eval_reports = []
     for name, src in sources.items():
-        files = sorted(p for p in src.rglob("*") if p.suffix in (".json", ".csv", ".svg", ".html", ".jsonl"))
+        files = sorted(
+            p for p in src.rglob("*")
+            if p.suffix in (".json", ".csv", ".svg", ".html", ".jsonl") and not p.resolve().is_relative_to(bundle)
+        )
         for p in files:
             rel = Path(name, p.relative_to(src))
             atomic_write_bytes(out / rel, p.read_bytes())

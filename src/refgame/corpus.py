@@ -229,7 +229,13 @@ def validate_corpus(corpus: AnnotatedCorpus) -> None:
                 raise IntegrityError(f"markable {m.id}: anaphora link must point backwards")
             if not earlier and target.start_token <= m.start_token:
                 raise IntegrityError(f"markable {m.id}: cataphora link must point forwards")
-    _check_link_cycles(corpus)
+    # each markable has at most one link, so a walk along it finds any cycle
+    for mid in corpus.markables:
+        chain = [mid]
+        while (m := corpus.markables[chain[-1]]).is_linked:
+            chain.append(m.anaphora_of or m.cataphora_of)
+            if chain[-1] in chain[:-1]:
+                raise IntegrityError(f"cyclic markable links: {' -> '.join(chain)}")
 
     for mid, js in corpus.judgements.items():
         if mid not in corpus.markables:
@@ -250,26 +256,6 @@ def validate_corpus(corpus: AnnotatedCorpus) -> None:
                 )
 
 
-def _check_link_cycles(corpus: AnnotatedCorpus) -> None:
-    color: dict[str, int] = {}
-
-    def visit(mid: str, stack: list[str]) -> None:
-        state = color.get(mid, 0)
-        if state == 1:
-            raise IntegrityError(f"cyclic markable links: {' -> '.join(stack + [mid])}")
-        if state == 2:
-            return
-        color[mid] = 1
-        m = corpus.markables[mid]
-        nxt = m.anaphora_of or m.cataphora_of
-        if nxt is not None:
-            visit(nxt, stack + [mid])
-        color[mid] = 2
-
-    for mid in corpus.markables:
-        visit(mid, [])
-
-
 # --- automatic referent propagation ------------------------------------------
 
 @dataclass(frozen=True)
@@ -282,8 +268,7 @@ class GoldEntry:
 
 
 def propagate_auto_referents(
-    corpus: AnnotatedCorpus,
-    manual_gold: Mapping[str, GoldEntry] | None = None,
+    corpus: AnnotatedCorpus, manual_gold: Mapping[str, GoldEntry]
 ) -> dict[str, GoldEntry]:
     """Referent assignments for flagged and linked markables.
 
@@ -291,46 +276,27 @@ def propagate_auto_referents(
     entities; anaphora/cataphora -> a copy of the (transitively) resolved
     target, which may be another auto markable or a manual one whose entry
     must be supplied via ``manual_gold``.  Generic markables get nothing.
-    Idempotent: feeding the output back in changes nothing.
+    Idempotent: feeding the output back in changes nothing.  Validation has
+    already checked the links: they form no cycle and reach no generic
+    markable, so every chain ends at a flagged or a manual markable.
     """
-    manual_gold = dict(manual_gold or {})
-    resolved: dict[str, GoldEntry] = {}
 
-    def resolve(mid: str, chain: tuple[str, ...]) -> GoldEntry:
-        if mid in resolved:
-            return resolved[mid]
-        if mid in chain:
-            raise IntegrityError(f"cyclic markable links: {' -> '.join(chain + (mid,))}")
-        m = corpus.markables[mid]
-        if m.no_referent:
-            entry = GoldEntry(frozenset())
-        elif m.all_referents:
-            entry = GoldEntry(corpus.visible_to_speaker(m))
-        elif m.is_linked:
+    def resolve(m: Markable) -> GoldEntry:
+        while m.is_linked and not (m.no_referent or m.all_referents):
             target = m.anaphora_of or m.cataphora_of
-            tm = corpus.markables[target]
-            if tm.generic:
-                raise IntegrityError(f"markable {mid}: link to generic markable {target}")
-            if tm.is_manual:
-                if target not in manual_gold:
-                    raise IntegrityError(
-                        f"markable {mid}: link target {target} is manually judged but no "
-                        f"aggregated referents were supplied"
-                    )
-                entry = manual_gold[target]
-            else:
-                entry = resolve(target, chain + (mid,))
-        else:
-            raise ValueError(f"markable {mid} is not auto-annotated")
-        resolved[mid] = entry
-        return entry
+            if target not in manual_gold and corpus.markables[target].is_manual:
+                raise IntegrityError(
+                    f"markable {m.id}: link target {target} is manually judged but no "
+                    f"aggregated referents were supplied"
+                )
+            m = corpus.markables[target]
+        if m.no_referent:
+            return GoldEntry(frozenset())
+        if m.all_referents:
+            return GoldEntry(corpus.visible_to_speaker(m))
+        return manual_gold[m.id]
 
-    out: dict[str, GoldEntry] = {}
-    for mid, m in corpus.markables.items():
-        if m.generic or m.is_manual:
-            continue
-        out[mid] = resolve(mid, ())
-    return out
+    return {mid: resolve(m) for mid, m in corpus.markables.items() if not (m.generic or m.is_manual)}
 
 
 # --- statistics ---------------------------------------------------------------

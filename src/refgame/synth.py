@@ -21,11 +21,14 @@ from .corpus import (
     ReferentJudgement,
     Selection,
 )
-from .scenario import Scenario, ScenarioConfig, generate_scenario
+from .scenario import DEFAULT_CONFIG, Scenario, generate_scenario
+
+N_ANNOTATORS = 3   # judgements per manually judged markable
+SUCCESS_RATE = 0.8  # share of dialogues whose two selections match
 
 
-def _size_word(e, config: ScenarioConfig) -> str:
-    t = (e.size - config.size_min) / (config.size_max - config.size_min)
+def _size_word(e) -> str:
+    t = (e.size - DEFAULT_CONFIG.size_min) / (DEFAULT_CONFIG.size_max - DEFAULT_CONFIG.size_min)
     return "small" if t < 1 / 3 else ("medium" if t < 2 / 3 else "large")
 
 
@@ -50,17 +53,9 @@ class _UttBuilder:
         return len(self.spans) - 1
 
 
-def make_synthetic_corpus(
-    n_dialogues: int,
-    seed: int = 0,
-    *,
-    n_annotators: int = 3,
-    flip_rate: float = 0.02,
-    success_rate: float = 0.8,
-    config: ScenarioConfig | None = None,
-) -> AnnotatedCorpus:
-    """Build a valid annotated corpus of scripted referring-game dialogues."""
-    config = config or ScenarioConfig()
+def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float = 0.02) -> AnnotatedCorpus:
+    """Build a valid annotated corpus of scripted referring-game dialogues;
+    each judgement flips each visible entity with probability ``flip_rate``."""
     master = np.random.SeedSequence(seed)
     streams = master.spawn(n_dialogues)
     scenarios: dict[str, Scenario] = {}
@@ -71,7 +66,7 @@ def make_synthetic_corpus(
     for d_idx in range(n_dialogues):
         rng = np.random.default_rng(streams[d_idx])
         k = [4, 5, 6][d_idx % 3]
-        scenario = generate_scenario(config, k, rng)
+        scenario = generate_scenario(DEFAULT_CONFIG, k, rng)
         if scenario.id not in scenarios:
             scenarios[scenario.id] = scenario
         did = f"d{d_idx:05d}"
@@ -91,7 +86,7 @@ def make_synthetic_corpus(
             speakers.append(speaker)
             return b
 
-        size_w = _size_word(t_ent, config)
+        size_w = _size_word(t_ent)
         color_w = _color_word(t_ent)
 
         style = int(rng.integers(5))
@@ -155,7 +150,7 @@ def make_synthetic_corpus(
         u.markable(f"the {size_w} {color_w} one", {target})
 
         events: list = [Message(speaker=s, tokens=tuple(b.tokens)) for s, b in zip(speakers, utts)]
-        success = bool(rng.random() < success_rate)
+        success = bool(rng.random() < SUCCESS_RATE)
         pick_a = target
         if success:
             pick_b = target
@@ -196,7 +191,7 @@ def make_synthetic_corpus(
                     continue
                 truth = frozenset(int(r) for r in referents)
                 assert truth <= visible
-                for a_idx in range(n_annotators):
+                for a_idx in range(N_ANNOTATORS):
                     noisy = set(truth)
                     for e in sorted(visible):
                         if rng.random() < flip_rate:

@@ -10,20 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refgame.agreement import (
+    AgreementReport,
     aggregate_corpus_gold,
     aggregate_markable,
     agreement_by_referent_count,
     color_kde,
     fleiss_multi_pi,
     markable_exact_rates,
-    pairwise_entity_agreement,
     pearson,
     referent_agreement,
     silverman_bandwidth,
     span_agreement,
     token_exact_match_correlation,
 )
-from refgame.corpus import GoldEntry, ReferentJudgement
+from refgame.corpus import AnnotatedCorpus, GoldEntry, ReferentJudgement
 from refgame.synth import make_span_annotations, make_synthetic_corpus
 
 
@@ -77,30 +77,6 @@ class TestAggregate:
             if m.anaphora_of:
                 assert entry == gold[m.anaphora_of]
         assert not any(medium_corpus.markables[mid].generic for mid in gold)
-
-
-class TestPairwise:
-    VISIBLE = frozenset(range(7))
-
-    def test_one_entity_difference(self):
-        agree, exact = pairwise_entity_agreement(J({1, 2}), J({1}), self.VISIBLE)
-        assert agree == pytest.approx(6 / 7)
-        assert exact is False
-
-    def test_identical(self):
-        agree, exact = pairwise_entity_agreement(J({3}), J({3}), self.VISIBLE)
-        assert (agree, exact) == (1.0, True)
-
-    def test_disjoint_full(self):
-        agree, exact = pairwise_entity_agreement(J(set()), J(set(range(7))), self.VISIBLE)
-        assert (agree, exact) == (0.0, False)
-
-    def test_exact_implies_full_agreement(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            s = frozenset(int(i) for i in rng.choice(7, size=rng.integers(0, 8), replace=False))
-            agree, exact = pairwise_entity_agreement(J(s), J(s), self.VISIBLE)
-            assert exact and agree == 1.0
 
 
 class TestFleissMultiPi:
@@ -196,7 +172,109 @@ class TestSpanAgreement:
             span_agreement(ann, small_corpus)
 
 
+def reference_referent_agreement(corpus):
+    """Per-entity reference: Fleiss's items from each visible entity, exact
+    match over every judgement pair."""
+    items, hits, pairs = [], 0, 0
+    for mid in sorted(corpus.judgements):
+        js = corpus.judgements[mid]
+        if len(js) < 2:
+            continue
+        for e in sorted(corpus.visible_to_speaker(corpus.markables[mid])):
+            items.append([int(e in j.referents) for j in js])
+        for a, b in combinations(js, 2):
+            pairs += 1
+            hits += a.referents == b.referents
+    report = fleiss_multi_pi(items)
+    return AgreementReport(
+        report.observed, report.expected, report.multi_pi, hits / pairs, report.category_proportions
+    )
+
+
+def reference_by_referent_count(corpus):
+    """Per-entity reference: each judgement against every other judgement
+    of its markable, agreement counted entity by entity over the view."""
+    sums: dict[int, list] = {}
+    totals: Counter = Counter()
+    for mid in sorted(corpus.judgements):
+        js = corpus.judgements[mid]
+        if len(js) < 2:
+            continue
+        visible = corpus.visible_to_speaker(corpus.markables[mid])
+        totals.update(len(j.referents) for j in js)
+        for i, j in enumerate(js):
+            bucket = sums.setdefault(len(j.referents), [0.0, 0.0, 0])
+            for k, other in enumerate(js):
+                if k == i:
+                    continue
+                same = sum((e in j.referents) == (e in other.referents) for e in visible)
+                bucket[0] += same / len(visible)
+                bucket[1] += j.referents == other.referents
+                bucket[2] += 1
+    grand = sum(totals.values())
+    return [
+        (n, agree / pairs, exact / pairs, 100.0 * totals[n] / grand, totals[n])
+        for n, (agree, exact, pairs) in sorted(sums.items())
+    ]
+
+
 class TestByReferentCount:
+    @staticmethod
+    def rows_for(monkeypatch, *referent_sets):
+        """(n, agreement, exact, % judgements) rows for a one-markable
+        corpus whose judgements name the given positions of the speaker's
+        sorted view."""
+        corpus = make_synthetic_corpus(1, seed=13)
+        mid = next(m for m in corpus.judgements)
+        visible = sorted(corpus.visible_to_speaker(corpus.markables[mid]))
+        js = tuple(
+            ReferentJudgement(mid, f"a{i}", frozenset(visible[p] for p in positions))
+            for i, positions in enumerate(referent_sets)
+        )
+        monkeypatch.setattr(corpus, "judgements", {mid: js})
+        return [
+            (r.n_referents, r.agreement, r.exact_match, r.pct_judgements)
+            for r in agreement_by_referent_count(corpus)
+        ]
+
+    def test_one_entity_difference(self, monkeypatch):
+        rows = self.rows_for(monkeypatch, {1, 2}, {1})
+        assert rows == [(1, 6 / 7, 0.0, 50.0), (2, 6 / 7, 0.0, 50.0)]
+
+    def test_identical(self, monkeypatch):
+        assert self.rows_for(monkeypatch, {3}, {3}) == [(1, 1.0, 1.0, 100.0)]
+
+    def test_empty_against_full_view(self, monkeypatch):
+        rows = self.rows_for(monkeypatch, set(), set(range(7)))
+        assert rows == [(0, 0.0, 0.0, 50.0), (7, 0.0, 0.0, 50.0)]
+
+    def test_exact_implies_full_agreement(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            s = {int(i) for i in rng.choice(7, size=rng.integers(0, 8), replace=False)}
+            assert self.rows_for(monkeypatch, s, s) == [(len(s), 1.0, 1.0, 100.0)]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_entity_reference(self, small_corpus, data):
+        base = small_corpus
+        judgements = []
+        for n, mid in enumerate(sorted(base.judgements)):
+            visible = sorted(base.visible_to_speaker(base.markables[mid]))
+            n_judges = data.draw(st.integers(2 if n == 0 else 0, 4))
+            for a in range(n_judges):
+                referents = data.draw(st.frozensets(st.sampled_from(visible)))
+                judgements.append(ReferentJudgement(mid, f"a{a}", referents))
+        corpus = AnnotatedCorpus.build(
+            base.scenarios.values(), base.dialogues.values(), base.markables.values(), judgements
+        )
+        assert referent_agreement(corpus) == reference_referent_agreement(corpus)
+        got = [
+            (r.n_referents, r.agreement, r.exact_match, r.pct_judgements, r.n_judgements)
+            for r in agreement_by_referent_count(corpus)
+        ]
+        assert got == reference_by_referent_count(corpus)
+
     def test_single_pair_single_count(self, scenario_free_judgements=None):
         corpus = make_synthetic_corpus(1, seed=9)
         rows = agreement_by_referent_count(corpus)
@@ -207,21 +285,7 @@ class TestByReferentCount:
         assert sum(r.pct_judgements for r in rows) == pytest.approx(100.0)
 
     def test_identical_pair_gives_perfect_row(self, monkeypatch):
-        corpus = make_synthetic_corpus(1, seed=13)
-        mid = next(m for m in corpus.judgements)
-        m = corpus.markables[mid]
-        visible = sorted(corpus.visible_to_speaker(m))
-        js = (
-            ReferentJudgement(mid, "a0", frozenset({visible[0]})),
-            ReferentJudgement(mid, "a1", frozenset({visible[0]})),
-        )
-        monkeypatch.setattr(corpus, "judgements", {mid: js})
-        rows = agreement_by_referent_count(corpus)
-        assert len(rows) == 1
-        row = rows[0]
-        assert (row.n_referents, row.agreement, row.exact_match, row.pct_judgements) == (
-            1, 1.0, 1.0, 100.0,
-        )
+        assert self.rows_for(monkeypatch, {0}, {0}) == [(1, 1.0, 1.0, 100.0)]
 
 
 class TestTokenCorrelation:

@@ -105,6 +105,16 @@ class TestAnalyticsCommands:
         index = json.loads((out / "index.json").read_text())
         assert "agr2/agreement.json" in index["files"]
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_report_rejects_an_input_that_is_not_a_directory(self, tmp_path, capsys, kind):
+        src = tmp_path / "nothere"
+        if kind == "file":
+            src.write_text("{}")
+        assert run("report", src, "--out", tmp_path / "b1") == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert str(src) in message
+        assert not (tmp_path / "b1").exists()
+
     def test_token_correlation_csv_quotes_tokens(self, data_dir, tmp_path, monkeypatch):
         import csv
 
@@ -417,6 +427,20 @@ def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):
     assert summary[0]["Target Selection"]["sd"] == 0.0
     csv_text = (out / "results_summary.csv").read_text()
     assert csv_text.startswith("Model,Target Selection,Reference Resolution,Exact Match")
+
+
+def test_report_skips_its_own_earlier_bundle(trained, data_dir, tmp_path):
+    workdir, split, model = trained
+    ev = tmp_path / "ev0"
+    run("evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", ev)
+    out = ev / "bundle"
+    assert run("report", ev, "--out", out) == 0
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert run("report", ev, "--out", out) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+    assert not (out / "ev0" / "bundle").exists()
+    (row,) = json.loads((out / "results_summary.json").read_text())
+    assert len(row["seeds"]) == 1
 
 
 def test_report_keeps_same_named_files_of_each_input(trained, data_dir, tmp_path, capsys):

@@ -137,18 +137,24 @@ class TestValidation:
         with pytest.raises(IntegrityError, match="generic"):
             AnnotatedCorpus.build([scenario], [_dialogue(scenario)], [m1, m2], [])
 
+    def test_link_cycle_rejected(self, scenario):
+        m0 = _mark(scenario, id="m0", start_token=2, end_token=3, cataphora_of="m1")
+        m1 = _mark(scenario, id="m1", start_token=4, end_token=5, anaphora_of="m0")
+        with pytest.raises(IntegrityError, match="cyclic markable links: m0 -> m1 -> m0"):
+            AnnotatedCorpus.build([scenario], [_dialogue(scenario)], [m0, m1], [])
+
 
 class TestPropagation:
     def test_no_referent_flag(self, scenario):
         m = _mark(scenario, no_referent=True)
         c = AnnotatedCorpus.build([scenario], [_dialogue(scenario)], [m], [])
-        gold = propagate_auto_referents(c)
+        gold = propagate_auto_referents(c, {})
         assert gold["m0"] == GoldEntry(frozenset())
 
     def test_all_referents_flag(self, scenario):
         m = _mark(scenario, all_referents=True)
         c = AnnotatedCorpus.build([scenario], [_dialogue(scenario)], [m], [])
-        gold = propagate_auto_referents(c)
+        gold = propagate_auto_referents(c, {})
         assert gold["m0"].referents == frozenset(scenario.view_a.visible)
 
     def test_anaphora_copies_gold(self, scenario):
@@ -174,7 +180,7 @@ class TestPropagation:
         m2 = _mark(scenario, id="m2", start_token=4, end_token=5, anaphora_of="m1")
         c = AnnotatedCorpus.build([scenario], [_dialogue(scenario)], [m1, m2], [])
         with pytest.raises(IntegrityError, match="m1"):
-            propagate_auto_referents(c)
+            propagate_auto_referents(c, {})
 
     def test_idempotent(self, medium_corpus):
         from refgame.agreement import aggregate_corpus_gold
