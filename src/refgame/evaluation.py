@@ -77,7 +77,7 @@ def evaluate_model(
     if not dialogue_ids:
         raise ValueError("empty evaluation split")
     examples = build_examples(corpus, dialogue_ids, model.vocab, gold)
-    probs = [model.predict(ex) for ex in examples]
+    probs = model.predict(examples)
     tsel_hits = [
         float(np.argmax(p["tsel"]) == ex.tsel_target)
         for p, ex in zip(probs, examples) if "tsel" in model.heads

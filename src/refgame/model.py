@@ -28,6 +28,7 @@ from .neural import (
     ParamStore,
     add_gru_params,
     bce_with_logits,
+    by_length,
     cross_entropy_rows,
     dropout_mask,
     fit,
@@ -35,8 +36,10 @@ from .neural import (
     gru_sequence,
     gru_sequence_backward,
     linear,
+    live_mask,
     mlp,
     mlp_backward,
+    pack,
     sigmoid,
     softmax,
     softmax_backward,
@@ -57,6 +60,9 @@ VARIANTS = ("TSEL", "REF", "TSEL-REF", "TSEL-DIAL", "TSEL-REF-DIAL")
 HEADS = ("tsel", "ref", "dial")
 # a markable refers to an entity when its REF probability reaches this
 REF_THRESHOLD = 0.5
+# examples per packed GRU pass: the chunk's GRU cache and backward
+# temporaries set a training epoch's peak memory
+PACK_CHUNK = 8
 
 
 def variant_heads(variant: str) -> frozenset[str]:
@@ -344,13 +350,35 @@ class GroundingModel:
         g["enc_rel.W"] += dr.reshape(-1, dr.shape[-1]).T @ rel.reshape(-1, rel.shape[-1])
         g["enc_rel.b"] += dr.sum(axis=(0, 1))
 
-    def _encode_tokens(self, tokens: np.ndarray):
-        """Dialogue GRU states (T, H) over a token-id stream, and their cache:
-        the packed GRU on a batch of one."""
+    def _encode_tokens(self, seqs: Sequence[np.ndarray]):
+        """Dialogue GRU states (T, B, H) over token-id streams sorted longest
+        first, packed as (T, B), and the cache for ``_encode_tokens_backward``."""
         p = self.store
-        x = p["emb"][tokens][:, None, :]
-        h_seq, cache = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], x, [len(tokens)])
-        return h_seq[:, 0], cache
+        tokens = pack(seqs)
+        lengths = np.array([len(seq) for seq in seqs])
+        h_seq, cache = gru_sequence(p["gru.W"], p["gru.U"], p["gru.b"], p["emb"][tokens], lengths)
+        return h_seq, (tokens, cache)
+
+    def _encode_tokens_backward(self, cache, dh_seq: np.ndarray) -> None:
+        p, g = self.store, self.store.grads
+        tokens, gru_cache = cache
+        live = live_mask(gru_cache.lengths)
+        dx, gru_grads = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, dh_seq)
+        g["gru.W"] += gru_grads["W"]
+        g["gru.U"] += gru_grads["U"]
+        g["gru.b"] += gru_grads["b"]
+        np.add.at(g["emb"], tokens[live], dx[live])
+
+    def _packs(self, examples: Sequence[StreamExample]):
+        """``examples`` packed for the GRU in consecutive chunks of
+        ``PACK_CHUNK``, each sorted by length.  Yields each chunk's
+        examples in the given order, the packed column of each (the
+        inverse of the sort), and the chunk's GRU states and cache from
+        ``_encode_tokens``."""
+        for lo in range(0, len(examples), PACK_CHUNK):
+            chunk = examples[lo: lo + PACK_CHUNK]
+            order = by_length([ex.tokens for ex in chunk])
+            yield (chunk, np.argsort(order), *self._encode_tokens([chunk[k].tokens for k in order]))
 
     def _attention(self, entities_proj: np.ndarray, queries: np.ndarray, head: str):
         """Scores for each of the 7 entities against each query row:
@@ -366,11 +394,14 @@ class GroundingModel:
         ``act`` is (Q, 7, A) and the pre-activation is ``We e_i + Wq h_q +
         b``, so its gradient reduces to a per-entity sum (7, A) over the
         queries and a per-query sum (Q, A) over the entities, each of which
-        then meets its weight in one matmul."""
+        then meets its weight in one matmul.  ``act`` is overwritten with
+        that gradient, which saves a (Q, 7, A) temporary."""
         p, g = self.store, self.store.grads
         v = p[f"attn.v_{head}"]
         g[f"attn.v_{head}"] += dscores.reshape(-1) @ act.reshape(-1, act.shape[-1])
-        dact = dscores[:, :, None] * v[None, None, :] * (1.0 - act * act)
+        dact = np.multiply(act, act, out=act)
+        np.subtract(1.0, dact, out=dact)
+        dact *= dscores[:, :, None] * v[None, None, :]
         d_pre_e = dact.sum(axis=0)
         d_pre_q = dact.sum(axis=1)
         g["attn.We"] += d_pre_e.T @ entities
@@ -418,33 +449,55 @@ class GroundingModel:
         d_queries += dq
         return d_queries
 
-    # --- joint forward/backward over one example ----------------------------
+    # --- joint forward/backward over packed examples ------------------------
 
     def run_example(
         self,
-        ex: StreamExample,
+        examples: StreamExample | Sequence[StreamExample],
         *,
         train: bool = False,
         rng: np.random.Generator | None = None,
         backward: bool = False,
-    ) -> dict[str, float]:
-        """Compute the active-head losses; when ``backward`` is set the
-        parameter gradients are accumulated into the store."""
-        p, g = self.store, self.store.grads
-        cfg = self.config
-        entities, entities_proj, enc_cache = self.encode_entities(ex.attrs, ex.rel)
-        h_seq, gru_cache = self._encode_tokens(ex.tokens)
-        if train and cfg.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training forward needs an rng for dropout")
-            mask = dropout_mask(rng, h_seq.shape, cfg.dropout, dtype=h_seq.dtype)
-            hd = h_seq * mask
-        else:
-            mask = None
-            hd = h_seq
+    ):
+        """The active-head losses of one example, or a list of each example's
+        in the given order; with ``backward`` the gradients of their sum
+        are accumulated into the store.
 
+        Each packed chunk (``_packs``) runs one GRU pass forward and one
+        backward; the heads run per example, in the given order, on its
+        column of the chunk's states.  Each training dropout mask, (T_i,
+        H), is drawn just before its example's heads, so the rng stream
+        does not depend on the packing."""
+        one = isinstance(examples, StreamExample)
+        batch = [examples] if one else examples
+        dropout = self.config.dropout if train else 0.0
+        if dropout > 0.0 and rng is None:
+            raise ValueError("training forward needs an rng for dropout")
+        losses = []
+        for chunk, columns, h_seq, cache in self._packs(batch):
+            dh_seq = np.zeros_like(h_seq) if backward else None
+            for ex, j in zip(chunk, columns):
+                n = len(ex.tokens)
+                mask = None
+                if dropout > 0.0:
+                    mask = dropout_mask(rng, (n, self.config.hidden_dim), dropout, dtype=self.store.dtype)
+                ex_losses, dh = self._example_losses(ex, h_seq[:n, j], mask, backward)
+                losses.append(ex_losses)
+                if backward:
+                    dh_seq[:n, j] = dh
+            if backward:
+                self._encode_tokens_backward(cache, dh_seq)
+        return losses[0] if one else losses
+
+    def _example_losses(self, ex: StreamExample, h: np.ndarray, mask, backward: bool):
+        """One example's head losses over its dialogue states h (T, H), with
+        the dropout ``mask`` or none; with ``backward`` the heads' and the
+        entity encoder's gradients are accumulated and the gradient on h
+        is returned beside the losses (else None)."""
+        entities, entities_proj, enc_cache = self.encode_entities(ex.attrs, ex.rel)
+        hd = h * mask if mask is not None else h
         losses: dict[str, float] = {}
-        d_hd = np.zeros_like(hd) if backward else None
+        d_hd = np.zeros(hd.shape, dtype=hd.dtype) if backward else None
         d_entities = np.zeros_like(entities) if backward else None
         for head in HEADS:
             if head not in self.heads:
@@ -466,38 +519,42 @@ class GroundingModel:
             raise DivergenceError(
                 f"non-finite loss on dialogue {ex.dialogue_id} ({ex.perspective}): {losses}"
             )
-        if backward:
-            d_h = d_hd * mask if mask is not None else d_hd
-            dx, gru_grads = gru_sequence_backward(p["gru.W"], p["gru.U"], gru_cache, d_h[:, None])
-            g["gru.W"] += gru_grads["W"]
-            g["gru.U"] += gru_grads["U"]
-            g["gru.b"] += gru_grads["b"]
-            np.add.at(g["emb"], ex.tokens, dx[:, 0])
-            self._encode_entities_backward(ex.attrs, ex.rel, enc_cache, d_entities)
-        return losses
+        if not backward:
+            return losses, None
+        self._encode_entities_backward(ex.attrs, ex.rel, enc_cache, d_entities)
+        return losses, d_hd * mask if mask is not None else d_hd
 
     # --- inference -----------------------------------------------------------
 
-    def predict(self, ex: StreamExample) -> dict[str, np.ndarray]:
-        """Probabilities of the model's TSEL and REF heads for one example:
-        ``"tsel"`` (7,) over the view and ``"ref"`` (M, 7) per markable.  One
-        GRU pass and one entity encoding serve both heads."""
-        return self._predict(ex, [head for head in ("tsel", "ref") if head in self.heads])
+    def predict(self, examples: StreamExample | Sequence[StreamExample]):
+        """Probabilities of the model's TSEL and REF heads for one example,
+        or a list of them for a list in the given order: ``"tsel"`` (7,)
+        over the view and ``"ref"`` (M, 7) per markable.  One GRU pass and
+        one entity encoding serve both heads; examples are packed as in
+        ``run_example``."""
+        return self._predict(examples, [head for head in ("tsel", "ref") if head in self.heads])
 
-    def ref_probs_at(self, ex: StreamExample) -> np.ndarray:
-        """``predict``'s REF probabilities alone; a variant with no REF head
-        raises ValueError."""
-        return self._predict(ex, ["ref"])["ref"]
+    def ref_probs_at(self, examples: StreamExample | Sequence[StreamExample]):
+        """``predict``'s REF probabilities alone, one (M, 7) array per
+        example; a variant with no REF head raises ValueError."""
+        out = self._predict(examples, ["ref"])
+        return out["ref"] if isinstance(out, dict) else [probs["ref"] for probs in out]
 
-    def _predict(self, ex: StreamExample, heads: Sequence[str]) -> dict[str, np.ndarray]:
-        h_seq, _ = self._encode_tokens(ex.tokens)
-        entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
-        out = {}
-        for head in heads:
-            rows, _ = _head_rows(ex, head)
-            scores, _ = self._head_forward(head, entities, entities_proj, _queries(h_seq, rows))
-            out[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
-        return out
+    def _predict(self, examples, heads: Sequence[str]):
+        one = isinstance(examples, StreamExample)
+        batch = [examples] if one else examples
+        out = []
+        for chunk, columns, h_seq, _ in self._packs(batch):
+            for ex, j in zip(chunk, columns):
+                entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
+                probs = {}
+                for head in heads:
+                    rows, _ = _head_rows(ex, head)
+                    queries = _queries(h_seq[: len(ex.tokens), j], rows)
+                    scores, _ = self._head_forward(head, entities, entities_proj, queries)
+                    probs[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
+                out.append(probs)
+        return out[0] if one else out
 
     # --- incremental decoding (selfplay) --------------------------------------
 
@@ -583,8 +640,8 @@ class TrainResult:
 
 def _mean_losses(model: GroundingModel, examples: Sequence[StreamExample]) -> dict[str, float]:
     sums: dict[str, float] = {}
-    for ex in examples:
-        for k, v in model.run_example(ex).items():
+    for losses in model.run_example(examples):
+        for k, v in losses.items():
             sums[k] = sums.get(k, 0.0) + v
     return {k: v / len(examples) for k, v in sums.items()}
 
@@ -614,8 +671,7 @@ def train_model(
     model = GroundingModel(config, vocab)
 
     def step(batch: list[StreamExample], rng: np.random.Generator) -> list[float]:
-        # one example at a time, so dropout masks follow the shuffled order
-        return [model.run_example(ex, train=True, rng=rng, backward=True)["total"] for ex in batch]
+        return [losses["total"] for losses in model.run_example(batch, train=True, rng=rng, backward=True)]
 
     def validate() -> tuple[float, dict]:
         valid = _mean_losses(model, valid_ex)

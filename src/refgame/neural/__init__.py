@@ -8,7 +8,7 @@ from .adam import Adam, fit
 from .crf import crf_nll, crf_viterbi
 from .gradcheck import GradCheckReport, gradient_check
 from .gru import add_gru_params, gru_cell, gru_sequence, gru_sequence_backward
-from .kernels import live_mask
+from .kernels import by_length, live_mask, pack
 from .ops import (
     bce_with_logits,
     cross_entropy_rows,

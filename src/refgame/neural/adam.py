@@ -29,21 +29,35 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
 
     def step(self) -> None:
+        """One update with bias-corrected moments.  Every operation writes
+        into two scratch buffers, in the order of ``p -= lr * (m / b1t) /
+        (sqrt(v / b2t) + EPS)``, so the parameters keep that expression's
+        bytes.  The buffers are sized to the largest parameter and live for
+        one step: held across steps, they would add to the memory that
+        training holds while it runs the model."""
         self.t += 1
         self.store.version += 1
         b1t = 1.0 - BETA1 ** self.t
         b2t = 1.0 - BETA2 ** self.t
+        size = max((p.size for p in self.store.params.values()), default=0)
+        buf1, buf2 = (np.empty(size, dtype=self.store.dtype) for _ in range(2))
         for name, p in self.store.params.items():
             g = self.store.grads[name]
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            s1, s2 = buf1[: p.size].reshape(p.shape), buf2[: p.size].reshape(p.shape)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=s1)
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            np.multiply(g, g, out=s1)
+            v += np.multiply(s1, 1.0 - BETA2, out=s1)
+            np.divide(m, b1t, out=s1)
+            np.multiply(s1, self.lr, out=s1)
+            np.divide(v, b2t, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, EPS, out=s2)
+            p -= np.divide(s1, s2, out=s1)
 
 
 def fit(

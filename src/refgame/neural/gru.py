@@ -30,9 +30,9 @@ def gru_cell(a: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
 class GRUCache:
     x_seq: np.ndarray
     h_seq: np.ndarray
-    z_seq: np.ndarray
-    r_seq: np.ndarray
-    hb_seq: np.ndarray
+    z_seq: np.ndarray | None
+    r_seq: np.ndarray | None
+    hb_seq: np.ndarray | None
     lengths: np.ndarray
 
 
@@ -43,7 +43,8 @@ def gru_sequence(
     (T, B, D_in); returns (h_seq (T, B, H), cache).  The input projection
     is one GEMM over all T*B rows."""
     T, B, D = x_seq.shape
-    wx = (x_seq.reshape(T * B, D) @ w.T + b).reshape(T, B, -1)
+    wx = (x_seq.reshape(T * B, D) @ w.T).reshape(T, B, -1)
+    wx += b
     h_seq, z_seq, r_seq, hb_seq = kernels.gru_forward(wx, u, lengths)
     return h_seq, GRUCache(x_seq, h_seq, z_seq, r_seq, hb_seq, lengths)
 
@@ -51,11 +52,20 @@ def gru_sequence(
 def gru_sequence_backward(
     w: np.ndarray, u: np.ndarray, cache: GRUCache, dh_seq: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Returns (dx_seq (T, B, D_in), grads {'W','U','b'} summed over rows)."""
+    """Returns (dx_seq (T, B, D_in), grads {'W','U','b'} summed over rows).
+
+    Consumes ``cache``, to hold fewer (T, B, H) arrays at once: its z and
+    hbar arrays are dropped once the pre-activation gradients exist, and
+    ``r * h_prev`` is written over its r array.  A second call on the same
+    cache raises."""
     H = u.shape[1]
-    h_prev = np.concatenate([np.zeros_like(cache.h_seq[:1]), cache.h_seq[:-1]])
+    h_prev = cache.h_seq.base[:-1]   # a view; see kernels.gru_forward
     da = kernels.gru_backward(u, h_prev, cache.z_seq, cache.r_seq, cache.hb_seq, dh_seq, cache.lengths)
+    r = cache.r_seq
+    cache.z_seq = cache.r_seq = cache.hb_seq = None
     # every (T, B, .) array as T*B rows; padding rows of da are zero
-    da, x, h_prev, r = (a.reshape(-1, a.shape[-1]) for a in (da, cache.x_seq, h_prev, cache.r_seq))
-    dU = np.concatenate([da[:, :H].T @ h_prev, da[:, H:2 * H].T @ h_prev, da[:, 2 * H:].T @ (r * h_prev)])
+    da, x, h_prev, rh = (a.reshape(-1, a.shape[-1]) for a in (da, cache.x_seq, h_prev, r))
+    np.multiply(rh, h_prev, out=rh)
+    dU = np.concatenate([da[:, :H].T @ h_prev, da[:, H:2 * H].T @ h_prev, da[:, 2 * H:].T @ rh])
+    del r, rh
     return (da @ w).reshape(cache.x_seq.shape), {"W": da.T @ x, "U": dU, "b": da.sum(axis=0)}

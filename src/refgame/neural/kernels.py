@@ -34,6 +34,19 @@ def get_backend() -> str:
     return "numpy"
 
 
+def by_length(seqs) -> list[int]:
+    """Indices of ``seqs``, longest first; equal lengths keep their order."""
+    return sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+
+
+def pack(seqs) -> np.ndarray:
+    """Length-sorted int sequences -> a zero-padded (T, B) array."""
+    out = np.zeros((len(seqs[0]), len(seqs)), dtype=np.int64)
+    for b, seq in enumerate(seqs):
+        out[: len(seq), b] = seq
+    return out
+
+
 def live_mask(lengths) -> np.ndarray:
     """(T, B) mask, true where a length-sorted row runs step t."""
     return np.arange(lengths[0])[:, None] < np.asarray(lengths)
@@ -60,14 +73,15 @@ def gru_step(a: np.ndarray, u: np.ndarray, h: np.ndarray):
 def gru_forward(wx: np.ndarray, u: np.ndarray, lengths):
     """wx: (T, B, 3H) packed input projections W x_t + b; u: (3H, H).  Runs
     each row from a zero state.  Returns h_seq, z_seq, r_seq, hbar_seq,
-    each (T, B, H)."""
+    each (T, B, H).  h_seq is the view ``[1:]`` of a (T + 1, B, H) array
+    whose step 0 is the zero state, so ``h_seq.base[:-1]`` is the state
+    entering every step, without a copy."""
     T, B, _ = wx.shape
-    h_seq, z_seq, r_seq, hb_seq = (np.zeros((T, B, u.shape[1]), dtype=wx.dtype) for _ in range(4))
-    h = h_seq[0]   # zeros: the state entering step 0
+    h_all = np.zeros((T + 1, B, u.shape[1]), dtype=wx.dtype)
+    z_seq, r_seq, hb_seq = (np.zeros_like(h_all[1:]) for _ in range(3))
     for t, n in enumerate(_live(lengths)):
-        h_seq[t, :n], z_seq[t, :n], r_seq[t, :n], hb_seq[t, :n] = gru_step(wx[t, :n], u, h[:n])
-        h = h_seq[t]
-    return h_seq, z_seq, r_seq, hb_seq
+        h_all[t + 1, :n], z_seq[t, :n], r_seq[t, :n], hb_seq[t, :n] = gru_step(wx[t, :n], u, h_all[t, :n])
+    return h_all[1:], z_seq, r_seq, hb_seq
 
 
 def gru_backward(u: np.ndarray, h_prev: np.ndarray, z_seq, r_seq, hb_seq, dh_seq, lengths):

@@ -368,12 +368,14 @@ def annotate_transcript(
     markables = predict_markables(tagger, [dialogue])
     # every detected markable gets a REF row; its target is unknown
     unknown = {m.id: GoldEntry(frozenset()) for m in markables}
+    examples = [
+        ex for ex in dialogue_examples(dialogue, scenario, model.vocab, markables, unknown)
+        if ex.markable_ids
+    ]
     predictions: dict[str, frozenset[int]] = {}
-    for ex in dialogue_examples(dialogue, scenario, model.vocab, markables, unknown):
-        if ex.markable_ids:
-            hits = model.ref_probs_at(ex) >= REF_THRESHOLD
-            for mid, row in zip(ex.markable_ids, hits):
-                predictions[mid] = frozenset(e for e, hit in zip(ex.entity_ids, row) if hit)
+    for ex, probs in zip(examples, model.ref_probs_at(examples)):
+        for mid, row in zip(ex.markable_ids, probs >= REF_THRESHOLD):
+            predictions[mid] = frozenset(e for e, hit in zip(ex.entity_ids, row) if hit)
     transcript.predicted_referents = {k: sorted(v) for k, v in predictions.items()}
     return dialogue, markables, predictions
 

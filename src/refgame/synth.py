@@ -213,9 +213,13 @@ def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float =
 def make_span_annotations(
     corpus: AnnotatedCorpus, n_annotators: int = 3, jitter: float = 0.05, seed: int = 0
 ) -> dict[str, list[Markable]]:
-    """Simulated independent markable-detection passes: each annotator
-    reproduces the corpus markables, occasionally shifting a span end by
-    one token (for span-agreement statistics)."""
+    """Simulated independent markable-detection passes (for span-agreement
+    statistics): the first annotator reproduces the corpus markables; each
+    other one moves a span's start, and then its end, by one token with
+    probability ``jitter`` each.  A start moves one token earlier, or one
+    later where the span opens its utterance; an end moves one token later
+    where the utterance has room.  Every span keeps ``0 <= start < end <=
+    n_tokens``."""
     rng = np.random.default_rng(seed)
     out: dict[str, list[Markable]] = {}
     for a_idx in range(n_annotators):
@@ -223,8 +227,13 @@ def make_span_annotations(
         marks = []
         for mid in sorted(corpus.markables):
             m = corpus.markables[mid]
-            end = m.end_token
+            start, end = m.start_token, m.end_token
             n_tokens = len(corpus.utterance_tokens(m))
+            if a_idx > 0 and rng.random() < jitter:
+                if start > 0:
+                    start -= 1
+                elif end - start > 1:
+                    start += 1
             if a_idx > 0 and rng.random() < jitter and end < n_tokens:
                 end += 1
             marks.append(
@@ -232,7 +241,7 @@ def make_span_annotations(
                     id=f"{name}_{m.id}",
                     dialogue_id=m.dialogue_id,
                     utterance_index=m.utterance_index,
-                    start_token=m.start_token,
+                    start_token=start,
                     end_token=end,
                     speaker=m.speaker,
                 )

@@ -17,6 +17,7 @@ from .model import Vocabulary, check_dtype, load_checkpoint, require_examples, s
 from .neural import (
     ParamStore,
     add_gru_params,
+    by_length,
     crf_nll,
     crf_viterbi,
     fit,
@@ -25,6 +26,7 @@ from .neural import (
     linear,
     linear_backward,
     live_mask,
+    pack,
 )
 
 B, I, O = 0, 1, 2
@@ -115,19 +117,6 @@ def build_tag_examples(
     return out
 
 
-def _by_length(seqs: Sequence) -> list[int]:
-    """Indices of ``seqs``, longest first; equal lengths keep their order."""
-    return sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
-
-
-def _pack(seqs: Sequence[np.ndarray]) -> np.ndarray:
-    """Length-sorted int sequences -> a zero-padded (T, B) array."""
-    out = np.zeros((len(seqs[0]), len(seqs)), dtype=np.int64)
-    for b, seq in enumerate(seqs):
-        out[: len(seq), b] = seq
-    return out
-
-
 class MarkableTagger:
     """Bidirectional GRU token encoder + CRF over B/I/O tags, run on packed
     batches of utterances (see ``neural/kernels.py`` for the layout)."""
@@ -149,7 +138,7 @@ class MarkableTagger:
         packed as (T, B); returns them, the row lengths and the cache for
         ``_emissions_backward``."""
         p = self.store
-        tokens = _pack(seqs)
+        tokens = pack(seqs)
         lengths = np.array([len(seq) for seq in seqs])
         steps = np.arange(len(tokens))[:, None]
         live = live_mask(lengths)
@@ -186,9 +175,9 @@ class MarkableTagger:
         store."""
         one = isinstance(examples, TagExample)
         batch = [examples] if one else examples
-        order = _by_length([ex.tokens for ex in batch])
+        order = by_length([ex.tokens for ex in batch])
         emissions, lengths, cache = self._emissions([batch[i].tokens for i in order])
-        tags = _pack([batch[i].tags for i in order])
+        tags = pack([batch[i].tags for i in order])
         nll, d_em, d_tr, _ = crf_nll(emissions, self.store["trans"], tags, lengths)
         if backward:
             self.store.grads["trans"] += d_tr
@@ -210,7 +199,7 @@ class MarkableTagger:
         start = np.zeros(3, dtype=trans.dtype)
         start[I] = CONSTRAINT_PENALTY
         paths: list[list[int]] = [[] for _ in token_seqs]
-        order = [i for i in _by_length(token_seqs) if len(token_seqs[i])]
+        order = [i for i in by_length(token_seqs) if len(token_seqs[i])]
         for lo in range(0, len(order), DECODE_CHUNK):
             chunk = order[lo: lo + DECODE_CHUNK]
             emissions, lengths, _ = self._emissions([token_seqs[i] for i in chunk])

@@ -166,6 +166,17 @@ class TestSpanAgreement:
         assert start.observed == pytest.approx(1.0)
         assert end.observed == pytest.approx((n - 2) / n)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jitter_moves_starts_and_keeps_spans_valid(self, medium_corpus, seed):
+        ann = make_span_annotations(medium_corpus, n_annotators=3, jitter=0.3, seed=seed)
+        for marks in ann.values():
+            for m in marks:
+                n_tokens = len(medium_corpus.dialogues[m.dialogue_id].messages[m.utterance_index].tokens)
+                assert 0 <= m.start_token < m.end_token <= n_tokens
+        start, end = span_agreement(ann, medium_corpus)
+        assert start.observed < 1.0
+        assert end.observed < 1.0
+
     def test_needs_two_annotators(self, small_corpus):
         ann = make_span_annotations(small_corpus, n_annotators=1)
         with pytest.raises(ValueError):

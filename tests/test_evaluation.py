@@ -29,7 +29,10 @@ def test_perfect_predictions_give_perfect_metrics(setup):
         heads = model.heads
         vocab = model.vocab
 
-        def predict(self, ex):
+        def predict(self, examples):
+            return [self._predict(ex) for ex in examples]
+
+        def _predict(self, ex):
             tsel = np.zeros(7)
             tsel[ex.tsel_target] = 1.0
             return {"tsel": tsel, "ref": ex.ref_targets.astype(float)}
@@ -51,7 +54,10 @@ def test_hand_counted_off_by_one(setup):
         heads = model.heads
         vocab = model.vocab
 
-        def predict(self, ex):
+        def predict(self, examples):
+            return [self._predict(ex) for ex in examples]
+
+        def _predict(self, ex):
             tsel = np.zeros(7)
             tsel[ex.tsel_target] = 1.0
             ref = ex.ref_targets.astype(float).copy()

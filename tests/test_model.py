@@ -2,17 +2,23 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import Split
 from refgame.errors import DivergenceError, SchemaError
 from refgame.model import (
     EOU,
+    PACK_CHUNK,
     SEL,
     THEM,
+    VARIANTS,
     YOU,
     GroundingModel,
     ModelConfig,
@@ -348,7 +354,8 @@ class TestBackwardMatchesEinsumReference:
         dscores = rng.standard_normal((n_queries, 7))
 
         model.store.zero_grads()
-        d_entities, d_queries = model._attention_backward(dscores, act, entities, queries, head)
+        # the backward overwrites act with its gradient
+        d_entities, d_queries = model._attention_backward(dscores, act.copy(), entities, queries, head)
         grads, ref_entities, ref_queries = _attention_backward_einsum(
             model.store, dscores, act, entities, queries, head
         )
@@ -549,3 +556,86 @@ class TestCheckpoint:
         first = [model.run_example(ex)["total"] for ex in examples]
         second = [model.run_example(ex)["total"] for ex in reversed(examples)][::-1]
         assert first == second
+
+
+@cache
+def _example_pool():
+    """28 examples of ragged lengths, every fourth stripped of its markables."""
+    corpus = make_synthetic_corpus(14, seed=4)
+    gold = aggregate_corpus_gold(corpus)
+    ids = sorted(corpus.dialogues)
+    vocab = Vocabulary.from_corpus(corpus, ids)
+    pool = build_examples(corpus, ids, vocab, gold)
+    for i in range(0, len(pool), 4):
+        pool[i] = replace(pool[i], markable_ids=[], mark_positions=np.zeros((0, 3), dtype=np.int64),
+                          ref_targets=np.zeros((0, 7)))
+    return vocab, pool
+
+
+_batches = hst.lists(hst.integers(0, 27), min_size=1, max_size=2 * PACK_CHUNK + 3)
+
+
+class TestPackedBatches:
+    """A list of examples runs in packed chunks of ``PACK_CHUNK``; it equals
+    the examples run one at a time, in float64."""
+
+    @given(variant=hst.sampled_from(VARIANTS), picks=_batches, seed=hst.integers(0, 99),
+           dropout=hst.sampled_from([0.0, 0.4]))
+    @settings(max_examples=30, deadline=None)
+    def test_losses_and_gradients_equal_one_example_batches(self, variant, picks, seed, dropout):
+        vocab, pool = _example_pool()
+        batch = [pool[i] for i in picks]
+        config = ModelConfig(variant=variant, seed=seed, **{**TINY, "dropout": dropout})
+        model = GroundingModel(config, vocab)
+        train = dict(train=True, rng=np.random.default_rng(seed))
+        model.store.zero_grads()
+        batched = model.run_example(batch, backward=True, **train)
+        packed_grads = {k: g.copy() for k, g in model.store.grads.items()}
+
+        train = dict(train=True, rng=np.random.default_rng(seed))
+        model.store.zero_grads()
+        single = [model.run_example(ex, backward=True, **train) for ex in batch]
+        assert len(batched) == len(batch)
+        for got, want in zip(batched, single):
+            assert got.keys() == want.keys()
+            assert all(abs(got[k] - want[k]) <= 1e-10 for k in want)
+        for k, g in model.store.grads.items():
+            assert np.allclose(packed_grads[k], g, rtol=0, atol=1e-10), k
+
+    @given(variant=hst.sampled_from(VARIANTS), picks=_batches, seed=hst.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_predictions_equal_one_example_calls(self, variant, picks, seed):
+        vocab, pool = _example_pool()
+        batch = [pool[i] for i in picks]
+        model = GroundingModel(ModelConfig(variant=variant, seed=seed, **TINY), vocab)
+        for got, ex in zip(model.predict(batch), batch):
+            want = model.predict(ex)
+            assert got.keys() == want.keys()
+            assert all(np.allclose(got[k], want[k], rtol=0, atol=1e-12) for k in want)
+        if "ref" in model.heads:
+            for got, ex in zip(model.ref_probs_at(batch), batch):
+                assert got.shape == (len(ex.markable_ids), 7)
+                assert np.allclose(got, model.ref_probs_at(ex), rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="REF"):
+                model.ref_probs_at(batch)
+
+    def test_empty_list(self, micro):
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(seed=0, **TINY), vocab)
+        assert model.run_example([], backward=True) == []
+        assert model.predict([]) == [] and model.ref_probs_at([]) == []
+
+    def test_seeded_training_across_chunks_is_self_identical(self):
+        corpus = make_synthetic_corpus(12, seed=6)
+        gold = aggregate_corpus_gold(corpus)
+        ids = tuple(sorted(corpus.dialogues))
+        split = Split(train=ids[:10], valid=ids[10:], test=(), seed=0)
+        cfg = ModelConfig(epochs=2, patience=2, batch_size=2 * PACK_CHUNK + 2, dropout=0.5, seed=5,
+                          **{k: v for k, v in TINY.items() if k != "dropout"})
+        r1 = train_model(cfg, corpus, split, gold)
+        r2 = train_model(cfg, corpus, split, gold)
+        strip = lambda hist: [{k: v for k, v in rec.items() if k != "seconds"} for rec in hist]
+        assert strip(r1.history) == strip(r2.history)
+        for k in r1.model.store.params:
+            assert np.array_equal(r1.model.store.params[k], r2.model.store.params[k])

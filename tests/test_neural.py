@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from refgame.errors import DivergenceError, SchemaError
+from refgame.neural.adam import BETA1, BETA2, EPS
 from refgame.neural import (
     Adam,
     ParamStore,
@@ -627,6 +628,32 @@ class TestAdam:
                 opt.step()
             runs.append(store["w"].copy())
         assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_steps_equal_the_plain_expression_bit_for_bit(self, dtype):
+        # parameters of several shapes, so the scratch buffers are reused at
+        # different sizes; the reference is the update written as one expression
+        rng = np.random.default_rng(4)
+        store = ParamStore(seed=1, dtype=dtype)
+        for name, shape in (("a", (5, 3)), ("b", (7,)), ("c", (2, 2, 4))):
+            store.add(name, shape)
+        ref = {k: (v.copy(), np.zeros_like(v), np.zeros_like(v)) for k, v in store.params.items()}
+        opt = Adam(store, lr=0.003)
+        for t in range(1, 6):
+            for k, g in store.grads.items():
+                g[...] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=g.shape)
+            opt.step()
+            b1t, b2t = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for k, (p, m, v) in ref.items():
+                g = store.grads[k]
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                p -= 0.003 * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+                assert store[k].dtype == np.dtype(dtype)
+                assert np.array_equal(store[k], p) and np.array_equal(opt.m[k], m)
+                assert np.array_equal(opt.v[k], v)
 
     def test_nonfinite_gradient_names_parameter(self):
         store = self._store()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import pytest
 
 import refgame
 from refgame.agreement import aggregate_corpus_gold
-from refgame.corpus import Split
+from refgame.corpus import Split, split_dataset
 from refgame.errors import SchemaError
 from refgame.model import ModelConfig, train_model
 from refgame.neural import ParamStore, fit
@@ -133,3 +134,27 @@ def test_seeded_training_does_not_depend_on_string_hashing(tmp_path):
                        check=True, timeout=300)
         params.append(prefix.with_suffix(".params.json").read_bytes())
     assert params[0] == params[1]
+
+
+# Traced memory a paper-size train_model epoch may add above what was live
+# when it started.  The parameters, their gradients and Adam's two moments
+# come to about 21 MiB and the best-epoch copy to 5 MiB.  One example at a
+# time peaked at 26.4 MiB; packing PACK_CHUNK = 8 examples per GRU pass
+# peaks at 28.5 MiB, and all 16 of a minibatch at 33.8 MiB.  The budget
+# admits the chunked kernel and rejects whole-minibatch packs, which would
+# push the train benchmark's peak_rss_mb past 1.10x the one-example form.
+EPOCH_MEMORY_BUDGET_MIB = 32.0
+
+
+def test_paper_size_epoch_stays_inside_its_memory_budget():
+    corpus = make_synthetic_corpus(40, seed=3)
+    split = split_dataset(corpus, seed=3)
+    gold = aggregate_corpus_gold(corpus)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_model(ModelConfig(epochs=1), corpus, split, gold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 < EPOCH_MEMORY_BUDGET_MIB
