@@ -303,6 +303,10 @@ def cmd_selfplay(args) -> int:
             "dtype": dtype,
             "seed": args.seed,
             "jobs": args.jobs,
+            # the scenario config in --config's form, so the games can be regenerated
+            "scenario": asdict(config),
+            "shared": args.shared,
+            "games": args.games,
         },
         "version": __version__,
     })

@@ -15,7 +15,8 @@ supplies those).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from collections import deque
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -382,10 +383,11 @@ class GroundingModel:
 
     def _attention(self, entities_proj: np.ndarray, queries: np.ndarray, head: str):
         """Scores for each of the 7 entities against each query row:
-        score[q, i] = v_head . tanh(We e_i + Wq h_q + b)."""
+        score[q, i] = v_head . tanh(We e_i + Wq h_q + b).  ``entities_proj``
+        is (7, A), shared by every query, or (Q, 7, A), one set per query."""
         p = self.store
         q_proj = queries @ p["attn.Wq"].T
-        act = tanh(entities_proj[None, :, :] + q_proj[:, None, :] + p["attn.b"])
+        act = tanh(entities_proj + q_proj[:, None, :] + p["attn.b"])
         return act @ p[f"attn.v_{head}"], act
 
     def _attention_backward(self, dscores, act, entities, queries, head: str):
@@ -413,8 +415,11 @@ class GroundingModel:
 
     def _head_forward(self, head: str, entities, entities_proj, queries):
         """One head over query rows (Q, H): entity scores (Q, 7) for TSEL and
-        REF, next-token logits (Q, V) for DIAL.  Returns (out, cache), where
-        the cache holds what ``_head_backward`` needs."""
+        REF, next-token logits (Q, V) for DIAL.  The entities are (7, .),
+        shared by every query, or stacked (Q, 7, .), one set per query, as
+        in lockstep decoding.  Returns (out, cache), where the cache holds
+        what ``_head_backward`` needs; the backward takes shared entities
+        only."""
         if head not in self.heads:
             raise ValueError(f"variant {self.config.variant} has no {head.upper()} head")
         scores, act = self._attention(entities_proj, queries, head)
@@ -422,7 +427,8 @@ class GroundingModel:
             return scores, (entities, queries, act)
         p = self.store
         alpha = softmax(scores, axis=-1)
-        z = np.concatenate([queries, alpha @ entities], axis=1)
+        context = alpha @ entities if entities.ndim == 2 else np.matmul(alpha[:, None], entities)[:, 0]
+        z = np.concatenate([queries, context], axis=1)
         logits, u1 = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
         return logits, (entities, queries, act, alpha, z, u1)
 
@@ -572,8 +578,12 @@ class GroundingModel:
         return self._input_table
 
     def start_state(self, attrs: np.ndarray, rel: np.ndarray) -> "DecoderState":
-        entities, entities_proj, _ = self.encode_entities(attrs, rel)
-        h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
+        """A decoder in the store's dtype (the view features are float64)."""
+        dtype = self.store.dtype
+        entities, entities_proj, _ = self.encode_entities(
+            attrs.astype(dtype, copy=False), rel.astype(dtype, copy=False)
+        )
+        h = np.zeros(self.config.hidden_dim, dtype=dtype)
         return DecoderState(model=self, entities=entities, entities_proj=entities_proj, h=h)
 
     def save(self, prefix, history: list[dict] | None = None) -> None:
@@ -601,32 +611,69 @@ def _queries(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return h[rows].sum(axis=1) / rows.shape[1]
 
 
-@dataclass
 class DecoderState:
-    """Incremental GRU state over one agent's token stream."""
+    """Incremental GRU state over one agent's token stream.
 
-    model: GroundingModel
-    entities: np.ndarray
-    entities_proj: np.ndarray
-    h: np.ndarray
+    ``feed`` queues a token.  ``step_queued`` feeds queued tokens in order,
+    one per state per call, and steps any number of states of one model in
+    one ``gru_cell`` call over their rows.  Reading ``h`` or one state's
+    head probabilities first feeds that state's own queue, one row per
+    step.  A step replaces ``h`` and never writes into it, so forks share
+    it until they step."""
+
+    def __init__(self, model: GroundingModel, entities: np.ndarray, entities_proj: np.ndarray,
+                 h: np.ndarray, queue: Iterable[int] = ()):
+        self.model = model
+        self.entities = entities
+        self.entities_proj = entities_proj
+        self._h = h
+        self.queue = deque(queue)
+
+    @property
+    def h(self) -> np.ndarray:
+        """The state after every token fed so far."""
+        while self.queue:
+            step_queued([self])
+        return self._h
 
     def feed(self, token_id: int) -> None:
-        a = self.model.input_table()[token_id]
-        self.h = gru_cell(a, self.model.store["gru.U"], self.h)
+        self.queue.append(token_id)
 
     def fork(self) -> "DecoderState":
-        """An independent copy to decode ahead from."""
-        return replace(self, h=self.h.copy())
-
-    def _probs(self, head: str) -> np.ndarray:
-        out, _ = self.model._head_forward(head, self.entities, self.entities_proj, self.h[None, :])
-        return softmax(out[0])
+        """An independent copy to decode ahead from, queued tokens included."""
+        return DecoderState(self.model, self.entities, self.entities_proj, self._h, self.queue)
 
     def next_token_probs(self) -> np.ndarray:
-        return self._probs("dial")
+        """The next-token distribution (V,) after the tokens fed so far.
+        Called on the class with a list of states of one model,
+        ``DecoderState.next_token_probs(states)`` returns their rows (n, V)
+        from one DIAL head call, each row scored against its own state's
+        entities, stacked (n, 7, .)."""
+        one = isinstance(self, DecoderState)
+        states = [self] if one else self
+        logits, _ = states[0].model._head_forward(
+            "dial",
+            np.stack([s.entities for s in states]),
+            np.stack([s.entities_proj for s in states]),
+            np.stack([s.h for s in states]),
+        )
+        probs = softmax(logits, axis=-1)
+        return probs[0] if one else probs
 
     def tsel_probs(self) -> np.ndarray:
-        return self._probs("tsel")
+        out, _ = self.model._head_forward("tsel", self.entities, self.entities_proj, self.h[None, :])
+        return softmax(out[0])
+
+
+def step_queued(states: Sequence[DecoderState]) -> None:
+    """Feed each of ``states``, all of one model and each with a queued
+    token, the first of its queued tokens: one ``gru_cell`` call over their
+    (n, H) rows."""
+    model = states[0].model
+    tokens = [s.queue.popleft() for s in states]
+    h = gru_cell(model.input_table()[tokens], model.store["gru.U"], np.stack([s._h for s in states]))
+    for s, row in zip(states, h):
+        s._h = row
 
 
 # --- training loop -------------------------------------------------------------

@@ -21,9 +21,9 @@ def add_gru_params(store: ParamStore, prefix: str, input_dim: int, hidden_dim: i
 
 
 def gru_cell(a: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One step of one row from a precomputed input projection ``a = W x +
-    b``; used for incremental decoding in selfplay."""
-    return kernels.gru_step(a[None], u, h[None])[0][0]
+    """One step of n rows (n, H) from their precomputed input projections
+    ``a = W x + b`` (n, 3H); used for incremental decoding in selfplay."""
+    return kernels.gru_step(a, u, h)[0]
 
 
 @dataclass

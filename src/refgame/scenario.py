@@ -245,7 +245,11 @@ def generate_scenarios(
     seed: int,
 ) -> list[Scenario]:
     """Generate ``counts[k]`` scenarios per shared count k from independent,
-    reproducible rng streams (one spawned stream per scenario)."""
+    reproducible rng streams (one spawned stream per scenario).  A negative
+    count raises ValueError."""
+    negative = {k: n for k, n in counts.items() if n < 0}
+    if negative:
+        raise ValueError(f"scenario counts must not be negative, got {negative}")
     total = sum(counts.values())
     streams = np.random.SeedSequence(seed).spawn(total)
     out: list[Scenario] = []

@@ -6,7 +6,10 @@ agent emits the selection control token (or at the utterance cap, in which
 case selection is forced and the game flagged).  Both agents then pick an
 entity via their target-selection policy and the game succeeds iff the
 picked world entities are identical.  Every game is replayable from
-(agents, scenario, seed)."""
+(agents, scenario, seed).  ``run_game`` on a list of games plays them in
+lockstep, one GRU step and one DIAL head call per tick for every game's
+decoder, and each game samples from its own rng; its rows agree with
+one-game play up to the rounding of the batched GEMMs."""
 
 from __future__ import annotations
 
@@ -21,9 +24,15 @@ from .corpus import Dialogue, GoldEntry, Message, Selection
 from .errors import GameAbortedError
 from .io import csv_text
 from .model import (
-    EOU, REF_THRESHOLD, SEL, THEM, YOU, DecoderState, GroundingModel, dialogue_examples,
+    EOU, REF_THRESHOLD, SEL, THEM, YOU, DecoderState, GroundingModel, dialogue_examples, step_queued,
 )
 from .scenario import Scenario, View, view_feature_matrix
+
+# games per lockstep run_game call in run_batch: more rows per GRU and DIAL
+# head call, against a longer tail of ticks that only the slowest games run.
+# Over 192 and 300 paper-size model games on 2 CPUs, 64 played 3-31% more
+# tokens/s than 32 in three runs, about as many as 128, and twice as many as 8.
+GAMES_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -86,23 +95,33 @@ class GameTranscript:
         )
 
 
-def temperature_weights(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Renormalized distribution proportional to p_i^(1/temperature)."""
-    if temperature <= 0:
+def temperature_weights(probs: np.ndarray, temperature) -> np.ndarray:
+    """Renormalized distribution proportional to p_i^(1/temperature) over
+    the last axis; for (n, V) rows the temperature may be a (n, 1) column."""
+    if np.any(np.asarray(temperature) <= 0):
         raise ValueError("temperature must be > 0")
     with np.errstate(divide="ignore"):
         logits = np.log(probs) / temperature
-    logits -= logits.max()
+    logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0:
+    total = w.sum(axis=-1, keepdims=True)
+    if not (np.isfinite(total).all() and (total > 0).all()):
         raise ValueError("degenerate distribution after temperature scaling")
     return w / total
 
 
-def sample_token(probs: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Sample proportionally to p_i^(1/temperature)."""
-    return int(rng.choice(len(probs), p=temperature_weights(probs, temperature)))
+def sample_token(probs: np.ndarray, temperature, rng):
+    """Sample a token id proportionally to p_i^(1/temperature): one
+    ``rng.random()`` searched in the normalised cumulative weights, the
+    draw that ``rng.choice(len(p), p=w)`` makes (in float64, as it does).
+    Given (n, V) rows and a list of n rngs, draws one token per row from
+    that row's rng and returns the list."""
+    w = temperature_weights(probs, temperature).astype(np.float64, copy=False)
+    cdf = np.cumsum(w, axis=-1)
+    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return [int(row.searchsorted(r.random(), side="right")) for row, r in zip(cdf, rng)]
 
 
 class Agent(Protocol):
@@ -187,12 +206,15 @@ def darkest_agent() -> ScriptedAgent:
 class ModelAgent:
     """Wraps a trained generation-capable model (a DIAL variant) for play.
 
-    ``act`` decodes ahead on a fork of the committed state.  When
-    ``observe`` then reports exactly the utterance it emitted, the fork,
-    which has already consumed ``<you>`` and those tokens, becomes the
-    committed state and only ``<eou>`` is fed; any other observation
-    (a truncated utterance, a ``[SEL]`` event, the partner's turn) is fed
-    token by token onto the committed state."""
+    ``utter`` is the one token loop.  It decodes ahead on a fork of the
+    committed state.  When ``observe`` then reports exactly the utterance
+    it emitted, the fork, which has already consumed ``<you>`` and those
+    tokens, becomes the committed state and only ``<eou>`` is fed; any
+    other observation (a truncated utterance, a ``[SEL]`` event, the
+    partner's turn) is fed token by token onto the committed state.
+    ``run_game`` runs the ``utter`` of many games in lockstep and then
+    takes each utterance from ``act``; called with none decoded, ``act``
+    runs ``utter`` alone."""
 
     def __init__(self, model: GroundingModel, temperature: float, max_tokens: int):
         if "dial" not in model.heads or "tsel" not in model.heads:
@@ -200,11 +222,13 @@ class ModelAgent:
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens
-        self.forbidden = {model.vocab.encode(YOU), model.vocab.encode(THEM)}
+        # the speaker prefixes, which the protocol supplies
+        self.forbidden = [model.vocab.encode(YOU), model.vocab.encode(THEM)]
         self.state: DecoderState | None = None
         self.view: View | None = None
         self.rng: np.random.Generator | None = None
         self._ahead: tuple[DecoderState, tuple[str, ...]] | None = None
+        self._utterance: tuple[list[str], bool] | None = None
 
     def reset(self, scenario: Scenario, role: str, rng: np.random.Generator) -> None:
         attrs, rel = view_feature_matrix(scenario, role)
@@ -212,6 +236,7 @@ class ModelAgent:
         self.view = scenario.view(role)
         self.rng = rng
         self._ahead = None
+        self._utterance = None
 
     def observe(self, speaker_is_self: bool, tokens: Sequence[str]) -> None:
         encode = self.model.vocab.encode
@@ -224,20 +249,23 @@ class ModelAgent:
                 self.state.feed(encode(t))
         self.state.feed(encode(EOU))
 
-    def act(self) -> tuple[list[str], bool]:
+    def utter(self):
+        """Decode the next utterance, (tokens, wants_selection), for ``act``
+        to return, as a ``_lockstep`` coroutine: it yields the committed
+        state when its queued tokens must be fed first, then ``(self,
+        state)`` whenever it needs its next token drawn from the fork
+        ``state``, and is sent that token id."""
         vocab = self.model.vocab
-        out: list[str] = []
-        wants_selection = False
+        # what this agent heard is fed before the fork, so it is fed once
+        # whichever of the two states the next observation keeps
+        if self.state.queue:
+            yield self.state
         state = self.state.fork()
         state.feed(vocab.encode(YOU))
+        out: list[str] = []
+        wants_selection = False
         for _ in range(self.max_tokens):
-            probs = state.next_token_probs().copy()
-            for t in self.forbidden:
-                probs[t] = 0.0
-            total = probs.sum()
-            if total <= 0:
-                raise GameAbortedError("model assigned zero mass to all legal tokens")
-            token_id = sample_token(probs / total, self.temperature, self.rng)
+            token_id = yield self, state
             token = vocab.decode(token_id)
             if token == SEL:
                 wants_selection = True
@@ -247,23 +275,124 @@ class ModelAgent:
             out.append(token)
             state.feed(token_id)
         self._ahead = (state, tuple(out))
-        return out, wants_selection
+        self._utterance = (out, wants_selection)
+
+    def act(self) -> tuple[list[str], bool]:
+        """The utterance that ``utter`` decoded for this turn; with none
+        decoded, ``utter`` runs alone first, as a lockstep of one."""
+        if self._utterance is None:
+            [error] = _lockstep([self.utter()])
+            if error is not None:
+                raise error
+        utterance, self._utterance = self._utterance, None
+        return utterance
 
     def select(self) -> int:
         probs = self.state.tsel_probs()
         return int(self.view.visible[int(np.argmax(probs))])
 
 
-def run_game(
-    agent_a: Agent,
-    agent_b: Agent,
-    scenario: Scenario,
-    protocol: ProtocolConfig,
-    rng: np.random.Generator,
-) -> GameTranscript:
-    """Play one game; deterministic given the rng state.  An exception from
-    any agent call ends the game as a ``GameAbortedError`` naming the
-    scenario."""
+def _plays_in_lockstep(agent) -> bool:
+    """A ModelAgent whose token loop is ``utter``; a subclass that
+    overrides ``act`` has its own and plays through it."""
+    return isinstance(agent, ModelAgent) and type(agent).act is ModelAgent.act
+
+
+def _draw(requests: list[tuple[ModelAgent, DecoderState]]) -> list:
+    """The next token of each ``(agent, state)`` request, or the exception
+    that ends its game.  One DIAL head call per model scores the rows;
+    the forbidden tokens are masked and the temperature applied row-wise,
+    and each row draws from its own agent's rng."""
+    out: list = [None] * len(requests)
+    groups: dict[int, list[int]] = {}
+    for i, (agent, _) in enumerate(requests):
+        groups.setdefault(id(agent.model), []).append(i)
+    for rows in groups.values():
+        agents = [requests[i][0] for i in rows]
+        probs = DecoderState.next_token_probs([requests[i][1] for i in rows])
+        probs[:, agents[0].forbidden] = 0.0
+        total = probs.sum(axis=1, keepdims=True)
+        zero = total[:, 0] <= 0
+        for k in np.flatnonzero(zero):
+            out[rows[k]] = GameAbortedError("model assigned zero mass to all legal tokens")
+        live = np.flatnonzero(~zero).tolist()
+        weights = probs[live] / total[live]
+        # in the rows' dtype, as a Python float temperature would be cast
+        temperature = np.array([[agents[k].temperature] for k in live], dtype=probs.dtype)
+        rngs = [agents[k].rng for k in live]
+        try:
+            tokens = sample_token(weights, temperature, rngs)
+        except ValueError:  # a degenerate row, found before any rng draws
+            tokens = [_sample_or_error(*row) for row in zip(weights, temperature, rngs)]
+        for k, token in zip(live, tokens):
+            out[rows[k]] = token
+    return out
+
+
+def _sample_or_error(probs: np.ndarray, temperature: np.ndarray, rng):
+    """One row's token, or the ValueError that ends its game only."""
+    try:
+        return sample_token(probs, temperature, rng)
+    except ValueError as exc:
+        return exc
+
+
+def _lockstep(coroutines: list) -> list:
+    """Run decoding coroutines (``_game``, ``ModelAgent.utter``) together
+    and return each one's return value, or the exception it raised.
+
+    A coroutine yields what it waits for: a decoder state whose queued
+    tokens must be fed, or an ``(agent, state)`` request for its next
+    token.  Each tick feeds one queued token to every state waited on, in
+    one ``gru_cell`` call per model.  Then it draws for every request whose
+    state has no queue left (``_draw``), resumes those coroutines with
+    their tokens, and resumes every one whose state is fed.  An exception
+    that ``_draw`` returns is raised inside that coroutine only.  A
+    coroutine waits on one state at a time, so one coroutine alone steps
+    one row at a time."""
+    results: list = [None] * len(coroutines)
+    waiting: dict[int, object] = {}
+
+    def resume(i: int, value=None) -> None:
+        waiting.pop(i, None)
+        try:
+            if isinstance(value, BaseException):
+                waiting[i] = coroutines[i].throw(value)
+            else:
+                waiting[i] = coroutines[i].send(value)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:
+            results[i] = exc
+
+    def state_of(request) -> DecoderState:
+        return request if isinstance(request, DecoderState) else request[1]
+
+    for i in range(len(coroutines)):
+        resume(i)
+    while waiting:
+        groups: dict[int, list[DecoderState]] = {}
+        for request in waiting.values():
+            state = state_of(request)
+            if state.queue:
+                groups.setdefault(id(state.model), []).append(state)
+        for states in groups.values():
+            step_queued(states)
+        ready = [i for i, request in waiting.items() if not state_of(request).queue]
+        draws = [i for i in ready if isinstance(waiting[i], tuple)]
+        fed = [i for i in ready if not isinstance(waiting[i], tuple)]
+        for i, token in zip(draws, _draw([waiting[i] for i in draws])):
+            resume(i, token)
+        for i in fed:
+            resume(i)
+    return results
+
+
+def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: ProtocolConfig,
+          rng: np.random.Generator):
+    """One game as a ``_lockstep`` coroutine; returns its transcript.  An
+    exception from any agent call ends the game as a ``GameAbortedError``
+    naming the scenario."""
     transcript = GameTranscript(
         scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed
     )
@@ -274,7 +403,10 @@ def run_game(
         speaker = "A"
         ended_by_selection = False
         for _ in range(protocol.max_utterances):
-            tokens, wants_selection = agents[speaker].act()
+            agent = agents[speaker]
+            if _plays_in_lockstep(agent):
+                yield from agent.utter()
+            tokens, wants_selection = agent.act()
             tokens = tokens[: protocol.max_tokens_per_utterance]
             if tokens:
                 transcript.messages.append({"speaker": speaker, "tokens": tokens})
@@ -288,6 +420,9 @@ def run_game(
                 break
             speaker = "B" if speaker == "A" else "A"
         transcript.forced = not ended_by_selection
+        for agent in agents.values():  # what each heard, fed before it selects
+            if isinstance(agent, ModelAgent) and agent.state.queue:
+                yield agent.state
         picks = {}
         for role, agent in agents.items():
             entity = int(agent.select())
@@ -301,6 +436,43 @@ def run_game(
     transcript.selections = picks
     transcript.success = picks["A"] == picks["B"]
     return transcript
+
+
+def run_game(
+    agent_a: Agent | Sequence[Agent],
+    agent_b: Agent | Sequence[Agent],
+    scenario: Scenario | Sequence[Scenario],
+    protocol: ProtocolConfig,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+):
+    """Play one game, deterministic given the rng state; an exception from
+    any agent call ends it as a ``GameAbortedError`` naming the scenario,
+    which is raised.
+
+    Given equal-length lists of agents, scenarios and rngs, plays those
+    games in lockstep and returns their transcripts in order: every live
+    game's decoder advances in one GRU step and one DIAL head call per
+    tick.  A game that raises comes back as an aborted transcript, and
+    the others go on."""
+    one = isinstance(scenario, Scenario)
+    if one:
+        games = [(agent_a, agent_b, scenario, rng)]
+    elif len(agent_a) == len(agent_b) == len(scenario) == len(rng):
+        games = list(zip(agent_a, agent_b, scenario, rng))
+    else:
+        raise ValueError("run_game needs as many agents of each role and rngs as scenarios")
+    results = _lockstep([_game(a, b, s, protocol, r) for a, b, s, r in games])
+    if one:
+        if isinstance(results[0], BaseException):
+            raise results[0]
+        return results[0]
+    return [
+        GameTranscript(
+            scenario_id=s.id, num_shared=s.num_shared, seed=protocol.seed,
+            aborted=True, abort_message=str(result),
+        ) if isinstance(result, BaseException) else result
+        for (_, _, s, _), result in zip(games, results)
+    ]
 
 
 @dataclass
@@ -409,17 +581,14 @@ class CheckpointAgentFactory:
         return ModelAgent(self.model, temperature=self.temperature, max_tokens=self.max_tokens)
 
 
-def _play_one(payload) -> GameTranscript:
-    """One game; an aborted game comes back as a transcript that records it."""
-    agent_factory, scenario, protocol, stream = payload
-    rng = np.random.default_rng(stream)
-    try:
-        return run_game(agent_factory(), agent_factory(), scenario, protocol, rng)
-    except GameAbortedError as exc:
-        return GameTranscript(
-            scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed,
-            aborted=True, abort_message=str(exc),
-        )
+def _play_slice(payload) -> list[GameTranscript]:
+    """One slice of ``run_batch``: its games in lockstep, each with a fresh
+    agent pair."""
+    agent_factory, scenarios, protocol, streams = payload
+    return run_game(
+        [agent_factory() for _ in scenarios], [agent_factory() for _ in scenarios],
+        scenarios, protocol, [np.random.default_rng(stream) for stream in streams],
+    )
 
 
 def run_batch(
@@ -428,25 +597,32 @@ def run_batch(
     protocol: ProtocolConfig,
     jobs: int = 1,
 ) -> BatchResult:
-    """Play every scenario with a fresh agent pair.  Per-game rng streams
-    are spawned from protocol.seed by scenario order and results are
-    reduced in that order, so rates and transcripts do not depend on
-    scheduling.  A game that raises ``GameAbortedError`` is recorded as
-    aborted and the batch goes on.  ``jobs`` > 1 distributes games over a
-    process pool (the agent factory must then be picklable)."""
+    """Play every scenario with a fresh agent pair, in lockstep slices of
+    ``GAMES_CHUNK`` games.  Per-game rng streams are spawned from
+    protocol.seed by scenario order and results are reduced in that order,
+    so rates and transcripts do not depend on scheduling.  A game's rows
+    may round differently beside other rows in a GEMM, so slicing can
+    move its probabilities by rounding, which flips a draw only when it
+    falls within that distance of a cdf step.  A
+    game that raises ``GameAbortedError`` is recorded as aborted and the
+    batch goes on.  ``jobs`` > 1 plays the slices on a process pool (the
+    agent factory must then be picklable)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     scenario_list = list(scenarios)
-    streams = np.random.SeedSequence(protocol.seed).spawn(max(len(scenario_list), 1))
-    payloads = [
-        (agent_factory, scenario, protocol, streams[i])
-        for i, scenario in enumerate(scenario_list)
+    streams = np.random.SeedSequence(protocol.seed).spawn(len(scenario_list))
+    slices = [
+        (agent_factory, scenario_list[lo: lo + GAMES_CHUNK], protocol, streams[lo: lo + GAMES_CHUNK])
+        for lo in range(0, len(scenario_list), GAMES_CHUNK)
     ]
-    if jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(slices) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            transcripts = list(pool.map(_play_one, payloads, chunksize=32))
+            parts = list(pool.map(_play_slice, slices))
     else:
-        transcripts = [_play_one(p) for p in payloads]
+        parts = [_play_slice(part) for part in slices]
+    transcripts = [t for part in parts for t in part]
     games: dict[int, int] = {}
     successes: dict[int, int] = {}
     aborted: dict[int, int] = {}

@@ -8,6 +8,7 @@ import pytest
 
 from refgame.cli import main
 from refgame.corpus import load_corpus, save_corpus
+from refgame.scenario import DEFAULT_CONFIG
 from refgame.synth import make_synthetic_corpus
 
 
@@ -218,8 +219,27 @@ class TestModelCommands:
             "protocol": {"temperature": 0.25, "max_utterances": 4,
                          "max_tokens_per_utterance": 8, "seed": 2},
             "agent": "model", "model": str(model), "dtype": "float64", "seed": 2, "jobs": 1,
+            "scenario": json.loads(json.dumps(asdict(DEFAULT_CONFIG))), "shared": [4, 5], "games": 3,
         }
         assert summary["version"] == __version__
+
+    def test_selfplay_summary_config_regenerates_the_scenarios(self, tmp_path):
+        from refgame.scenario import generate_scenarios, load_scenario_config
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_separation": 0.05, "center_distance": {"5": 0.7}}))
+        out = tmp_path / "spc"
+        assert run("selfplay", "--shared", "5,6", "--games", "2", "--seed", "4",
+                   "--config", config, "--out", out) == 0
+        recorded = json.loads((out / "summary.json").read_text())["config"]
+        (tmp_path / "recorded.json").write_text(json.dumps(recorded["scenario"]))
+        scenarios = generate_scenarios(
+            load_scenario_config(tmp_path / "recorded.json"),
+            {k: recorded["games"] for k in recorded["shared"]}, seed=recorded["seed"],
+        )
+        transcripts = [json.loads(line) for line in (out / "transcripts.jsonl").read_text().splitlines()]
+        assert [t["scenario_id"] for t in transcripts] == [s.id for s in scenarios]
+        assert recorded["scenario"]["min_separation"] == 0.05
 
     def test_selfplay_flags_left_out_take_protocol_defaults(self, tmp_path):
         from refgame.selfplay import ProtocolConfig
@@ -373,6 +393,21 @@ class TestSelfplayAndRender:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --shared" in err and "'x'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--count", "-2"),
+    ("selfplay", "--games", "-2"),
+    ("selfplay", "--games", "1", "--jobs", "-3"),
+    ("selfplay", "--games", "1", "--jobs", "0"),
+], ids=["generate-count", "selfplay-games", "selfplay-jobs", "selfplay-zero-jobs"])
+def test_negative_counts_report_json_value_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not out.exists()
 
 
 LIST_FILE = "<a file holding []>"

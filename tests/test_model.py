@@ -243,7 +243,7 @@ class TestForward:
             h = np.zeros(model.config.hidden_dim)
             for t in tokens:
                 state.feed(t)
-                h = gru_cell(p["gru.W"] @ p["emb"][t] + p["gru.b"], p["gru.U"], h)
+                h = gru_cell((p["gru.W"] @ p["emb"][t] + p["gru.b"])[None], p["gru.U"], h[None])[0]
                 assert np.array_equal(state.h, h)
 
         assert_feeds_match_matvec()  # builds the table

@@ -200,13 +200,13 @@ class TestGRU:
         u = np.zeros((3 * H, H))
         b = np.zeros(3 * H)
         h = np.array([1.0, -2.0, 0.5, 4.0])
-        out = gru_cell(w @ np.ones(D) + b, u, h)
+        out = gru_cell((w @ np.ones(D) + b)[None], u, h[None])[0]
         assert np.allclose(out, 0.5 * h)
 
     def test_zero_state_zero_params(self):
         H, D = 4, 3
         w, b = np.zeros((3 * H, D)), np.zeros(3 * H)
-        out = gru_cell(w @ np.ones(D) + b, np.zeros((3 * H, H)), np.zeros(H))
+        out = gru_cell((w @ np.ones(D) + b)[None], np.zeros((3 * H, H)), np.zeros((1, H)))
         assert np.allclose(out, 0.0)
 
     def test_sequence_matches_cell(self):
@@ -219,14 +219,14 @@ class TestGRU:
         h_seq, _ = gru_sequence(w, u, b, x, [T])
         h = np.zeros(H)
         for t in range(T):
-            h = gru_cell(w @ x[t, 0] + b, u, h)
+            h = gru_cell((w @ x[t, 0] + b)[None], u, h[None])[0]
             assert np.allclose(h_seq[t, 0], h, atol=1e-12)
 
         # float32 inputs stay float32 through the kernels, forward and backward
         w32, u32, b32, x32 = (a.astype(np.float32) for a in (w, u, b, x))
         h32, cache = gru_sequence(w32, u32, b32, x32, [T])
         assert h32.dtype == np.float32
-        assert gru_cell(w32 @ x32[0, 0] + b32, u32, h32[0, 0]).dtype == np.float32
+        assert gru_cell((w32 @ x32[0, 0] + b32)[None], u32, h32[0]).dtype == np.float32
         assert np.allclose(h32, h_seq, atol=1e-5)
         dx, grads = gru_sequence_backward(w32, u32, cache, np.ones_like(h32))
         assert dx.dtype == np.float32
@@ -543,7 +543,7 @@ class TestPackedKernels:
         assert da.dtype == dtype and np.array_equal(da[:, 0], ref_da)
         h = np.zeros(H, dtype=dtype)
         for t in range(T):
-            h = gru_cell(wx[t], u, h)
+            h = gru_cell(wx[t][None], u, h[None])[0]
             assert np.array_equal(h, ref[0][t])
 
     @given(seed=hst.integers(0, 2**32 - 1), lengths=_lengths)

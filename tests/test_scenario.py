@@ -42,6 +42,13 @@ def test_generate_rejects_bad_num_shared():
         generate_scenario(CFG, 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("counts", [{4: -2}, {4: -1, 5: 2, 6: 2}, {6: -3}])
+def test_generate_scenarios_rejects_negative_counts(counts):
+    with pytest.raises(ValueError, match="must not be negative"):
+        generate_scenarios(CFG, counts, seed=0)
+    assert len(generate_scenarios(CFG, {4: 0, 5: 1}, seed=0)) == 1
+
+
 def test_generate_deterministic_given_seed():
     a = generate_scenario(CFG, 6, np.random.default_rng(123))
     b = generate_scenario(CFG, 6, np.random.default_rng(123))

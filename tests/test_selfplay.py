@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import AnnotatedCorpus, Split
 from refgame.errors import GameAbortedError
-from refgame.model import EOU, SEL, THEM, YOU, GroundingModel, ModelConfig, train_model
+from refgame.model import EOU, SEL, THEM, YOU, DecoderState, GroundingModel, ModelConfig, train_model
 from refgame.scenario import ScenarioConfig, generate_scenario, generate_scenarios
 from refgame.selfplay import (
     ModelAgent,
@@ -66,6 +68,41 @@ class TestTemperature:
         draws = [sample_token(p, 0.25, rng) for _ in range(20000)]
         freq = np.mean(np.asarray(draws) == 0)
         assert freq == pytest.approx(0.8350515, abs=0.01)
+
+    def test_draw_equals_generator_choice(self):
+        # 2,400 seeded cases, a tenth of them one-hot and a quarter float32:
+        # the token equals rng.choice's over the same weights, and so does
+        # the generator's next draw
+        rows, temperatures, rngs, expected = [], [], [], []
+        for seed in range(2400):
+            case = np.random.default_rng([seed, 1])
+            size = int(case.integers(2, 60))
+            probs = case.dirichlet(np.full(size, 0.3))
+            if seed % 10 == 0:
+                probs = np.eye(size)[case.integers(size)]
+            if seed % 4 == 1:
+                probs = probs.astype(np.float32)
+            temperature = (0.25, 1.0)[seed % 2]
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = int(ref.choice(size, p=temperature_weights(probs, temperature)))
+            assert sample_token(probs, temperature, rng) == want
+            assert rng.random() == ref.random()
+            if size == 12 and probs.dtype == np.float64:
+                rows.append(probs)
+                temperatures.append([temperature])
+                rngs.append(np.random.default_rng(seed))
+                expected.append(want)
+        # the row-wise form: one row per rng, each temperature its own
+        assert len(rows) > 10
+        assert sample_token(np.array(rows), np.array(temperatures), rngs) == expected
+
+    def test_row_weights_equal_one_row_weights(self):
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(30), size=8)
+        temperature = np.array([[0.25], [1.0]] * 4)
+        rows = temperature_weights(probs, temperature)
+        for row, p, t in zip(rows, probs, temperature[:, 0]):
+            assert np.array_equal(row, temperature_weights(p, t))
 
 
 class TestScriptedGames:
@@ -357,6 +394,186 @@ class TestModelAgent:
             ModelAgent(model, 0.25, 30)
 
 
+class FailingSelect(ModelAgent):
+    """ModelAgent whose select raises on one scenario."""
+
+    def __init__(self, *args, bad: str, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bad = bad
+        self.scenario_id = None
+
+    def reset(self, scenario, role, rng):
+        super().reset(scenario, role, rng)
+        self.scenario_id = scenario.id
+
+    def select(self):
+        if self.scenario_id == self.bad:
+            raise RuntimeError("select failed")
+        return super().select()
+
+
+def record_draws(monkeypatch, log: dict, sizes: list):
+    """Wrap sample_token to log, per rng, each row it draws from and the
+    uniform draw it is about to make, and each call's row count."""
+    from refgame import selfplay
+
+    real = selfplay.sample_token
+
+    def sample(probs, temperature, rng):
+        sizes.append(len(probs))
+        for row, r in zip(probs, rng):
+            log.setdefault(id(r), []).append((row.copy(), copy.deepcopy(r).random()))
+        return real(probs, temperature, rng)
+
+    monkeypatch.setattr(selfplay, "sample_token", sample)
+
+
+def model_copy(model, dtype=None):
+    config = model.config if dtype is None else replace(model.config, dtype=dtype)
+    out = GroundingModel(config, model.vocab)
+    out.store.load_values({k: v.astype(config.dtype) for k, v in model.store.copy_values().items()})
+    return out
+
+
+def play(model_a, model_b, scenarios, protocol, seeds, agent=ModelAgent, **kwargs):
+    """The games of ``scenarios`` in one lockstep run_game call."""
+    def agents(model):
+        return [agent(model, protocol.temperature, protocol.max_tokens_per_utterance, **kwargs)
+                for _ in scenarios]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return run_game(agents(model_a), agents(model_b), scenarios, protocol, rngs), rngs
+
+
+class TestLockstep:
+    PROTO = ProtocolConfig(seed=8, temperature=1.0, max_utterances=6, max_tokens_per_utterance=12)
+
+    def test_lockstep_matches_one_game_at_a_time(self, tiny_model, monkeypatch):
+        log: dict = {}
+        sizes: list = []
+        record_draws(monkeypatch, log, sizes)
+        scenarios = generate_scenarios(CFG, {4: 70, 5: 70, 6: 70}, seed=31)
+        seeds = np.random.SeedSequence(8).spawn(len(scenarios))
+        lockstep, lockstep_rngs = [], []
+        for lo in range(0, len(scenarios), 16):
+            transcripts, rngs = play(tiny_model, tiny_model, scenarios[lo: lo + 16], self.PROTO,
+                                     seeds[lo: lo + 16])
+            lockstep += transcripts
+            lockstep_rngs += rngs
+        assert max(sizes) == 16
+        sizes.clear()
+        problems, alone_rngs = [], []  # the rngs stay alive, so their ids stay distinct
+        for g, (scenario, seed) in enumerate(zip(scenarios, seeds)):
+            [alone], [rng] = play(tiny_model, tiny_model, [scenario], self.PROTO, [seed])
+            alone_rngs.append(rng)
+            draws, alone_draws = log[id(lockstep_rngs[g])], log[id(rng)]
+            for k, ((row, u), (alone_row, _)) in enumerate(zip(draws, alone_draws)):
+                if not np.allclose(row, alone_row, rtol=0, atol=1e-12):
+                    problems.append(f"game {g} draw {k}: probabilities differ by "
+                                    f"{np.max(np.abs(row - alone_row)):.2e}")
+                cdfs = [np.cumsum(temperature_weights(r, self.PROTO.temperature)) for r in (row, alone_row)]
+                if len({int(c.searchsorted(u * c[-1], side="right")) for c in cdfs}) > 1:
+                    margin = np.min(np.abs(cdfs[0] / cdfs[0][-1] - u))
+                    problems.append(f"game {g} draw {k}: the token flipped, cdf margin {margin:.2e}")
+                    break
+            if lockstep[g].to_dict() != alone.to_dict():
+                problems.append(f"game {g}: transcripts differ")
+            assert len(draws) == len(alone_draws) or problems
+        assert max(sizes) == 1  # one game alone draws one row at a time
+        assert problems == []
+        assert sum(len(t.messages) for t in lockstep) > 200
+
+    def test_failed_select_aborts_only_its_game(self, tiny_model):
+        scenarios = generate_scenarios(CFG, {4: 8, 6: 8}, seed=12)
+        seeds = np.random.SeedSequence(3).spawn(16)
+        bad = scenarios[5].id
+        every, _ = play(tiny_model, tiny_model, scenarios, self.PROTO, seeds, FailingSelect, bad=bad)
+        rest, _ = play(tiny_model, tiny_model, scenarios[:5] + scenarios[6:], self.PROTO,
+                       seeds[:5] + seeds[6:], FailingSelect, bad=bad)
+        assert every[5].aborted and "select failed" in every[5].abort_message
+        assert bad in every[5].abort_message
+        assert [t.to_dict() for t in every[:5] + every[6:]] == [t.to_dict() for t in rest]
+        assert not any(t.aborted for t in rest)
+        a, b = (FailingSelect(tiny_model, 1.0, 12, bad=bad) for _ in "AB")
+        with pytest.raises(GameAbortedError, match="select failed"):  # one game raises
+            run_game(a, b, scenarios[5], self.PROTO, np.random.default_rng(seeds[5]))
+
+    @pytest.mark.parametrize("bias, temperature, message", [
+        pytest.param(-np.inf, 1.0, "zero mass to all legal tokens", id="zero-mass"),
+        pytest.param(np.nan, 1.0, "degenerate distribution", id="degenerate"),
+        pytest.param(None, np.nan, "degenerate distribution", id="degenerate-shared-model"),
+    ])
+    def test_a_bad_row_aborts_only_its_game(self, tiny_model, bias, temperature, message):
+        # game 2's agents speak from a model whose legal tokens all score
+        # `bias`, or from the healthy games' own model at a NaN temperature;
+        # they share the lockstep ticks with the healthy games
+        broken = tiny_model
+        if bias is not None:
+            broken = model_copy(tiny_model)
+            legal = np.ones(len(broken.vocab), dtype=bool)
+            legal[[broken.vocab.encode(YOU), broken.vocab.encode(THEM)]] = False
+            broken.store["dial.b2"][legal] = bias
+        scenarios = generate_scenarios(CFG, {5: 6}, seed=14)
+        seeds = np.random.SeedSequence(5).spawn(6)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+
+        def agents():
+            return [ModelAgent(broken, temperature, 12) if g == 2 else ModelAgent(tiny_model, 1.0, 12)
+                    for g in range(6)]
+
+        got = run_game(agents(), agents(), scenarios, self.PROTO, rngs)
+        healthy, _ = play(tiny_model, tiny_model, scenarios[:2] + scenarios[3:], self.PROTO,
+                          seeds[:2] + seeds[3:])
+        assert got[2].aborted and message in got[2].abort_message
+        assert [t.to_dict() for t in got[:2] + got[3:]] == [t.to_dict() for t in healthy]
+
+    def test_each_utterance_comes_from_act(self, tiny_model, monkeypatch):
+        # wrapped on the class, as a tracer wraps it: lockstep games still
+        # take every utterance from act, once per turn
+        said = []
+        act = ModelAgent.act
+
+        def recorded(agent):
+            out = act(agent)
+            said.append((id(agent), list(out[0])))
+            return out
+
+        monkeypatch.setattr(ModelAgent, "act", recorded)
+        scenarios = generate_scenarios(CFG, {4: 3, 6: 3}, seed=17)
+        transcripts, _ = play(tiny_model, tiny_model, scenarios, self.PROTO,
+                              np.random.SeedSequence(7).spawn(6))
+        spoken = sorted(tuple(m["tokens"]) for t in transcripts for m in t.messages)
+        assert sorted(tuple(tokens) for _, tokens in said if tokens) == spoken
+        assert len(spoken) > 6
+
+    def test_two_models_in_one_batch(self, tiny_model):
+        # A and B speak from different models: each model's rows get their
+        # own GRU step and DIAL head call in every tick
+        other = model_copy(tiny_model)
+        other.store["dial.b2"][other.vocab.encode(EOU)] += 1.0
+        scenarios = generate_scenarios(CFG, {4: 5, 6: 5}, seed=15)
+        seeds = np.random.SeedSequence(6).spawn(10)
+        together, _ = play(tiny_model, other, scenarios, self.PROTO, seeds)
+        alone = [play(tiny_model, other, [s], self.PROTO, [seed])[0][0] for s, seed in zip(scenarios, seeds)]
+        assert [t.to_dict() for t in together] == [t.to_dict() for t in alone]
+
+    def test_float32_models_stay_float32(self, tiny_model, monkeypatch):
+        log: dict = {}
+        record_draws(monkeypatch, log, [])
+        model32 = model_copy(tiny_model, "float32")
+        scenarios = generate_scenarios(CFG, {4: 4, 6: 4}, seed=16)
+        agents_a = [ModelAgent(model32, 1.0, 12) for _ in scenarios]
+        agents_b = [ModelAgent(model32, 1.0, 12) for _ in scenarios]
+        rngs = [np.random.default_rng(i) for i in range(len(scenarios))]
+        transcripts = run_game(agents_a, agents_b, scenarios, self.PROTO, rngs)
+        assert not any(t.aborted for t in transcripts)
+        assert sum(len(t.messages) for t in transcripts) > 0
+        assert {row.dtype for draws in log.values() for row, _ in draws} == {np.dtype(np.float32)}
+        states = [a.state for a in agents_a + agents_b]
+        assert {s.h.dtype for s in states} == {np.dtype(np.float32)}
+        assert DecoderState.next_token_probs(states).dtype == np.float32
+        assert states[0].next_token_probs().dtype == np.float32
+
+
 @pytest.fixture(scope="module")
 def tiny_tagger():
     from refgame.tagger import TaggerConfig, train_tagger
@@ -424,11 +641,30 @@ class TestAnnotation:
         assert referred > 0
 
 
-def test_run_batch_jobs_match_sequential():
-    from refgame.scenario import generate_scenarios
+def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
+    from refgame import selfplay
+    from refgame.selfplay import CheckpointAgentFactory
 
+    # slices of 5 games, so that two workers each play some
+    monkeypatch.setattr(selfplay, "GAMES_CHUNK", 5)
     scenarios = generate_scenarios(CFG, {4: 8, 6: 8}, seed=3)
     seq = run_batch(darkest_agent, scenarios, ProtocolConfig(seed=9), jobs=1)
     par = run_batch(darkest_agent, scenarios, ProtocolConfig(seed=9), jobs=2)
     assert [t.to_dict() for t in seq.transcripts] == [t.to_dict() for t in par.transcripts]
     assert seq.rates == par.rates
+
+    tiny_model.save(tmp_path / "model")
+    factory = CheckpointAgentFactory(tmp_path / "model", temperature=0.5, max_tokens=12)
+    proto = ProtocolConfig(seed=4, temperature=0.5, max_utterances=6, max_tokens_per_utterance=12)
+    seq = run_batch(factory, scenarios, proto, jobs=1)
+    par = run_batch(factory, scenarios, proto, jobs=2)
+    assert [t.to_dict() for t in seq.transcripts] == [t.to_dict() for t in par.transcripts]
+    assert sum(len(t.messages) for t in seq.transcripts) > 0
+    assert seq.rates == par.rates
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_batch_rejects_jobs_below_one(jobs):
+    scenarios = generate_scenarios(CFG, {4: 2}, seed=3)
+    with pytest.raises(ValueError, match="jobs"):
+        run_batch(darkest_agent, scenarios, ProtocolConfig(seed=9), jobs=jobs)
