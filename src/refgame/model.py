@@ -334,15 +334,18 @@ class GroundingModel:
 
     def encode_entities(self, attrs: np.ndarray, rel: np.ndarray):
         """Entity encodings (7, De), their ``attn.We`` projection (7, A) and
-        the cache for ``_encode_entities_backward``."""
+        the cache for ``_encode_entities_backward``, all in the store's
+        dtype (the view features are float64 and are cast here)."""
         p = self.store
+        attrs = attrs.astype(p.dtype, copy=False)
+        rel = rel.astype(p.dtype, copy=False)
         attr_emb = tanh(linear(attrs, p["enc_attr.W"], p["enc_attr.b"]))
         rel_tanh = tanh(linear(rel, p["enc_rel.W"], p["enc_rel.b"]))
         entities = np.concatenate([attr_emb, rel_tanh.sum(axis=1)], axis=1)
-        return entities, entities @ p["attn.We"].T, (attr_emb, rel_tanh)
+        return entities, entities @ p["attn.We"].T, (attrs, rel, attr_emb, rel_tanh)
 
-    def _encode_entities_backward(self, attrs, rel, cache, d_entities) -> None:
-        attr_emb, rel_tanh = cache
+    def _encode_entities_backward(self, cache, d_entities) -> None:
+        attrs, rel, attr_emb, rel_tanh = cache
         g = self.store.grads
         da = d_entities[:, : self.config.attr_dim] * (1.0 - attr_emb * attr_emb)
         g["enc_attr.W"] += da.T @ attrs
@@ -527,7 +530,7 @@ class GroundingModel:
             )
         if not backward:
             return losses, None
-        self._encode_entities_backward(ex.attrs, ex.rel, enc_cache, d_entities)
+        self._encode_entities_backward(enc_cache, d_entities)
         return losses, d_hd * mask if mask is not None else d_hd
 
     # --- inference -----------------------------------------------------------
@@ -578,12 +581,9 @@ class GroundingModel:
         return self._input_table
 
     def start_state(self, attrs: np.ndarray, rel: np.ndarray) -> "DecoderState":
-        """A decoder in the store's dtype (the view features are float64)."""
-        dtype = self.store.dtype
-        entities, entities_proj, _ = self.encode_entities(
-            attrs.astype(dtype, copy=False), rel.astype(dtype, copy=False)
-        )
-        h = np.zeros(self.config.hidden_dim, dtype=dtype)
+        """A decoder over the view features, in the store's dtype."""
+        entities, entities_proj, _ = self.encode_entities(attrs, rel)
+        h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
         return DecoderState(model=self, entities=entities, entities_proj=entities_proj, h=h)
 
     def save(self, prefix, history: list[dict] | None = None) -> None:
@@ -614,12 +614,13 @@ def _queries(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class DecoderState:
     """Incremental GRU state over one agent's token stream.
 
-    ``feed`` queues a token.  ``step_queued`` feeds queued tokens in order,
-    one per state per call, and steps any number of states of one model in
-    one ``gru_cell`` call over their rows.  Reading ``h`` or one state's
-    head probabilities first feeds that state's own queue, one row per
-    step.  A step replaces ``h`` and never writes into it, so forks share
-    it until they step."""
+    Each lockstep decode step takes a list of states of one model and
+    works on their rows: ``step_queued`` feeds each its next queued token
+    in one ``gru_cell`` call, and ``DecoderState.next_token_probs`` scores
+    them in one DIAL head call.  A lone state is a list of one.  ``feed``
+    queues a token; reading ``h`` first feeds the state's own queue, one
+    row per step.  A step replaces ``h`` and never writes into it, so
+    forks share it until they step."""
 
     def __init__(self, model: GroundingModel, entities: np.ndarray, entities_proj: np.ndarray,
                  h: np.ndarray, queue: Iterable[int] = ()):
@@ -643,22 +644,18 @@ class DecoderState:
         """An independent copy to decode ahead from, queued tokens included."""
         return DecoderState(self.model, self.entities, self.entities_proj, self._h, self.queue)
 
-    def next_token_probs(self) -> np.ndarray:
-        """The next-token distribution (V,) after the tokens fed so far.
-        Called on the class with a list of states of one model,
-        ``DecoderState.next_token_probs(states)`` returns their rows (n, V)
-        from one DIAL head call, each row scored against its own state's
-        entities, stacked (n, 7, .)."""
-        one = isinstance(self, DecoderState)
-        states = [self] if one else self
+    def next_token_probs(states: Sequence["DecoderState"]) -> np.ndarray:
+        """The next-token distributions (n, V) of n states of one model,
+        after the tokens fed to each so far, from one DIAL head call; each
+        row is scored against its own state's entities, stacked (n, 7, .).
+        Called on the class: ``DecoderState.next_token_probs(states)``."""
         logits, _ = states[0].model._head_forward(
             "dial",
             np.stack([s.entities for s in states]),
             np.stack([s.entities_proj for s in states]),
             np.stack([s.h for s in states]),
         )
-        probs = softmax(logits, axis=-1)
-        return probs[0] if one else probs
+        return softmax(logits, axis=-1)
 
     def tsel_probs(self) -> np.ndarray:
         out, _ = self.model._head_forward("tsel", self.entities, self.entities_proj, self.h[None, :])
@@ -668,7 +665,7 @@ class DecoderState:
 def step_queued(states: Sequence[DecoderState]) -> None:
     """Feed each of ``states``, all of one model and each with a queued
     token, the first of its queued tokens: one ``gru_cell`` call over their
-    (n, H) rows."""
+    (n, H) rows, in the given order."""
     model = states[0].model
     tokens = [s.queue.popleft() for s in states]
     h = gru_cell(model.input_table()[tokens], model.store["gru.U"], np.stack([s._h for s in states]))

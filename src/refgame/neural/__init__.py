@@ -1,12 +1,11 @@
 """Minimal differentiable-compute kernel: primitive layers with exact
-analytic gradients, a GRU, a linear-chain CRF, Adam, and finite-difference
-gradient verification.  numpy arrays throughout; the recurrent hot loops
-live in kernels.py.  The imports below are the package's exports."""
+analytic gradients, a GRU, a linear-chain CRF and Adam.  numpy arrays
+throughout; the recurrent hot loops live in kernels.py.  The imports below
+are the package's exports."""
 
 from . import kernels
 from .adam import Adam, fit
 from .crf import crf_nll, crf_viterbi
-from .gradcheck import GradCheckReport, gradient_check
 from .gru import add_gru_params, gru_cell, gru_sequence, gru_sequence_backward
 from .kernels import by_length, live_mask, pack
 from .ops import (

@@ -78,7 +78,7 @@ def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[float, 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean element-wise binary cross-entropy on logits (numerically stable).
     Returns (loss, dlogits) with dlogits divided by the element count."""
-    z = logits
+    z, targets = logits, targets.astype(logits.dtype, copy=False)
     loss = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
     d = (sigmoid(z) - targets) / z.size
     return float(loss.mean()), d

@@ -97,31 +97,35 @@ class GameTranscript:
 
 def temperature_weights(probs: np.ndarray, temperature) -> np.ndarray:
     """Renormalized distribution proportional to p_i^(1/temperature) over
-    the last axis; for (n, V) rows the temperature may be a (n, 1) column."""
+    the last axis; for (n, V) rows the temperature may be a (n, 1) column.
+    Raises ValueError for a temperature that is not positive.  A degenerate
+    row (a NaN probability or temperature, or no mass) comes back all NaN;
+    any other row's total is finite and at least its largest term, exp(0)."""
     if np.any(np.asarray(temperature) <= 0):
         raise ValueError("temperature must be > 0")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         logits = np.log(probs) / temperature
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    total = w.sum(axis=-1, keepdims=True)
-    if not (np.isfinite(total).all() and (total > 0).all()):
-        raise ValueError("degenerate distribution after temperature scaling")
-    return w / total
+        logits -= logits.max(axis=-1, keepdims=True)
+        w = np.exp(logits)
+        return w / w.sum(axis=-1, keepdims=True)
 
 
-def sample_token(probs: np.ndarray, temperature, rng):
-    """Sample a token id proportionally to p_i^(1/temperature): one
-    ``rng.random()`` searched in the normalised cumulative weights, the
-    draw that ``rng.choice(len(p), p=w)`` makes (in float64, as it does).
-    Given (n, V) rows and a list of n rngs, draws one token per row from
-    that row's rng and returns the list."""
-    w = temperature_weights(probs, temperature).astype(np.float64, copy=False)
-    cdf = np.cumsum(w, axis=-1)
-    cdf /= cdf[..., -1:]
-    if cdf.ndim == 1:
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    return [int(row.searchsorted(r.random(), side="right")) for row, r in zip(cdf, rng)]
+def sample_token(rows: np.ndarray, temperature, rngs) -> list:
+    """One token id per row of ``rows`` (n, V), drawn from that row's rng in
+    ``rngs`` proportionally to p_i^(1/temperature); ``temperature`` is one
+    value or a (n, 1) column.  Each row makes one ``rng.random()``,
+    searched in its normalised cumulative weights: the draw that
+    ``rng.choice(V, p=w)`` makes (in float64, as it does).  A degenerate
+    row draws nothing and comes back as its ValueError in place of a
+    token."""
+    cdf = np.cumsum(temperature_weights(rows, temperature).astype(np.float64, copy=False), axis=-1)
+    cdf /= cdf[:, -1:]
+    degenerate = np.isnan(cdf[:, -1]).tolist()
+    return [
+        ValueError("degenerate distribution after temperature scaling") if bad
+        else int(row.searchsorted(rng.random(), side="right"))
+        for row, rng, bad in zip(cdf, rngs, degenerate)
+    ]
 
 
 class Agent(Protocol):
@@ -219,6 +223,8 @@ class ModelAgent:
     def __init__(self, model: GroundingModel, temperature: float, max_tokens: int):
         if "dial" not in model.heads or "tsel" not in model.heads:
             raise ValueError("selfplay needs a variant with TSEL and DIAL heads")
+        if temperature <= 0:
+            raise ValueError("temperature must be > 0")
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens
@@ -299,42 +305,24 @@ def _plays_in_lockstep(agent) -> bool:
 
 
 def _draw(requests: list[tuple[ModelAgent, DecoderState]]) -> list:
-    """The next token of each ``(agent, state)`` request, or the exception
-    that ends its game.  One DIAL head call per model scores the rows;
-    the forbidden tokens are masked and the temperature applied row-wise,
-    and each row draws from its own agent's rng."""
-    out: list = [None] * len(requests)
-    groups: dict[int, list[int]] = {}
-    for i, (agent, _) in enumerate(requests):
-        groups.setdefault(id(agent.model), []).append(i)
-    for rows in groups.values():
-        agents = [requests[i][0] for i in rows]
-        probs = DecoderState.next_token_probs([requests[i][1] for i in rows])
-        probs[:, agents[0].forbidden] = 0.0
-        total = probs.sum(axis=1, keepdims=True)
-        zero = total[:, 0] <= 0
-        for k in np.flatnonzero(zero):
-            out[rows[k]] = GameAbortedError("model assigned zero mass to all legal tokens")
-        live = np.flatnonzero(~zero).tolist()
-        weights = probs[live] / total[live]
-        # in the rows' dtype, as a Python float temperature would be cast
-        temperature = np.array([[agents[k].temperature] for k in live], dtype=probs.dtype)
-        rngs = [agents[k].rng for k in live]
-        try:
-            tokens = sample_token(weights, temperature, rngs)
-        except ValueError:  # a degenerate row, found before any rng draws
-            tokens = [_sample_or_error(*row) for row in zip(weights, temperature, rngs)]
-        for k, token in zip(live, tokens):
-            out[rows[k]] = token
-    return out
-
-
-def _sample_or_error(probs: np.ndarray, temperature: np.ndarray, rng):
-    """One row's token, or the ValueError that ends its game only."""
-    try:
-        return sample_token(probs, temperature, rng)
-    except ValueError as exc:
-        return exc
+    """The next token of each ``(agent, state)`` request, all of one model,
+    or the exception that ends its game.  One DIAL head call scores the
+    rows and, with the forbidden tokens masked, one ``sample_token`` call
+    draws each row from its own agent's rng at that agent's temperature.
+    A row with no mass left comes back as a ``GameAbortedError`` and a
+    degenerate one as its ValueError."""
+    agents = [agent for agent, _ in requests]
+    probs = DecoderState.next_token_probs([state for _, state in requests])
+    probs[:, agents[0].forbidden] = 0.0
+    total = probs.sum(axis=1, keepdims=True)
+    # in the rows' dtype, as a Python float temperature would be cast
+    temperature = np.array([[agent.temperature] for agent in agents], dtype=probs.dtype)
+    with np.errstate(invalid="ignore"):  # a row with no mass left is 0/0
+        tokens = sample_token(probs / total, temperature, [agent.rng for agent in agents])
+    return [
+        GameAbortedError("model assigned zero mass to all legal tokens") if mass <= 0 else token
+        for mass, token in zip(total[:, 0].tolist(), tokens)
+    ]
 
 
 def _lockstep(coroutines: list) -> list:
@@ -343,13 +331,14 @@ def _lockstep(coroutines: list) -> list:
 
     A coroutine yields what it waits for: a decoder state whose queued
     tokens must be fed, or an ``(agent, state)`` request for its next
-    token.  Each tick feeds one queued token to every state waited on, in
-    one ``gru_cell`` call per model.  Then it draws for every request whose
-    state has no queue left (``_draw``), resumes those coroutines with
-    their tokens, and resumes every one whose state is fed.  An exception
-    that ``_draw`` returns is raised inside that coroutine only.  A
-    coroutine waits on one state at a time, so one coroutine alone steps
-    one row at a time."""
+    token.  Each tick groups the waiting coroutines by model once, and
+    for each model feeds one queued token to every state waited on in one
+    ``step_queued`` call, then draws for every request whose state has no
+    queue left in one ``_draw`` call.  It then resumes, in waiting order,
+    the coroutines that drew, with their tokens, and then every other one
+    whose state is fed.  An exception that ``_draw`` returns is raised
+    inside that coroutine only.  A coroutine waits on one state at a
+    time, so one coroutine alone steps one row at a time."""
     results: list = [None] * len(coroutines)
     waiting: dict[int, object] = {}
 
@@ -371,20 +360,20 @@ def _lockstep(coroutines: list) -> list:
     for i in range(len(coroutines)):
         resume(i)
     while waiting:
-        groups: dict[int, list[DecoderState]] = {}
-        for request in waiting.values():
-            state = state_of(request)
-            if state.queue:
-                groups.setdefault(id(state.model), []).append(state)
-        for states in groups.values():
-            step_queued(states)
+        by_model: dict[int, list[int]] = {}
+        for i, request in waiting.items():
+            by_model.setdefault(id(state_of(request).model), []).append(i)
+        drawn: dict[int, object] = {}
+        for group in by_model.values():
+            queued = [state_of(waiting[i]) for i in group if state_of(waiting[i]).queue]
+            if queued:
+                step_queued(queued)
+            draws = [i for i in group if isinstance(waiting[i], tuple) and not waiting[i][1].queue]
+            if draws:
+                drawn.update(zip(draws, _draw([waiting[i] for i in draws])))
         ready = [i for i, request in waiting.items() if not state_of(request).queue]
-        draws = [i for i in ready if isinstance(waiting[i], tuple)]
-        fed = [i for i in ready if not isinstance(waiting[i], tuple)]
-        for i, token in zip(draws, _draw([waiting[i] for i in draws])):
-            resume(i, token)
-        for i in fed:
-            resume(i)
+        for i in sorted(ready, key=lambda i: i not in drawn):  # stable: the draws first
+            resume(i, drawn.get(i))
     return results
 
 

@@ -121,7 +121,6 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         ParamStore,
         crf_nll,
         cross_entropy_rows,
-        gradient_check,
         gru_sequence,
         gru_sequence_backward,
         linear,
@@ -135,6 +134,8 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
     from refgame.scenario import ScenarioConfig, generate_scenario, generate_scenarios
     from refgame.selfplay import ProtocolConfig, darkest_agent, run_batch
     from refgame.synth import make_synthetic_corpus
+
+    from gradcheck import gradient_check
 
     # -- gradient checks: every primitive ---------------------------------
     rng = np.random.default_rng(0)

@@ -11,9 +11,6 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 
 # definitions that only tests call, each kept on purpose
 TEST_ONLY = {
-    # the ROADMAP keeps the finite-difference gradient checks
-    "gradient_check",
-    "GradCheckReport.ok",
     # ROADMAP item 3 wires these into the CLI's span-agreement and tagger reports
     "span_agreement",
     "make_span_annotations",

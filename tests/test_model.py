@@ -20,6 +20,7 @@ from refgame.model import (
     THEM,
     VARIANTS,
     YOU,
+    DecoderState,
     GroundingModel,
     ModelConfig,
     StreamExample,
@@ -28,8 +29,10 @@ from refgame.model import (
     serialize_dialogue,
     train_model,
 )
-from refgame.neural import Adam, gradient_check, gru_cell
+from refgame.neural import Adam, gru_cell
 from refgame.synth import make_synthetic_corpus
+
+from gradcheck import gradient_check
 
 TINY = dict(embed_dim=5, hidden_dim=6, attr_dim=4, rel_dim=3, attn_dim=5, mlp_dim=6, dropout=0.0)
 
@@ -201,7 +204,7 @@ class TestForward:
         ex = _examples(micro)[0]
         state = model.start_state(ex.attrs, ex.rel)
         state.feed(vocab.encode(YOU))
-        probs = state.next_token_probs()
+        [probs] = DecoderState.next_token_probs([state])
         assert probs.sum() == pytest.approx(1.0)
 
     def test_zero_output_layer_uniform(self, micro):
@@ -212,7 +215,7 @@ class TestForward:
         ex = _examples(micro)[0]
         state = model.start_state(ex.attrs, ex.rel)
         state.feed(vocab.encode(YOU))
-        assert np.allclose(state.next_token_probs(), 1 / len(vocab))
+        assert np.allclose(DecoderState.next_token_probs([state]), 1 / len(vocab))
 
     def test_incremental_decoding_matches_training_forward(self, micro):
         *_, vocab = micro
@@ -224,7 +227,7 @@ class TestForward:
             nll = []
             for t, token in enumerate(ex.tokens):
                 if t in dial_positions:
-                    nll.append(-math.log(state.next_token_probs()[token]))
+                    nll.append(-math.log(DecoderState.next_token_probs([state])[0, token]))
                 state.feed(token)
             assert len(nll) == len(dial_positions)
             assert np.mean(nll) == pytest.approx(losses["dial"], rel=1e-12, abs=0)
@@ -373,8 +376,8 @@ class TestBackwardMatchesEinsumReference:
         d_entities = np.random.default_rng(0).standard_normal(entities.shape)
 
         model.store.zero_grads()
-        model._encode_entities_backward(ex.attrs, ex.rel, cache, d_entities)
-        _, rel_tanh = cache
+        model._encode_entities_backward(cache, d_entities)
+        *_, rel_tanh = cache
         dr = d_entities[:, None, self.CFG["attr_dim"]:] * (1.0 - rel_tanh * rel_tanh)
         np.testing.assert_allclose(
             model.store.grads["enc_rel.W"], np.einsum("ijd,ijf->df", dr, ex.rel), rtol=1e-12, atol=0
@@ -462,6 +465,38 @@ class TestDtype:
         losses = model.run_example(ex, backward=True)
         assert np.isfinite(losses["total"])
         assert all(g.dtype == np.float32 for g in model.store.grads.values())
+
+    def test_float32_run_keeps_entities_heads_and_gradients_float32(self, micro, monkeypatch):
+        # the view features and REF targets are float64; nothing the entity
+        # encoder or a head computes from them is upcast
+        cfg = ModelConfig(variant="TSEL-REF-DIAL", seed=2, dtype="float32", **TINY)
+        model = GroundingModel(cfg, micro[-1])
+        ex = next(e for e in _examples(micro) if e.markable_ids)
+        assert ex.attrs.dtype == ex.rel.dtype == ex.ref_targets.dtype == np.float64
+        seen: dict[str, set] = {}
+
+        def spy(name, arrays):
+            method = getattr(model, name)
+
+            def wrapped(*args):
+                out = method(*args)
+                for array in arrays(args, out):
+                    seen.setdefault(name, set()).add(array.dtype)
+                return out
+
+            monkeypatch.setattr(model, name, wrapped)
+
+        spy("encode_entities", lambda args, out: [out[0], out[1], *out[2]])
+        spy("_head_forward", lambda args, out: [out[0], *out[1]])
+        spy("_head_backward", lambda args, out: [args[1], args[3], out])
+        spy("_encode_entities_backward", lambda args, out: [args[1]])
+        model.store.zero_grads()
+        model.run_example(ex, backward=True)
+        assert seen == dict.fromkeys(
+            ("encode_entities", "_head_forward", "_head_backward", "_encode_entities_backward"),
+            {np.dtype(np.float32)},
+        )
+        assert {g.dtype for g in model.store.grads.values()} == {np.dtype(np.float32)}
 
 
 class TestCheckpoint:

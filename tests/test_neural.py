@@ -18,7 +18,6 @@ from refgame.neural import (
     crf_viterbi,
     cross_entropy_rows,
     dropout_mask,
-    gradient_check,
     gru_cell,
     gru_sequence,
     gru_sequence_backward,
@@ -32,6 +31,8 @@ from refgame.neural import (
     softmax,
     tanh,
 )
+
+from gradcheck import gradient_check
 
 
 class TestOps:

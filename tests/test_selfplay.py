@@ -65,7 +65,7 @@ class TestTemperature:
     def test_sampling_frequencies_match_weights(self):
         rng = np.random.default_rng(0)
         p = np.array([0.6, 0.4])
-        draws = [sample_token(p, 0.25, rng) for _ in range(20000)]
+        draws = [sample_token(p[None], 0.25, [rng])[0] for _ in range(20000)]
         freq = np.mean(np.asarray(draws) == 0)
         assert freq == pytest.approx(0.8350515, abs=0.01)
 
@@ -73,7 +73,7 @@ class TestTemperature:
         # 2,400 seeded cases, a tenth of them one-hot and a quarter float32:
         # the token equals rng.choice's over the same weights, and so does
         # the generator's next draw
-        rows, temperatures, rngs, expected = [], [], [], []
+        rows, temperatures, rngs, expected, next_draws = [], [], [], [], []
         for seed in range(2400):
             case = np.random.default_rng([seed, 1])
             size = int(case.integers(2, 60))
@@ -85,16 +85,36 @@ class TestTemperature:
             temperature = (0.25, 1.0)[seed % 2]
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             want = int(ref.choice(size, p=temperature_weights(probs, temperature)))
-            assert sample_token(probs, temperature, rng) == want
-            assert rng.random() == ref.random()
+            assert sample_token(probs[None], temperature, [rng]) == [want]
+            next_draw = ref.random()
+            assert rng.random() == next_draw
             if size == 12 and probs.dtype == np.float64:
                 rows.append(probs)
                 temperatures.append([temperature])
                 rngs.append(np.random.default_rng(seed))
                 expected.append(want)
-        # the row-wise form: one row per rng, each temperature its own
+                next_draws.append(next_draw)
+        # the row-wise form: one row per rng, each temperature its own, with
+        # a NaN row and a NaN-temperature row among the healthy ones
         assert len(rows) > 10
-        assert sample_token(np.array(rows), np.array(temperatures), rngs) == expected
+        bad = {2: (np.full(12, np.nan), 1.0), 5: (np.full(12, 1 / 12), np.nan)}
+        for k, (row, temperature) in bad.items():
+            rows.insert(k, row)
+            temperatures.insert(k, [temperature])
+            rngs.insert(k, np.random.default_rng(k))
+        got = sample_token(np.array(rows), np.array(temperatures), rngs)
+        for k in sorted(bad, reverse=True):
+            assert isinstance(got[k], ValueError) and "degenerate" in str(got[k])
+            assert rngs[k].bit_generator.state == np.random.default_rng(k).bit_generator.state
+            del got[k], rngs[k]
+        assert got == expected
+        assert [rng.random() for rng in rngs] == next_draws
+
+    def test_model_agent_rejects_a_temperature_that_is_not_positive(self, tiny_model):
+        # checked where the agent is made, before its game shares any tick
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ValueError, match="temperature must be > 0"):
+                ModelAgent(tiny_model, temperature, 12)
 
     def test_row_weights_equal_one_row_weights(self):
         rng = np.random.default_rng(5)
@@ -264,13 +284,15 @@ class RefeedingAgent(ModelAgent):
         state = self.state.fork()
         state.feed(vocab.encode(YOU))
         for _ in range(self.max_tokens):
-            probs = state.next_token_probs().copy()
+            probs = DecoderState.next_token_probs([state])[0]
             for t in self.forbidden:
                 probs[t] = 0.0
             total = probs.sum()
             if total <= 0:
                 raise GameAbortedError("model assigned zero mass to all legal tokens")
-            token_id = sample_token(probs / total, self.temperature, self.rng)
+            [token_id] = sample_token((probs / total)[None], self.temperature, [self.rng])
+            if isinstance(token_id, ValueError):
+                raise token_id
             token = vocab.decode(token_id)
             if token == SEL:
                 wants_selection = True
@@ -571,7 +593,7 @@ class TestLockstep:
         states = [a.state for a in agents_a + agents_b]
         assert {s.h.dtype for s in states} == {np.dtype(np.float32)}
         assert DecoderState.next_token_probs(states).dtype == np.float32
-        assert states[0].next_token_probs().dtype == np.float32
+        assert DecoderState.next_token_probs(states[:1]).dtype == np.float32
 
 
 @pytest.fixture(scope="module")
