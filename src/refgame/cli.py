@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -240,9 +241,10 @@ def cmd_tag(args) -> int:
 
 
 def cmd_selfplay(args) -> int:
+    from .model import GroundingModel
     from .scenario import generate_scenarios
     from .selfplay import (
-        CheckpointAgentFactory,
+        ModelAgent,
         ProtocolConfig,
         center_agent,
         darkest_agent,
@@ -262,12 +264,13 @@ def cmd_selfplay(args) -> int:
     flags = {"temperature": args.temperature, "max_utterances": args.max_utterances,
              "max_tokens_per_utterance": args.max_tokens}
     protocol = ProtocolConfig(**{k: v for k, v in flags.items() if v is not None}, seed=args.seed)
-    dtype = None
+    model = None
     if args.agent == "model":
-        factory = CheckpointAgentFactory(
-            args.model, protocol.temperature, protocol.max_tokens_per_utterance
+        model = GroundingModel.load(args.model)
+        factory = partial(
+            ModelAgent, model,
+            temperature=protocol.temperature, max_tokens=protocol.max_tokens_per_utterance,
         )
-        dtype = factory.model.config.dtype
     else:
         factory = {"random": random_agent, "center": center_agent, "darkest": darkest_agent}[args.agent]
     t0 = time.perf_counter()
@@ -280,7 +283,6 @@ def cmd_selfplay(args) -> int:
         from .selfplay import annotate_transcript
         from .tagger import MarkableTagger
 
-        model = factory.model
         tagger = MarkableTagger.load(args.tagger)
         by_id = {s.id: s for s in scenarios}
         for i, transcript in enumerate(result.transcripts):
@@ -300,7 +302,7 @@ def cmd_selfplay(args) -> int:
             "protocol": asdict(protocol),
             "agent": args.agent,
             "model": args.model if args.agent == "model" else None,
-            "dtype": dtype,
+            "dtype": None if model is None else model.config.dtype,
             "seed": args.seed,
             "jobs": args.jobs,
             # the scenario config in --config's form, so the games can be regenerated

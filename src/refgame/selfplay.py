@@ -43,7 +43,7 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not 0 < self.temperature < math.inf:  # nan and inf are refused too
             raise ValueError("temperature must be > 0")
         if self.max_utterances <= 0 or self.max_tokens_per_utterance <= 0:
             raise ValueError("limits must be positive")
@@ -223,7 +223,7 @@ class ModelAgent:
     def __init__(self, model: GroundingModel, temperature: float, max_tokens: int):
         if "dial" not in model.heads or "tsel" not in model.heads:
             raise ValueError("selfplay needs a variant with TSEL and DIAL heads")
-        if temperature <= 0:
+        if not 0 < temperature < math.inf:
             raise ValueError("temperature must be > 0")
         self.model = model
         self.temperature = temperature
@@ -541,35 +541,6 @@ def annotate_transcript(
     return dialogue, markables, predictions
 
 
-class CheckpointAgentFactory:
-    """Picklable model-agent factory for multi-process batches: each worker
-    loads the checkpoint once and reuses it."""
-
-    def __init__(self, prefix, temperature: float, max_tokens: int):
-        self.prefix = str(prefix)
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self._model: GroundingModel | None = None
-
-    def __getstate__(self):
-        return {"prefix": self.prefix, "temperature": self.temperature,
-                "max_tokens": self.max_tokens}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._model = None
-
-    @property
-    def model(self) -> GroundingModel:
-        """The checkpoint's model, loaded on first use in this process."""
-        if self._model is None:
-            self._model = GroundingModel.load(self.prefix)
-        return self._model
-
-    def __call__(self) -> "ModelAgent":
-        return ModelAgent(self.model, temperature=self.temperature, max_tokens=self.max_tokens)
-
-
 def _play_slice(payload) -> list[GameTranscript]:
     """One slice of ``run_batch``: its games in lockstep, each with a fresh
     agent pair."""
@@ -594,8 +565,11 @@ def run_batch(
     move its probabilities by rounding, which flips a draw only when it
     falls within that distance of a cdf step.  A
     game that raises ``GameAbortedError`` is recorded as aborted and the
-    batch goes on.  ``jobs`` > 1 plays the slices on a process pool (the
-    agent factory must then be picklable)."""
+    batch goes on.  ``agent_factory`` is any zero-argument callable that
+    returns a fresh agent: a scripted agent function, or
+    ``functools.partial(ModelAgent, model, temperature=..., max_tokens=...)``
+    over a loaded model.  ``jobs`` > 1 plays the slices on a process pool,
+    which pickles the factory, its model included, with each slice."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scenario_list = list(scenarios)

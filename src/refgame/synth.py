@@ -47,6 +47,7 @@ class _UttBuilder:
         self.tokens.extend(text.split())
 
     def markable(self, text: str, referents=None, **flags) -> int:
+        """Add a span and return its index; a link flag names a span by index."""
         start = len(self.tokens)
         self.words(text)
         self.spans.append((start, len(self.tokens), referents, flags))
@@ -78,7 +79,6 @@ def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float =
 
         utts: list[_UttBuilder] = []
         speakers: list[str] = []
-        per_utt_marks: list[list[tuple[int, int, object, dict]]] = []
 
         def say(speaker: str) -> _UttBuilder:
             b = _UttBuilder(tokens=[], spans=[])
@@ -104,15 +104,13 @@ def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float =
                 u.words("with")
                 u.markable(f"a {_color_word(b_ent)} one", {buddy})
                 u.words("next to")
-                anaphor = u.markable("it", None)
-                u.spans[anaphor] = (*u.spans[anaphor][:2], None, {"anaphora_idx": first})
+                u.markable("it", anaphora_of=first)
             else:
-                cataphor = u.markable("it", None)
+                u.markable("it", cataphora_of=len(u.spans) + 1)  # the dot named next
                 u.words("i mean")
-                tgt_idx = u.markable(f"a {size_w} {color_w} dot", {target})
+                u.markable(f"a {size_w} {color_w} dot", {target})
                 u.words("with")
                 u.markable(f"a {_color_word(b_ent)} one", {buddy})
-                u.spans[cataphor] = (*u.spans[cataphor][:2], None, {"cataphora_idx": tgt_idx})
         elif style == 2:
             mates = sorted(
                 (e for e in vis_a if e != target),
@@ -163,28 +161,18 @@ def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float =
             Dialogue(id=did, scenario_id=scenario.id, events=tuple(events), outcome=pick_a == pick_b)
         )
 
-        # freeze markable records (ids needed before links can resolve)
-        utt_mark_ids: list[list[str]] = []
-        for u_idx, b in enumerate(utts):
-            ids = []
-            for s_idx in range(len(b.spans)):
-                ids.append(f"{did}_m{u_idx}_{s_idx}")
-            utt_mark_ids.append(ids)
         for u_idx, (b, speaker) in enumerate(zip(utts, speakers)):
             visible = frozenset(scenario.view(speaker).visible)
             for s_idx, (start, end, referents, flags) in enumerate(b.spans):
-                anaphora_idx = flags.pop("anaphora_idx", None)
-                cataphora_idx = flags.pop("cataphora_idx", None)
+                links = {k: f"{did}_m{u_idx}_{v}" for k, v in flags.items() if k.endswith("_of")}
                 mark = Markable(
-                    id=utt_mark_ids[u_idx][s_idx],
+                    id=f"{did}_m{u_idx}_{s_idx}",
                     dialogue_id=did,
                     utterance_index=u_idx,
                     start_token=start,
                     end_token=end,
                     speaker=speaker,
-                    anaphora_of=utt_mark_ids[u_idx][anaphora_idx] if anaphora_idx is not None else None,
-                    cataphora_of=utt_mark_ids[u_idx][cataphora_idx] if cataphora_idx is not None else None,
-                    **flags,
+                    **{**flags, **links},
                 )
                 markables.append(mark)
                 if not mark.is_manual or referents is None:

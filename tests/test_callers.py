@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import ast
-import re
+import textwrap
 from pathlib import Path
 
 import refgame
@@ -26,40 +26,80 @@ UNSET_DEFAULTS = {
 }
 
 
-def public_definitions():
-    """(qualified name, pattern of a reference) for every public function
-    and class of the package and every public method of those classes."""
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def parsed(paths) -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)]
+
+
+def library_trees() -> list[ast.Module]:
+    """The parsed modules of the package and the benchmark."""
+    return parsed([*SRC.rglob("*.py"), *PERFBENCH.rglob("*.py")])
+
+
+def public_definitions(trees):
+    """(qualified name, whether a method) for every public function and
+    class of ``trees`` and every public method of those classes."""
+    for tree in trees:
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield node.name, rf"(?<!def )(?<!class )\b{node.name}\b"
+            yield node.name, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield f"{node.name}.{sub.name}", rf"\.{sub.name}\b"
+                        yield f"{node.name}.{sub.name}", True
+
+
+def uncalled(definitions, trees) -> list[str]:
+    """The definitions that no code in ``trees`` reads: a function or class
+    by a bare name or an attribute, a method by an attribute.  A mention in
+    a docstring or a comment, an import and an assignment are not reads."""
+    names, attributes = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return [
+        name for name, method in definitions
+        if name.rpartition(".")[2] not in attributes and (method or name not in names)
+    ]
 
 
 def test_every_public_definition_has_a_library_caller():
-    # re-exports in __init__.py files are not callers
-    text = "\n".join(
-        path.read_text(encoding="utf-8")
-        for path in sorted([*SRC.rglob("*.py"), *PERFBENCH.rglob("*.py")])
-        if path.name != "__init__.py"
-    )
-    uncalled = [
-        name for name, pattern in public_definitions()
-        if name not in TEST_ONLY and not re.search(pattern, text)
-    ]
-    assert uncalled == []
+    # re-exports in __init__.py files import names, which is not a read
+    definitions = public_definitions(parsed(SRC.rglob("*.py")))
+    assert [name for name in uncalled(definitions, library_trees()) if name not in TEST_ONLY] == []
+
+
+def test_a_docstring_or_comment_mention_is_not_a_caller():
+    tree = ast.parse(textwrap.dedent('''
+        class Model:
+            def fit(self):
+                """Unlike predict, which only this docstring names."""
+
+            def predict(self):
+                pass
+
+        def train():
+            """Calls helper() -- in words only."""
+            # helper()
+            Model().fit()
+
+        def helper():
+            pass
+
+        train()
+    '''))
+    assert uncalled(public_definitions([tree]), [tree]) == ["Model.predict", "helper"]
 
 
 def library_calls() -> dict[str, list[ast.Call]]:
     """Every call in the package and the benchmark, keyed by the called
     name (a bare function name or a method/attribute name)."""
     calls: dict[str, list[ast.Call]] = {}
-    for path in sorted([*SRC.rglob("*.py"), *PERFBENCH.rglob("*.py")]):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in library_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)

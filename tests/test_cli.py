@@ -344,6 +344,27 @@ class TestModelCommands:
         assert all("predicted_referents" in json.loads(line) for line in lines)
         assert (out / "game00000.html").read_text().startswith("<!DOCTYPE html>")
 
+    def test_selfplay_jobs_match_sequential(self, trained, tagger_ckpt, tmp_path, monkeypatch):
+        from refgame import selfplay
+
+        # 6 games in slices of 2, so that two workers each play some
+        monkeypatch.setattr(selfplay, "GAMES_CHUNK", 2)
+        workdir, split, model = trained
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run(
+                "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
+                "--shared", "4,5", "--games", "3", "--seed", "6", "--max-utterances", "4",
+                "--max-tokens", "8", "--render-games", "1", "--jobs", jobs, "--out", out,
+            ) == 0
+            outputs.append({
+                name: (out / name).read_bytes()
+                for name in ("transcripts.jsonl", "summary.csv", "game00000.html")
+            })
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["transcripts.jsonl"].count(b"predicted_referents") == 6
+
 
 class TestSelfplayAndRender:
     def test_selfplay_scripted_three_rows(self, tmp_path):
@@ -423,8 +444,11 @@ LIST_FILE = "<a file holding []>"
     (("selfplay", "--render-games", "2"), "RefgameError"),
     (("selfplay", "--agent", "random", "--model", "no-such-model"), "RefgameError"),
     (("train", "--task", "tagger", "--gold", "no-such-gold.json"), "RefgameError"),
+    (("selfplay", "--temperature", "nan"), "ValueError"),
+    (("selfplay", "--temperature", "inf"), "ValueError"),
 ], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list",
-        "render-games-without-tagger", "model-with-scripted-agent", "tagger-gold"])
+        "render-games-without-tagger", "model-with-scripted-agent", "tagger-gold",
+        "temperature-nan", "temperature-inf"])
 def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request, argv, error):
     list_file = tmp_path / "list.json"
     list_file.write_text("[]\n")

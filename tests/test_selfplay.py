@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestTemperature:
 
     def test_model_agent_rejects_a_temperature_that_is_not_positive(self, tiny_model):
         # checked where the agent is made, before its game shares any tick
-        for temperature in (0.0, -1.0):
+        for temperature in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="temperature must be > 0"):
                 ModelAgent(tiny_model, temperature, 12)
 
@@ -526,7 +527,8 @@ class TestLockstep:
     ])
     def test_a_bad_row_aborts_only_its_game(self, tiny_model, bias, temperature, message):
         # game 2's agents speak from a model whose legal tokens all score
-        # `bias`, or from the healthy games' own model at a NaN temperature;
+        # `bias`, or from the healthy games' own model at a NaN temperature
+        # (set after the agent is made, as its constructor refuses one);
         # they share the lockstep ticks with the healthy games
         broken = tiny_model
         if bias is not None:
@@ -539,8 +541,9 @@ class TestLockstep:
         rngs = [np.random.default_rng(seed) for seed in seeds]
 
         def agents():
-            return [ModelAgent(broken, temperature, 12) if g == 2 else ModelAgent(tiny_model, 1.0, 12)
-                    for g in range(6)]
+            made = [ModelAgent(broken if g == 2 else tiny_model, 1.0, 12) for g in range(6)]
+            made[2].temperature = temperature
+            return made
 
         got = run_game(agents(), agents(), scenarios, self.PROTO, rngs)
         healthy, _ = play(tiny_model, tiny_model, scenarios[:2] + scenarios[3:], self.PROTO,
@@ -665,7 +668,6 @@ class TestAnnotation:
 
 def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
     from refgame import selfplay
-    from refgame.selfplay import CheckpointAgentFactory
 
     # slices of 5 games, so that two workers each play some
     monkeypatch.setattr(selfplay, "GAMES_CHUNK", 5)
@@ -676,7 +678,7 @@ def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
     assert seq.rates == par.rates
 
     tiny_model.save(tmp_path / "model")
-    factory = CheckpointAgentFactory(tmp_path / "model", temperature=0.5, max_tokens=12)
+    factory = partial(ModelAgent, GroundingModel.load(tmp_path / "model"), temperature=0.5, max_tokens=12)
     proto = ProtocolConfig(seed=4, temperature=0.5, max_utterances=6, max_tokens_per_utterance=12)
     seq = run_batch(factory, scenarios, proto, jobs=1)
     par = run_batch(factory, scenarios, proto, jobs=2)
