@@ -199,7 +199,7 @@ def cmd_train(args) -> int:
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
     )
-    result.model.save(out, history=result.history)
+    result.model.save(out)
     print(json.dumps({"task": "model", "variant": config.variant, "best_epoch": result.best_epoch}))
     return 0
 
@@ -493,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-utterances", type=int)
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; faster than 1 only with OPENBLAS_NUM_THREADS=1 exported "
+                        "(unpinned, --jobs 2 ran 2-3x slower on 2 CPUs)")
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
     p.add_argument("--render-games", type=int, default=0,
                    help="with --tagger: write annotated HTML for the first N games")

@@ -5,7 +5,6 @@ JSON objects."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import tempfile
@@ -18,13 +17,14 @@ from typing import Iterable, Sequence
 from .errors import SchemaError
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,15 +50,12 @@ def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def read_json(path, sha256: str | None = None):
-    """The JSON value in ``path``; a file that is not JSON, or whose bytes do
-    not hash to a given ``sha256``, raises SchemaError naming it."""
+def read_json(path):
+    """The JSON value in ``path``; a file that is not JSON raises SchemaError
+    naming it."""
     with open(path, encoding="utf-8", newline="") as f:
         try:
-            text = f.read()
-            if sha256 is not None and hashlib.sha256(text.encode()).hexdigest() != sha256:
-                raise SchemaError(f"{path}: its SHA-256 is not the expected {sha256}")
-            return json.loads(text)
+            return json.loads(f.read())
         except ValueError as exc:
             raise SchemaError(f"{path}: not JSON: {exc}") from None
 

@@ -14,7 +14,9 @@ supplies those).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,9 +24,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
 from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Markable, Message, Split
 from .errors import DivergenceError, SchemaError
-from .io import atomic_write_text, from_record, read_json, read_list, read_value
+from .io import atomic_write_bytes, from_record, read_list, read_value
 from .neural import (
     ParamStore,
     add_gru_params,
@@ -101,58 +104,85 @@ class Vocabulary:
         return cls(sorted(seen))
 
 
-def save_checkpoint(net, prefix, fmt: str, **extra) -> None:
-    """Write ``net.store`` to ``<prefix>.params.json`` and a
-    ``<prefix>.meta.json`` sidecar with the format tag, ``net.config``,
-    ``net.vocab``, the SHA-256 of the params file and any ``extra``
-    fields."""
-    prefix = Path(prefix)
-    meta = {
+CHECKPOINT_VERSION = 2
+
+
+def save_checkpoint(net, prefix, fmt: str) -> None:
+    """Write ``net`` to ``<prefix>.ckpt``: one JSON header line, then every
+    parameter's raw little-endian bytes in store order.  The header holds
+    the format tag, the version, the package version, ``net.config``,
+    ``net.vocab``, the parameter layout ``[[name, shape], ...]`` and the
+    payload's SHA-256; the payload's dtype is the config's."""
+    arrays = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for a in net.store.params.values()]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
+    header = {
         "format": fmt,
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
+        "refgame": __version__,
         "config": asdict(net.config),
         "vocab": list(net.vocab.tokens[len(SPECIALS):]),
-        "params_sha256": net.store.save(prefix.with_suffix(".params.json")),
-        **extra,
+        "params": [[name, list(a.shape)] for name, a in net.store.params.items()],
+        "payload_sha256": digest.hexdigest(),
     }
-    atomic_write_text(prefix.with_suffix(".meta.json"), json.dumps(meta))
+    atomic_write_bytes(Path(prefix).with_suffix(".ckpt"), json.dumps(header).encode() + b"\n", *arrays)
 
 
 def load_checkpoint(cls, prefix, fmt: str, config_cls):
-    """Read a ``save_checkpoint`` pair back into a fresh ``cls(config, vocab)``.
+    """Read a ``save_checkpoint`` file back into a fresh ``cls(config, vocab)``.
 
-    Raises SchemaError when the meta file is not a ``fmt`` checkpoint or is
-    malformed, when the params file's bytes do not hash to the meta's
-    ``params_sha256`` (meta written before the hash existed has none), and
-    when the parameters' names, shapes or dtype differ from the layout that
+    Raises SchemaError naming the file when the header is not a JSON line
+    of a version 2 ``fmt`` checkpoint with fields of their JSON types, when
+    the payload's length or SHA-256 differs from what the header declares,
+    and when the parameters' names or shapes differ from the layout that
     ``cls(config, vocab)`` declares."""
-    prefix = Path(prefix)
-    kind = fmt.removeprefix("refgame-")
-    meta_path = prefix.with_suffix(".meta.json")
-    meta = read_json(meta_path)
+    path = Path(prefix).with_suffix(".ckpt")
+    with open(path, "rb") as f:
+        line = f.readline()
+        payload = f.read()
     try:
-        if read_value(meta, "format", str) != fmt or read_value(meta, "version", int) != 1:
-            raise SchemaError(f"not a version 1 {kind} checkpoint")
-        config = from_record(config_cls, read_value(meta, "config", dict))
-        vocab = Vocabulary(read_list(meta, "vocab", str))
-        digest = read_value(meta, "params_sha256", str, None)
+        if not line.endswith(b"\n"):
+            raise SchemaError("no header line")
+        try:
+            header = json.loads(line)
+        except ValueError as exc:
+            raise SchemaError(f"the header is not JSON: {exc}") from None
+        if read_value(header, "format", str) != fmt or read_value(header, "version", int) != CHECKPOINT_VERSION:
+            raise SchemaError(f"not a version {CHECKPOINT_VERSION} {fmt.removeprefix('refgame-')} checkpoint")
+        net = cls(from_record(config_cls, read_value(header, "config", dict)),
+                  Vocabulary(read_list(header, "vocab", str)))
+        values = _unpack(payload, read_list(header, "params", list), net.store.dtype)
+        if hashlib.sha256(payload).hexdigest() != read_value(header, "payload_sha256", str):
+            raise SchemaError("the payload's SHA-256 is not the header's payload_sha256")
+        try:
+            net.store.load_values(values)
+        except ValueError as exc:
+            raise SchemaError(f"the parameters do not match the config and vocabulary: {exc}") from None
     except (SchemaError, ValueError) as exc:
-        raise SchemaError(f"{meta_path}: {exc}") from None
-    params_path = prefix.with_suffix(".params.json")
-    try:
-        store = ParamStore.load(params_path, digest)
-    except SchemaError as exc:
-        raise SchemaError(f"{exc} (the params file of {meta_path})") from None
-    net = cls(config, vocab)
-    try:
-        if store.dtype != net.store.dtype:
-            raise ValueError(f"dtype {store.dtype} is not {net.store.dtype}")
-        net.store.load_values(store.params)
-    except ValueError as exc:
-        raise SchemaError(
-            f"{params_path}: parameters do not match the {kind} config and vocabulary: {exc}"
-        ) from exc
+        raise SchemaError(f"{path}: {exc}") from None
     return net
+
+
+def _unpack(payload: bytes, layout: list, dtype: np.dtype) -> dict[str, np.ndarray]:
+    """Read-only arrays over ``payload`` by the header's ``[[name, shape],
+    ...]`` layout, which must cover its bytes exactly."""
+    for entry in layout:
+        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str \
+                or type(entry[1]) is not list or not all(type(n) is int and n >= 0 for n in entry[1]):
+            raise SchemaError(f"a params entry must be [name, shape], got {entry!r:.60}")
+    sizes = [math.prod(shape) * dtype.itemsize for _, shape in layout]
+    if sum(sizes) != len(payload):
+        raise SchemaError(f"the payload is {len(payload)} bytes; the header's {dtype} layout needs {sum(sizes)}")
+    values = {}
+    offset = 0
+    for (name, shape), size in zip(layout, sizes):
+        if name in values:
+            raise SchemaError(f"parameter {name!r} is listed twice")
+        array = np.frombuffer(payload, dtype.newbyteorder("<"), size // dtype.itemsize, offset)
+        values[name] = array.reshape(shape).astype(dtype, copy=False)
+        offset += size
+    return values
 
 
 def check_dtype(dtype: str) -> None:
@@ -535,25 +565,21 @@ class GroundingModel:
 
     # --- inference -----------------------------------------------------------
 
-    def predict(self, examples: StreamExample | Sequence[StreamExample]):
-        """Probabilities of the model's TSEL and REF heads for one example,
-        or a list of them for a list in the given order: ``"tsel"`` (7,)
-        over the view and ``"ref"`` (M, 7) per markable.  One GRU pass and
-        one entity encoding serve both heads; examples are packed as in
-        ``run_example``."""
+    def predict(self, examples: Sequence[StreamExample]) -> list[dict[str, np.ndarray]]:
+        """Probabilities of the model's TSEL and REF heads for each example,
+        in the given order: ``"tsel"`` (7,) over the view and ``"ref"`` (M,
+        7) per markable.  One GRU pass and one entity encoding serve both
+        heads; examples are packed as in ``run_example``."""
         return self._predict(examples, [head for head in ("tsel", "ref") if head in self.heads])
 
-    def ref_probs_at(self, examples: StreamExample | Sequence[StreamExample]):
+    def ref_probs_at(self, examples: Sequence[StreamExample]) -> list[np.ndarray]:
         """``predict``'s REF probabilities alone, one (M, 7) array per
         example; a variant with no REF head raises ValueError."""
-        out = self._predict(examples, ["ref"])
-        return out["ref"] if isinstance(out, dict) else [probs["ref"] for probs in out]
+        return [probs["ref"] for probs in self._predict(examples, ["ref"])]
 
-    def _predict(self, examples, heads: Sequence[str]):
-        one = isinstance(examples, StreamExample)
-        batch = [examples] if one else examples
+    def _predict(self, examples: Sequence[StreamExample], heads: Sequence[str]) -> list[dict[str, np.ndarray]]:
         out = []
-        for chunk, columns, h_seq, _ in self._packs(batch):
+        for chunk, columns, h_seq, _ in self._packs(examples):
             for ex, j in zip(chunk, columns):
                 entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
                 probs = {}
@@ -563,7 +589,7 @@ class GroundingModel:
                     scores, _ = self._head_forward(head, entities, entities_proj, queries)
                     probs[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
                 out.append(probs)
-        return out[0] if one else out
+        return out
 
     # --- incremental decoding (selfplay) --------------------------------------
 
@@ -586,8 +612,8 @@ class GroundingModel:
         h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
         return DecoderState(model=self, entities=entities, entities_proj=entities_proj, h=h)
 
-    def save(self, prefix, history: list[dict] | None = None) -> None:
-        save_checkpoint(self, prefix, "refgame-model", history=history or [])
+    def save(self, prefix) -> None:
+        save_checkpoint(self, prefix, "refgame-model")
 
     @classmethod
     def load(cls, prefix) -> "GroundingModel":

@@ -112,11 +112,12 @@ def _ends(lengths):
     return np.asarray(lengths) - 1, np.arange(len(lengths))
 
 
-def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, start: np.ndarray, lengths):
-    """Log-space forward recursion over (n_t, K, K) scores per step.
-    Returns (alpha (T, B, K), logZ (B,) read at each row's last step)."""
+def crf_alphas(emissions: np.ndarray, transitions: np.ndarray, lengths):
+    """Log-space forward recursion over (n_t, K, K) scores per step, with no
+    start scores.  Returns (alpha (T, B, K), logZ (B,) read at each row's
+    last step)."""
     alpha = np.zeros_like(emissions)
-    alpha[0] = emissions[0] + start
+    alpha[0] = emissions[0]
     for t, n in enumerate(_live(lengths)[1:], 1):
         s = alpha[t - 1, :n, :, None] + transitions
         m = s.max(axis=1)

@@ -1,20 +1,12 @@
-"""Named parameter store with matching gradient buffers and a versioned,
-exactly round-tripping checkpoint format (JSON map name -> shape/dtype/raw
-little-endian bytes, base64)."""
+"""Named parameter store with matching gradient buffers.  It does no file
+io: ``model.save_checkpoint`` writes its values and ``load_values`` takes
+them back."""
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 import math
 
 import numpy as np
-
-from ..errors import SchemaError
-from ..io import atomic_write_text, read_json, read_list, read_value
-
-CHECKPOINT_VERSION = 1
 
 
 class ParamStore:
@@ -27,7 +19,6 @@ class ParamStore:
     version it was built at is."""
 
     def __init__(self, seed: int = 0, dtype=np.float64):
-        self.seed = seed
         self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
@@ -77,6 +68,8 @@ class ParamStore:
         return {k: v.copy() for k, v in self.params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values`` into the parameters.  ValueError, with nothing
+        written, unless they have the store's names, shapes and dtype."""
         if set(values) != set(self.params):
             missing = sorted(set(self.params) - set(values))
             unexpected = sorted(set(values) - set(self.params))
@@ -86,63 +79,6 @@ class ParamStore:
                 raise ValueError(
                     f"{k} is {v.dtype}{list(v.shape)}, not {self.params[k].dtype}{list(self.params[k].shape)}"
                 )
+        for k, v in values.items():
             self.params[k][...] = v
         self.version += 1
-
-    # --- checkpoint io ----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "format": "refgame-params",
-            "version": CHECKPOINT_VERSION,
-            "seed": self.seed,
-            "dtype": self.dtype.name,
-            "params": {
-                name: {
-                    "shape": list(arr.shape),
-                    "dtype": arr.dtype.name,
-                    "data": base64.b64encode(
-                        np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-                    ).decode("ascii"),
-                }
-                for name, arr in self.params.items()
-            },
-        }
-
-    def save(self, path) -> str:
-        """Write the store to ``path``; returns the SHA-256 of the bytes written."""
-        text = json.dumps(self.to_json_obj())
-        atomic_write_text(path, text)
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ParamStore":
-        """Raises SchemaError unless ``obj`` is a well-formed parameter object:
-        every field has its JSON type, and every record has a known dtype,
-        strict base64 data and exactly the bytes its shape needs."""
-        if read_value(obj, "format", str) != "refgame-params":
-            raise SchemaError("not a parameter checkpoint")
-        if read_value(obj, "version", int) != CHECKPOINT_VERSION:
-            raise SchemaError(f"unsupported checkpoint version {obj['version']!r}")
-        try:
-            store = cls(seed=read_value(obj, "seed", int, 0), dtype=np.dtype(read_value(obj, "dtype", str)))
-            for name, rec in read_value(obj, "params", dict).items():
-                dtype = np.dtype(read_value(rec, "dtype", str))
-                data = base64.b64decode(read_value(rec, "data", str), validate=True)
-                arr = np.frombuffer(data, dtype=dtype.newbyteorder("<"))
-                arr = arr.astype(dtype).reshape(read_list(rec, "shape", int)).copy()
-                store.params[name] = arr
-                store.grads[name] = np.zeros_like(arr)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed parameter checkpoint: {exc!r}") from exc
-        return store
-
-    @classmethod
-    def load(cls, path, sha256: str | None = None) -> "ParamStore":
-        """Read a ``save`` file; any damage, or bytes that do not hash to a
-        given ``sha256``, raises SchemaError naming it."""
-        obj = read_json(path, sha256)
-        try:
-            return cls.from_json_obj(obj)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc

@@ -178,7 +178,7 @@ class MarkableTagger:
         order = by_length([ex.tokens for ex in batch])
         emissions, lengths, cache = self._emissions([batch[i].tokens for i in order])
         tags = pack([batch[i].tags for i in order])
-        nll, d_em, d_tr, _ = crf_nll(emissions, self.store["trans"], tags, lengths)
+        nll, d_em, d_tr = crf_nll(emissions, self.store["trans"], tags, lengths)
         if backward:
             self.store.grads["trans"] += d_tr
             self._emissions_backward(cache, d_em)

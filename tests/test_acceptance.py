@@ -118,7 +118,6 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
     from refgame.corpus import Split
     from refgame.model import GroundingModel, ModelConfig, Vocabulary, build_examples, train_model
     from refgame.neural import (
-        ParamStore,
         crf_nll,
         cross_entropy_rows,
         gru_sequence,
@@ -185,7 +184,7 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
         def crf_loss():
             return crf_nll(p3["em"], p3["tr"], tags, [4])[0][0]
 
-        _, d_em, d_tr, _ = crf_nll(p3["em"], p3["tr"], tags, [4])
+        _, d_em, d_tr = crf_nll(p3["em"], p3["tr"], tags, [4])
         rep = gradient_check(crf_loss, p3, {"em": d_em, "tr": d_tr}, seed=seed)
         assert rep.max_rel_err < TOL_GRAD, f"crf seed {seed}: {rep.max_rel_err}"
 
@@ -234,21 +233,21 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
 
     # -- CRF log-partition vs exhaustive enumeration ------------------------
     # crf_nll(gold) = log Z - score(gold), so log Z is the NLL plus the score
-    def path_score(em, tr, path, st):
-        return st[path[0]] + sum(em[t, k] for t, k in enumerate(path)) + sum(
+    def path_score(em, tr, path):
+        return sum(em[t, k] for t, k in enumerate(path)) + sum(
             tr[j, k] for j, k in zip(path, path[1:])
         )
 
     for seed in range(20):
         r = np.random.default_rng(100 + seed)
         T, K = int(r.integers(1, 6)), int(r.integers(2, 5))
-        em, tr, st = r.normal(size=(T, K)), r.normal(size=(K, K)), r.normal(size=K)
-        scores = [path_score(em, tr, path, st) for path in product(range(K), repeat=T)]
+        em, tr = r.normal(size=(T, K)), r.normal(size=(K, K))
+        scores = [path_score(em, tr, path) for path in product(range(K), repeat=T)]
         m = max(scores)
         brute = m + math.log(sum(math.exp(s - m) for s in scores))
         gold = tuple(int(k) for k in r.integers(0, K, size=T))
-        nll = crf_nll(em[:, None], tr, np.array(gold)[:, None], [T], st)[0][0]
-        assert abs(nll + path_score(em, tr, gold, st) - brute) < TOL_CRF
+        nll = crf_nll(em[:, None], tr, np.array(gold)[:, None], [T])[0][0]
+        assert abs(nll + path_score(em, tr, gold) - brute) < TOL_CRF
 
     # -- Fleiss multi-pi vs all-pairs brute force ---------------------------
     from collections import Counter
@@ -308,13 +307,10 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
     assert loaded.dialogues == medium_corpus.dialogues
     assert loaded.markables == medium_corpus.markables
     assert loaded.judgements == medium_corpus.judgements
-    store = ParamStore(seed=5)
-    store.add("w", (13, 7))
-    store.add("v", (11,), init="uniform")
-    store.save(tmp_path / "params.json")
-    reloaded = ParamStore.load(tmp_path / "params.json")
-    for name in store.params:
-        assert np.array_equal(store[name], reloaded[name])
+    model.save(tmp_path / "model")   # the last gradient-checked variant
+    reloaded = GroundingModel.load(tmp_path / "model")
+    for name in model.store.params:
+        assert model.store[name].tobytes() == reloaded.store[name].tobytes()
 
     # -- seeded determinism: generation, training, selfplay -------------------
     g1 = generate_scenarios(cfg, {5: 5}, seed=8)

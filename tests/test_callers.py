@@ -21,8 +21,6 @@ TEST_ONLY = {
 UNSET_DEFAULTS = {
     # tests build noise-free corpora with flip_rate=0.0
     "make_synthetic_corpus.flip_rate",
-    # the tests' CRF carries start scores; the tagger's does not
-    "crf_nll.start",
 }
 
 

@@ -10,6 +10,7 @@ from refgame.cli import main
 from refgame.corpus import load_corpus, save_corpus
 from refgame.scenario import DEFAULT_CONFIG
 from refgame.synth import make_synthetic_corpus
+from refgame.tagger import MarkableTagger
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +166,7 @@ def trained(data_dir, tmp_path_factory):
 class TestModelCommands:
     def test_train_writes_checkpoint_and_log(self, trained):
         workdir, split, model = trained
-        assert model.with_suffix(".params.json").exists()
-        assert model.with_suffix(".meta.json").exists()
+        assert sorted(p.name for p in workdir.glob("model.*")) == ["model.ckpt", "model.log.jsonl"]
         log_lines = model.with_suffix(".log.jsonl").read_text().strip().splitlines()
         assert len(log_lines) == 2
         assert {"epoch", "train_loss", "valid_loss"} <= set(json.loads(log_lines[0]))
@@ -266,9 +266,9 @@ class TestModelCommands:
             "train", "--data", data_dir, "--split", split, "--task", "tagger",
             "--out", out, "--epochs", "1", "--dtype", "float32", "--quiet",
         ) == 0
-        params = json.loads(out.with_suffix(".params.json").read_text())
-        assert params["dtype"] == "float32"
-        assert {rec["dtype"] for rec in params["params"].values()} == {"float32"}
+        header = json.loads(out.with_suffix(".ckpt").read_bytes().split(b"\n", 1)[0])
+        assert header["config"]["dtype"] == "float32"
+        assert {v.dtype.name for v in MarkableTagger.load(out).store.params.values()} == {"float32"}
 
     def test_tagger_train_honours_dims(self, data_dir, tagger_ckpt, tmp_path):
         split = tagger_ckpt.parent / "split.json"
@@ -277,10 +277,8 @@ class TestModelCommands:
             "train", "--data", data_dir, "--split", split, "--task", "tagger",
             "--out", out, "--epochs", "1", "--embed-dim", "8", "--hidden-dim", "10", "--quiet",
         ) == 0
-        shapes = {
-            name: tuple(rec["shape"])
-            for name, rec in json.loads(out.with_suffix(".params.json").read_text())["params"].items()
-        }
+        header = json.loads(out.with_suffix(".ckpt").read_bytes().split(b"\n", 1)[0])
+        shapes = {name: tuple(shape) for name, shape in header["params"]}
         assert shapes["emb"][1] == 8
         for direction in ("fwd", "bwd"):
             assert shapes[f"{direction}.W"] == (30, 8)

@@ -1,7 +1,8 @@
 """Hypothesis fuzz of the readers of release bundles and checkpoints: a
 dropped key, a value of a wrong JSON type (a bool for a number included),
-truncated base64 or an offset outside its utterance either still loads (a
-dropped optional key) or raises SchemaError; no other exception escapes."""
+a truncated checkpoint payload or an offset outside its utterance either
+still loads (a dropped optional key) or raises SchemaError; no other
+exception escapes."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from refgame.errors import SchemaError
 from refgame.importer import import_bundle
 from refgame.model import GroundingModel, ModelConfig, Vocabulary
-from refgame.neural import ParamStore
 from refgame.synth import make_synthetic_corpus
 from refgame.tagger import MarkableTagger, TaggerConfig
 from test_importer import make_bundle
@@ -70,11 +70,15 @@ def _mutated(draw, files: dict, field_table: list):
 
 
 def _load(loader, files: dict, mutation: str):
-    """Write ``files`` and call ``loader`` on their directory.  Only a dropped
-    key may load; every other mutation must raise SchemaError."""
+    """Write ``files`` (name -> JSON value, or bytes written as they are) and
+    call ``loader`` on their directory.  Only a dropped key may load; every
+    other mutation must raise SchemaError."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
-            (Path(tmp) / name).write_text(json.dumps(data))
+            if isinstance(data, bytes):
+                (Path(tmp) / name).write_bytes(data)
+            else:
+                (Path(tmp) / name).write_text(json.dumps(data))
         if mutation == "drop":
             try:
                 loader(Path(tmp))
@@ -161,80 +165,66 @@ def _vocab() -> Vocabulary:
 
 
 @cache
-def _checkpoint(net: str) -> dict:
-    """A saved checkpoint's files as JSON.  The meta carries no params hash
-    (such meta still loads), so a mutated params file reaches the params
-    reader rather than failing the hash check."""
+def _checkpoint(net: str) -> tuple[dict, bytes]:
+    """A saved checkpoint's header and payload."""
     cls, config = NETS[net]
     with tempfile.TemporaryDirectory() as tmp:
         cls(config, _vocab()).save(Path(tmp) / "net")
-        files = {p.name: json.loads(p.read_text()) for p in Path(tmp).iterdir()}
-    del files["net.meta.json"]["params_sha256"]
-    return files
+        line, payload = (Path(tmp) / "net.ckpt").read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def _files(header: dict, payload: bytes) -> dict:
+    return {"net.ckpt": json.dumps(header).encode() + b"\n" + payload}
 
 
 def _checkpoint_fields(net: str) -> list:
-    """(file, path, key, field kind) for the meta file, its config and the
-    params file with two of its records."""
+    """(part, path, key, field kind) for the header and its config.  The
+    header's "refgame" version is left out: the loader does not read it."""
     config = NETS[net][1]
-    meta = (("format", "str"), ("version", "int"), ("config", "object"), ("vocab", "[str]"))
-    params = (("format", "str"), ("version", "int"), ("seed", "int"), ("dtype", "str"), ("params", "object"))
-    record = (("shape", "[int]"), ("dtype", "str"), ("data", "str"))
+    header = (("format", "str"), ("version", "int"), ("config", "object"), ("vocab", "[str]"),
+              ("params", "[list]"), ("payload_sha256", "str"))
     return [
-        *[("net.meta.json", (), key, kind) for key, kind in meta],
-        *[("net.meta.json", ("config",), f.name, FIELD_KINDS[f.type]) for f in fields(config)],
-        *[("net.params.json", (), key, kind) for key, kind in params],
-        *[("net.params.json", ("params", name), key, kind)
-          for name in ("emb", "trans" if net == "tagger" else "attn.b") for key, kind in record],
+        *[("header", (), key, kind) for key, kind in header],
+        *[("header", ("config",), f.name, FIELD_KINDS[f.type]) for f in fields(config)],
     ]
 
 
 @pytest.mark.parametrize("net", sorted(NETS))
 def test_mutated_checkpoint_schema_error(net):
     cls = NETS[net][0]
+    header, payload = _checkpoint(net)
 
     @settings(max_examples=150, deadline=None)
-    @given(_mutated(_checkpoint(net), _checkpoint_fields(net)))
+    @given(_mutated({"header": header}, _checkpoint_fields(net)))
     def check(mutated):
-        mutation, files = mutated
-        _load(lambda path: cls.load(path / "net"), files, mutation)
+        mutation, parts = mutated
+        _load(lambda path: cls.load(path / "net"), _files(parts["header"], payload), mutation)
 
     check()
 
 
 @pytest.mark.parametrize("net", sorted(NETS))
-def test_truncated_base64_schema_error(net):
+def test_truncated_payload_schema_error(net):
     cls = NETS[net][0]
+    header, payload = _checkpoint(net)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(sorted(_checkpoint(net)["net.params.json"]["params"])), st.data())
-    def check(name, data):
-        files = copy.deepcopy(_checkpoint(net))
-        record = files["net.params.json"]["params"][name]
-        record["data"] = record["data"][: data.draw(st.integers(0, len(record["data"]) - 1))]
-        _load(lambda path: cls.load(path / "net"), files, "truncated")
+    @given(st.integers(0, len(payload) - 1))
+    def check(length):
+        _load(lambda path: cls.load(path / "net"), _files(header, payload[:length]), "truncated")
 
     check()
 
 
 @pytest.mark.parametrize("net", sorted(NETS))
 def test_swapped_params_file_schema_error(net, tmp_path):
-    # b's params fit a's config and vocabulary, so only the hash tells them apart
+    # b's payload fits a's config and vocabulary, so only the hash tells them apart
     cls, config = NETS[net]
     cls(config, _vocab()).save(tmp_path / "a")
     cls(replace(config, seed=config.seed + 1), _vocab()).save(tmp_path / "b")
-    (tmp_path / "b.params.json").replace(tmp_path / "a.params.json")
-    with pytest.raises(SchemaError) as exc:
+    header = (tmp_path / "a.ckpt").read_bytes().split(b"\n", 1)[0]
+    payload = (tmp_path / "b.ckpt").read_bytes().split(b"\n", 1)[1]
+    (tmp_path / "a.ckpt").write_bytes(header + b"\n" + payload)
+    with pytest.raises(SchemaError, match="a.ckpt: the payload's SHA-256"):
         cls.load(tmp_path / "a")
-    assert "a.params.json" in str(exc.value) and "a.meta.json" in str(exc.value)
-
-    meta_path = tmp_path / "a.meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta["params_sha256"] = 5
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(SchemaError, match="params_sha256"):
-        cls.load(tmp_path / "a")
-    del meta["params_sha256"]
-    meta_path.write_text(json.dumps(meta))
-    assert cls.load(tmp_path / "a").store["emb"].tobytes() == ParamStore.load(
-        tmp_path / "a.params.json")["emb"].tobytes()

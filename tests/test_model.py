@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from refgame import __version__
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import Split
 from refgame.errors import DivergenceError, SchemaError
@@ -37,40 +39,64 @@ from gradcheck import gradient_check
 TINY = dict(embed_dim=5, hidden_dim=6, attr_dim=4, rel_dim=3, attn_dim=5, mlp_dim=6, dropout=0.0)
 
 
-def _damaged_record(**change):
-    """A params-file damage that changes or (for None) drops fields of the
-    ``emb`` record."""
+def _read_ckpt(path) -> tuple[dict, bytes]:
+    """A checkpoint file's header and payload."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
 
-    def damage(obj):
-        rec = obj["params"]["emb"]
-        for key, value in change.items():
-            if value is None:
-                del rec[key]
-            else:
-                rec[key] = value(rec)
-        return json.dumps(obj)
+
+def _ckpt(header: dict, payload: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def _edited(edit):
+    """A checkpoint damage that applies ``edit`` to a copy of the header."""
+
+    def damage(header, payload):
+        header = copy.deepcopy(header)
+        edit(header)
+        return _ckpt(header, payload)
 
     return damage
 
 
-PARAMS_DAMAGE = {
-    "not JSON": lambda obj: json.dumps(obj)[:-1],
-    "JSON list": lambda obj: json.dumps([obj]),
-    "no params key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "params"}),
-    "no dtype key": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "dtype"}),
-    "record without shape": _damaged_record(shape=None),
-    "record without dtype": _damaged_record(dtype=None),
-    "record without data": _damaged_record(data=None),
-    "bad base64": _damaged_record(data=lambda rec: rec["data"][:-1]),
-    "unknown dtype": _damaged_record(dtype=lambda rec: "float1000"),
-    "data longer than shape": _damaged_record(shape=lambda rec: [1, rec["shape"][1]]),
-    "seed string": lambda obj: json.dumps({**obj, "seed": str(obj["seed"])}),
-    "seed float": lambda obj: json.dumps({**obj, "seed": obj["seed"] + 0.9}),
-    "seed bool": lambda obj: json.dumps({**obj, "seed": True}),
-    "file dtype unlike the meta's": lambda obj: json.dumps({**obj, "dtype": "float32"}),
+def _set_config(**change):
+    return _edited(lambda header: header["config"].update(change))
+
+
+# each damage maps a saved TSEL checkpoint's (header, payload) to the bytes of
+# a damaged file; the header's first record is "emb"
+DAMAGE = {
+    "empty file": lambda header, payload: b"",
+    "not JSON": lambda header, payload: json.dumps(header).encode()[:-1] + b"\n" + payload,
+    "no newline after the header": lambda header, payload: json.dumps(header).encode(),
+    "JSON list": lambda header, payload: _ckpt([header], payload),
+    "wrong format": _edited(lambda header: header.update(format="refgame-tagger")),
+    "wrong version": _edited(lambda header: header.update(version=1)),
+    "version string": _edited(lambda header: header.update(version="2")),
+    "no params key": _edited(lambda header: header.pop("params")),
+    "params an object": _edited(lambda header: header.update(params={})),
+    "record without shape": _edited(lambda header: header["params"][0].pop()),
+    "record shape of floats": _edited(lambda header: header["params"][0].__setitem__(1, [7.0, 5.0])),
+    "record without data": _edited(lambda header: header["params"].append(["extra", [2]])),
+    "data longer than shape": _edited(lambda header: header["params"][0][1].__setitem__(0, 1)),
+    "record listed twice": _edited(lambda header: header["params"][-1].__setitem__(0, "emb")),
+    "unknown dtype": _set_config(dtype="float1000"),
+    "file dtype unlike the meta's": _set_config(dtype="float32"),
+    "seed string": _set_config(seed="9"),
+    "seed float": _set_config(seed=9.9),
+    "seed bool": _set_config(seed=True),
+    "vocab with a reserved token": _edited(lambda header: header["vocab"].append("<eou>")),
+    "no payload hash": _edited(lambda header: header.pop("payload_sha256")),
+    "payload hash an int": _edited(lambda header: header.update(payload_sha256=5)),
+    "truncated payload": lambda header, payload: _ckpt(header, payload[:-1]),
+    "extra payload byte": lambda header, payload: _ckpt(header, payload + b"\0"),
+    "flipped payload byte": lambda header, payload: _ckpt(
+        header, payload[:7] + bytes([payload[7] ^ 1]) + payload[8:]
+    ),
 }
 
-# changes to the saved config in the meta file; each value has the wrong JSON type
+# changes to the config in the checkpoint header; each value has the wrong JSON type
 META_CONFIG_DAMAGE = {
     "hidden_dim float": lambda config: {**config, "hidden_dim": float(config["hidden_dim"])},
     "seed string": lambda config: {**config, "seed": str(config["seed"])},
@@ -182,21 +208,21 @@ class TestForward:
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
         model.store.params["attn.v_tsel"][...] = 0.0
         ex = _examples(micro)[0]
-        probs = model.predict(ex)["tsel"]
+        probs = model.predict([ex])[0]["tsel"]
         assert np.allclose(probs, 1 / 7)
 
     def test_tsel_probs_sum_to_one(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL", seed=1, **TINY), vocab)
         for ex in _examples(micro):
-            assert model.predict(ex)["tsel"].sum() == pytest.approx(1.0)
+            assert model.predict([ex])[0]["tsel"].sum() == pytest.approx(1.0)
 
     def test_ref_probs_half_at_zero_logits(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="REF", seed=0, **TINY), vocab)
         model.store.params["attn.v_ref"][...] = 0.0
         ex = next(e for e in _examples(micro) if e.markable_ids)
-        assert np.allclose(model.predict(ex)["ref"], 0.5)
+        assert np.allclose(model.predict([ex])[0]["ref"], 0.5)
 
     def test_dial_distribution_sums_to_one(self, micro):
         *_, vocab = micro
@@ -263,9 +289,9 @@ class TestForward:
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
         ex = _examples(micro)[0]
         assert set(model.run_example(ex)) == {"tsel", "total"}
-        assert set(model.predict(ex)) == {"tsel"}
+        assert set(model.predict([ex])[0]) == {"tsel"}
         with pytest.raises(ValueError, match="no REF head"):
-            model.ref_probs_at(ex)
+            model.ref_probs_at([ex])
 
     def test_entity_permutation_equivariance(self, micro):
         *_, vocab = micro
@@ -284,8 +310,8 @@ class TestForward:
             for c, new_j in enumerate(others(new_i)):
                 rel2[new_i, c] = ex.rel[old_i, old_cols[perm[new_j]]]
         ex2 = StreamExample(**{**ex.__dict__, "attrs": ex.attrs[perm], "rel": rel2})
-        assert np.allclose(model.predict(ex2)["tsel"], model.predict(ex)["tsel"][perm])
-        assert np.allclose(model.predict(ex2)["ref"], model.predict(ex)["ref"][:, perm])
+        assert np.allclose(model.predict([ex2])[0]["tsel"], model.predict([ex])[0]["tsel"][perm])
+        assert np.allclose(model.predict([ex2])[0]["ref"], model.predict([ex])[0]["ref"][:, perm])
 
 
 class TestGradients:
@@ -401,7 +427,7 @@ class TestTraining:
         for ex in examples:
             if not ex.markable_ids:
                 continue
-            pred = result.model.predict(ex)["ref"] >= 0.5
+            pred = result.model.predict([ex])[0]["ref"] >= 0.5
             assert np.array_equal(pred, ex.ref_targets >= 0.5)
 
     def test_fifty_dialogue_ref_capacity(self):
@@ -509,25 +535,45 @@ class TestCheckpoint:
         assert loaded.config == model.config
         assert loaded.vocab.tokens == model.vocab.tokens
         for ex in _examples(micro):
-            assert np.array_equal(loaded.predict(ex)["tsel"], model.predict(ex)["tsel"])
+            assert np.array_equal(loaded.predict([ex])[0]["tsel"], model.predict([ex])[0]["tsel"])
             losses_a = model.run_example(ex)
             losses_b = loaded.run_example(ex)
             assert losses_a == losses_b
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip_is_exact(self, micro, tmp_path, variant, dtype):
+        corpus, gold, ids, vocab = micro
+        model = GroundingModel(ModelConfig(variant=variant, seed=9, dtype=dtype, **TINY), vocab)
+        model.save(tmp_path / "model")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        header, payload = _read_ckpt(tmp_path / "model.ckpt")
+        assert header["refgame"] == __version__
+        assert header["params"] == [[k, list(v.shape)] for k, v in model.store.params.items()]
+        loaded = GroundingModel.load(tmp_path / "model")
+        assert b"".join(v.tobytes() for v in model.store.params.values()) == payload
+        assert b"".join(v.tobytes() for v in loaded.store.params.values()) == payload
+        assert {v.dtype for v in loaded.store.params.values()} == {np.dtype(dtype)}
+        examples = _examples(micro)
+        for got, want in zip(loaded.predict(examples), model.predict(examples)):
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        assert loaded.run_example(examples) == model.run_example(examples)
+
     def test_load_meta_with_loss_weights(self, micro, tmp_path):
-        # meta files written before the per-head loss weights were removed
-        # still carry them as 1.0
+        # a header config with fields the config no longer has, such as the
+        # old per-head loss weights, loads: the reader ignores extra keys
         corpus, gold, ids, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=9, **TINY), vocab)
         model.save(tmp_path / "model")
-        meta_path = tmp_path / "model.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config"].update(w_tsel=1.0, w_ref=1.0, w_dial=1.0)
-        meta_path.write_text(json.dumps(meta))
+        path = tmp_path / "model.ckpt"
+        header, payload = _read_ckpt(path)
+        header["config"].update(w_tsel=1.0, w_ref=1.0, w_dial=1.0)
+        path.write_bytes(_ckpt(header, payload))
         loaded = GroundingModel.load(tmp_path / "model")
         assert loaded.config == model.config
         for ex in _examples(micro):
-            got, want = loaded.predict(ex), model.predict(ex)
+            got, want = loaded.predict([ex])[0], model.predict([ex])[0]
             assert set(got) == set(want)
             assert all(np.array_equal(got[head], want[head]) for head in want)
 
@@ -543,33 +589,38 @@ class TestCheckpoint:
         GroundingModel(ModelConfig(variant=other["variant"], seed=9, **TINY), other_vocab).save(
             tmp_path / "other"
         )
-        (tmp_path / "other.params.json").replace(tmp_path / "model.params.json")
-        with pytest.raises(SchemaError, match="SHA-256"):
+        path = tmp_path / "model.ckpt"
+        header, payload = _read_ckpt(path)
+        other_header, other_payload = _read_ckpt(tmp_path / "other.ckpt")
+        # the other layout over this payload: the payload's length disagrees
+        path.write_bytes(_ckpt({**header, "params": other_header["params"]}, payload))
+        with pytest.raises(SchemaError, match="model.ckpt: the payload is"):
             GroundingModel.load(tmp_path / "model")
-        # meta written before the params hash: the layout check rejects the file
-        meta_path = tmp_path / "model.meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["params_sha256"]
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(SchemaError, match="do not match"):
+        # the other layout, payload and hash under this config: the layout
+        # that the config and vocabulary declare rejects it
+        path.write_bytes(_ckpt(
+            {**header, "params": other_header["params"], "payload_sha256": other_header["payload_sha256"]},
+            other_payload,
+        ))
+        with pytest.raises(SchemaError, match="model.ckpt: .*do not match"):
             GroundingModel.load(tmp_path / "model")
 
-    @pytest.mark.parametrize("damage", sorted(PARAMS_DAMAGE))
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_load_rejects_damaged_params_file(self, micro, tmp_path, damage):
         corpus, gold, ids, vocab = micro
         GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
-        path = tmp_path / "model.params.json"
-        path.write_text(PARAMS_DAMAGE[damage](json.loads(path.read_text())))
-        with pytest.raises(SchemaError, match="model.params.json"):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(DAMAGE[damage](*_read_ckpt(path)))
+        with pytest.raises(SchemaError, match="model.ckpt"):
             GroundingModel.load(tmp_path / "model")
 
     def test_load_rejects_meta_without_config(self, micro, tmp_path):
         corpus, gold, ids, vocab = micro
         GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
-        meta_path = tmp_path / "model.meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["config"]
-        meta_path.write_text(json.dumps(meta))
+        path = tmp_path / "model.ckpt"
+        header, payload = _read_ckpt(path)
+        del header["config"]
+        path.write_bytes(_ckpt(header, payload))
         with pytest.raises(SchemaError, match="config"):
             GroundingModel.load(tmp_path / "model")
 
@@ -577,11 +628,11 @@ class TestCheckpoint:
     def test_load_rejects_damaged_meta_config(self, micro, tmp_path, damage):
         corpus, gold, ids, vocab = micro
         GroundingModel(ModelConfig(variant="TSEL", seed=9, **TINY), vocab).save(tmp_path / "model")
-        meta_path = tmp_path / "model.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config"] = META_CONFIG_DAMAGE[damage](meta["config"])
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(SchemaError, match="model.meta.json"):
+        path = tmp_path / "model.ckpt"
+        header, payload = _read_ckpt(path)
+        header["config"] = META_CONFIG_DAMAGE[damage](header["config"])
+        path.write_bytes(_ckpt(header, payload))
+        with pytest.raises(SchemaError, match="model.ckpt"):
             GroundingModel.load(tmp_path / "model")
 
     def test_eval_batch_order_independent(self, micro):
@@ -644,13 +695,13 @@ class TestPackedBatches:
         batch = [pool[i] for i in picks]
         model = GroundingModel(ModelConfig(variant=variant, seed=seed, **TINY), vocab)
         for got, ex in zip(model.predict(batch), batch):
-            want = model.predict(ex)
+            want = model.predict([ex])[0]
             assert got.keys() == want.keys()
             assert all(np.allclose(got[k], want[k], rtol=0, atol=1e-12) for k in want)
         if "ref" in model.heads:
             for got, ex in zip(model.ref_probs_at(batch), batch):
                 assert got.shape == (len(ex.markable_ids), 7)
-                assert np.allclose(got, model.ref_probs_at(ex), rtol=0, atol=1e-12)
+                assert np.allclose(got, model.ref_probs_at([ex])[0], rtol=0, atol=1e-12)
         else:
             with pytest.raises(ValueError, match="REF"):
                 model.ref_probs_at(batch)

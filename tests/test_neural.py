@@ -182,15 +182,14 @@ class TestGradChecks:
         params = {
             "em": rng.normal(size=(T, 3, K)),
             "tr": rng.normal(size=(K, K)),
-            "st": rng.normal(size=K),
         }
         tags = rng.integers(0, K, size=(T, 3))
 
         def loss_fn():
-            return crf_nll(params["em"], params["tr"], tags, lengths, params["st"])[0].sum()
+            return crf_nll(params["em"], params["tr"], tags, lengths)[0].sum()
 
-        _, d_em, d_tr, d_st = crf_nll(params["em"], params["tr"], tags, lengths, params["st"])
-        rep = gradient_check(loss_fn, params, {"em": d_em, "tr": d_tr, "st": d_st}, seed=seed)
+        _, d_em, d_tr = crf_nll(params["em"], params["tr"], tags, lengths)
+        rep = gradient_check(loss_fn, params, {"em": d_em, "tr": d_tr}, seed=seed)
         assert rep.max_rel_err < 1e-4
 
 
@@ -234,9 +233,10 @@ class TestGRU:
         assert all(g.dtype == np.float32 for g in grads.values())
 
 
-def _path_score(emissions, transitions, tags, start=None) -> float:
-    """Score of one tag path, one term at a time (reference)."""
-    score = 0.0 if start is None else start[tags[0]]
+def _path_score(emissions, transitions, tags) -> float:
+    """Score of one tag path with no start scores, one term at a time
+    (reference)."""
+    score = 0.0
     for t, tag in enumerate(tags):
         score += emissions[t, tag]
         if t:
@@ -244,11 +244,11 @@ def _path_score(emissions, transitions, tags, start=None) -> float:
     return float(score)
 
 
-def _log_partition(emissions, transitions, start=None) -> float:
+def _log_partition(emissions, transitions) -> float:
     """log Z from crf_nll: the NLL of any path plus that path's score."""
     tags = np.zeros((len(emissions), 1), dtype=np.int64)
-    nll = crf_nll(emissions[:, None], transitions, tags, [len(emissions)], start)[0][0]
-    return nll + _path_score(emissions, transitions, tags[:, 0], start)
+    nll = crf_nll(emissions[:, None], transitions, tags, [len(emissions)])[0][0]
+    return nll + _path_score(emissions, transitions, tags[:, 0])
 
 
 def _ragged(rng, K, max_len=5, max_rows=4):
@@ -277,18 +277,17 @@ class TestCRF:
         K = int(rng.integers(2, 5))
         em, lengths, rows = _ragged(rng, K)
         tr = rng.normal(size=(K, K))
-        st = rng.normal(size=K)
         gold = rng.integers(0, K, size=em.shape[:2])
-        nll = crf_nll(em, tr, gold, lengths, st)[0]
-        _, logz = kernels.crf_alphas(em, tr, st, lengths)
+        nll = crf_nll(em, tr, gold, lengths)[0]
+        _, logz = kernels.crf_alphas(em, tr, lengths)
         for b, row in enumerate(rows):
             T = len(row)
-            scores = [_path_score(row, tr, path, st) for path in product(range(K), repeat=T)]
+            scores = [_path_score(row, tr, path) for path in product(range(K), repeat=T)]
             m = max(scores)
             brute = m + math.log(sum(math.exp(s - m) for s in scores))
-            assert abs(nll[b] - (brute - _path_score(row, tr, gold[:T, b], st))) < 1e-9
+            assert abs(nll[b] - (brute - _path_score(row, tr, gold[:T, b]))) < 1e-9
             assert abs(logz[b] - brute) < 1e-9
-            assert abs(_ref_alphas(row, tr, st)[1] - brute) < 1e-9
+            assert abs(_ref_alphas(row, tr)[1] - brute) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_viterbi_vs_enumeration(self, seed):
@@ -315,19 +314,17 @@ class TestCRF:
         T, K = 6, 3
         em = rng.normal(size=(T, K))
         tr = rng.normal(size=(K, K))
-        st = rng.normal(size=K)
         tags = rng.integers(0, K, size=T)
-        _, d_em, d_tr, d_st = crf_nll(em[:, None], tr, tags[:, None], [T], st)
+        _, d_em, d_tr = crf_nll(em[:, None], tr, tags[:, None], [T])
         unary, pairs = d_em[:, 0].copy(), d_tr.copy()
         unary[np.arange(T), tags] += 1.0
         np.add.at(pairs, (tags[:-1], tags[1:]), 1.0)
         assert np.allclose(unary.sum(axis=1), 1.0, atol=1e-9)
         assert pairs.sum() == pytest.approx(T - 1, abs=1e-9)
-        assert np.allclose(d_st + np.eye(K)[tags[0]], unary[0], atol=1e-12)
-        logz = _log_partition(em, tr, st)
+        logz = _log_partition(em, tr)
         brute_unary, brute_pairs = np.zeros((T, K)), np.zeros((K, K))
         for path in product(range(K), repeat=T):
-            prob = math.exp(_path_score(em, tr, path, st) - logz)
+            prob = math.exp(_path_score(em, tr, path) - logz)
             brute_unary[np.arange(T), path] += prob
             np.add.at(brute_pairs, (path[:-1], path[1:]), prob)
         assert np.allclose(unary, brute_unary, atol=1e-9)
@@ -362,11 +359,11 @@ class TestCRF:
             crf_viterbi(np.zeros((3, 2, 2)), np.zeros((2, 2)), lengths)
 
 
-def _ref_alphas(emissions, transitions, start):
+def _ref_alphas(emissions, transitions):
     """Scalar forward recursion, one tag pair at a time (reference)."""
     T, K = emissions.shape
     alpha = np.empty((T, K), dtype=emissions.dtype)
-    alpha[0] = emissions[0] + start
+    alpha[0] = emissions[0]
     for t in range(1, T):
         for k in range(K):
             m = alpha[t - 1, 0] + transitions[0, k]
@@ -460,13 +457,13 @@ class TestCRFKernelsMatchScalarReference:
     @pytest.mark.parametrize("seed", range(30))
     def test_equal_to_scalar_loops(self, seed, dtype):
         em, tr, st, lengths = self._case(seed, dtype)
-        alpha, logz = kernels.crf_alphas(em, tr, st, lengths)
+        alpha, logz = kernels.crf_alphas(em, tr, lengths)
         beta = kernels.crf_betas(em, tr, lengths)
         path, score = kernels.crf_viterbi_path(em, tr, st, lengths)
         assert alpha.dtype == beta.dtype == logz.dtype == score.dtype == dtype
         for b, n in enumerate(lengths):
             row = em[:n, b]
-            ref_alpha, ref_logz = _ref_alphas(row, tr, st)
+            ref_alpha, ref_logz = _ref_alphas(row, tr)
             assert np.array_equal(alpha[:n, b], ref_alpha)
             assert np.array_equal(logz[b], ref_logz)
             assert np.array_equal(beta[:n, b], _ref_betas(row, tr))
@@ -581,21 +578,19 @@ class TestPackedKernels:
         tr = rng.normal(size=(K, K))
         start = rng.normal(size=K)
         tags = rng.integers(0, K, size=(T, B))
-        nll, d_em, d_tr, d_st = crf_nll(em, tr, tags, lengths, start)
+        nll, d_em, d_tr = crf_nll(em, tr, tags, lengths)
         paths, scores = crf_viterbi(em, tr, lengths, start)
-        sum_tr, sum_st = np.zeros_like(d_tr), np.zeros_like(d_st)
+        sum_tr = np.zeros_like(d_tr)
         for row, n in enumerate(lengths):
             one = em[:n, row:row + 1]
-            nll1, d_em1, d_tr1, d_st1 = crf_nll(one, tr, tags[:n, row:row + 1], [n], start)
+            nll1, d_em1, d_tr1 = crf_nll(one, tr, tags[:n, row:row + 1], [n])
             assert abs(nll[row] - nll1[0]) < 1e-10
             assert np.allclose(d_em[:n, row], d_em1[:, 0], rtol=0, atol=1e-10)
             assert not d_em[n:, row].any()
             sum_tr += d_tr1
-            sum_st += d_st1
             path1, score1 = crf_viterbi(one, tr, [n], start)
             assert paths[row] == path1[0] and scores[row] == score1[0]
         assert np.allclose(d_tr, sum_tr, rtol=0, atol=1e-10)
-        assert np.allclose(d_st, sum_st, rtol=0, atol=1e-10)
 
 
 class TestAdam:
@@ -682,23 +677,34 @@ class TestParamStore:
         store = ParamStore(seed=1)
         assert np.all(store.add("b", (7,)) == 0)
 
-    def test_checkpoint_exact_roundtrip(self, tmp_path):
-        store = ParamStore(seed=2)
+    def test_checkpoint_exact_roundtrip(self):
+        # fit's best-epoch checkpoint: copy_values, then load_values, bit for bit
+        store = ParamStore(seed=2, dtype=np.float32)
         store.add("a", (3, 4))
         store.add("b", (5,), init="uniform")
-        path = tmp_path / "ckpt.json"
-        store.save(path)
-        loaded = ParamStore.load(path)
-        assert set(loaded.params) == {"a", "b"}
+        saved = store.copy_values()
+        for v in store.params.values():
+            v += 1.0
+        store.load_values(saved)
+        assert store.version == 1
         for k in store.params:
-            assert np.array_equal(loaded[k], store[k])
-            assert loaded[k].dtype == store[k].dtype
+            assert store[k].tobytes() == saved[k].tobytes()
+            assert store[k].dtype == np.float32
 
-    def test_checkpoint_rejects_other_files(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(SchemaError):
-            ParamStore.load(path)
+    @pytest.mark.parametrize("values, message", [
+        ({"a": np.zeros((3, 4))}, "missing"),
+        ({"a": np.zeros((3, 4)), "b": np.zeros(5), "c": np.zeros(1)}, "unexpected"),
+        ({"a": np.zeros((4, 3)), "b": np.zeros(5)}, "a is float64"),
+        ({"a": np.zeros((3, 4)), "b": np.zeros(5, dtype=np.float32)}, "b is float32"),
+    ])
+    def test_load_values_rejects_another_layout(self, values, message):
+        store = ParamStore(seed=2)
+        store.add("a", (3, 4))
+        store.add("b", (5,))
+        before = store.copy_values()
+        with pytest.raises(ValueError, match=message):
+            store.load_values(values)
+        assert store.version == 0 and all(np.array_equal(store[k], before[k]) for k in before)
 
     def test_clip_global_norm(self):
         store = ParamStore(seed=0)

@@ -658,7 +658,7 @@ class TestAnnotation:
             unknown = {m.id: GoldEntry(frozenset()) for m in markables}
             expected = {}
             for ex in dialogue_examples(dialogue, scenario, tiny_model.vocab, markables, unknown):
-                for mid, row in zip(ex.markable_ids, tiny_model.predict(ex)["ref"] >= REF_THRESHOLD):
+                for mid, row in zip(ex.markable_ids, tiny_model.predict([ex])[0]["ref"] >= REF_THRESHOLD):
                     expected[mid] = frozenset(np.asarray(ex.entity_ids)[row].tolist())
             assert set(expected) == {m.id for m in markables}
             assert refs == expected

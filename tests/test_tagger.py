@@ -185,6 +185,24 @@ class TestCheckpointAndExport:
                 ids = np.asarray([vocab.encode(t) for t in msg.tokens], dtype=np.int64)
                 assert loaded.decode(ids) == tagger.decode(ids)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_round_trip_is_exact(self, tmp_path, dtype):
+        corpus = make_synthetic_corpus(3, seed=52)
+        ids = tuple(sorted(corpus.dialogues))
+        vocab = Vocabulary.from_corpus(corpus, ids)
+        tagger = MarkableTagger(TaggerConfig(embed_dim=8, hidden_dim=8, seed=1, dtype=dtype), vocab)
+        tagger.save(tmp_path / "tagger")
+        assert [p.name for p in tmp_path.iterdir()] == ["tagger.ckpt"]
+        payload = (tmp_path / "tagger.ckpt").read_bytes().split(b"\n", 1)[1]
+        loaded = MarkableTagger.load(tmp_path / "tagger")
+        assert b"".join(v.tobytes() for v in tagger.store.params.values()) == payload
+        assert b"".join(v.tobytes() for v in loaded.store.params.values()) == payload
+        assert {v.dtype for v in loaded.store.params.values()} == {np.dtype(dtype)}
+        examples = build_tag_examples(corpus, ids, vocab)
+        tokens = [ex.tokens for ex in examples]
+        assert loaded.decode(tokens) == tagger.decode(tokens)
+        assert loaded.nll(examples) == tagger.nll(examples)
+
     def test_predict_markables_records(self):
         corpus = make_synthetic_corpus(3, seed=53)
         ids = tuple(sorted(corpus.dialogues))

@@ -126,14 +126,14 @@ def test_seeded_training_does_not_depend_on_string_hashing(tmp_path):
     order."""
     src = str(Path(refgame.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    params = []
+    checkpoints = []
     for hash_seed in ("0", "1"):
         prefix = tmp_path / f"hash{hash_seed}"
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
         subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(prefix)], env=env,
                        check=True, timeout=300)
-        params.append(prefix.with_suffix(".params.json").read_bytes())
-    assert params[0] == params[1]
+        checkpoints.append(prefix.with_suffix(".ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 # Traced memory a paper-size train_model epoch may add above what was live
