@@ -264,9 +264,15 @@ def cmd_selfplay(args) -> int:
     flags = {"temperature": args.temperature, "max_utterances": args.max_utterances,
              "max_tokens_per_utterance": args.max_tokens}
     protocol = ProtocolConfig(**{k: v for k, v in flags.items() if v is not None}, seed=args.seed)
-    model = None
+    model = tagger = None
     if args.agent == "model":
         model = GroundingModel.load(args.model)
+        if args.tagger:
+            from .tagger import MarkableTagger
+
+            if "ref" not in model.heads:
+                raise RefgameError(f"--tagger needs a variant with a REF head, not {model.config.variant}")
+            tagger = MarkableTagger.load(args.tagger)
         factory = partial(
             ModelAgent, model,
             temperature=protocol.temperature, max_tokens=protocol.max_tokens_per_utterance,
@@ -278,17 +284,13 @@ def cmd_selfplay(args) -> int:
     seconds = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.tagger:
+    if tagger is not None:
         from .render import render_dialogue
         from .selfplay import annotate_transcript
-        from .tagger import MarkableTagger
 
-        tagger = MarkableTagger.load(args.tagger)
-        by_id = {s.id: s for s in scenarios}
-        for i, transcript in enumerate(result.transcripts):
+        for i, (transcript, scenario) in enumerate(zip(result.transcripts, scenarios)):
             if transcript.aborted:
                 continue
-            scenario = by_id[transcript.scenario_id]
             dialogue, markables, refs = annotate_transcript(
                 transcript, scenario, model, tagger, dialogue_id=f"game{i:05d}"
             )
@@ -494,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; faster than 1 only with OPENBLAS_NUM_THREADS=1 exported "
-                        "(unpinned, --jobs 2 ran 2-3x slower on 2 CPUs)")
+                   help="worker processes, each with OpenBLAS on one thread; on 2 CPUs --jobs 2 "
+                        "played 1.3-2.0x faster than 1, and 1.03-1.32x with --tagger")
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
     p.add_argument("--render-games", type=int, default=0,
                    help="with --tagger: write annotated HTML for the first N games")

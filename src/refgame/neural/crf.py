@@ -50,14 +50,12 @@ def crf_nll(emissions: np.ndarray, transitions: np.ndarray, tags, lengths):
     return logz - score, unary, d_tr
 
 
-def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, lengths, start=None):
-    """Best tag path of each row (a list of lists) and the paths' scores;
-    ties break toward the lowest tag index."""
+def crf_viterbi(emissions: np.ndarray, transitions: np.ndarray, lengths, start: np.ndarray):
+    """Best tag path of each row (a list of lists) under the (K,) ``start``
+    scores, and the paths' scores; ties break toward the lowest tag index."""
     _check(emissions, transitions, lengths)
     k = emissions.shape[2]
-    if start is None:
-        start = np.zeros(k, dtype=emissions.dtype)
-    elif start.shape != (k,) or not np.all(np.isfinite(start)):
+    if start.shape != (k,) or not np.all(np.isfinite(start)):
         raise ValueError("start scores must be a finite (K,) vector")
     path, score = kernels.crf_viterbi_path(emissions, transitions, start, lengths)
     return [path[:n, b].tolist() for b, n in enumerate(lengths)], score.tolist()

@@ -311,20 +311,36 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario a record holds.  Raises SchemaError for duplicate entity
+    ids, a view that does not list ``VIEW_SIZE`` distinct ids of the
+    scenario's entities, or a ``num_shared`` other than the size of the
+    two views' overlap."""
     entities = tuple(from_record(Entity, e) for e in read_list(d, "entities", dict))
+    ids = {e.id for e in entities}
+    if len(ids) != len(entities):
+        raise SchemaError("duplicate entity ids")
     views = d.get("views")
-    view_a, view_b = (_view_from_dict(views, agent) for agent in AGENTS)
-    return from_record(Scenario, d, entities=entities, view_a=view_a, view_b=view_b)
+    view_a, view_b = (_view_from_dict(views, agent, ids) for agent in AGENTS)
+    scenario = from_record(Scenario, d, entities=entities, view_a=view_a, view_b=view_b)
+    if scenario.num_shared != len(scenario.shared_ids):
+        raise SchemaError(
+            f"num_shared is {scenario.num_shared}, but the views share {len(scenario.shared_ids)} entities"
+        )
+    return scenario
 
 
-def _view_from_dict(views, agent: str) -> View:
+def _view_from_dict(views, agent: str, ids: set[int]) -> View:
     v = views.get(agent) if type(views) is dict else None
     center = read_list(v, "center", float)
     if len(center) != 2:
         raise SchemaError(f"view {agent}: center must hold 2 numbers, got {len(center)}")
-    return from_record(
-        View, v, agent=agent, center=tuple(center), visible=tuple(read_list(v, "visible", int))
-    )
+    visible = read_list(v, "visible", int)
+    if not len(visible) == len(ids.intersection(visible)) == VIEW_SIZE:
+        raise SchemaError(
+            f"view {agent}: visible must list {VIEW_SIZE} distinct ids of the scenario's entities, "
+            f"got {visible!r:.60}"
+        )
+    return from_record(View, v, agent=agent, center=tuple(center), visible=tuple(visible))
 
 
 def save_scenarios(scenarios: list[Scenario], path) -> None:

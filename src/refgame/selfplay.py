@@ -287,9 +287,7 @@ class ModelAgent:
         """The utterance that ``utter`` decoded for this turn; with none
         decoded, ``utter`` runs alone first, as a lockstep of one."""
         if self._utterance is None:
-            [error] = _lockstep([self.utter()])
-            if error is not None:
-                raise error
+            _lockstep([self.utter()])
         utterance, self._utterance = self._utterance, None
         return utterance
 
@@ -327,7 +325,7 @@ def _draw(requests: list[tuple[ModelAgent, DecoderState]]) -> list:
 
 def _lockstep(coroutines: list) -> list:
     """Run decoding coroutines (``_game``, ``ModelAgent.utter``) together
-    and return each one's return value, or the exception it raised.
+    and return each one's return value.
 
     A coroutine yields what it waits for: a decoder state whose queued
     tokens must be fed, or an ``(agent, state)`` request for its next
@@ -337,8 +335,9 @@ def _lockstep(coroutines: list) -> list:
     queue left in one ``_draw`` call.  It then resumes, in waiting order,
     the coroutines that drew, with their tokens, and then every other one
     whose state is fed.  An exception that ``_draw`` returns is raised
-    inside that coroutine only.  A coroutine waits on one state at a
-    time, so one coroutine alone steps one row at a time."""
+    inside that coroutine only; one that a coroutine lets out ends the
+    run.  A coroutine waits on one state at a time, so one coroutine
+    alone steps one row at a time."""
     results: list = [None] * len(coroutines)
     waiting: dict[int, object] = {}
 
@@ -351,8 +350,6 @@ def _lockstep(coroutines: list) -> list:
                 waiting[i] = coroutines[i].send(value)
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:
-            results[i] = exc
 
     def state_of(request) -> DecoderState:
         return request if isinstance(request, DecoderState) else request[1]
@@ -380,8 +377,9 @@ def _lockstep(coroutines: list) -> list:
 def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: ProtocolConfig,
           rng: np.random.Generator):
     """One game as a ``_lockstep`` coroutine; returns its transcript.  An
-    exception from any agent call ends the game as a ``GameAbortedError``
-    naming the scenario."""
+    exception from any agent call ends the game as an aborted transcript
+    with no messages, whose ``abort_message`` is a ``GameAbortedError``'s
+    own or names the scenario and the exception."""
     transcript = GameTranscript(
         scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed
     )
@@ -418,10 +416,12 @@ def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: Protocol
             if entity not in scenario.view(role).visible:
                 raise GameAbortedError(f"agent {role} selected entity {entity} outside its view")
             picks[role] = entity
-    except GameAbortedError:
-        raise
     except Exception as exc:  # surface agent bugs with game context
-        raise GameAbortedError(f"game on scenario {scenario.id} failed: {exc!r}") from exc
+        return GameTranscript(
+            scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed, aborted=True,
+            abort_message=str(exc) if isinstance(exc, GameAbortedError)
+            else f"game on scenario {scenario.id} failed: {exc!r}",
+        )
     transcript.selections = picks
     transcript.success = picks["A"] == picks["B"]
     return transcript
@@ -434,15 +434,15 @@ def run_game(
     protocol: ProtocolConfig,
     rng: np.random.Generator | Sequence[np.random.Generator],
 ):
-    """Play one game, deterministic given the rng state; an exception from
-    any agent call ends it as a ``GameAbortedError`` naming the scenario,
-    which is raised.
+    """Play one game, deterministic given the rng state, and return its
+    transcript.  A failed game is not an exception: an exception from any
+    agent call ends the game, which comes back as an aborted transcript
+    whose ``abort_message`` says what failed.
 
     Given equal-length lists of agents, scenarios and rngs, plays those
     games in lockstep and returns their transcripts in order: every live
     game's decoder advances in one GRU step and one DIAL head call per
-    tick.  A game that raises comes back as an aborted transcript, and
-    the others go on."""
+    tick, and an aborted game leaves the others to go on."""
     one = isinstance(scenario, Scenario)
     if one:
         games = [(agent_a, agent_b, scenario, rng)]
@@ -450,36 +450,39 @@ def run_game(
         games = list(zip(agent_a, agent_b, scenario, rng))
     else:
         raise ValueError("run_game needs as many agents of each role and rngs as scenarios")
-    results = _lockstep([_game(a, b, s, protocol, r) for a, b, s, r in games])
-    if one:
-        if isinstance(results[0], BaseException):
-            raise results[0]
-        return results[0]
-    return [
-        GameTranscript(
-            scenario_id=s.id, num_shared=s.num_shared, seed=protocol.seed,
-            aborted=True, abort_message=str(result),
-        ) if isinstance(result, BaseException) else result
-        for (_, _, s, _), result in zip(games, results)
-    ]
+    transcripts = _lockstep([_game(a, b, s, protocol, r) for a, b, s, r in games])
+    return transcripts[0] if one else transcripts
 
 
 @dataclass
 class BatchResult:
-    """Per shared count: ``games`` played, ``aborted`` among them, and the
-    ``successes`` and success ``rates`` of the games that finished (a count
-    whose games all aborted has no rate)."""
+    """The transcripts of a batch, in scenario order.  Per shared count, in
+    order of first appearance, they give the ``games`` played, ``aborted``
+    among them, and the ``successes`` and success ``rates`` of the games
+    that finished (a count whose games all aborted has no rate)."""
 
-    rates: dict[int, float]
-    games: dict[int, int]
-    successes: dict[int, int]
-    aborted: dict[int, int]
-    transcripts: list[GameTranscript] = field(default_factory=list)
+    transcripts: list[GameTranscript]
+
+    def _count(self, counted) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for t in self.transcripts:
+            counts[t.num_shared] = counts.get(t.num_shared, 0) + int(counted(t))
+        return counts
+
+    games = property(lambda self: self._count(lambda t: True))
+    successes = property(lambda self: self._count(lambda t: t.success))
+    aborted = property(lambda self: self._count(lambda t: t.aborted))
+
+    @property
+    def rates(self) -> dict[int, float]:
+        games, successes, aborted = self.games, self.successes, self.aborted
+        return {k: successes[k] / (games[k] - aborted[k]) for k in games if games[k] > aborted[k]}
 
     def summary_csv(self) -> str:
+        games, successes, rates = self.games, self.successes, self.rates
         return csv_text(
             ("num_shared", "games", "successes", "success_rate"),
-            ((k, self.games[k], self.successes[k], f"{self.rates[k]:.4f}") for k in sorted(self.rates)),
+            ((k, games[k], successes[k], f"{rates[k]:.4f}") for k in sorted(rates)),
         )
 
     def transcripts_jsonl(self) -> str:
@@ -498,8 +501,8 @@ class BatchResult:
 
         return {
             "games": len(self.transcripts),
-            "aborted_games": sum(self.aborted.values()),
-            "success_rate": {str(k): self.rates[k] for k in sorted(self.rates)},
+            "aborted_games": len(self.transcripts) - len(done),
+            "success_rate": {str(k): rate for k, rate in sorted(self.rates.items())},
             "forced_rate": mean([t.forced for t in done]),
             "utterances_per_game": mean([len(t.messages) for t in done]),
             "tokens_per_game": mean(tokens),
@@ -551,6 +554,43 @@ def _play_slice(payload) -> list[GameTranscript]:
     )
 
 
+def _openblas_function(*symbols):
+    """The first of ``symbols`` that an OpenBLAS mapped into this process
+    exports, as a ctypes function, or None."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in symbols:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's OpenBLAS on one thread, so that
+    workers do not crowd the CPUs with BLAS threads; with no setter found,
+    BLAS is left as it is."""
+    import ctypes
+
+    set_threads = _openblas_function(
+        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
+    )
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
 def run_batch(
     agent_factory: Callable[[], Agent],
     scenarios: Iterable[Scenario],
@@ -563,13 +603,14 @@ def run_batch(
     so rates and transcripts do not depend on scheduling.  A game's rows
     may round differently beside other rows in a GEMM, so slicing can
     move its probabilities by rounding, which flips a draw only when it
-    falls within that distance of a cdf step.  A
-    game that raises ``GameAbortedError`` is recorded as aborted and the
-    batch goes on.  ``agent_factory`` is any zero-argument callable that
-    returns a fresh agent: a scripted agent function, or
+    falls within that distance of a cdf step.  A game that fails comes
+    back as an aborted transcript and the batch goes on.
+    ``agent_factory`` is any zero-argument callable that returns a fresh
+    agent: a scripted agent function, or
     ``functools.partial(ModelAgent, model, temperature=..., max_tokens=...)``
     over a loaded model.  ``jobs`` > 1 plays the slices on a process pool,
-    which pickles the factory, its model included, with each slice."""
+    which pickles the factory, its model included, with each slice, and
+    runs each worker's OpenBLAS on one thread."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scenario_list = list(scenarios)
@@ -581,20 +622,8 @@ def run_batch(
     if jobs > 1 and len(slices) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
             parts = list(pool.map(_play_slice, slices))
     else:
         parts = [_play_slice(part) for part in slices]
-    transcripts = [t for part in parts for t in part]
-    games: dict[int, int] = {}
-    successes: dict[int, int] = {}
-    aborted: dict[int, int] = {}
-    for scenario, transcript in zip(scenario_list, transcripts):
-        k = scenario.num_shared
-        games[k] = games.get(k, 0) + 1
-        successes[k] = successes.get(k, 0) + int(transcript.success)
-        aborted[k] = aborted.get(k, 0) + int(transcript.aborted)
-    rates = {k: successes[k] / (games[k] - aborted[k]) for k in games if games[k] > aborted[k]}
-    return BatchResult(
-        rates=rates, games=games, successes=successes, aborted=aborted, transcripts=transcripts
-    )
+    return BatchResult([t for part in parts for t in part])

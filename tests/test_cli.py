@@ -364,6 +364,31 @@ class TestModelCommands:
         assert outputs[0]["transcripts.jsonl"].count(b"predicted_referents") == 6
 
 
+    def test_selfplay_tagger_without_a_ref_head_fails_before_play(self, data_dir, tagger_ckpt,
+                                                                  tmp_path, capsys, monkeypatch):
+        from refgame import selfplay
+        from refgame.model import GroundingModel, ModelConfig, Vocabulary
+
+        corpus = load_corpus(data_dir)
+        vocab = Vocabulary.from_corpus(corpus, sorted(corpus.dialogues))
+        config = ModelConfig(variant="TSEL-DIAL", embed_dim=8, hidden_dim=8, attr_dim=4, rel_dim=4,
+                             attn_dim=8, mlp_dim=8)
+        GroundingModel(config, vocab).save(tmp_path / "tsel_dial")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_batch was reached")
+
+        monkeypatch.setattr(selfplay, "run_batch", unreachable)
+        assert run(
+            "selfplay", "--agent", "model", "--model", tmp_path / "tsel_dial", "--tagger", tagger_ckpt,
+            "--shared", "4", "--games", "2", "--out", tmp_path / "sp",
+        ) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "RefgameError"
+        assert "REF head" in error["message"] and "TSEL-DIAL" in error["message"]
+        assert not (tmp_path / "sp").exists()
+
+
 class TestSelfplayAndRender:
     def test_selfplay_scripted_three_rows(self, tmp_path):
         out = tmp_path / "sp"

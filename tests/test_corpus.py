@@ -300,6 +300,23 @@ class TestRoundTrip:
         with pytest.raises(SchemaError, match=re.escape(f"{name}, record 1: ") + f".*{key}"):
             load_corpus(tmp_path)
 
+    # a scenario record that parses but does not describe a game: (damage, error)
+    @pytest.mark.parametrize("damage,error", [
+        (lambda r: r["views"]["A"]["visible"].pop(), "view A: visible must list 7 distinct ids"),
+        (lambda r: r["views"]["B"]["visible"].__setitem__(0, 10_000), "view B: visible must list 7"),
+        (lambda r: r["views"]["A"]["visible"].__setitem__(1, r["views"]["A"]["visible"][0]),
+         "view A: visible must list 7 distinct ids"),
+        (lambda r: r["entities"][1].__setitem__("id", r["entities"][0]["id"]), "duplicate entity ids"),
+        (lambda r: r.__setitem__("num_shared", r["num_shared"] + 1), "num_shared is .*, but the views share"),
+    ], ids=["six_ids", "unknown_id", "repeated_id", "duplicate_entity", "num_shared"])
+    def test_damaged_scenario_schema_error(self, tmp_path, damage, error):
+        save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
+        records = json.loads((tmp_path / "scenarios.json").read_text())
+        damage(records[1])
+        (tmp_path / "scenarios.json").write_text(json.dumps(records))
+        with pytest.raises(SchemaError, match=re.escape("scenarios.json, record 1: ") + error):
+            load_corpus(tmp_path)
+
     @pytest.mark.parametrize("name", ["scenarios.json", "dialogues.json", "markables.json"])
     def test_duplicate_id_integrity_error(self, tmp_path, name):
         save_corpus(make_synthetic_corpus(4, seed=3), tmp_path)

@@ -295,7 +295,7 @@ class TestCRF:
         K = int(rng.integers(2, 5))
         em, lengths, rows = _ragged(rng, K)
         tr = rng.normal(size=(K, K))
-        paths, scores = crf_viterbi(em, tr, lengths)
+        paths, scores = crf_viterbi(em, tr, lengths, np.zeros(K))
         for row, path, score in zip(rows, paths, scores):
             best = max(_path_score(row, tr, p) for p in product(range(K), repeat=len(row)))
             assert len(path) == len(row)
@@ -304,7 +304,7 @@ class TestCRF:
             assert score <= _log_partition(row, tr) + 1e-12
 
     def test_viterbi_lowest_index_ties(self):
-        paths, _ = crf_viterbi(np.zeros((3, 2, 3)), np.zeros((3, 3)), [3, 1])
+        paths, _ = crf_viterbi(np.zeros((3, 2, 3)), np.zeros((3, 3)), [3, 1], np.zeros(3))
         assert paths == [[0, 0, 0], [0]]
 
     def test_posteriors_sum_to_one(self):
@@ -356,7 +356,7 @@ class TestCRF:
     @pytest.mark.parametrize("lengths", [[2, 3], [3], [3, 0], [4, 2]])
     def test_bad_lengths_rejected(self, lengths):
         with pytest.raises(ValueError, match="lengths"):
-            crf_viterbi(np.zeros((3, 2, 2)), np.zeros((2, 2)), lengths)
+            crf_viterbi(np.zeros((3, 2, 2)), np.zeros((2, 2)), lengths, np.zeros(2))
 
 
 def _ref_alphas(emissions, transitions):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import ctypes
 import json
 from dataclasses import replace
 from functools import partial
@@ -158,13 +159,15 @@ class TestScriptedGames:
         b_private = next(
             e for e in scenario.view_b.visible if e not in scenario.view_a.visible
         )
-        from refgame.errors import GameAbortedError
-
-        with pytest.raises(GameAbortedError):
-            run_game(
-                ScriptedAgent(lambda s, v, r: b_private), ScriptedAgent(pick_random),
-                scenario, PROTO, np.random.default_rng(0),
-            )
+        t = run_game(
+            ScriptedAgent(lambda s, v, r: b_private), ScriptedAgent(pick_random),
+            scenario, PROTO, np.random.default_rng(0),
+        )
+        assert t.to_dict() == {
+            "scenario_id": scenario.id, "num_shared": 4, "seed": PROTO.seed, "messages": [],
+            "selections": {}, "success": False, "forced": False, "aborted": True,
+            "abort_message": f"agent A selected entity {b_private} outside its view",
+        }
 
     def test_forced_flag_when_no_selection(self):
         class Chatter(ScriptedAgent):
@@ -517,8 +520,9 @@ class TestLockstep:
         assert [t.to_dict() for t in every[:5] + every[6:]] == [t.to_dict() for t in rest]
         assert not any(t.aborted for t in rest)
         a, b = (FailingSelect(tiny_model, 1.0, 12, bad=bad) for _ in "AB")
-        with pytest.raises(GameAbortedError, match="select failed"):  # one game raises
-            run_game(a, b, scenarios[5], self.PROTO, np.random.default_rng(seeds[5]))
+        alone = run_game(a, b, scenarios[5], self.PROTO, np.random.default_rng(seeds[5]))
+        assert alone.aborted and "select failed" in alone.abort_message
+        assert alone.to_dict() == every[5].to_dict()
 
     @pytest.mark.parametrize("bias, temperature, message", [
         pytest.param(-np.inf, 1.0, "zero mass to all legal tokens", id="zero-mass"),
@@ -550,6 +554,14 @@ class TestLockstep:
                           seeds[:2] + seeds[3:])
         assert got[2].aborted and message in got[2].abort_message
         assert [t.to_dict() for t in got[:2] + got[3:]] == [t.to_dict() for t in healthy]
+        # the game alone ends as the same aborted transcript
+        [a], [b] = agents()[2:3], agents()[2:3]
+        alone = run_game(a, b, scenarios[2], self.PROTO, np.random.default_rng(seeds[2]))
+        assert alone.to_dict() == got[2].to_dict()
+        # an agent acting outside any game raises its error
+        a.reset(scenarios[2], "A", np.random.default_rng(seeds[2]))
+        with pytest.raises((GameAbortedError, ValueError), match=message):
+            a.act()
 
     def test_each_utterance_comes_from_act(self, tiny_model, monkeypatch):
         # wrapped on the class, as a tracer wraps it: lockstep games still
@@ -685,6 +697,31 @@ def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
     assert [t.to_dict() for t in seq.transcripts] == [t.to_dict() for t in par.transcripts]
     assert sum(len(t.messages) for t in seq.transcripts) > 0
     assert seq.rates == par.rates
+
+
+OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads")
+
+
+def blas_threads_agent() -> ScriptedAgent:
+    """A scripted agent whose line is its process's OpenBLAS thread count."""
+    from refgame.selfplay import _openblas_function
+
+    getter = _openblas_function(*OPENBLAS_GETTERS)
+    getter.restype = ctypes.c_int
+    return ScriptedAgent(pick_lowest_shared, line=f"threads {getter()}")
+
+
+def test_run_batch_pool_workers_run_blas_on_one_thread(monkeypatch):
+    from refgame import selfplay
+
+    if selfplay._openblas_function(*OPENBLAS_GETTERS) is None:
+        pytest.skip("no OpenBLAS thread-count getter in this process")
+    monkeypatch.setattr(selfplay, "GAMES_CHUNK", 2)
+    scenarios = generate_scenarios(CFG, {4: 4}, seed=3)
+    result = run_batch(blas_threads_agent, scenarios, ProtocolConfig(seed=0), jobs=2)
+    said = {tuple(m["tokens"]) for t in result.transcripts for m in t.messages}
+    assert said == {("threads", "1")}
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
