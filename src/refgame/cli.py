@@ -31,13 +31,16 @@ def _data_dir(args) -> Path:
 
 def _shared_counts(value: str) -> list[int]:
     """The argparse type of ``--shared``: comma-separated shared-entity
-    counts."""
+    counts, each given once."""
     counts = []
     for item in value.split(","):
         try:
-            counts.append(int(item))
+            count = int(item)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{item!r} in {value!r} is not an integer") from None
+        if count in counts:
+            raise argparse.ArgumentTypeError(f"{count} is repeated in {value!r}")
+        counts.append(count)
     return counts
 
 

@@ -91,6 +91,11 @@ def _reject(field: str, value, kind: str):
     raise SchemaError(f"{field} must be {kind}, got {value!r:.60}")
 
 
+def _too_large(field: str, value):
+    # a JSON integer too large for a float
+    raise SchemaError(f"{field} is too large for a float, got {value!r:.60}")
+
+
 @cache
 def _layout(cls) -> tuple:
     return tuple((f.name, _JSON_TYPES.get(f.type, frozenset()), f.default, f.type) for f in fields(cls))
@@ -114,7 +119,10 @@ def from_record(cls, record, **parsed):
         value = record.get(name, default)
         if type(value) not in kinds:
             _reject(f"{cls.__name__}.{name}", value, annotation)
-        parsed[name] = float(value) if kinds is _NUMBER else value
+        try:
+            parsed[name] = float(value) if kinds is _NUMBER else value
+        except OverflowError:
+            _too_large(f"{cls.__name__}.{name}", value)
     try:
         return cls(**parsed)
     except ValueError as exc:
@@ -138,7 +146,10 @@ def read_value(record, key: str, kind, default=MISSING):
     name, kinds = _kinds(kind)
     if type(value) not in kinds:
         _reject(repr(key), value, name)
-    return float(value) if kinds is _NUMBER else value
+    try:
+        return float(value) if kinds is _NUMBER else value
+    except OverflowError:
+        _too_large(repr(key), value)
 
 
 def read_list(record, key: str, kind) -> list:
@@ -148,7 +159,10 @@ def read_list(record, key: str, kind) -> list:
     name, kinds = _kinds(kind)
     if type(items) is not list or not kinds.issuperset(map(type, items)):
         raise SchemaError(f"{key!r} must be a list of {name}, got {items!r:.60}")
-    return [float(v) for v in items] if kinds is _NUMBER else items
+    try:
+        return [float(v) for v in items] if kinds is _NUMBER else items
+    except OverflowError:
+        _too_large(f"an item of {key!r}", items)
 
 
 def read_records(path, parse) -> list:

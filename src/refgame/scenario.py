@@ -22,6 +22,9 @@ AGENTS = ("A", "B")
 SHARED_COUNTS = (4, 5, 6)
 COLOR_RANGE = 256.0
 VIEW_SIZE = 7
+# doubles per rng.random block in generate_scenario; a default-config
+# scenario reads about 93
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -96,12 +99,21 @@ class ScenarioConfig:
     max_attempts: int = 1000
 
     def __post_init__(self) -> None:
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
+        values |= {f"center_distance[{k}]": d for k, d in self.center_distance.items()}
+        values["world_max - world_min"] = self.world_max - self.world_min
+        values["size_max - size_min"] = self.size_max - self.size_min
+        infinite = [name for name, value in values.items() if not math.isfinite(value)]
+        if infinite:
+            raise ValueError(f"not finite: {', '.join(infinite)}")
         if not self.world_min < self.world_max:
             raise ValueError("degenerate world bounds")
         if not 0 < self.size_min < self.size_max:
             raise ValueError("degenerate size range")
         if self.view_radius <= 0 or self.min_separation < 0:
             raise ValueError("radius and separation must be positive")
+        if any(d < 0 for d in self.center_distance.values()):
+            raise ValueError("center_distance values must be >= 0")
         if self.max_attempts <= 0:
             raise ValueError("max_attempts must be > 0")
         missing = [k for k in SHARED_COUNTS if k not in self.center_distance]
@@ -138,35 +150,48 @@ def _inside_view(x: float, y: float, size: float, center: tuple[float, float], r
     return math.hypot(x - center[0], y - center[1]) + size <= radius
 
 
-def _outside_view(x: float, y: float, size: float, center: tuple[float, float], radius: float) -> bool:
-    # the whole dot disk must lie outside the other player's circle
-    return math.hypot(x - center[0], y - center[1]) - size >= radius
-
-
 def _place(
+    draws: list[float],
+    i: int,
     rng: np.random.Generator,
     config: ScenarioConfig,
-    inside: list[tuple[tuple[float, float], float]],
-    outside: list[tuple[tuple[float, float], float]],
+    inside: tuple[tuple[float, float, float], ...],
+    outside: tuple[tuple[float, float, float], ...],
     placed: list[tuple[float, float]],
-) -> tuple[float, float, float]:
-    """Rejection-sample one dot position/size subject to view membership and
-    pairwise separation constraints."""
-    lo, hi = config.world_min, config.world_max
+) -> tuple[int, tuple[float, float, float] | None]:
+    """Rejection-sample one dot from the doubles ``draws[i:]``, subject to
+    view membership (``inside``/``outside`` hold (cx, cy, radius) circles)
+    and pairwise separation from ``placed``.  Each attempt reads size, x, y
+    from the next three doubles, extending ``draws`` by a block of
+    ``rng.random`` when fewer are left.  Returns the position after the
+    last double read, and (x, y, size) or None once ``max_attempts`` fail."""
+    lo, span = config.world_min, config.world_max - config.world_min
+    size_lo, size_span = config.size_min, config.size_max - config.size_min
+    separation = config.min_separation
+    hypot = math.hypot
     for _ in range(config.max_attempts):
-        size = float(rng.uniform(config.size_min, config.size_max))
-        x = float(rng.uniform(lo, hi))
-        y = float(rng.uniform(lo, hi))
-        if not all(_inside_view(x, y, size, c, r) for c, r in inside):
-            continue
-        if not all(_outside_view(x, y, size, c, r) for c, r in outside):
-            continue
-        if any(math.hypot(x - px, y - py) < config.min_separation for px, py in placed):
-            continue
-        return x, y, size
-    raise GenerationError(
-        f"could not place an entity after {config.max_attempts} attempts"
-    )
+        if len(draws) - i < 3:
+            draws += rng.random(_DRAW_BLOCK).tolist()
+        size = size_lo + size_span * draws[i]
+        x = lo + span * draws[i + 1]
+        y = lo + span * draws[i + 2]
+        i += 3
+        # the dot disk lies wholly inside each view in `inside`, wholly
+        # outside each in `outside`, and keeps its distance from each dot
+        for cx, cy, r in inside:
+            if not hypot(x - cx, y - cy) + size <= r:
+                break
+        else:
+            for cx, cy, r in outside:
+                if not hypot(x - cx, y - cy) - size >= r:
+                    break
+            else:
+                for px, py in placed:
+                    if hypot(x - px, y - py) < separation:
+                        break
+                else:
+                    return i, (x, y, size)
+    return i, None
 
 
 def _scenario_id(entities: tuple[Entity, ...], num_shared: int) -> str:
@@ -189,6 +214,15 @@ def generate_scenario(
     private dots inside their own circle but fully outside the other's.
     Deterministic for a given rng state; raises GenerationError if the
     rejection budget is exhausted.
+
+    ``rng`` must be a PCG64 generator, as ``np.random.default_rng`` makes.
+    Each rejection attempt reads size, x, y as ``lo + (hi - lo) * u`` from
+    the next three doubles, and then the colours read ``COLOR_RANGE * u``
+    from the next one per entity: the values and order of the scalar
+    ``rng.uniform`` calls this replaces.  The doubles come from blocks of
+    ``rng.random``, and afterwards, also when GenerationError is raised,
+    the generator is left where those scalar calls would have left it:
+    advanced by the doubles used, any buffered 32-bit value kept.
     """
     if num_shared not in SHARED_COUNTS:
         raise ValueError(f"num_shared must be one of {SHARED_COUNTS}, got {num_shared}")
@@ -196,26 +230,39 @@ def generate_scenario(
     center_a = (-d / 2.0, 0.0)
     center_b = (+d / 2.0, 0.0)
     r = config.view_radius
+    circle_a, circle_b = (*center_a, r), (*center_b, r)
 
     placed: list[tuple[float, float]] = []
     records: list[tuple[float, float, float]] = []
-    both = [(center_a, r), (center_b, r)]
-    for _ in range(num_shared):
-        x, y, size = _place(rng, config, inside=both, outside=[], placed=placed)
-        placed.append((x, y))
-        records.append((x, y, size))
-    for center, other in ((center_a, center_b), (center_b, center_a)):
-        for _ in range(VIEW_SIZE - num_shared):
-            x, y, size = _place(
-                rng, config,
-                inside=[(center, r)], outside=[(other, r)], placed=placed,
-            )
-            placed.append((x, y))
-            records.append((x, y, size))
-
-    colors = rng.uniform(0.0, COLOR_RANGE, size=len(records))
+    bits = rng.bit_generator
+    saved = bits.state
+    draws: list[float] = []
+    used = 0
+    try:
+        for inside, outside, n in (
+            ((circle_a, circle_b), (), num_shared),
+            ((circle_a,), (circle_b,), VIEW_SIZE - num_shared),
+            ((circle_b,), (circle_a,), VIEW_SIZE - num_shared),
+        ):
+            for _ in range(n):
+                used, dot = _place(draws, used, rng, config, inside, outside, placed)
+                if dot is None:
+                    raise GenerationError(
+                        f"could not place an entity after {config.max_attempts} attempts"
+                    )
+                placed.append(dot[:2])
+                records.append(dot)
+        if len(draws) - used < len(records):
+            draws += rng.random(_DRAW_BLOCK).tolist()
+        colors = [COLOR_RANGE * u for u in draws[used:used + len(records)]]
+        used += len(records)
+    finally:
+        # advance() drops a buffered 32-bit value, which doubles never touch
+        bits.state = saved
+        bits.advance(used)
+        bits.state = {**bits.state, "has_uint32": saved["has_uint32"], "uinteger": saved["uinteger"]}
     entities = tuple(
-        Entity(id=i, x=x, y=y, size=size, color=float(c))
+        Entity(id=i, x=x, y=y, size=size, color=c)
         for i, ((x, y, size), c) in enumerate(zip(records, colors))
     )
 

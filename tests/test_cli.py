@@ -438,6 +438,15 @@ class TestSelfplayAndRender:
         err = capsys.readouterr().err
         assert "argument --shared" in err and "'x'" in err
 
+    @pytest.mark.parametrize("command", ["generate", "selfplay"])
+    def test_repeated_shared_count_is_refused(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--shared", "4,4", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --shared: 4 is repeated in '4,4'" in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("argv", [
     ("generate", "--count", "-2"),

@@ -50,8 +50,21 @@ def test_cli_config_casts_by_field_type(tmp_path):
     ('{"size_min": 0.1, "size_max": 0.05}', "degenerate size range"),
     ("[]", "object"),
     ("# refgame-config v1\nscenario.view_radius = 0.8\n", "not JSON"),
+    ('{"min_separation": NaN}', "not finite: min_separation"),
+    ('{"view_radius": NaN}', "not finite: view_radius"),
+    ('{"view_radius": Infinity}', "not finite: view_radius"),
+    ('{"center_distance": {"5": NaN}}', "not finite: center_distance[5]"),
+    ('{"center_distance": {"4": Infinity}}', "not finite: center_distance[4]"),
+    ('{"world_max": Infinity}', "not finite: world_max"),
+    ('{"world_min": -1e308, "world_max": 1e308}', "not finite: world_max - world_min"),
+    ('{"center_distance": {"6": -0.5}}', "center_distance values must be >= 0"),
+    ('{"world_max": 1' + "0" * 400 + "}", "ScenarioConfig.world_max is too large for a float"),
+    ('{"center_distance": {"4": 1' + "0" * 400 + "}}", "'4' is too large for a float"),
 ], ids=["int-field", "float-field", "bool", "misspelt-key", "key-no-command-reads",
-        "center-distance-key", "center-distance-bool", "bounds", "not-an-object", "text-format"])
+        "center-distance-key", "center-distance-bool", "bounds", "not-an-object", "text-format",
+        "nan-separation", "nan-radius", "infinite-radius", "nan-center-distance",
+        "infinite-center-distance", "infinite-world", "world-range-overflows",
+        "negative-center-distance", "huge-int-field", "huge-int-center-distance"])
 def test_cli_bad_config_reports_schema_error(tmp_path, capsys, text, fragment):
     cfg = tmp_path / "lab.json"
     cfg.write_text(text)

@@ -308,7 +308,11 @@ class TestRoundTrip:
          "view A: visible must list 7 distinct ids"),
         (lambda r: r["entities"][1].__setitem__("id", r["entities"][0]["id"]), "duplicate entity ids"),
         (lambda r: r.__setitem__("num_shared", r["num_shared"] + 1), "num_shared is .*, but the views share"),
-    ], ids=["six_ids", "unknown_id", "repeated_id", "duplicate_entity", "num_shared"])
+        (lambda r: r["entities"][0].__setitem__("x", 10**400), "Entity.x is too large for a float"),
+        (lambda r: r["views"]["A"]["center"].__setitem__(0, 10**400),
+         "an item of 'center' is too large for a float"),
+    ], ids=["six_ids", "unknown_id", "repeated_id", "duplicate_entity", "num_shared",
+            "huge_entity_x", "huge_view_center"])
     def test_damaged_scenario_schema_error(self, tmp_path, damage, error):
         save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
         records = json.loads((tmp_path / "scenarios.json").read_text())

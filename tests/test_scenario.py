@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -12,10 +13,13 @@ from refgame.errors import GenerationError
 from refgame.scenario import (
     COLOR_RANGE,
     DEFAULT_CONFIG,
+    SHARED_COUNTS,
+    VIEW_SIZE,
     Entity,
     Scenario,
     ScenarioConfig,
     View,
+    _scenario_id,
     generate_scenario,
     generate_scenarios,
     load_scenarios,
@@ -60,6 +64,106 @@ def test_generation_failure_when_budget_exhausted():
     tight = ScenarioConfig(max_attempts=1, min_separation=1.5)
     with pytest.raises(GenerationError):
         generate_scenario(tight, 4, np.random.default_rng(0))
+
+
+def _scalar_place(rng, config, inside, outside, placed):
+    """Reference: rejection-sample one dot with three scalar ``rng.uniform``
+    calls per attempt, the form the block draws replaced."""
+    lo, hi = config.world_min, config.world_max
+    for _ in range(config.max_attempts):
+        size = float(rng.uniform(config.size_min, config.size_max))
+        x = float(rng.uniform(lo, hi))
+        y = float(rng.uniform(lo, hi))
+        if not all(math.hypot(x - c[0], y - c[1]) + size <= r for c, r in inside):
+            continue
+        if not all(math.hypot(x - c[0], y - c[1]) - size >= r for c, r in outside):
+            continue
+        if any(math.hypot(x - px, y - py) < config.min_separation for px, py in placed):
+            continue
+        return x, y, size
+    raise GenerationError(f"could not place an entity after {config.max_attempts} attempts")
+
+
+def _scalar_scenario(config, num_shared, rng):
+    """Reference: ``generate_scenario`` drawing each double with a scalar
+    ``rng.uniform`` call and the colours with one ``rng.uniform`` array."""
+    d = config.center_distance[num_shared]
+    center_a, center_b = (-d / 2.0, 0.0), (+d / 2.0, 0.0)
+    r = config.view_radius
+    placed, records = [], []
+    both = [(center_a, r), (center_b, r)]
+    for _ in range(num_shared):
+        x, y, size = _scalar_place(rng, config, inside=both, outside=[], placed=placed)
+        placed.append((x, y))
+        records.append((x, y, size))
+    for center, other in ((center_a, center_b), (center_b, center_a)):
+        for _ in range(VIEW_SIZE - num_shared):
+            x, y, size = _scalar_place(rng, config, inside=[(center, r)], outside=[(other, r)], placed=placed)
+            placed.append((x, y))
+            records.append((x, y, size))
+    colors = rng.uniform(0.0, COLOR_RANGE, size=len(records))
+    entities = tuple(
+        Entity(id=i, x=x, y=y, size=size, color=float(c))
+        for i, ((x, y, size), c) in enumerate(zip(records, colors))
+    )
+
+    def view(agent, center):
+        vis = [e for e in entities if math.hypot(e.x - center[0], e.y - center[1]) + e.size <= r]
+        vis.sort(key=lambda e: (e.y, e.x))
+        return View(agent=agent, center=center, radius=r, visible=tuple(e.id for e in vis))
+
+    return Scenario(
+        id=_scenario_id(entities, num_shared), entities=entities,
+        view_a=view("A", center_a), view_b=view("B", center_b), num_shared=num_shared,
+    )
+
+
+def _rng(seed, buffered):
+    """A fresh generator, or one holding a buffered 32-bit value."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _next_draws(rng):
+    return rng.integers(7, size=4).tolist(), rng.random()
+
+
+@pytest.mark.parametrize("config", [
+    CFG,
+    ScenarioConfig(min_separation=0.25),
+    # about 270 attempts a scenario, so each crosses several blocks
+    ScenarioConfig(world_min=-3.0, world_max=3.0, min_separation=0.2),
+], ids=["default", "separation-0.25", "many-rejections"])
+def test_block_draws_equal_scalar_reference(config):
+    for k in SHARED_COUNTS:
+        for j in range(1000):
+            # every other scenario starts with a buffered 32-bit value
+            fast, ref = _rng([k, j], j % 2), _rng([k, j], j % 2)
+            assert generate_scenario(config, k, fast) == _scalar_scenario(config, k, ref)
+            assert _next_draws(fast) == _next_draws(ref)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+def test_generation_error_leaves_rng_where_scalar_draws_would(buffered):
+    # 100 attempts read 300 doubles, past the first block
+    config = ScenarioConfig(max_attempts=100, min_separation=1.5)
+    fast, ref = _rng(0, buffered), _rng(0, buffered)
+    with pytest.raises(GenerationError, match="after 100 attempts"):
+        generate_scenario(config, 4, fast)
+    with pytest.raises(GenerationError, match="after 100 attempts"):
+        _scalar_scenario(config, 4, ref)
+    assert _next_draws(fast) == _next_draws(ref)
+
+
+def test_scenario_bytes_pinned():
+    scenarios = generate_scenarios(DEFAULT_CONFIG, {4: 200, 5: 200, 6: 200}, seed=0)
+    payload = json.dumps([scenario_to_dict(s) for s in scenarios]).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "885e3edcae25f4aff31ce43380dc9ffa8792bf1937e15a358ffad62f1311c4e5"
+    )
 
 
 def test_min_separation_over_1000_samples():
