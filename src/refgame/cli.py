@@ -276,9 +276,11 @@ def cmd_selfplay(args) -> int:
             if "ref" not in model.heads:
                 raise RefgameError(f"--tagger needs a variant with a REF head, not {model.config.variant}")
             tagger = MarkableTagger.load(args.tagger)
+        # the agents keep their decoder states only for annotation to read
         factory = partial(
             ModelAgent, model,
             temperature=protocol.temperature, max_tokens=protocol.max_tokens_per_utterance,
+            keep_states=tagger is not None,
         )
     else:
         factory = {"random": random_agent, "center": center_agent, "darkest": darkest_agent}[args.agent]
@@ -500,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each with OpenBLAS on one thread; on 2 CPUs --jobs 2 "
-                        "played 1.3-2.0x faster than 1, and 1.03-1.32x with --tagger")
+                        "played 1.3-2.0x faster than 1, but with --tagger --jobs 1 was faster in 4 "
+                        "of 5 runs, as only it annotates from the play states")
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
     p.add_argument("--render-games", type=int, default=0,
                    help="with --tagger: write annotated HTML for the first N games")

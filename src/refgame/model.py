@@ -232,6 +232,10 @@ class StreamExample:
     attrs: np.ndarray                  # (7, 4)
     rel: np.ndarray                    # (7, 6, 5)
     entity_ids: tuple[int, ...]        # world ids in view order
+    # the dialogue GRU states (T', H) over a prefix of ``tokens`` that holds
+    # every position a head reads, computed in selfplay, or None: inference
+    # then runs the packed GRU over the stream
+    states: np.ndarray | None = None
 
 
 def serialize_dialogue(
@@ -574,21 +578,33 @@ class GroundingModel:
 
     def ref_probs_at(self, examples: Sequence[StreamExample]) -> list[np.ndarray]:
         """``predict``'s REF probabilities alone, one (M, 7) array per
-        example; a variant with no REF head raises ValueError."""
+        example; a variant with no REF head raises ValueError.  An example
+        annotated from selfplay carries the states its player's decoder
+        stepped to in play, and the REF head reads those; every other
+        example (a corpus dialogue, a transcript read back from JSONL, a
+        game against a scripted agent) gets its states from the packed GRU
+        pass."""
         return [probs["ref"] for probs in self._predict(examples, ["ref"])]
 
     def _predict(self, examples: Sequence[StreamExample], heads: Sequence[str]) -> list[dict[str, np.ndarray]]:
+        """The ``heads``' probabilities of each example over its own
+        ``states``, or, for the examples that carry none, over one packed GRU
+        pass per chunk of those examples (``_packs``)."""
+        packed = (
+            h_seq[: len(ex.tokens), j]
+            for chunk, columns, h_seq, _ in self._packs([ex for ex in examples if ex.states is None])
+            for ex, j in zip(chunk, columns)
+        )
         out = []
-        for chunk, columns, h_seq, _ in self._packs(examples):
-            for ex, j in zip(chunk, columns):
-                entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
-                probs = {}
-                for head in heads:
-                    rows, _ = _head_rows(ex, head)
-                    queries = _queries(h_seq[: len(ex.tokens), j], rows)
-                    scores, _ = self._head_forward(head, entities, entities_proj, queries)
-                    probs[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
-                out.append(probs)
+        for ex in examples:
+            h = next(packed) if ex.states is None else ex.states
+            entities, entities_proj, _ = self.encode_entities(ex.attrs, ex.rel)
+            probs = {}
+            for head in heads:
+                rows, _ = _head_rows(ex, head)
+                scores, _ = self._head_forward(head, entities, entities_proj, _queries(h, rows))
+                probs[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
+            out.append(probs)
         return out
 
     # --- incremental decoding (selfplay) --------------------------------------
@@ -646,15 +662,18 @@ class DecoderState:
     them in one DIAL head call.  A lone state is a list of one.  ``feed``
     queues a token; reading ``h`` first feeds the state's own queue, one
     row per step.  A step replaces ``h`` and never writes into it, so
-    forks share it until they step."""
+    forks share it until they step.  A state with a ``log`` list appends
+    ``(token id, state after it)`` for every token it steps, each state a
+    copy of its row, so the log holds no step's ``(n, H)`` array."""
 
     def __init__(self, model: GroundingModel, entities: np.ndarray, entities_proj: np.ndarray,
-                 h: np.ndarray, queue: Iterable[int] = ()):
+                 h: np.ndarray, queue: Iterable[int] = (), log: list | None = None):
         self.model = model
         self.entities = entities
         self.entities_proj = entities_proj
         self._h = h
         self.queue = deque(queue)
+        self.log = log
 
     @property
     def h(self) -> np.ndarray:
@@ -667,8 +686,10 @@ class DecoderState:
         self.queue.append(token_id)
 
     def fork(self) -> "DecoderState":
-        """An independent copy to decode ahead from, queued tokens included."""
-        return DecoderState(self.model, self.entities, self.entities_proj, self._h, self.queue)
+        """An independent copy to decode ahead from, queued tokens included;
+        a logging state's fork logs the tokens it steps into a new list."""
+        log = None if self.log is None else []
+        return DecoderState(self.model, self.entities, self.entities_proj, self._h, self.queue, log)
 
     def next_token_probs(states: Sequence["DecoderState"]) -> np.ndarray:
         """The next-token distributions (n, V) of n states of one model,
@@ -695,8 +716,10 @@ def step_queued(states: Sequence[DecoderState]) -> None:
     model = states[0].model
     tokens = [s.queue.popleft() for s in states]
     h = gru_cell(model.input_table()[tokens], model.store["gru.U"], np.stack([s._h for s in states]))
-    for s, row in zip(states, h):
+    for s, token, row in zip(states, tokens, h):
         s._h = row
+        if s.log is not None:
+            s.log.append((token, row.copy()))
 
 
 # --- training loop -------------------------------------------------------------

@@ -101,11 +101,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
         values |= {f"center_distance[{k}]": d for k, d in self.center_distance.items()}
-        values["world_max - world_min"] = self.world_max - self.world_min
-        values["size_max - size_min"] = self.size_max - self.size_min
-        infinite = [name for name, value in values.items() if not math.isfinite(value)]
-        if infinite:
-            raise ValueError(f"not finite: {', '.join(infinite)}")
+        _require_finite(values)  # first, so that the ranges below are of finite values
+        _require_finite({"world_max - world_min": self.world_max - self.world_min,
+                         "size_max - size_min": self.size_max - self.size_min})
         if not self.world_min < self.world_max:
             raise ValueError("degenerate world bounds")
         if not 0 < self.size_min < self.size_max:
@@ -119,6 +117,20 @@ class ScenarioConfig:
         missing = [k for k in SHARED_COUNTS if k not in self.center_distance]
         if missing:
             raise ValueError(f"center_distance missing keys {missing}")
+
+
+def _require_finite(values: dict) -> None:
+    """ValueError naming each of ``values`` that is not finite as a float,
+    an int too large for a float included."""
+    infinite = []
+    for name, value in values.items():
+        try:
+            if not math.isfinite(value):
+                infinite.append(name)
+        except OverflowError:
+            infinite.append(name)
+    if infinite:
+        raise ValueError(f"not finite: {', '.join(infinite)}")
 
 
 DEFAULT_CONFIG = ScenarioConfig()

@@ -49,6 +49,16 @@ class ProtocolConfig:
             raise ValueError("limits must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class PlayedStates:
+    """What one model player's committed decoder consumed in a game: its
+    ``DecoderState.log`` of ``(token id, GRU state after it)``, and the
+    model that stepped them."""
+
+    model: GroundingModel
+    log: list
+
+
 @dataclass
 class GameTranscript:
     scenario_id: str
@@ -61,6 +71,13 @@ class GameTranscript:
     predicted_referents: dict | None = None             # markable id -> [entity ids]
     aborted: bool = False
     abort_message: str | None = None
+    # role -> PlayedStates of a game between two state-keeping model agents,
+    # until annotate_transcript reads them; not a part of the record
+    states: dict | None = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # the states hold a model and its rows, for this process only
+        return {**self.__dict__, "states": None}
 
     def to_dict(self) -> dict:
         out = {
@@ -82,6 +99,8 @@ class GameTranscript:
         return out
 
     def to_dialogue(self, dialogue_id: str) -> Dialogue:
+        if self.aborted:
+            raise ValueError(f"the game on scenario {self.scenario_id} aborted, so it has no dialogue")
         events: list = [
             Message(speaker=m["speaker"], tokens=tuple(m["tokens"])) for m in self.messages
         ]
@@ -218,9 +237,19 @@ class ModelAgent:
     partner's turn) is fed token by token onto the committed state.
     ``run_game`` runs the ``utter`` of many games in lockstep and then
     takes each utterance from ``act``; called with none decoded, ``act``
-    runs ``utter`` alone."""
+    runs ``utter`` alone.
 
-    def __init__(self, model: GroundingModel, temperature: float, max_tokens: int):
+    With ``keep_states`` the committed state logs a copy of the GRU row of
+    every token it consumes, the adopted fork's rows included, so the log
+    holds the dialogue's states from this player's perspective.  A game
+    between two such agents puts both logs on its transcript, where
+    ``annotate_transcript`` reads its REF rows from them instead of running
+    the GRU over the dialogue again.  A paper-size float64 row is 2 KiB,
+    and a game between untrained paper-size agents holds 210-290 KiB of
+    rows on average."""
+
+    def __init__(self, model: GroundingModel, temperature: float, max_tokens: int,
+                 keep_states: bool = True):
         if "dial" not in model.heads or "tsel" not in model.heads:
             raise ValueError("selfplay needs a variant with TSEL and DIAL heads")
         if not 0 < temperature < math.inf:
@@ -228,6 +257,7 @@ class ModelAgent:
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens
+        self.keep_states = keep_states
         # the speaker prefixes, which the protocol supplies
         self.forbidden = [model.vocab.encode(YOU), model.vocab.encode(THEM)]
         self.state: DecoderState | None = None
@@ -239,6 +269,7 @@ class ModelAgent:
     def reset(self, scenario: Scenario, role: str, rng: np.random.Generator) -> None:
         attrs, rel = view_feature_matrix(scenario, role)
         self.state = self.model.start_state(attrs, rel)
+        self.state.log = [] if self.keep_states else None
         self.view = scenario.view(role)
         self.rng = rng
         self._ahead = None
@@ -248,6 +279,9 @@ class ModelAgent:
         encode = self.model.vocab.encode
         ahead, self._ahead = self._ahead, None
         if speaker_is_self and ahead is not None and ahead[1] == tuple(tokens):
+            if self.state.log is not None:  # the fork was made with no queue left
+                self.state.log.extend(ahead[0].log)
+                ahead[0].log = self.state.log
             self.state = ahead[0]
         else:
             self.state.feed(encode(YOU if speaker_is_self else THEM))
@@ -424,6 +458,8 @@ def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: Protocol
         )
     transcript.selections = picks
     transcript.success = picks["A"] == picks["B"]
+    if all(isinstance(agent, ModelAgent) and agent.keep_states for agent in agents.values()):
+        transcript.states = {role: PlayedStates(agent.model, agent.state.log) for role, agent in agents.items()}
     return transcript
 
 
@@ -523,7 +559,15 @@ def annotate_transcript(
     the tagger, then predict each markable's referents with the model's REF
     head from the speaker's own perspective.  Returns (dialogue, markables,
     predicted referent sets keyed by markable id) and stores the
-    predictions on the transcript."""
+    predictions on the transcript.
+
+    A perspective whose player was a state-keeping ``ModelAgent`` of
+    ``model`` reads its REF rows from the states that player's decoder
+    stepped to in play, held on the transcript, whose token ids must equal
+    the dialogue's stream through the last message's ``<eou>`` (else
+    ValueError); every other perspective runs the model's GRU over the
+    dialogue.  The transcript's states are dropped either way.  An aborted
+    game has no dialogue and raises ValueError."""
     from .tagger import predict_markables
 
     if "ref" not in model.heads:
@@ -536,6 +580,17 @@ def annotate_transcript(
         ex for ex in dialogue_examples(dialogue, scenario, model.vocab, markables, unknown)
         if ex.markable_ids
     ]
+    played, transcript.states = transcript.states or {}, None
+    heard = sum(len(m["tokens"]) + 2 for m in transcript.messages)  # prefix, tokens, <eou>
+    for ex in examples:
+        own = played.get(ex.perspective)
+        if own is None or own.model is not model:
+            continue
+        log = own.log[:heard]
+        if [token for token, _ in log] != ex.tokens[:heard].tolist():
+            raise ValueError(f"player {ex.perspective}'s states on scenario {transcript.scenario_id} "
+                             "were not stepped over this transcript's messages")
+        ex.states = np.array([row for _, row in log])
     predictions: dict[str, frozenset[int]] = {}
     for ex, probs in zip(examples, model.ref_probs_at(examples)):
         for mid, row in zip(ex.markable_ids, probs >= REF_THRESHOLD):

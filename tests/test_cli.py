@@ -342,6 +342,28 @@ class TestModelCommands:
         assert all("predicted_referents" in json.loads(line) for line in lines)
         assert (out / "game00000.html").read_text().startswith("<!DOCTYPE html>")
 
+    def test_selfplay_keeps_decoder_states_only_to_annotate(self, trained, tagger_ckpt, tmp_path,
+                                                            monkeypatch):
+        from refgame import selfplay
+
+        workdir, split, model = trained
+        kept = []
+
+        def recorded(*args, **kwargs):
+            result = run_batch(*args, **kwargs)
+            kept.append([t.states is not None for t in result.transcripts])
+            return result
+
+        run_batch = selfplay.run_batch
+        monkeypatch.setattr(selfplay, "run_batch", recorded)
+        for flags in ([], ["--tagger", tagger_ckpt]):
+            assert run(
+                "selfplay", "--agent", "model", "--model", model, *flags, "--shared", "4,5",
+                "--games", "2", "--seed", "4", "--max-utterances", "4", "--max-tokens", "8",
+                "--out", tmp_path / f"sp{len(flags)}",
+            ) == 0
+        assert kept == [[False] * 4, [True] * 4]
+
     def test_selfplay_jobs_match_sequential(self, trained, tagger_ckpt, tmp_path, monkeypatch):
         from refgame import selfplay
 

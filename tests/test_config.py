@@ -7,7 +7,7 @@ import pytest
 
 from refgame.cli import main
 from refgame.errors import SchemaError
-from refgame.scenario import load_scenario_config
+from refgame.scenario import ScenarioConfig, load_scenario_config
 
 
 def write_config(tmp_path, values) -> str:
@@ -75,3 +75,15 @@ def test_cli_bad_config_reports_schema_error(tmp_path, capsys, text, fragment):
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "SchemaError"
         assert str(cfg) in error["message"] and fragment in error["message"]
+
+
+@pytest.mark.parametrize("values,fragment", [
+    ({"world_max": 10**400}, "not finite: world_max"),
+    ({"size_min": -(10**400)}, "not finite: size_min"),
+    ({"center_distance": {4: 10**400, 5: 0.75, 6: 0.5}}, "not finite: center_distance[4]"),
+    ({"world_min": -(10**308), "world_max": 10**308}, "not finite: world_max - world_min"),
+], ids=["huge-field", "huge-negative-field", "huge-center-distance", "range-past-float"])
+def test_config_refuses_ints_too_large_for_a_float(values, fragment):
+    # the Python API takes ints where config files would refuse them first
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        ScenarioConfig(**values)

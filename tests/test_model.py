@@ -706,6 +706,37 @@ class TestPackedBatches:
             with pytest.raises(ValueError, match="REF"):
                 model.ref_probs_at(batch)
 
+    @pytest.mark.parametrize("dtype, atol", [("float64", 1e-12), ("float32", 1e-5)])
+    def test_states_from_a_logging_decoder_stand_in_for_the_packed_pass(self, monkeypatch, dtype, atol):
+        from refgame import model as model_module
+
+        vocab, pool = _example_pool()
+        model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=7, dtype=dtype, **TINY), vocab)
+        carried = []
+        for k, ex in enumerate(pool):
+            state = model.start_state(ex.attrs, ex.rel)
+            state.log = []
+            for token in ex.tokens[: len(ex.tokens) // 2].tolist():
+                state.feed(token)
+            ahead = state.fork()  # a fork logs only what it steps itself
+            for token in ex.tokens[len(ex.tokens) // 2:].tolist():
+                ahead.feed(token)
+            ahead.h  # feeds the queue
+            log = state.log + ahead.log
+            assert [token for token, _ in log] == ex.tokens.tolist()
+            carried.append(replace(ex, states=np.array([row for _, row in log])) if k % 3 else ex)
+        packed = model.predict(pool)
+
+        steps = []
+        gru_sequence = model_module.gru_sequence
+        monkeypatch.setattr(model_module, "gru_sequence",
+                            lambda *args: steps.append(len(args[-1])) or gru_sequence(*args))
+        got = model.predict(carried)
+        assert sum(steps) == sum(ex.states is None for ex in carried)  # one GRU row per bare example
+        for want, probs in zip(packed, got):
+            assert all(np.allclose(probs[k], want[k], rtol=0, atol=atol) for k in want)
+        assert [p.dtype for p in model.ref_probs_at(carried)] == [np.dtype(dtype)] * len(pool)
+
     def test_empty_list(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(seed=0, **TINY), vocab)

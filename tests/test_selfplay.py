@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import ctypes
 import json
+import pickle
 from dataclasses import replace
 from functools import partial
 
@@ -12,7 +13,9 @@ import pytest
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import AnnotatedCorpus, Split
 from refgame.errors import GameAbortedError
-from refgame.model import EOU, SEL, THEM, YOU, DecoderState, GroundingModel, ModelConfig, train_model
+from refgame.model import (
+    EOU, REF_THRESHOLD, SEL, THEM, YOU, DecoderState, GroundingModel, ModelConfig, train_model,
+)
 from refgame.scenario import ScenarioConfig, generate_scenario, generate_scenarios
 from refgame.selfplay import (
     ModelAgent,
@@ -676,6 +679,158 @@ class TestAnnotation:
             assert refs == expected
             referred += sum(len(v) > 0 for v in refs.values())
         assert referred > 0
+
+
+def spy_ref_probs(monkeypatch) -> list:
+    """Wrap ``GroundingModel.ref_probs_at`` to record, for each example it
+    is given, whether it carried play states, its REF probabilities, and
+    the probabilities of the packed GRU pass over the same example."""
+    calls = []
+    real = GroundingModel.ref_probs_at
+
+    def ref_probs_at(self, examples):
+        got = real(self, examples)
+        packed = real(self, [replace(ex, states=None) for ex in examples])
+        calls.extend((ex.states is not None, g, p) for ex, g, p in zip(examples, got, packed))
+        return got
+
+    monkeypatch.setattr(GroundingModel, "ref_probs_at", ref_probs_at)
+    return calls
+
+
+def biased(model, dtype=None):
+    """A copy of ``model`` that ends utterances and signals selection more
+    often, so that games hold short, empty and selecting utterances."""
+    out = model_copy(model, dtype)
+    out.store["dial.b2"][out.vocab.encode(EOU)] += 0.5
+    out.store["dial.b2"][out.vocab.encode(SEL)] += 0.5
+    return out
+
+
+class TestPlayStates:
+    """Annotation reads a model-vs-model game's REF rows from the states
+    its agents stepped to in play; they equal the packed GRU pass's."""
+
+    CASES = {
+        "forced": ProtocolConfig(seed=1, temperature=1.0, max_utterances=2, max_tokens_per_utterance=12),
+        "truncated": ProtocolConfig(seed=2, temperature=1.0, max_utterances=6, max_tokens_per_utterance=4),
+        "selecting": ProtocolConfig(seed=3, temperature=1.0, max_utterances=8, max_tokens_per_utterance=12),
+    }
+
+    def play_and_annotate(self, model, tagger, protocol, seed, monkeypatch):
+        from refgame.selfplay import annotate_transcript
+
+        calls = spy_ref_probs(monkeypatch)
+        log: list[tuple[int, bool]] = []
+        scenarios = generate_scenarios(CFG, {4: 6, 5: 6, 6: 6}, seed=seed)
+        agents = [[LoggedAgent(model, 1.0, 12, log=log) for _ in scenarios] for _ in "AB"]
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(scenarios))]
+        transcripts = run_game(*agents, scenarios, protocol, rngs)
+        assert not any(t.aborted for t in transcripts)
+        assert all(set(t.states) == {"A", "B"} for t in transcripts)
+        for t, scenario in zip(transcripts, scenarios):
+            annotate_transcript(t, scenario, model, tagger)
+            assert t.states is None
+        return transcripts, calls, log
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_ref_rows_from_play_equal_the_packed_pass(self, tiny_model, tiny_tagger, monkeypatch, case):
+        protocol = self.CASES[case]
+        transcripts, calls, log = self.play_and_annotate(
+            biased(tiny_model), tiny_tagger, protocol, 40, monkeypatch)
+        assert len(calls) > 10 and all(from_play for from_play, _, _ in calls)
+        for _, got, packed in calls:
+            assert np.allclose(got, packed, rtol=0, atol=1e-12)
+            assert np.array_equal(got >= REF_THRESHOLD, packed >= REF_THRESHOLD)
+        assert {t.num_shared for t in transcripts} == {4, 5, 6}
+        if case == "forced":
+            assert sum(t.forced for t in transcripts) > 5
+        if case == "truncated":  # observe feeds a cut utterance token by token
+            assert any(n > protocol.max_tokens_per_utterance for n, _ in log)
+        if case == "selecting":  # an utterance that also signals selection
+            assert any(n > 0 and wants_selection for n, wants_selection in log)
+
+    def test_float32_rows_from_play_equal_the_packed_pass(self, tiny_model, tiny_tagger, monkeypatch):
+        model32 = biased(tiny_model, "float32")
+        _, calls, _ = self.play_and_annotate(model32, tiny_tagger, self.CASES["selecting"], 41, monkeypatch)
+        assert len(calls) > 10 and all(from_play for from_play, _, _ in calls)
+        for _, got, packed in calls:
+            assert got.dtype == packed.dtype == np.float32
+            assert np.allclose(got, packed, rtol=0, atol=1e-5)
+            clear = np.abs(packed - REF_THRESHOLD) > 1e-5
+            assert np.array_equal((got >= REF_THRESHOLD)[clear], (packed >= REF_THRESHOLD)[clear])
+
+    def test_games_without_play_states_take_the_packed_pass(self, tiny_model, tiny_tagger, monkeypatch):
+        from refgame.selfplay import GameTranscript, annotate_transcript
+
+        calls = spy_ref_probs(monkeypatch)
+        scenarios = generate_scenarios(CFG, {4: 4, 5: 4, 6: 4}, seed=42)
+        rngs = [np.random.default_rng(i) for i in range(len(scenarios))]
+        model_agents = [ModelAgent(tiny_model, 1.0, 12) for _ in scenarios]
+        mixed = run_game(model_agents, [center_agent() for _ in scenarios], scenarios, self.CASES["selecting"], rngs)
+        rngs = [np.random.default_rng(i) for i in range(len(scenarios))]
+        played = run_game(*([ModelAgent(tiny_model, 1.0, 12) for _ in scenarios] for _ in "AB"),
+                          scenarios, self.CASES["selecting"], rngs)
+        # a transcript read back from its record has no states
+        records = [GameTranscript(**json.loads(json.dumps(t.to_dict()))) for t in played]
+        assert all(t.states is None for t in mixed + records)
+        for t, scenario in zip(mixed + records, scenarios + scenarios):
+            annotate_transcript(t, scenario, tiny_model, tiny_tagger)
+        assert len(calls) > 10 and not any(from_play for from_play, _, _ in calls)
+        assert all(np.array_equal(got, packed) for _, got, packed in calls)
+        # the played games give the predictions of their records
+        for t, record, scenario in zip(played, records, scenarios):
+            annotate_transcript(t, scenario, tiny_model, tiny_tagger)
+            assert t.to_dict() == record.to_dict()
+        assert any(from_play for from_play, _, _ in calls)
+
+    def test_states_stay_out_of_the_record_and_of_pickles(self, tiny_model, tiny_tagger):
+        from refgame.selfplay import annotate_transcript
+
+        scenario = generate_scenario(CFG, 5, np.random.default_rng(12))
+        t = run_game(ModelAgent(tiny_model, 1.0, 12), ModelAgent(tiny_model, 1.0, 12), scenario,
+                     self.CASES["selecting"], np.random.default_rng(3))
+        assert {role: states.model for role, states in t.states.items()} == {"A": tiny_model, "B": tiny_model}
+        assert "states" not in t.to_dict() and "states" not in repr(t)
+        copied = pickle.loads(pickle.dumps(t))
+        assert copied.states is None and copied == t
+        assert t.states is not None  # pickling leaves the original's states
+        annotate_transcript(t, scenario, tiny_model, tiny_tagger)
+        assert t.states is None
+
+    def test_agents_that_keep_no_states_leave_none(self, tiny_model):
+        scenario = generate_scenario(CFG, 4, np.random.default_rng(13))
+        agents = [ModelAgent(tiny_model, 1.0, 12, keep_states=False) for _ in "AB"]
+        t = run_game(*agents, scenario, self.CASES["selecting"], np.random.default_rng(4))
+        assert t.messages and t.states is None
+        assert all(agent.state.log is None for agent in agents)
+
+    def test_a_mismatched_token_stream_raises(self, tiny_model, tiny_tagger):
+        from refgame.selfplay import annotate_transcript
+
+        scenarios = generate_scenarios(CFG, {4: 4, 5: 4, 6: 4}, seed=43)
+        rngs = [np.random.default_rng(i) for i in range(len(scenarios))]
+        played = run_game(*([ModelAgent(tiny_model, 1.0, 12) for _ in scenarios] for _ in "AB"),
+                          scenarios, self.CASES["selecting"], rngs)
+        # a game whose A perspective has a markable, annotated once untouched
+        t, scenario = next(
+            (t, s) for t, s in zip(played, scenarios)
+            if any(m.speaker == "A" for m in annotate_transcript(copy.copy(t), s, tiny_model, tiny_tagger)[1])
+        )
+        token, row = t.states["A"].log[0]
+        t.states["A"].log[0] = (token + 1, row)
+        with pytest.raises(ValueError, match=f"player A's states on scenario {scenario.id}"):
+            annotate_transcript(t, scenario, tiny_model, tiny_tagger)
+
+    def test_an_aborted_game_names_its_scenario(self, tiny_model, tiny_tagger):
+        from refgame.selfplay import annotate_transcript
+
+        scenario = generate_scenario(CFG, 4, np.random.default_rng(14))
+        t = run_game(FailingSelect(tiny_model, 1.0, 12, bad=scenario.id), ModelAgent(tiny_model, 1.0, 12),
+                     scenario, self.CASES["selecting"], np.random.default_rng(5))
+        assert t.aborted and t.states is None
+        with pytest.raises(ValueError, match=f"scenario {scenario.id} aborted"):
+            annotate_transcript(t, scenario, tiny_model, tiny_tagger)
 
 
 def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
