@@ -251,6 +251,7 @@ def cmd_selfplay(args) -> int:
         ProtocolConfig,
         center_agent,
         darkest_agent,
+        plays_in_pool,
         random_agent,
         run_batch,
     )
@@ -276,11 +277,12 @@ def cmd_selfplay(args) -> int:
             if "ref" not in model.heads:
                 raise RefgameError(f"--tagger needs a variant with a REF head, not {model.config.variant}")
             tagger = MarkableTagger.load(args.tagger)
-        # the agents keep their decoder states only for annotation to read
+        # the agents keep their decoder states only for annotation to read,
+        # which it can only where the games are played in this process
         factory = partial(
             ModelAgent, model,
             temperature=protocol.temperature, max_tokens=protocol.max_tokens_per_utterance,
-            keep_states=tagger is not None,
+            keep_states=tagger is not None and not plays_in_pool(len(scenarios), args.jobs),
         )
     else:
         factory = {"random": random_agent, "center": center_agent, "darkest": darkest_agent}[args.agent]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
@@ -37,18 +38,28 @@ Event = Message | Selection
 
 @dataclass(frozen=True)
 class Dialogue:
+    """A dialogue's events in order.  ``messages`` and ``selections`` are
+    built from them on first use and kept; equality, hashing and pickling
+    see only the fields."""
+
     id: str
     scenario_id: str
     events: tuple[Event, ...]
     outcome: bool
 
-    @property
+    @cached_property
     def messages(self) -> tuple[Message, ...]:
         return tuple(e for e in self.events if isinstance(e, Message))
 
-    @property
+    @cached_property
     def selections(self) -> dict[str, int]:
         return {e.speaker: e.entity_id for e in self.events if isinstance(e, Selection)}
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in _DIALOGUE_CACHE}
+
+
+_DIALOGUE_CACHE = frozenset(("messages", "selections"))
 
 
 @dataclass(frozen=True)

@@ -646,6 +646,13 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
+def plays_in_pool(games: int, jobs: int) -> bool:
+    """Whether ``run_batch`` plays ``games`` games on a process pool, whose
+    transcripts come back without their decoder states: with ``jobs`` > 1
+    and more than one ``GAMES_CHUNK`` slice."""
+    return jobs > 1 and games > GAMES_CHUNK
+
+
 def run_batch(
     agent_factory: Callable[[], Agent],
     scenarios: Iterable[Scenario],
@@ -674,7 +681,7 @@ def run_batch(
         (agent_factory, scenario_list[lo: lo + GAMES_CHUNK], protocol, streams[lo: lo + GAMES_CHUNK])
         for lo in range(0, len(scenario_list), GAMES_CHUNK)
     ]
-    if jobs > 1 and len(slices) > 1:
+    if plays_in_pool(len(scenario_list), jobs):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:

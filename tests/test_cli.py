@@ -364,6 +364,32 @@ class TestModelCommands:
             ) == 0
         assert kept == [[False] * 4, [True] * 4]
 
+    def test_selfplay_keeps_decoder_states_only_for_games_played_here(self, trained, tagger_ckpt,
+                                                                       tmp_path, monkeypatch):
+        from refgame import selfplay
+
+        # 4 games in slices of 2: two slices, so --jobs 2 plays them on the pool
+        monkeypatch.setattr(selfplay, "GAMES_CHUNK", 2)
+        workdir, split, model = trained
+        kept = {}
+
+        def recorded(factory, scenarios, protocol, jobs=1):
+            result = run_batch(factory, scenarios, protocol, jobs=jobs)
+            kept[len(scenarios), jobs] = (factory.keywords["keep_states"],
+                                          {t.states is not None for t in result.transcripts})
+            return result
+
+        run_batch = selfplay.run_batch
+        monkeypatch.setattr(selfplay, "run_batch", recorded)
+        for games, jobs in ((2, 1), (2, 2), (1, 2)):
+            assert run(
+                "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
+                "--shared", "4,5", "--games", games, "--seed", "4", "--max-utterances", "4",
+                "--max-tokens", "8", "--jobs", jobs, "--out", tmp_path / f"sp{games}{jobs}",
+            ) == 0
+        # a batch of one slice is played in this process at any --jobs
+        assert kept == {(4, 1): (True, {True}), (4, 2): (False, {False}), (2, 2): (True, {True})}
+
     def test_selfplay_jobs_match_sequential(self, trained, tagger_ckpt, tmp_path, monkeypatch):
         from refgame import selfplay
 
@@ -582,3 +608,31 @@ def test_report_keeps_same_named_files_of_each_input(trained, data_dir, tmp_path
     message = json.loads(capsys.readouterr().err)["message"]
     assert str(inputs[0]) in message and str(clash) in message
     assert not (tmp_path / "bundle2").exists()
+
+
+def test_every_json_file_the_cli_writes_is_canonical(data_dir, trained, tagger_ckpt, tmp_path):
+    workdir, split, model = trained
+    commands = [
+        ("generate", "--shared", "4,6", "--count", "2", "--seed", "1", "--out", tmp_path / "scenarios.json"),
+        ("stats", "--data", data_dir, "--out", tmp_path / "stats.json"),
+        ("agreement", "--data", data_dir, "--out", tmp_path / "agreement", "--min-count", "1"),
+        ("aggregate", "--data", data_dir, "--out", tmp_path / "gold.json"),
+        ("split", "--data", data_dir, "--seed", "3", "--out", tmp_path / "split.json"),
+        ("tag", "--model", tagger_ckpt, "--input", Path(data_dir) / "dialogues.json",
+         "--out", tmp_path / "markables.json"),
+        ("evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", tmp_path / "eval"),
+        ("report", tmp_path / "eval", tmp_path / "agreement", "--out", tmp_path / "bundle"),
+        ("selfplay", "--agent", "model", "--model", model, "--shared", "4,5", "--games", "2",
+         "--seed", "1", "--max-utterances", "4", "--max-tokens", "8", "--out", tmp_path / "selfplay"),
+    ]
+    for argv in commands:
+        assert run(*argv) == 0
+    written = {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*.json")}
+    assert {
+        "scenarios.json", "stats.json", "agreement/agreement.json", "gold.json", "split.json",
+        "markables.json", "eval/report.json", "bundle/index.json", "bundle/results_summary.json",
+        "selfplay/summary.json",
+    } <= set(written)
+    for name, data in written.items():
+        text = json.dumps(json.loads(data), indent=2, ensure_ascii=False) + "\n"
+        assert data == text.encode("utf-8"), name

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import pickle
 import re
 import tempfile
 from functools import cache
@@ -61,6 +62,28 @@ def _mark(scenario, **kw):
     )
     defaults.update(kw)
     return Markable(**defaults)
+
+
+class TestDialogue:
+    def test_messages_and_selections_are_built_once(self, scenario):
+        d = _dialogue(scenario)
+        assert d.messages is d.messages
+        assert d.messages == tuple(e for e in d.events if isinstance(e, Message))
+        assert d.selections is d.selections
+        assert d.selections == {"A": d.events[2].entity_id, "B": d.events[3].entity_id}
+
+    def test_equality_hashing_and_pickling_see_only_the_fields(self, scenario):
+        d, fresh = _dialogue(scenario), _dialogue(scenario)
+        pickled, hashed = pickle.dumps(d), hash(d)
+        assert d.messages and d.selections
+        assert pickle.dumps(d) == pickled == pickle.dumps(fresh)
+        assert hash(d) == hashed == hash(fresh)
+        assert d == fresh and repr(d) == repr(fresh)
+        clone = pickle.loads(pickle.dumps(d))
+        assert clone == d and "messages" not in vars(clone)
+        assert clone.messages == d.messages and clone.selections == d.selections
+        assert copy.deepcopy(d) == d
+        assert d != _dialogue(scenario, outcome=False)
 
 
 class TestValidation:
