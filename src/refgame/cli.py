@@ -246,20 +246,14 @@ def cmd_tag(args) -> int:
 def cmd_selfplay(args) -> int:
     from .model import GroundingModel
     from .scenario import generate_scenarios
-    from .selfplay import (
-        ModelAgent,
-        ProtocolConfig,
-        center_agent,
-        darkest_agent,
-        plays_in_pool,
-        random_agent,
-        run_batch,
-    )
+    from .selfplay import ModelAgent, ProtocolConfig, center_agent, darkest_agent, random_agent, run_batch
 
     if args.agent == "model" and not args.model:
         raise RefgameError("--agent model needs --model PREFIX")
     if args.agent != "model" and (args.model or args.tagger):
         raise RefgameError(f"--agent {args.agent} does not take --model or --tagger")
+    if args.render_games < 0:
+        raise ValueError(f"--render-games must be at least 0, got {args.render_games}")
     if args.render_games > 0 and not args.tagger:
         raise RefgameError("--render-games needs --tagger")
     config = _scenario_config(args)
@@ -277,33 +271,30 @@ def cmd_selfplay(args) -> int:
             if "ref" not in model.heads:
                 raise RefgameError(f"--tagger needs a variant with a REF head, not {model.config.variant}")
             tagger = MarkableTagger.load(args.tagger)
-        # the agents keep their decoder states only for annotation to read,
-        # which it can only where the games are played in this process
         factory = partial(
             ModelAgent, model,
             temperature=protocol.temperature, max_tokens=protocol.max_tokens_per_utterance,
-            keep_states=tagger is not None and not plays_in_pool(len(scenarios), args.jobs),
+            keep_states=tagger is not None,
         )
     else:
         factory = {"random": random_agent, "center": center_agent, "darkest": darkest_agent}[args.agent]
     t0 = time.perf_counter()
-    result = run_batch(factory, scenarios, protocol, jobs=args.jobs)
+    result = run_batch(factory, scenarios, protocol, jobs=args.jobs, tagger=tagger)
     seconds = time.perf_counter() - t0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if tagger is not None:
+    if args.render_games:
         from .render import render_dialogue
-        from .selfplay import annotate_transcript
+        from .tagger import predict_markables
 
-        for i, (transcript, scenario) in enumerate(zip(result.transcripts, scenarios)):
+        rendered = zip(result.transcripts[:args.render_games], scenarios)
+        for i, (transcript, scenario) in enumerate(rendered):
             if transcript.aborted:
                 continue
-            dialogue, markables, refs = annotate_transcript(
-                transcript, scenario, model, tagger, dialogue_id=f"game{i:05d}"
-            )
-            if i < args.render_games:
-                html = render_dialogue(dialogue, scenario, markables, refs)
-                atomic_write_text(out / f"game{i:05d}.html", html)
+            dialogue = transcript.to_dialogue(f"game{i:05d}")
+            html = render_dialogue(dialogue, scenario, predict_markables(tagger, [dialogue]),
+                                   transcript.predicted_referents)
+            atomic_write_text(out / f"game{i:05d}.html", html)
     atomic_write_text(out / "summary.csv", result.summary_csv())
     atomic_write_json(out / "summary.json", {
         **result.summary(seconds),
@@ -503,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, each with OpenBLAS on one thread; on 2 CPUs --jobs 2 "
-                        "played 1.3-2.0x faster than 1, but with --tagger --jobs 1 was faster in 4 "
-                        "of 5 runs, as only it annotates from the play states")
+                   help="worker processes, each with OpenBLAS on one thread and annotating the "
+                        "games it plays; on 2 CPUs --jobs 2 ran 900 model games 1.5-1.7x faster "
+                        "than 1, with or without --tagger")
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
     p.add_argument("--render-games", type=int, default=0,
                    help="with --tagger: write annotated HTML for the first N games")

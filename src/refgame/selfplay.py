@@ -243,10 +243,10 @@ class ModelAgent:
     every token it consumes, the adopted fork's rows included, so the log
     holds the dialogue's states from this player's perspective.  A game
     between two such agents puts both logs on its transcript, where
-    ``annotate_transcript`` reads its REF rows from them instead of running
-    the GRU over the dialogue again.  A paper-size float64 row is 2 KiB,
-    and a game between untrained paper-size agents holds 210-290 KiB of
-    rows on average."""
+    ``annotate_transcript`` reads its REF rows instead of running the GRU
+    again; ``run_batch`` with a tagger does so slice by slice.  A row is
+    2 KiB at paper size in float64, and an untrained paper-size game holds
+    210-290 KiB of rows on average, a 64-game slice 13-18 MiB."""
 
     def __init__(self, model: GroundingModel, temperature: float, max_tokens: int,
                  keep_states: bool = True):
@@ -599,14 +599,23 @@ def annotate_transcript(
     return dialogue, markables, predictions
 
 
-def _play_slice(payload) -> list[GameTranscript]:
-    """One slice of ``run_batch``: its games in lockstep, each with a fresh
-    agent pair."""
-    agent_factory, scenarios, protocol, streams = payload
-    return run_game(
-        [agent_factory() for _ in scenarios], [agent_factory() for _ in scenarios],
+def _play_slice(games: slice, *batch) -> list[GameTranscript]:
+    """The ``games`` of a ``run_batch`` (given its arguments, else a pool
+    worker's) in lockstep, each with a fresh agent pair; with a tagger,
+    then each finished game annotated from its own agents' decoder rows
+    and numbered by its place in the batch."""
+    agent_factory, scenarios, protocol, streams, tagger = batch or _pool_batch
+    scenarios, streams = scenarios[games], streams[games]
+    agents_a = [agent_factory() for _ in scenarios]
+    transcripts = run_game(
+        agents_a, [agent_factory() for _ in scenarios],
         scenarios, protocol, [np.random.default_rng(stream) for stream in streams],
     )
+    if tagger is not None:
+        for i, (t, scenario, agent_a) in enumerate(zip(transcripts, scenarios, agents_a), games.start):
+            if not t.aborted:
+                annotate_transcript(t, scenario, agent_a.model, tagger, dialogue_id=f"game{i:05d}")
+    return transcripts
 
 
 def _openblas_function(*symbols):
@@ -631,12 +640,18 @@ def _openblas_function(*symbols):
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run this worker's OpenBLAS on one thread, so that
-    workers do not crowd the CPUs with BLAS threads; with no setter found,
-    BLAS is left as it is."""
+_pool_batch: tuple = ()  # run_batch arguments, set by _start_worker in pool workers only
+
+
+def _start_worker(*batch) -> None:
+    """Pool initializer: keep the run_batch arguments, sent once per worker
+    (under fork, not pickled at all), and run OpenBLAS on one thread, so
+    that workers do not crowd the CPUs; with no setter found, BLAS is left
+    as it is."""
     import ctypes
 
+    global _pool_batch
+    _pool_batch = batch
     set_threads = _openblas_function(
         "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
     )
@@ -646,18 +661,12 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-def plays_in_pool(games: int, jobs: int) -> bool:
-    """Whether ``run_batch`` plays ``games`` games on a process pool, whose
-    transcripts come back without their decoder states: with ``jobs`` > 1
-    and more than one ``GAMES_CHUNK`` slice."""
-    return jobs > 1 and games > GAMES_CHUNK
-
-
 def run_batch(
     agent_factory: Callable[[], Agent],
     scenarios: Iterable[Scenario],
     protocol: ProtocolConfig,
     jobs: int = 1,
+    tagger=None,
 ) -> BatchResult:
     """Play every scenario with a fresh agent pair, in lockstep slices of
     ``GAMES_CHUNK`` games.  Per-game rng streams are spawned from
@@ -670,22 +679,22 @@ def run_batch(
     ``agent_factory`` is any zero-argument callable that returns a fresh
     agent: a scripted agent function, or
     ``functools.partial(ModelAgent, model, temperature=..., max_tokens=...)``
-    over a loaded model.  ``jobs`` > 1 plays the slices on a process pool,
-    which pickles the factory, its model included, with each slice, and
-    runs each worker's OpenBLAS on one thread."""
+    over a loaded model.  With a ``tagger``, each slice annotates its
+    finished ``ModelAgent`` games (``annotate_transcript``, dialogue ids
+    ``game00000`` on) from the rows its own agents kept, so no transcript
+    comes back holding rows.  ``jobs`` > 1 plays the slices on a process
+    pool whose workers get these arguments once and one BLAS thread."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scenario_list = list(scenarios)
-    streams = np.random.SeedSequence(protocol.seed).spawn(len(scenario_list))
-    slices = [
-        (agent_factory, scenario_list[lo: lo + GAMES_CHUNK], protocol, streams[lo: lo + GAMES_CHUNK])
-        for lo in range(0, len(scenario_list), GAMES_CHUNK)
-    ]
-    if plays_in_pool(len(scenario_list), jobs):
+    batch = (agent_factory, scenario_list, protocol,
+             np.random.SeedSequence(protocol.seed).spawn(len(scenario_list)), tagger)
+    slices = [slice(lo, lo + GAMES_CHUNK) for lo in range(0, len(scenario_list), GAMES_CHUNK)]
+    if jobs > 1 and len(slices) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker, initargs=batch) as pool:
             parts = list(pool.map(_play_slice, slices))
     else:
-        parts = [_play_slice(part) for part in slices]
+        parts = [_play_slice(games, *batch) for games in slices]
     return BatchResult([t for part in parts for t in part])

@@ -342,16 +342,17 @@ class TestModelCommands:
         assert all("predicted_referents" in json.loads(line) for line in lines)
         assert (out / "game00000.html").read_text().startswith("<!DOCTYPE html>")
 
-    def test_selfplay_keeps_decoder_states_only_to_annotate(self, trained, tagger_ckpt, tmp_path,
-                                                            monkeypatch):
+    def test_selfplay_returns_no_decoder_states_to_the_cli(self, trained, tagger_ckpt, tmp_path,
+                                                           monkeypatch):
         from refgame import selfplay
 
         workdir, split, model = trained
-        kept = []
+        returned = []
 
         def recorded(*args, **kwargs):
             result = run_batch(*args, **kwargs)
-            kept.append([t.states is not None for t in result.transcripts])
+            returned.append([(t.states is None, t.predicted_referents is not None)
+                             for t in result.transcripts])
             return result
 
         run_batch = selfplay.run_batch
@@ -362,33 +363,33 @@ class TestModelCommands:
                 "--games", "2", "--seed", "4", "--max-utterances", "4", "--max-tokens", "8",
                 "--out", tmp_path / f"sp{len(flags)}",
             ) == 0
-        assert kept == [[False] * 4, [True] * 4]
+        assert returned == [[(True, False)] * 4, [(True, True)] * 4]
 
-    def test_selfplay_keeps_decoder_states_only_for_games_played_here(self, trained, tagger_ckpt,
-                                                                       tmp_path, monkeypatch):
+    def test_selfplay_workers_annotate_from_their_own_play_states(self, trained, tagger_ckpt,
+                                                                 tmp_path, monkeypatch):
         from refgame import selfplay
+        from refgame.model import GroundingModel
 
-        # 4 games in slices of 2: two slices, so --jobs 2 plays them on the pool
+        # 4 games in slices of 2: two slices, so --jobs 2 plays them on the pool,
+        # whose forked workers inherit this patch
         monkeypatch.setattr(selfplay, "GAMES_CHUNK", 2)
+        real = GroundingModel.ref_probs_at
+
+        def from_play_only(self, examples):
+            if any(ex.states is None for ex in examples):
+                raise AssertionError("a REF row was not read from the play states")
+            return real(self, examples)
+
+        monkeypatch.setattr(GroundingModel, "ref_probs_at", from_play_only)
         workdir, split, model = trained
-        kept = {}
-
-        def recorded(factory, scenarios, protocol, jobs=1):
-            result = run_batch(factory, scenarios, protocol, jobs=jobs)
-            kept[len(scenarios), jobs] = (factory.keywords["keep_states"],
-                                          {t.states is not None for t in result.transcripts})
-            return result
-
-        run_batch = selfplay.run_batch
-        monkeypatch.setattr(selfplay, "run_batch", recorded)
-        for games, jobs in ((2, 1), (2, 2), (1, 2)):
-            assert run(
-                "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
-                "--shared", "4,5", "--games", games, "--seed", "4", "--max-utterances", "4",
-                "--max-tokens", "8", "--jobs", jobs, "--out", tmp_path / f"sp{games}{jobs}",
-            ) == 0
-        # a batch of one slice is played in this process at any --jobs
-        assert kept == {(4, 1): (True, {True}), (4, 2): (False, {False}), (2, 2): (True, {True})}
+        out = tmp_path / "sp"
+        assert run(
+            "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
+            "--shared", "4,5", "--games", "2", "--seed", "4", "--max-utterances", "4",
+            "--max-tokens", "8", "--jobs", "2", "--out", out,
+        ) == 0
+        lines = (out / "transcripts.jsonl").read_text().splitlines()
+        assert len(lines) == 4 and all("predicted_referents" in json.loads(line) for line in lines)
 
     def test_selfplay_jobs_match_sequential(self, trained, tagger_ckpt, tmp_path, monkeypatch):
         from refgame import selfplay
@@ -410,6 +411,9 @@ class TestModelCommands:
             })
         assert outputs[0] == outputs[1]
         assert outputs[0]["transcripts.jsonl"].count(b"predicted_referents") == 6
+        # each slice numbers its games from its first game's index in the batch
+        for i, line in enumerate(outputs[0]["transcripts.jsonl"].splitlines()):
+            assert all(key.startswith(f"game{i:05d}_") for key in json.loads(line)["predicted_referents"])
 
 
     def test_selfplay_tagger_without_a_ref_head_fails_before_play(self, data_dir, tagger_ckpt,
@@ -501,7 +505,9 @@ class TestSelfplayAndRender:
     ("selfplay", "--games", "-2"),
     ("selfplay", "--games", "1", "--jobs", "-3"),
     ("selfplay", "--games", "1", "--jobs", "0"),
-], ids=["generate-count", "selfplay-games", "selfplay-jobs", "selfplay-zero-jobs"])
+    ("selfplay", "--games", "1", "--render-games", "-3"),
+], ids=["generate-count", "selfplay-games", "selfplay-jobs", "selfplay-zero-jobs",
+        "selfplay-render-games"])
 def test_negative_counts_report_json_value_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 1

@@ -854,6 +854,28 @@ def test_run_batch_jobs_match_sequential(tiny_model, tmp_path, monkeypatch):
     assert seq.rates == par.rates
 
 
+def test_run_batch_with_a_tagger_annotates_all_but_an_aborted_game(tiny_model, tiny_tagger, monkeypatch):
+    from refgame import selfplay
+    from refgame.selfplay import annotate_transcript
+
+    # slices of 5 games, so that game numbers run on across slices
+    monkeypatch.setattr(selfplay, "GAMES_CHUNK", 5)
+    scenarios = generate_scenarios(CFG, {4: 6, 6: 6}, seed=5)
+    proto = ProtocolConfig(seed=4, temperature=1.0, max_utterances=6, max_tokens_per_utterance=12)
+    factory = partial(FailingSelect, tiny_model, 1.0, 12, bad=scenarios[7].id)
+    annotated = run_batch(factory, scenarios, proto, tagger=tiny_tagger).transcripts
+    assert len(annotated) == 12
+    assert annotated[7].aborted and annotated[7].predicted_referents is None
+    assert all(t.states is None for t in annotated)
+    # the same games played without a tagger, then annotated one by one
+    played = run_batch(factory, scenarios, proto).transcripts
+    for i, (t, scenario) in enumerate(zip(played, scenarios)):
+        if i != 7:
+            annotate_transcript(t, scenario, tiny_model, tiny_tagger, dialogue_id=f"game{i:05d}")
+    assert [t.to_dict() for t in annotated] == [t.to_dict() for t in played]
+    assert sum(len(t.predicted_referents) for t in annotated if not t.aborted) > 0
+
+
 OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
                     "openblas_get_num_threads")
 
