@@ -16,7 +16,8 @@ class ParamStore:
 
     ``version`` counts the updates made through ``load_values`` and
     ``Adam.step``; a value derived from the parameters is current while the
-    version it was built at is."""
+    version it was built at is.  A pickle carries no gradients: they come
+    back as zeros."""
 
     def __init__(self, seed: int = 0, dtype=np.float64):
         self.dtype = np.dtype(dtype)
@@ -40,6 +41,13 @@ class ParamStore:
         self.params[name] = value
         self.grads[name] = np.zeros(shape, dtype=self.dtype)
         return value
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "grads"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.grads = {k: np.zeros(v.shape, dtype=self.dtype) for k, v in self.params.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.params[name]

@@ -8,8 +8,10 @@ entity via their target-selection policy and the game succeeds iff the
 picked world entities are identical.  Every game is replayable from
 (agents, scenario, seed).  ``run_game`` on a list of games plays them in
 lockstep, one GRU step and one DIAL head call per tick for every game's
-decoder, and each game samples from its own rng; its rows agree with
-one-game play up to the rounding of the batched GEMMs."""
+decoders, and each game samples from its own rng.  Between two model
+agents that play in lockstep, the listener steps each token in the tick
+that draws it, beside the speaker.  A game's rows agree with one-game,
+one-row-at-a-time play up to the rounding of the batched GEMMs."""
 
 from __future__ import annotations
 
@@ -30,8 +32,10 @@ from .scenario import Scenario, View, view_feature_matrix
 
 # games per lockstep run_game call in run_batch: more rows per GRU and DIAL
 # head call, against a longer tail of ticks that only the slowest games run.
-# Over 192 and 300 paper-size model games on 2 CPUs, 64 played 3-31% more
-# tokens/s than 32 in three runs, about as many as 128, and twice as many as 8.
+# With listeners stepping beside their speakers, 300 paper-size model games
+# through `refgame selfplay` on 2 CPUs played in a median of 1.70 s at 64,
+# 1.80 s at 128 (faster than 64 in 4 of 8 alternating rounds) and 2.53 s at
+# 32 (BENCH_listener_lockstep.json, "games_chunk").
 GAMES_CHUNK = 64
 
 
@@ -230,14 +234,17 @@ class ModelAgent:
     """Wraps a trained generation-capable model (a DIAL variant) for play.
 
     ``utter`` is the one token loop.  It decodes ahead on a fork of the
-    committed state.  When ``observe`` then reports exactly the utterance
-    it emitted, the fork, which has already consumed ``<you>`` and those
-    tokens, becomes the committed state and only ``<eou>`` is fed; any
-    other observation (a truncated utterance, a ``[SEL]`` event, the
-    partner's turn) is fed token by token onto the committed state.
-    ``run_game`` runs the ``utter`` of many games in lockstep and then
-    takes each utterance from ``act``; called with none decoded, ``act``
-    runs ``utter`` alone.
+    committed state; given its partner as ``listener``, it also steps the
+    listener's fork, fed ``<them>`` and each token in the tick that draws
+    it.  When ``observe`` then reports exactly the utterance that a fork
+    was stepped over, from that fork's side, the fork becomes the
+    committed state and only ``<eou>`` is fed; any other observation (a
+    truncated utterance, a ``[SEL]`` event, an utterance from a partner
+    that does not play in lockstep) is fed token by token onto the
+    committed state.  ``run_game`` runs the ``utter`` of many games in
+    lockstep, each with its partner when both agents play in lockstep,
+    and then takes each utterance from ``act``; called with none decoded,
+    ``act`` runs ``utter`` alone, with no listener.
 
     With ``keep_states`` the committed state logs a copy of the GRU row of
     every token it consumes, the adopted fork's rows included, so the log
@@ -278,8 +285,8 @@ class ModelAgent:
     def observe(self, speaker_is_self: bool, tokens: Sequence[str]) -> None:
         encode = self.model.vocab.encode
         ahead, self._ahead = self._ahead, None
-        if speaker_is_self and ahead is not None and ahead[1] == tuple(tokens):
-            if self.state.log is not None:  # the fork was made with no queue left
+        if ahead is not None and ahead[1:] == (speaker_is_self, tuple(tokens)):
+            if self.state.log is not None:  # the fork logged what it stepped past the committed state
                 self.state.log.extend(ahead[0].log)
                 ahead[0].log = self.state.log
             self.state = ahead[0]
@@ -289,23 +296,32 @@ class ModelAgent:
                 self.state.feed(encode(t))
         self.state.feed(encode(EOU))
 
-    def utter(self):
+    def utter(self, listener: ModelAgent | None = None):
         """Decode the next utterance, (tokens, wants_selection), for ``act``
-        to return, as a ``_lockstep`` coroutine: it yields the committed
-        state when its queued tokens must be fed first, then ``(self,
-        state)`` whenever it needs its next token drawn from the fork
-        ``state``, and is sent that token id."""
+        to return, as a ``_lockstep`` coroutine: it yields ``(state, None,
+        heard)`` when its committed state's queued tokens must be fed
+        first, then ``(state, self, heard)`` whenever it needs its next
+        token drawn from the fork ``state``, and is sent that token id.
+        With a ``listener``, ``heard`` is the listener's fork of its own
+        committed state, fed ``<them>`` and each token as it is drawn, so
+        that the listener steps the utterance in the ticks that draw it;
+        else it is None."""
         vocab = self.model.vocab
+        heard = None
+        if listener is not None:
+            hear = listener.model.vocab.encode
+            heard = listener.state.fork()
+            heard.feed(hear(THEM))
         # what this agent heard is fed before the fork, so it is fed once
         # whichever of the two states the next observation keeps
         if self.state.queue:
-            yield self.state
+            yield self.state, None, heard
         state = self.state.fork()
         state.feed(vocab.encode(YOU))
         out: list[str] = []
         wants_selection = False
         for _ in range(self.max_tokens):
-            token_id = yield self, state
+            token_id = yield state, self, heard
             token = vocab.decode(token_id)
             if token == SEL:
                 wants_selection = True
@@ -314,7 +330,11 @@ class ModelAgent:
                 break
             out.append(token)
             state.feed(token_id)
-        self._ahead = (state, tuple(out))
+            if heard is not None:
+                heard.feed(hear(token))
+        self._ahead = (state, True, tuple(out))
+        if listener is not None:
+            listener._ahead = (heard, False, tuple(out))
         self._utterance = (out, wants_selection)
 
     def act(self) -> tuple[list[str], bool]:
@@ -336,15 +356,15 @@ def _plays_in_lockstep(agent) -> bool:
     return isinstance(agent, ModelAgent) and type(agent).act is ModelAgent.act
 
 
-def _draw(requests: list[tuple[ModelAgent, DecoderState]]) -> list:
-    """The next token of each ``(agent, state)`` request, all of one model,
-    or the exception that ends its game.  One DIAL head call scores the
-    rows and, with the forbidden tokens masked, one ``sample_token`` call
-    draws each row from its own agent's rng at that agent's temperature.
-    A row with no mass left comes back as a ``GameAbortedError`` and a
-    degenerate one as its ValueError."""
-    agents = [agent for agent, _ in requests]
-    probs = DecoderState.next_token_probs([state for _, state in requests])
+def _draw(requests: list[tuple[DecoderState, ModelAgent, object]]) -> list:
+    """The next token of each ``(state, agent, _)`` request, all of one
+    model, or the exception that ends its game.  One DIAL head call scores
+    the rows and, with the forbidden tokens masked, one ``sample_token``
+    call draws each row from its own agent's rng at that agent's
+    temperature.  A row with no mass left comes back as a
+    ``GameAbortedError`` and a degenerate one as its ValueError."""
+    agents = [agent for _, agent, _ in requests]
+    probs = DecoderState.next_token_probs([state for state, _, _ in requests])
     probs[:, agents[0].forbidden] = 0.0
     total = probs.sum(axis=1, keepdims=True)
     # in the rows' dtype, as a Python float temperature would be cast
@@ -361,19 +381,19 @@ def _lockstep(coroutines: list) -> list:
     """Run decoding coroutines (``_game``, ``ModelAgent.utter``) together
     and return each one's return value.
 
-    A coroutine yields what it waits for: a decoder state whose queued
-    tokens must be fed, or an ``(agent, state)`` request for its next
-    token.  Each tick groups the waiting coroutines by model once, and
-    for each model feeds one queued token to every state waited on in one
-    ``step_queued`` call, then draws for every request whose state has no
-    queue left in one ``_draw`` call.  It then resumes, in waiting order,
-    the coroutines that drew, with their tokens, and then every other one
-    whose state is fed.  An exception that ``_draw`` returns is raised
-    inside that coroutine only; one that a coroutine lets out ends the
-    run.  A coroutine waits on one state at a time, so one coroutine
-    alone steps one row at a time."""
+    A coroutine yields ``(state, agent, rider)``: it waits for the decoder
+    state ``state`` to be fed its queued tokens and then, unless ``agent``
+    is None, for the next token drawn from it for ``agent``; ``rider``, a
+    state or None, is fed alongside and not waited for.  Each tick feeds
+    one queued token to every state waited on or riding, in one
+    ``step_queued`` call per model, then draws for every request whose
+    state has no queue left, in one ``_draw`` call per model.  It then
+    resumes, in waiting order, the coroutines that drew, with their
+    tokens, and then every other one whose state is fed.  An exception
+    that ``_draw`` returns is raised inside that coroutine only; one that
+    a coroutine lets out ends the run."""
     results: list = [None] * len(coroutines)
-    waiting: dict[int, object] = {}
+    waiting: dict[int, tuple] = {}
 
     def resume(i: int, value=None) -> None:
         waiting.pop(i, None)
@@ -385,24 +405,24 @@ def _lockstep(coroutines: list) -> list:
         except StopIteration as stop:
             results[i] = stop.value
 
-    def state_of(request) -> DecoderState:
-        return request if isinstance(request, DecoderState) else request[1]
-
     for i in range(len(coroutines)):
         resume(i)
     while waiting:
-        by_model: dict[int, list[int]] = {}
-        for i, request in waiting.items():
-            by_model.setdefault(id(state_of(request).model), []).append(i)
+        queued: dict[int, list[DecoderState]] = {}
+        for state, _, rider in waiting.values():
+            for s in (state, rider):
+                if s is not None and s.queue:
+                    queued.setdefault(id(s.model), []).append(s)
+        for states in queued.values():
+            step_queued(states)
+        draws: dict[int, list[int]] = {}
+        for i, (state, agent, _) in waiting.items():
+            if agent is not None and not state.queue:
+                draws.setdefault(id(state.model), []).append(i)
         drawn: dict[int, object] = {}
-        for group in by_model.values():
-            queued = [state_of(waiting[i]) for i in group if state_of(waiting[i]).queue]
-            if queued:
-                step_queued(queued)
-            draws = [i for i in group if isinstance(waiting[i], tuple) and not waiting[i][1].queue]
-            if draws:
-                drawn.update(zip(draws, _draw([waiting[i] for i in draws])))
-        ready = [i for i, request in waiting.items() if not state_of(request).queue]
+        for group in draws.values():
+            drawn.update(zip(group, _draw([waiting[i] for i in group])))
+        ready = [i for i, (state, _, _) in waiting.items() if not state.queue]
         for i in sorted(ready, key=lambda i: i not in drawn):  # stable: the draws first
             resume(i, drawn.get(i))
     return results
@@ -418,15 +438,17 @@ def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: Protocol
         scenario_id=scenario.id, num_shared=scenario.num_shared, seed=protocol.seed
     )
     agents = {"A": agent_a, "B": agent_b}
+    # two lockstep agents step each utterance on both sides as it is drawn
+    paired = all(map(_plays_in_lockstep, agents.values()))
     try:
         for role, agent in agents.items():
             agent.reset(scenario, role, rng)
-        speaker = "A"
+        speaker, listener = "A", "B"
         ended_by_selection = False
         for _ in range(protocol.max_utterances):
             agent = agents[speaker]
             if _plays_in_lockstep(agent):
-                yield from agent.utter()
+                yield from agent.utter(agents[listener] if paired else None)
             tokens, wants_selection = agent.act()
             tokens = tokens[: protocol.max_tokens_per_utterance]
             if tokens:
@@ -439,11 +461,17 @@ def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: Protocol
                     agent.observe(role == speaker, [SEL])
                 ended_by_selection = True
                 break
-            speaker = "B" if speaker == "A" else "A"
+            speaker, listener = listener, speaker
         transcript.forced = not ended_by_selection
-        for agent in agents.values():  # what each heard, fed before it selects
-            if isinstance(agent, ModelAgent) and agent.state.queue:
-                yield agent.state
+        # what each heard, fed before it selects: a pair's in the same
+        # ticks, the longer queue waited on and the other fed alongside
+        queued = [agent.state for agent in agents.values() if isinstance(agent, ModelAgent) and agent.state.queue]
+        if paired and len(queued) == 2:
+            queued.sort(key=lambda state: len(state.queue))
+            yield queued[1], None, queued[0]
+        else:
+            for state in queued:
+                yield state, None, None
         picks = {}
         for role, agent in agents.items():
             entity = int(agent.select())
@@ -477,8 +505,8 @@ def run_game(
 
     Given equal-length lists of agents, scenarios and rngs, plays those
     games in lockstep and returns their transcripts in order: every live
-    game's decoder advances in one GRU step and one DIAL head call per
-    tick, and an aborted game leaves the others to go on."""
+    game's decoders advance in one GRU step and one DIAL head call per
+    model per tick, and an aborted game leaves the others to go on."""
     one = isinstance(scenario, Scenario)
     if one:
         games = [(agent_a, agent_b, scenario, rng)]

@@ -560,6 +560,27 @@ class TestCheckpoint:
             assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         assert loaded.run_example(examples) == model.run_example(examples)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_pickle_carries_parameters_not_gradients(self, micro, dtype):
+        # at paper size, as a process pool would send the model
+        import pickle
+
+        corpus, gold, ids, vocab = micro
+        model = GroundingModel(ModelConfig(dtype=dtype), vocab)
+        model.store.load_values(model.store.copy_values())
+        model.store.grads["gru.U"][...] = 1.0
+        data = pickle.dumps(model)
+        params = sum(v.nbytes for v in model.store.params.values())
+        assert len(data) < 1.1 * params
+        copied = pickle.loads(data).store
+        assert copied.version == model.store.version == 1
+        assert list(copied.params) == list(copied.grads) == list(model.store.params)
+        for k, v in model.store.params.items():
+            assert copied[k].tobytes() == v.tobytes() and copied[k].dtype == np.dtype(dtype)
+            assert copied.grads[k].shape == v.shape and copied.grads[k].dtype == np.dtype(dtype)
+            assert not copied.grads[k].any()
+        assert model.store.grads["gru.U"].all()  # pickling leaves the original's gradients
+
     def test_load_meta_with_loss_weights(self, micro, tmp_path):
         # a header config with fields the config no longer has, such as the
         # old per-head loss weights, loads: the reader ignores extra keys

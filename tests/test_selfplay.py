@@ -6,6 +6,7 @@ import json
 import pickle
 from dataclasses import replace
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -473,6 +474,50 @@ def play(model_a, model_b, scenarios, protocol, seeds, agent=ModelAgent, **kwarg
     return run_game(agents(model_a), agents(model_b), scenarios, protocol, rngs), rngs
 
 
+class UtteranceLog(ModelAgent):
+    """ModelAgent that keeps each (tokens, wants_selection) its ``utter``
+    decodes; it leaves ``act`` alone, so it still plays in lockstep."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.said: list[tuple[list[str], bool]] = []
+
+    def utter(self, *listener):
+        yield from super().utter(*listener)
+        self.said.append(self._utterance)
+
+
+def alternate(said_a, said_b) -> list[tuple[str, list[str], bool]]:
+    """A game's turns, (speaker, tokens, wants_selection), A first."""
+    pairs = zip_longest([("A", *u) for u in said_a], [("B", *u) for u in said_b])
+    return [turn for pair in pairs for turn in pair if turn is not None]
+
+
+def critical_path(turns, max_tokens: int) -> int:
+    """The ticks of one game between two lockstep ModelAgents, from its
+    turns.  A turn feeds the speaker's queued tokens, then draws each token
+    and the ``<eou>`` or ``[SEL]`` that ends it (none at the token cap,
+    where the last token is fed after the last draw).  The listener, whose
+    queue is never longer than the speaker's, steps it and then ``<them>``
+    and each token in those same ticks.  An observed utterance leaves both
+    sides the tokens not yet stepped plus ``<eou>``; an empty one leaves the
+    speaker nothing and the listener its queue.  ``[SEL]`` queues a prefix,
+    ``[SEL]`` and ``<eou>`` on both sides, and both queues are stepped in
+    the same ticks before the selections."""
+    queue = {"A": 0, "B": 0}
+    ticks = 0
+    for speaker, tokens, wants_selection in turns:
+        capped = len(tokens) == max_tokens
+        ticks += queue[speaker] + len(tokens) + (not capped)
+        if tokens:
+            queue = dict.fromkeys(queue, capped + 1)
+        else:
+            queue[speaker] = 0
+        if wants_selection:
+            queue = {role: n + 3 for role, n in queue.items()}
+    return ticks + max(queue.values())
+
+
 class TestLockstep:
     PROTO = ProtocolConfig(seed=8, temperature=1.0, max_utterances=6, max_tokens_per_utterance=12)
 
@@ -584,6 +629,34 @@ class TestLockstep:
         spoken = sorted(tuple(m["tokens"]) for t in transcripts for m in t.messages)
         assert sorted(tuple(tokens) for _, tokens in said if tokens) == spoken
         assert len(spoken) > 6
+
+    @pytest.mark.parametrize("games", [1, 12])
+    def test_ticks_follow_the_listener_lockstep_schedule(self, tiny_model, monkeypatch, games):
+        from refgame import selfplay
+
+        ticks = []
+        real = selfplay.step_queued
+        monkeypatch.setattr(selfplay, "step_queued", lambda states: (ticks.append(len(states)), real(states)))
+        model, proto = biased(tiny_model), replace(self.PROTO, max_utterances=4)
+        scenarios = generate_scenarios(CFG, {4: 6, 6: 6}, seed=18)
+        seeds = np.random.SeedSequence(9).spawn(len(scenarios))
+        forced = set()
+        for g in range(0, len(scenarios), games):
+            agents = [[UtteranceLog(model, proto.temperature, proto.max_tokens_per_utterance)
+                       for _ in scenarios[g: g + games]] for _ in "AB"]
+            rngs = [np.random.default_rng(seed) for seed in seeds[g: g + games]]
+            ticks.clear()
+            transcripts = run_game(*agents, scenarios[g: g + games], proto, rngs)
+            for t, a, b in zip(transcripts, *agents):
+                assert not t.aborted and [m["tokens"] for m in t.messages] == [
+                    out for _, out, _ in alternate(a.said, b.said) if out]
+                forced.add(t.forced)
+            expected = [critical_path(alternate(a.said, b.said), proto.max_tokens_per_utterance)
+                        for a, b in zip(*agents)]
+            assert len(ticks) == max(expected)
+            assert max(ticks) <= 2 * games  # a speaker and its listener per game
+        assert forced == {True, False}
+        assert max(ticks) == 2 * games
 
     def test_two_models_in_one_batch(self, tiny_model):
         # A and B speak from different models: each model's rows get their
@@ -749,6 +822,25 @@ class TestPlayStates:
             assert any(n > protocol.max_tokens_per_utterance for n, _ in log)
         if case == "selecting":  # an utterance that also signals selection
             assert any(n > 0 and wants_selection for n, wants_selection in log)
+
+    @pytest.mark.parametrize("case", ["truncated", "selecting"])
+    def test_lockstep_rows_from_play_equal_the_packed_pass(self, tiny_model, tiny_tagger, monkeypatch, case):
+        # plain ModelAgents: each listener adopts the fork it stepped while
+        # the speaker drew, unless the protocol cut the utterance
+        from refgame.selfplay import annotate_transcript
+
+        calls = spy_ref_probs(monkeypatch)
+        model = biased(tiny_model)
+        scenarios = generate_scenarios(CFG, {4: 6, 5: 6, 6: 6}, seed=44)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(44).spawn(len(scenarios))]
+        transcripts = run_game(*([ModelAgent(model, 1.0, 12) for _ in scenarios] for _ in "AB"),
+                               scenarios, self.CASES[case], rngs)
+        for t, scenario in zip(transcripts, scenarios):
+            annotate_transcript(t, scenario, model, tiny_tagger)
+        assert len(calls) > 10 and all(from_play for from_play, _, _ in calls)
+        for _, got, packed in calls:
+            assert np.allclose(got, packed, rtol=0, atol=1e-12)
+            assert np.array_equal(got >= REF_THRESHOLD, packed >= REF_THRESHOLD)
 
     def test_float32_rows_from_play_equal_the_packed_pass(self, tiny_model, tiny_tagger, monkeypatch):
         model32 = biased(tiny_model, "float32")
