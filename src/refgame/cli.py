@@ -162,11 +162,12 @@ def cmd_split(args) -> int:
     return 0
 
 
-# config fields that `train` flags set; ModelConfig and TaggerConfig hold the defaults
-TRAIN_FLAGS = (
-    "variant", "epochs", "seed", "lr", "batch_size", "dropout", "embed_dim", "hidden_dim",
-    "attr_dim", "rel_dim", "attn_dim", "mlp_dim", "dtype",
-)
+# config field -> type of each `train` flag; ModelConfig and TaggerConfig hold the defaults
+TRAIN_FLAGS = {
+    "variant": str, "seed": int, "epochs": int, "batch_size": int, "lr": float, "dropout": float,
+    "embed_dim": int, "hidden_dim": int, "attr_dim": int, "rel_dim": int, "attn_dim": int,
+    "mlp_dim": int, "dtype": str,
+}
 
 
 def cmd_train(args) -> int:
@@ -448,20 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--split", required=True)
     p.add_argument("--task", choices=("model", "tagger"), default="model")
-    p.add_argument("--variant")
     p.add_argument("--gold", help="gold referents JSON (default: aggregate on the fly)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--attr-dim", type=int)
-    p.add_argument("--rel-dim", type=int)
-    p.add_argument("--attn-dim", type=int)
-    p.add_argument("--mlp-dim", type=int)
-    p.add_argument("--dtype")
+    for name, kind in TRAIN_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
@@ -495,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each with OpenBLAS on one thread and annotating the "
-                        "games it plays; on 2 CPUs --jobs 2 ran 900 model games 1.5-1.7x faster "
-                        "than 1, with or without --tagger")
+                        "games it plays")
     p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
     p.add_argument("--render-games", type=int, default=0,
                    help="with --tagger: write annotated HTML for the first N games")

@@ -53,16 +53,6 @@ class ProtocolConfig:
             raise ValueError("limits must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class PlayedStates:
-    """What one model player's committed decoder consumed in a game: its
-    ``DecoderState.log`` of ``(token id, GRU state after it)``, and the
-    model that stepped them."""
-
-    model: GroundingModel
-    log: list
-
-
 @dataclass
 class GameTranscript:
     scenario_id: str
@@ -75,8 +65,9 @@ class GameTranscript:
     predicted_referents: dict | None = None             # markable id -> [entity ids]
     aborted: bool = False
     abort_message: str | None = None
-    # role -> PlayedStates of a game between two state-keeping model agents,
-    # until annotate_transcript reads them; not a part of the record
+    # role -> the committed DecoderState of each of two state-keeping model
+    # agents, its model and its log of rows, until annotate_transcript reads
+    # them; not a part of the record
     states: dict | None = field(default=None, compare=False, repr=False)
 
     def __getstate__(self) -> dict:
@@ -249,9 +240,10 @@ class ModelAgent:
     With ``keep_states`` the committed state logs a copy of the GRU row of
     every token it consumes, the adopted fork's rows included, so the log
     holds the dialogue's states from this player's perspective.  A game
-    between two such agents puts both logs on its transcript, where
-    ``annotate_transcript`` reads its REF rows instead of running the GRU
-    again; ``run_batch`` with a tagger does so slice by slice.  A row is
+    between two such agents puts both committed states, logs included, on
+    its transcript, where ``annotate_transcript`` reads its REF rows
+    instead of running the GRU again; ``run_batch`` with a tagger does so
+    slice by slice.  A row is
     2 KiB at paper size in float64, and an untrained paper-size game holds
     210-290 KiB of rows on average, a 64-game slice 13-18 MiB."""
 
@@ -487,7 +479,7 @@ def _game(agent_a: Agent, agent_b: Agent, scenario: Scenario, protocol: Protocol
     transcript.selections = picks
     transcript.success = picks["A"] == picks["B"]
     if all(isinstance(agent, ModelAgent) and agent.keep_states for agent in agents.values()):
-        transcript.states = {role: PlayedStates(agent.model, agent.state.log) for role, agent in agents.items()}
+        transcript.states = {role: agent.state for role, agent in agents.items()}
     return transcript
 
 

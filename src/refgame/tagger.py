@@ -182,9 +182,7 @@ class MarkableTagger:
         if backward:
             self.store.grads["trans"] += d_tr
             self._emissions_backward(cache, d_em)
-        losses = [0.0] * len(batch)
-        for i, loss in zip(order, nll.tolist()):
-            losses[i] = loss
+        losses = nll[np.argsort(order)].tolist()
         return losses[0] if one else losses
 
     def decode(self, tokens: np.ndarray | Sequence[np.ndarray]):
@@ -207,27 +205,21 @@ class MarkableTagger:
                 paths[i] = path
         return paths[0] if one else paths
 
-    def token_accuracy(self, examples: Sequence[TagExample]) -> float:
-        hits = 0
-        total = 0
-        for ex, pred in zip(examples, self.decode([ex.tokens for ex in examples])):
-            hits += int(np.sum(np.asarray(pred) == ex.tags))
-            total += len(ex.tags)
-        return hits / total if total else 0.0
-
-    def span_f1(self, examples: Sequence[TagExample]) -> float:
-        tp = fp = fn = 0
+    def scores(self, examples: Sequence[TagExample]) -> dict[str, float]:
+        """Token accuracy and span F1 of the decoded paths against the
+        examples' tags, from one decode.  Span F1 is 2 * matched spans /
+        (predicted + gold spans), and 0.0 when no span matches."""
+        hits = tokens = matched = spans = 0
         for ex, path in zip(examples, self.decode([ex.tokens for ex in examples])):
-            pred = set(bio_to_spans(path))
-            gold = set(bio_to_spans(list(ex.tags)))
-            tp += len(pred & gold)
-            fp += len(pred - gold)
-            fn += len(gold - pred)
-        if tp == 0:
-            return 0.0
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        return 2 * precision * recall / (precision + recall)
+            hits += int(np.sum(np.asarray(path) == ex.tags))
+            tokens += len(ex.tags)
+            pred, gold = set(bio_to_spans(path)), set(bio_to_spans(ex.tags.tolist()))
+            matched += len(pred & gold)
+            spans += len(pred) + len(gold)
+        return {
+            "token_accuracy": hits / tokens if tokens else 0.0,
+            "span_f1": 2 * matched / spans if matched else 0.0,
+        }
 
     def save(self, prefix) -> None:
         save_checkpoint(self, prefix, "refgame-tagger")
@@ -253,7 +245,8 @@ def train_tagger(
     quiet: bool = True,
 ) -> TaggerTrainResult:
     """CRF log-likelihood training with early stopping on validation token
-    accuracy; deterministic given config.seed."""
+    accuracy; each epoch also records validation span F1.  Deterministic
+    given config.seed."""
     vocab = Vocabulary.from_corpus(corpus, split.train)
     train_ex = build_tag_examples(corpus, split.train, vocab)
     valid_ex = build_tag_examples(corpus, split.valid, vocab)
@@ -261,8 +254,8 @@ def train_tagger(
     tagger = MarkableTagger(config, vocab)
 
     def validate() -> tuple[float, dict]:
-        acc = tagger.token_accuracy(valid_ex)
-        return -acc, {"valid_token_accuracy": acc}
+        scores = tagger.scores(valid_ex)
+        return -scores["token_accuracy"], {f"valid_{k}": v for k, v in scores.items()}
 
     history, best_epoch = fit(
         tagger.store, train_ex, lambda batch, rng: tagger.nll(batch, backward=True), validate,

@@ -425,7 +425,7 @@ def test_criterion_6_tagger():
     split = split_dataset(corpus, seed=0)
     result = train_tagger(corpus, split, config)
     held_out = build_tag_examples(corpus, split.test, result.tagger.vocab)
-    accuracy = result.tagger.token_accuracy(held_out)
+    accuracy = result.tagger.scores(held_out)["token_accuracy"]
     assert accuracy >= 0.97, f"held-out token accuracy {accuracy:.4f}"
 
 

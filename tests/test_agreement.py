@@ -24,6 +24,7 @@ from refgame.agreement import (
     token_exact_match_correlation,
 )
 from refgame.corpus import AnnotatedCorpus, GoldEntry, ReferentJudgement
+from refgame.scenario import VIEW_SIZE
 from refgame.synth import make_span_annotations, make_synthetic_corpus
 
 
@@ -350,3 +351,68 @@ class TestColorKDE:
     def test_silverman_positive(self):
         rng = np.random.default_rng(0)
         assert silverman_bandwidth(rng.uniform(0, 256, size=100)) > 0
+
+
+@pytest.fixture(scope="module", params=[1, 2])
+def noise_free(request):
+    """A 400-dialogue corpus with no flips, and each judged markable's true
+    referents, read from a judgement that is not unidentifiable."""
+    corpus = make_synthetic_corpus(400, seed=request.param, flip_rate=0.0)
+    truth = {}
+    for mid, js in sorted(corpus.judgements.items()):
+        readable = [j.referents for j in js if not j.unidentifiable]
+        if readable:
+            truth[mid] = readable[0]
+    return corpus, truth
+
+
+class TestAgainstTheGenerator:
+    """``referent_agreement`` on judgements drawn from a known generator:
+    three annotators per markable each flip every entity of the speaker's
+    view with probability f.  Two judgements then agree on an entity with
+    probability q = (1-f)^2 + f^2 and match exactly with probability q^7,
+    and multi-pi is (q - A_e) / (1 - A_e) with A_e from the expected share
+    of marked entities.  Each statistic must fall within ``SE`` standard
+    errors of its closed form; a flip-free draw must match it exactly."""
+
+    SE = 4
+
+    @pytest.mark.parametrize("f", [0.0, 0.02, 0.1, 0.3])
+    def test_statistics_recover_the_flip_rate(self, noise_free, f):
+        corpus, truth = noise_free
+        rng = np.random.default_rng(round(f * 100))
+        judgements = []
+        for mid, referents in truth.items():
+            visible = sorted(corpus.visible_to_speaker(corpus.markables[mid]))
+            for a_idx in range(3):
+                flips = {e for e, flip in zip(visible, rng.random(len(visible)) < f) if flip}
+                judgements.append(J(referents ^ flips, mid=mid, ann=f"ann{a_idx}"))
+        report = referent_agreement(AnnotatedCorpus.build(
+            corpus.scenarios.values(), corpus.dialogues.values(), corpus.markables.values(), judgements,
+        ))
+
+        markables = len(truth)
+        items = markables * VIEW_SIZE
+        q = (1 - f) ** 2 + f ** 2
+        # an item's mean pairwise agreement is 1 if all three agree, else 1/3
+        unanimous = (1 - f) ** 3 + f ** 3
+        se_observed = 2 / 3 * math.sqrt(unanimous * (1 - unanimous) / items)
+        # a markable's three pairs vary together at most as much as one pair
+        se_exact = math.sqrt(q ** 7 * (1 - q ** 7) / markables)
+        share = sum(map(len, truth.values())) / items
+        marked = share * (1 - f) + (1 - share) * f
+        expected = marked ** 2 + (1 - marked) ** 2
+        se_marked = math.sqrt(f * (1 - f) / (3 * items))
+        # the sd of a sum is at most the sum of the terms' sds
+        se_pi = (se_observed / (1 - expected)
+                 + (1 - q) / (1 - expected) ** 2 * abs(4 * marked - 2) * se_marked)
+
+        for name, got, want, se in [
+            ("observed", report.observed, q, se_observed),
+            ("exact match", report.exact_match, q ** 7, se_exact),
+            ("multi-pi", report.multi_pi, (q - expected) / (1 - expected), se_pi),
+        ]:
+            if f == 0.0:
+                assert got == want, name
+            else:
+                assert abs(got - want) <= self.SE * se, (name, got, want, se)

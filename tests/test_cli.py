@@ -322,6 +322,31 @@ class TestModelCommands:
         assert seen == [TaggerConfig() if task == "tagger" else ModelConfig()]
         assert seen[0].epochs == (20 if task == "tagger" else 30)
 
+    def test_each_train_flag_has_its_config_field_type(self):
+        from typing import get_type_hints
+
+        from refgame.cli import TRAIN_FLAGS
+        from refgame.model import ModelConfig
+        from refgame.tagger import TaggerConfig
+
+        model_fields, tagger_fields = get_type_hints(ModelConfig), get_type_hints(TaggerConfig)
+        assert set(TRAIN_FLAGS) <= set(model_fields)
+        for name, kind in TRAIN_FLAGS.items():
+            assert kind is model_fields[name] and kind is tagger_fields.get(name, kind), name
+
+    def test_tagger_train_prints_the_best_epoch_scores(self, data_dir, tagger_ckpt, tmp_path, capsys):
+        split = tagger_ckpt.parent / "split.json"
+        out = tmp_path / "t"
+        assert run(
+            "train", "--data", data_dir, "--split", split, "--task", "tagger",
+            "--out", out, "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4", "--quiet",
+        ) == 0
+        printed = json.loads(capsys.readouterr().out)
+        logged = json.loads(out.with_suffix(".log.jsonl").read_text().splitlines()[0])
+        for record in (printed, logged):
+            assert 0.0 <= record["valid_token_accuracy"] <= 1.0
+            assert 0.0 <= record["valid_span_f1"] <= 1.0
+
     def test_tagger_train_rejects_model_only_flags(self, data_dir, tagger_ckpt, tmp_path, capsys):
         split = tagger_ckpt.parent / "split.json"
         assert run(

@@ -136,8 +136,7 @@ class TestTraining:
         result = train_tagger(corpus, split, cfg)
         examples = build_tag_examples(corpus, ids, result.tagger.vocab)
         assert len(examples) >= 20
-        assert result.tagger.token_accuracy(examples) == 1.0
-        assert result.tagger.span_f1(examples) == 1.0
+        assert result.tagger.scores(examples) == {"token_accuracy": 1.0, "span_f1": 1.0}
 
     @given(seed=st.integers(0, 2**32 - 1), lengths=st.lists(st.integers(1, 9), min_size=1, max_size=12))
     @settings(max_examples=15, deadline=None)
@@ -170,6 +169,53 @@ class TestTraining:
         assert strip(r1.history) == strip(r2.history)
         for k in r1.tagger.store.params:
             assert np.array_equal(r1.tagger.store.params[k], r2.tagger.store.params[k])
+
+    def test_each_epoch_records_the_scores_of_its_weights(self):
+        corpus = make_synthetic_corpus(6, seed=53)
+        ids = tuple(sorted(corpus.dialogues))
+        split = Split(train=ids[:4], valid=ids[4:], test=ids[4:], seed=0)
+        result = train_tagger(corpus, split, TaggerConfig(embed_dim=8, hidden_dim=8, epochs=3, seed=2))
+        valid = build_tag_examples(corpus, split.valid, result.tagger.vocab)
+        best = result.history[result.best_epoch]  # the restored weights are the best epoch's
+        scores = result.tagger.scores(valid)
+        assert {k: best[f"valid_{k}"] for k in scores} == scores
+        assert all({"valid_token_accuracy", "valid_span_f1"} <= set(rec) for rec in result.history)
+
+
+class TestScores:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_one_decode_gives_accuracy_and_span_f1(self, seed, n):
+        rng = np.random.default_rng(seed)
+        tagger = MarkableTagger(TINY, Vocabulary(["a", "b", "c"]))
+        examples = [
+            TagExample("d", i, rng.integers(0, 3, size=k), rng.integers(0, 3, size=k))
+            for i, k in enumerate(rng.integers(1, 10, size=n))
+        ]
+        paths = [rng.integers(0, 3, size=len(ex.tags)).tolist() for ex in examples]
+        calls = []
+
+        def decode(tokens):  # a spy that hands back random paths
+            calls.append(tokens)
+            return paths
+
+        tagger.decode = decode
+        scores = tagger.scores(examples)
+        assert len(calls) == 1
+        hits = sum(int(np.sum(np.array(p) == ex.tags)) for p, ex in zip(paths, examples))
+        total = sum(len(ex.tags) for ex in examples)
+        assert scores["token_accuracy"] == (hits / total if total else 0.0)
+        tp = fp = fn = 0
+        for path, ex in zip(paths, examples):
+            pred, gold = set(bio_to_spans(path)), set(bio_to_spans(list(ex.tags)))
+            tp += len(pred & gold)
+            fp += len(pred - gold)
+            fn += len(gold - pred)
+        if tp == 0:
+            assert scores["span_f1"] == 0.0
+        else:
+            precision, recall = tp / (tp + fp), tp / (tp + fn)
+            assert abs(scores["span_f1"] - 2 * precision * recall / (precision + recall)) <= 1e-12
 
 
 class TestCheckpointAndExport:
