@@ -245,6 +245,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_selfplay(args) -> int:
+    from .corpus import save_corpus
     from .model import GroundingModel
     from .scenario import generate_scenarios
     from .selfplay import ModelAgent, ProtocolConfig, center_agent, darkest_agent, random_agent, run_batch
@@ -253,10 +254,9 @@ def cmd_selfplay(args) -> int:
         raise RefgameError("--agent model needs --model PREFIX")
     if args.agent != "model" and (args.model or args.tagger):
         raise RefgameError(f"--agent {args.agent} does not take --model or --tagger")
-    if args.render_games < 0:
-        raise ValueError(f"--render-games must be at least 0, got {args.render_games}")
-    if args.render_games > 0 and not args.tagger:
-        raise RefgameError("--render-games needs --tagger")
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"--out {out} exists and is not a directory")
     config = _scenario_config(args)
     scenarios = generate_scenarios(config, {k: args.games for k in args.shared}, seed=args.seed)
     # flags left out take the ProtocolConfig defaults
@@ -282,27 +282,17 @@ def cmd_selfplay(args) -> int:
     t0 = time.perf_counter()
     result = run_batch(factory, scenarios, protocol, jobs=args.jobs, tagger=tagger)
     seconds = time.perf_counter() - t0
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.render_games:
-        from .render import render_dialogue
-        from .tagger import predict_markables
-
-        rendered = zip(result.transcripts[:args.render_games], scenarios)
-        for i, (transcript, scenario) in enumerate(rendered):
-            if transcript.aborted:
-                continue
-            dialogue = transcript.to_dialogue(f"game{i:05d}")
-            html = render_dialogue(dialogue, scenario, predict_markables(tagger, [dialogue]),
-                                   transcript.predicted_referents)
-            atomic_write_text(out / f"game{i:05d}.html", html)
+    if tagger is not None:
+        save_corpus(result.corpus(scenarios), out / "corpus")
     atomic_write_text(out / "summary.csv", result.summary_csv())
     atomic_write_json(out / "summary.json", {
         **result.summary(seconds),
         "config": {
             "protocol": asdict(protocol),
             "agent": args.agent,
-            "model": args.model if args.agent == "model" else None,
+            "model": args.model,
+            "tagger": args.tagger,
             "dtype": None if model is None else model.config.dtype,
             "seed": args.seed,
             "jobs": args.jobs,
@@ -319,6 +309,7 @@ def cmd_selfplay(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .agreement import aggregate_corpus_gold
     from .corpus import load_corpus, load_gold
     from .render import render_dialogue, render_judgements, render_view
 
@@ -326,17 +317,10 @@ def cmd_render(args) -> int:
     if args.dialogue:
         dialogue = _by_id(corpus.dialogues, "--dialogue", args.dialogue)
         scenario = corpus.scenarios[dialogue.scenario_id]
-        markables = [
-            corpus.markables[mid]
-            for mid in corpus.markables_by_dialogue.get(args.dialogue, ())
-        ]
-        gold = load_gold(args.gold) if args.gold else {}
-        refs = {
-            mid: entry.referents
-            for mid, entry in gold.items()
-            if not entry.dropped and mid in {m.id for m in markables}
-        }
-        html = render_dialogue(dialogue, scenario, markables, refs)
+        ids = corpus.markables_by_dialogue.get(args.dialogue, ())
+        gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
+        refs = {mid: gold[mid].referents for mid in ids if mid in gold and not gold[mid].dropped}
+        html = render_dialogue(dialogue, scenario, [corpus.markables[mid] for mid in ids], refs)
         atomic_write_text(args.out, html)
     elif args.markable:
         _by_id(corpus.markables, "--markable", args.markable)
@@ -486,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, each with OpenBLAS on one thread and annotating the "
                         "games it plays")
-    p.add_argument("--tagger", help="annotate transcripts with detected markables and REF predictions")
-    p.add_argument("--render-games", type=int, default=0,
-                   help="with --tagger: write annotated HTML for the first N games")
+    p.add_argument("--tagger", help="annotate the finished games and write them as a corpus to OUT/corpus")
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_selfplay)
@@ -516,7 +498,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RefgameError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (RefgameError, OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Dialogue, GoldEntry, Message, Selection
+from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Message, ReferentJudgement, Selection
 from .errors import GameAbortedError
 from .io import csv_text
 from .model import (
@@ -37,6 +37,7 @@ from .scenario import Scenario, View, view_feature_matrix
 # 1.80 s at 128 (faster than 64 in 4 of 8 alternating rounds) and 2.53 s at
 # 32 (BENCH_listener_lockstep.json, "games_chunk").
 GAMES_CHUNK = 64
+GAME_ID = "game{:05d}"  # the dialogue id of a batch's i-th game, which its markables carry
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,7 @@ class GameTranscript:
     success: bool = False
     forced: bool = False
     predicted_referents: dict | None = None             # markable id -> [entity ids]
+    markables: list | None = field(default=None, repr=False)  # annotate_transcript's; not in the record
     aborted: bool = False
     abort_message: str | None = None
     # role -> the committed DecoderState of each of two state-keeping model
@@ -567,6 +569,20 @@ class BatchResult:
             "tokens_per_s": sum(tokens) / seconds,
         }
 
+    def corpus(self, scenarios: Sequence[Scenario]) -> AnnotatedCorpus:
+        """The games ``run_batch`` annotated, the i-th played on ``scenarios[i]``, as a corpus:
+        their scenarios, a dialogue per game (id ``GAME_ID`` of i), the tagger's markables and,
+        per markable, one ``speaker-model`` judgement holding the speaker's REF prediction."""
+        games = [(GAME_ID.format(i), t, s) for i, (t, s) in enumerate(zip(self.transcripts, scenarios))
+                 if t.markables is not None]
+        return AnnotatedCorpus.build(
+            list({s.id: s for _, _, s in games}.values()),
+            [t.to_dialogue(game) for game, t, _ in games],
+            [m for _, t, _ in games for m in t.markables],
+            [ReferentJudgement(m.id, "speaker-model", frozenset(t.predicted_referents[m.id]))
+             for _, t, _ in games for m in t.markables],
+        )
+
 
 def annotate_transcript(
     transcript: GameTranscript,
@@ -579,7 +595,7 @@ def annotate_transcript(
     the tagger, then predict each markable's referents with the model's REF
     head from the speaker's own perspective.  Returns (dialogue, markables,
     predicted referent sets keyed by markable id) and stores the
-    predictions on the transcript.
+    markables and predictions on the transcript.
 
     A perspective whose player was a state-keeping ``ModelAgent`` of
     ``model`` reads its REF rows from the states that player's decoder
@@ -616,6 +632,7 @@ def annotate_transcript(
         for mid, row in zip(ex.markable_ids, probs >= REF_THRESHOLD):
             predictions[mid] = frozenset(e for e, hit in zip(ex.entity_ids, row) if hit)
     transcript.predicted_referents = {k: sorted(v) for k, v in predictions.items()}
+    transcript.markables = markables
     return dialogue, markables, predictions
 
 
@@ -634,7 +651,7 @@ def _play_slice(games: slice, *batch) -> list[GameTranscript]:
     if tagger is not None:
         for i, (t, scenario, agent_a) in enumerate(zip(transcripts, scenarios, agents_a), games.start):
             if not t.aborted:
-                annotate_transcript(t, scenario, agent_a.model, tagger, dialogue_id=f"game{i:05d}")
+                annotate_transcript(t, scenario, agent_a.model, tagger, dialogue_id=GAME_ID.format(i))
     return transcripts
 
 

@@ -218,7 +218,7 @@ class TestModelCommands:
         assert summary["config"] == {
             "protocol": {"temperature": 0.25, "max_utterances": 4,
                          "max_tokens_per_utterance": 8, "seed": 2},
-            "agent": "model", "model": str(model), "dtype": "float64", "seed": 2, "jobs": 1,
+            "agent": "model", "model": str(model), "tagger": None, "dtype": "float64", "seed": 2, "jobs": 1,
             "scenario": json.loads(json.dumps(asdict(DEFAULT_CONFIG))), "shared": [4, 5], "games": 3,
         }
         assert summary["version"] == __version__
@@ -361,11 +361,73 @@ class TestModelCommands:
         assert run(
             "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
             "--shared", "4", "--games", "2", "--seed", "4", "--max-utterances", "4",
-            "--max-tokens", "8", "--render-games", "1", "--out", out,
+            "--max-tokens", "8", "--out", out,
         ) == 0
-        lines = (out / "transcripts.jsonl").read_text().strip().splitlines()
-        assert all("predicted_referents" in json.loads(line) for line in lines)
-        assert (out / "game00000.html").read_text().startswith("<!DOCTYPE html>")
+        records = [json.loads(line) for line in (out / "transcripts.jsonl").read_text().splitlines()]
+        assert all("predicted_referents" in r for r in records)
+        # every finished game is a dialogue of the corpus, and every markable it
+        # predicted for has one speaker-model judgement holding that prediction
+        corpus = load_corpus(out / "corpus")
+        assert sorted(corpus.dialogues) == ["game00000", "game00001"]
+        assert [corpus.dialogues[f"game{i:05d}"].scenario_id for i in range(2)] == [
+            r["scenario_id"] for r in records]
+        predicted = {mid: refs for r in records for mid, refs in r["predicted_referents"].items()}
+        assert set(corpus.markables) == set(predicted)
+        assert {mid: [(j.annotator_id, sorted(j.referents)) for j in js]
+                for mid, js in corpus.judgements.items()} == {
+            mid: [("speaker-model", refs)] for mid, refs in predicted.items()}
+        assert json.loads((out / "summary.json").read_text())["config"]["tagger"] == str(tagger_ckpt)
+
+    def test_selfplay_corpus_is_read_by_the_corpus_commands(self, trained, tagger_ckpt, tmp_path, capsys):
+        from refgame.render import render_dialogue
+        from refgame.tagger import predict_markables
+
+        workdir, split, model = trained
+        out = tmp_path / "spr"
+        assert run(
+            "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
+            "--shared", "4,5", "--games", "2", "--seed", "3", "--max-utterances", "4",
+            "--max-tokens", "8", "--out", out,
+        ) == 0
+        data = out / "corpus"
+        assert run("validate", "--data", data) == 0
+        assert run("stats", "--data", data, "--out", tmp_path / "stats.json") == 0
+        assert run("aggregate", "--data", data, "--out", tmp_path / "gold.json") == 0
+        # without --gold, render takes the corpus's majority vote: the speaker's prediction
+        page = tmp_path / "game0.html"
+        assert run("render", "--data", data, "--dialogue", "game00000", "--out", page) == 0
+        corpus = load_corpus(data)
+        dialogue = corpus.dialogues["game00000"]
+        record = json.loads((out / "transcripts.jsonl").read_text().splitlines()[0])
+        assert any(record["predicted_referents"].values())
+        expected = render_dialogue(dialogue, corpus.scenarios[dialogue.scenario_id],
+                                   predict_markables(MarkableTagger.load(tagger_ckpt), [dialogue]),
+                                   record["predicted_referents"])
+        assert page.read_text() == expected
+        # one judgement per markable leaves nothing for agreement to compare
+        capsys.readouterr()
+        assert run("agreement", "--data", data, "--out", tmp_path / "agr") == 1
+        assert "multiply-judged" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_selfplay_tags_each_finished_game_once(self, trained, tagger_ckpt, tmp_path, monkeypatch):
+        from refgame import tagger
+
+        calls = []
+        real = tagger.predict_markables
+
+        def counted(tagger_, dialogues):
+            calls.append([d.id for d in dialogues])
+            return real(tagger_, dialogues)
+
+        monkeypatch.setattr(tagger, "predict_markables", counted)
+        workdir, split, model = trained
+        out = tmp_path / "spt"
+        assert run(
+            "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
+            "--shared", "4,5", "--games", "2", "--seed", "4", "--max-utterances", "4",
+            "--max-tokens", "8", "--jobs", "1", "--out", out,
+        ) == 0
+        assert calls == [[f"game{i:05d}"] for i in range(4)]
 
     def test_selfplay_returns_no_decoder_states_to_the_cli(self, trained, tagger_ckpt, tmp_path,
                                                            monkeypatch):
@@ -428,11 +490,12 @@ class TestModelCommands:
             assert run(
                 "selfplay", "--agent", "model", "--model", model, "--tagger", tagger_ckpt,
                 "--shared", "4,5", "--games", "3", "--seed", "6", "--max-utterances", "4",
-                "--max-tokens", "8", "--render-games", "1", "--jobs", jobs, "--out", out,
+                "--max-tokens", "8", "--jobs", jobs, "--out", out,
             ) == 0
             outputs.append({
                 name: (out / name).read_bytes()
-                for name in ("transcripts.jsonl", "summary.csv", "game00000.html")
+                for name in ("transcripts.jsonl", "summary.csv", "corpus/scenarios.json",
+                             "corpus/dialogues.json", "corpus/markables.json", "corpus/judgements.json")
             })
         assert outputs[0] == outputs[1]
         assert outputs[0]["transcripts.jsonl"].count(b"predicted_referents") == 6
@@ -530,9 +593,7 @@ class TestSelfplayAndRender:
     ("selfplay", "--games", "-2"),
     ("selfplay", "--games", "1", "--jobs", "-3"),
     ("selfplay", "--games", "1", "--jobs", "0"),
-    ("selfplay", "--games", "1", "--render-games", "-3"),
-], ids=["generate-count", "selfplay-games", "selfplay-jobs", "selfplay-zero-jobs",
-        "selfplay-render-games"])
+], ids=["generate-count", "selfplay-games", "selfplay-jobs", "selfplay-zero-jobs"])
 def test_negative_counts_report_json_value_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 1
@@ -540,6 +601,31 @@ def test_negative_counts_report_json_value_error(tmp_path, capsys, argv):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,error", [
+    ("generate", "IsADirectoryError"), ("selfplay", "NotADirectoryError"),
+])
+def test_an_out_that_cannot_be_written_reports_json_os_error(tmp_path, capsys, monkeypatch,
+                                                             command, error):
+    from refgame import selfplay
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_batch was reached")
+
+    # generate cannot replace a directory with its file; selfplay refuses a
+    # file as its directory before it plays
+    monkeypatch.setattr(selfplay, "run_batch", unreachable)
+    out = tmp_path / "out"
+    if command == "generate":
+        out.mkdir()
+    else:
+        out.write_text("keep")
+    assert run(command, "--games" if command == "selfplay" else "--count", "1", "--out", out) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert out.is_dir() if command == "generate" else out.read_text() == "keep"
 
 
 LIST_FILE = "<a file holding []>"
@@ -552,13 +638,12 @@ LIST_FILE = "<a file holding []>"
     (("split",), "ValueError"),
     (("train", "--split", LIST_FILE), "SchemaError"),
     (("evaluate", "--gold", LIST_FILE), "SchemaError"),
-    (("selfplay", "--render-games", "2"), "RefgameError"),
     (("selfplay", "--agent", "random", "--model", "no-such-model"), "RefgameError"),
     (("train", "--task", "tagger", "--gold", "no-such-gold.json"), "RefgameError"),
     (("selfplay", "--temperature", "nan"), "ValueError"),
     (("selfplay", "--temperature", "inf"), "ValueError"),
 ], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list",
-        "render-games-without-tagger", "model-with-scripted-agent", "tagger-gold",
+        "model-with-scripted-agent", "tagger-gold",
         "temperature-nan", "temperature-inf"])
 def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request, argv, error):
     list_file = tmp_path / "list.json"
@@ -654,7 +739,8 @@ def test_every_json_file_the_cli_writes_is_canonical(data_dir, trained, tagger_c
         ("evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", tmp_path / "eval"),
         ("report", tmp_path / "eval", tmp_path / "agreement", "--out", tmp_path / "bundle"),
         ("selfplay", "--agent", "model", "--model", model, "--shared", "4,5", "--games", "2",
-         "--seed", "1", "--max-utterances", "4", "--max-tokens", "8", "--out", tmp_path / "selfplay"),
+         "--seed", "1", "--max-utterances", "4", "--max-tokens", "8", "--tagger", tagger_ckpt,
+         "--out", tmp_path / "selfplay"),
     ]
     for argv in commands:
         assert run(*argv) == 0
@@ -662,8 +748,27 @@ def test_every_json_file_the_cli_writes_is_canonical(data_dir, trained, tagger_c
     assert {
         "scenarios.json", "stats.json", "agreement/agreement.json", "gold.json", "split.json",
         "markables.json", "eval/report.json", "bundle/index.json", "bundle/results_summary.json",
-        "selfplay/summary.json",
+        "selfplay/summary.json", "selfplay/corpus/scenarios.json", "selfplay/corpus/dialogues.json",
+        "selfplay/corpus/markables.json", "selfplay/corpus/judgements.json",
     } <= set(written)
     for name, data in written.items():
         text = json.dumps(json.loads(data), indent=2, ensure_ascii=False) + "\n"
         assert data == text.encode("utf-8"), name
+
+
+def test_every_readme_walkthrough_command_parses():
+    import shlex
+
+    from refgame.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```\n", 2)[1]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    commands = [shlex.split(line) for line in lines if line]
+    assert len(commands) >= 14 and all(argv[0] == "refgame" for argv in commands)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"the README's {' '.join(argv)!r} does not parse")

@@ -267,6 +267,47 @@ class TestTranscript:
             )
             assert corpus.dialogues[f"game{i}"].outcome == t.success
 
+    def test_annotated_games_make_a_corpus(self, tmp_path):
+        from refgame.corpus import Markable, Message, ReferentJudgement, load_corpus, save_corpus
+        from refgame.selfplay import BatchResult, GameTranscript
+
+        scenarios = generate_scenarios(CFG, {4: 2, 6: 2}, seed=8)
+        views = [(s.view("A").visible, s.view("B").visible) for s in scenarios]
+
+        def game(i, messages, markables, predicted, aborted=False):
+            picks = {"A": int(views[i][0][0]), "B": int(views[i][1][0])}
+            return GameTranscript(
+                scenario_id=scenarios[i].id, num_shared=scenarios[i].num_shared, seed=0,
+                messages=[{"speaker": who, "tokens": line.split()} for who, line in messages],
+                selections={} if aborted else picks, success=picks["A"] == picks["B"],
+                predicted_referents=predicted, markables=markables, aborted=aborted,
+            )
+
+        a0 = Markable("game00000_auto_0_1", "game00000", 0, 1, 3, "A")
+        b0 = Markable("game00000_auto_1_0", "game00000", 1, 0, 2, "B")
+        a3 = Markable("game00003_auto_0_0", "game00003", 0, 0, 1, "A")
+        a_refs, b_refs = sorted(map(int, views[0][0][:2])), [int(views[0][1][3])]
+        result = BatchResult([
+            game(0, [("A", "the dark dot"), ("B", "big one ?")], [a0, b0],
+                 {a0.id: a_refs, b0.id: b_refs}),
+            game(1, [], None, None, aborted=True),       # aborted: no dialogue
+            game(2, [("A", "hello")], [], {}),           # finished, with no markable detected
+            game(3, [("A", "it")], [a3], {a3.id: []}),   # a markable predicted to refer to nothing
+        ])
+        corpus = result.corpus(scenarios)
+        assert list(corpus.scenarios) == [scenarios[i].id for i in (0, 2, 3)]
+        assert list(corpus.dialogues) == ["game00000", "game00002", "game00003"]
+        assert corpus.dialogues["game00000"].messages == (
+            Message("A", ("the", "dark", "dot")), Message("B", ("big", "one", "?")))
+        assert list(corpus.markables.values()) == [a0, b0, a3]
+        assert corpus.judgements == {
+            a0.id: (ReferentJudgement(a0.id, "speaker-model", frozenset(a_refs)),),
+            b0.id: (ReferentJudgement(b0.id, "speaker-model", frozenset(b_refs)),),
+            a3.id: (ReferentJudgement(a3.id, "speaker-model", frozenset()),),
+        }
+        save_corpus(corpus, tmp_path / "corpus")
+        assert load_corpus(tmp_path / "corpus") == corpus
+
 
 @pytest.fixture(scope="module")
 def tiny_model():
@@ -889,6 +930,9 @@ class TestPlayStates:
         assert t.states is not None  # pickling leaves the original's states
         annotate_transcript(t, scenario, tiny_model, tiny_tagger)
         assert t.states is None
+        # the detected markables stay out of the record but travel in pickles
+        assert t.markables is not None and "markables" not in t.to_dict()
+        assert pickle.loads(pickle.dumps(t)).markables == t.markables
 
     def test_agents_that_keep_no_states_leave_none(self, tiny_model):
         scenario = generate_scenario(CFG, 4, np.random.default_rng(13))
