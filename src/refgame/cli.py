@@ -52,6 +52,14 @@ def _by_id(table, flag: str, key: str):
     return table[key]
 
 
+def _gold(args, corpus):
+    """The gold of ``--gold``, checked against ``corpus``, or else the
+    corpus's majority vote."""
+    from .agreement import aggregate_corpus_gold, load_gold
+
+    return load_gold(args.gold, corpus) if args.gold else aggregate_corpus_gold(corpus)
+
+
 def _scenario_config(args):
     from .scenario import DEFAULT_CONFIG, load_scenario_config
 
@@ -173,8 +181,7 @@ TRAIN_FLAGS = {
 def cmd_train(args) -> int:
     from dataclasses import fields
 
-    from .corpus import Split, load_corpus, load_gold
-    from .agreement import aggregate_corpus_gold
+    from .corpus import Split, load_corpus
 
     corpus = load_corpus(_data_dir(args))
     split = Split.from_dict(read_json(args.split))
@@ -198,7 +205,7 @@ def cmd_train(args) -> int:
 
     from .model import ModelConfig, train_model
 
-    gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
+    gold = _gold(args, corpus)
     config = ModelConfig(**given)
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
@@ -209,16 +216,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .agreement import aggregate_corpus_gold
-    from .corpus import Split, load_corpus, load_gold
+    from .corpus import Split, load_corpus
     from .evaluation import evaluate_model
     from .model import GroundingModel
 
     corpus = load_corpus(_data_dir(args))
     split = Split.from_dict(read_json(args.split))
     model = GroundingModel.load(args.model)
-    gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
-    report = evaluate_model(model, corpus, split.test, gold)
+    report = evaluate_model(model, corpus, split.test, _gold(args, corpus))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_json(out / "report.json", report.to_dict())
@@ -309,8 +314,7 @@ def cmd_selfplay(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .agreement import aggregate_corpus_gold
-    from .corpus import load_corpus, load_gold
+    from .corpus import load_corpus
     from .render import render_dialogue, render_judgements, render_view
 
     corpus = load_corpus(_data_dir(args))
@@ -318,7 +322,7 @@ def cmd_render(args) -> int:
         dialogue = _by_id(corpus.dialogues, "--dialogue", args.dialogue)
         scenario = corpus.scenarios[dialogue.scenario_id]
         ids = corpus.markables_by_dialogue.get(args.dialogue, ())
-        gold = load_gold(args.gold) if args.gold else aggregate_corpus_gold(corpus)
+        gold = _gold(args, corpus)
         refs = {mid: gold[mid].referents for mid in ids if mid in gold and not gold[mid].dropped}
         html = render_dialogue(dialogue, scenario, [corpus.markables[mid] for mid in ids], refs)
         atomic_write_text(args.out, html)

@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import IntegrityError, SchemaError
-from .io import atomic_write_json, from_record, read_json, read_list, read_records
+from .io import atomic_write_json, from_record, read_list, read_records
 from .scenario import AGENTS, Scenario, load_scenarios, save_scenarios
 
 
@@ -467,19 +467,6 @@ def save_gold(gold: Mapping[str, GoldEntry], path) -> None:
     atomic_write_json(
         path, {mid: {**vars(e), "referents": sorted(e.referents)} for mid, e in sorted(gold.items())}
     )
-
-
-def load_gold(path) -> dict[str, GoldEntry]:
-    data = read_json(path)
-    if type(data) is not dict:
-        raise SchemaError(f"{path} must hold a JSON object")
-    gold = {}
-    for mid, d in data.items():
-        try:
-            gold[mid] = from_record(GoldEntry, d, referents=frozenset(read_list(d, "referents", int)))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}, markable {mid}: {exc}") from None
-    return gold
 
 
 FILES = ("scenarios.json", "dialogues.json", "markables.json", "judgements.json")

@@ -58,10 +58,9 @@ EOU = "<eou>"
 SEL = "<selection>"
 SPECIALS = (UNK, YOU, THEM, EOU, SEL)
 
+# each variant names its heads in the order they run, TSEL, REF, DIAL,
+# which fixes how gradients accumulate
 VARIANTS = ("TSEL", "REF", "TSEL-REF", "TSEL-DIAL", "TSEL-REF-DIAL")
-# Heads run in this fixed order, never in the order of a variant's frozenset,
-# which follows string hashing; the order fixes how gradients accumulate.
-HEADS = ("tsel", "ref", "dial")
 # a markable refers to an entity when its REF probability reaches this
 REF_THRESHOLD = 0.5
 # examples per packed GRU pass: the chunk's GRU cache and backward
@@ -69,10 +68,11 @@ REF_THRESHOLD = 0.5
 PACK_CHUNK = 8
 
 
-def variant_heads(variant: str) -> frozenset[str]:
+def variant_heads(variant: str) -> tuple[str, ...]:
+    """The variant's heads, lower-case, in the order they run."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    return frozenset(p.lower() for p in variant.split("-"))
+    return tuple(variant.lower().split("-"))
 
 
 class Vocabulary:
@@ -353,9 +353,8 @@ class GroundingModel:
         store.add("attn.We", (c.attn_dim, de))
         store.add("attn.Wq", (c.attn_dim, c.hidden_dim))
         store.add("attn.b", (c.attn_dim,), init="zeros")
-        for head in HEADS:
-            if head in self.heads:
-                store.add(f"attn.v_{head}", (c.attn_dim,), init="uniform")
+        for head in self.heads:
+            store.add(f"attn.v_{head}", (c.attn_dim,), init="uniform")
         if "dial" in self.heads:
             store.add("dial.W1", (c.mlp_dim, c.hidden_dim + de))
             store.add("dial.b1", (c.mlp_dim,), init="zeros")
@@ -419,44 +418,46 @@ class GroundingModel:
             yield (chunk, np.argsort(order), *self._encode_tokens([chunk[k].tokens for k in order]))
 
     def _attention(self, entities_proj: np.ndarray, queries: np.ndarray, head: str):
-        """Scores for each of the 7 entities against each query row:
-        score[q, i] = v_head . tanh(We e_i + Wq h_q + b).  ``entities_proj``
-        is (7, A), shared by every query, or (Q, 7, A), one set per query."""
+        """Scores (E, R, 7) of E entity sets against their query rows
+        (E, R, H), set e against its own R rows, and the activation ``act``
+        (E, R, 7, A): score[e, r, i] = v_head . tanh(We x_ei + Wq h_er + b),
+        with We x_ei in ``entities_proj`` (E, 7, A)."""
         p = self.store
-        q_proj = queries @ p["attn.Wq"].T
-        act = tanh(entities_proj + q_proj[:, None, :] + p["attn.b"])
+        *rows, h = queries.shape
+        # one GEMM over all E * R rows, so a lockstep row rounds as a row of a stack does
+        q_proj = (queries.reshape(-1, h) @ p["attn.Wq"].T).reshape(*rows, 1, len(p["attn.Wq"]))
+        act = tanh(entities_proj[..., None, :, :] + q_proj + p["attn.b"])
         return act @ p[f"attn.v_{head}"], act
 
     def _attention_backward(self, dscores, act, entities, queries, head: str):
-        """Returns (d_entities, d_queries); accumulates parameter grads.
-
-        ``act`` is (Q, 7, A) and the pre-activation is ``We e_i + Wq h_q +
-        b``, so its gradient reduces to a per-entity sum (7, A) over the
-        queries and a per-query sum (Q, A) over the entities, each of which
-        then meets its weight in one matmul.  ``act`` is overwritten with
-        that gradient, which saves a (Q, 7, A) temporary."""
+        """Returns (d_entities (E, 7, De), d_queries (E, R, H)); accumulates
+        parameter grads.  The pre-activation gradient, written over ``act``
+        to save an (E, R, 7, A) temporary, reduces to a sum (E, 7, A) over
+        each set's rows and a sum (E, R, A) over its entities; each meets
+        its weight in one matmul over all rows."""
         p, g = self.store, self.store.grads
         v = p[f"attn.v_{head}"]
-        g[f"attn.v_{head}"] += dscores.reshape(-1) @ act.reshape(-1, act.shape[-1])
+        a = act.shape[-1]
+        g[f"attn.v_{head}"] += dscores.reshape(-1) @ act.reshape(-1, a)
         dact = np.multiply(act, act, out=act)
         np.subtract(1.0, dact, out=dact)
-        dact *= dscores[:, :, None] * v[None, None, :]
-        d_pre_e = dact.sum(axis=0)
-        d_pre_q = dact.sum(axis=1)
-        g["attn.We"] += d_pre_e.T @ entities
-        g["attn.Wq"] += d_pre_q.T @ queries
+        dact *= dscores[..., None] * v
+        d_pre_e = dact.sum(axis=1)
+        d_pre_q = dact.sum(axis=2).reshape(-1, a)
+        g["attn.We"] += d_pre_e.reshape(-1, a).T @ entities.reshape(-1, entities.shape[-1])
+        g["attn.Wq"] += d_pre_q.T @ queries.reshape(-1, queries.shape[-1])
         g["attn.b"] += d_pre_q.sum(axis=0)
-        return d_pre_e @ p["attn.We"], d_pre_q @ p["attn.Wq"]
+        return d_pre_e @ p["attn.We"], (d_pre_q @ p["attn.Wq"]).reshape(queries.shape)
 
     # --- the three heads ----------------------------------------------------
 
     def _head_forward(self, head: str, entities, entities_proj, queries):
-        """One head over query rows (Q, H): entity scores (Q, 7) for TSEL and
-        REF, next-token logits (Q, V) for DIAL.  The entities are (7, .),
-        shared by every query, or stacked (Q, 7, .), one set per query, as
-        in lockstep decoding.  Returns (out, cache), where the cache holds
-        what ``_head_backward`` needs; the backward takes shared entities
-        only."""
+        """One head over E entity sets (E, 7, De) with their ``attn.We``
+        projection (E, 7, A) and query rows (E, R, H), set e read by its own
+        R rows: entity scores (E, R, 7) for TSEL and REF, next-token logits
+        (E, R, V) for DIAL.  Training and prediction pass one set (E = 1),
+        lockstep decoding one row per game (R = 1).  Returns (out, cache),
+        where the cache holds what ``_head_backward`` needs."""
         if head not in self.heads:
             raise ValueError(f"variant {self.config.variant} has no {head.upper()} head")
         scores, act = self._attention(entities_proj, queries, head)
@@ -464,33 +465,31 @@ class GroundingModel:
             return scores, (entities, queries, act)
         p = self.store
         alpha = softmax(scores, axis=-1)
-        context = alpha @ entities if entities.ndim == 2 else np.matmul(alpha[:, None], entities)[:, 0]
-        z = np.concatenate([queries, context], axis=1)
-        logits, u1 = mlp(z, p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
-        return logits, (entities, queries, act, alpha, z, u1)
+        z = np.concatenate([queries, alpha @ entities], axis=-1)
+        *rows, k = z.shape
+        # likewise one GEMM per layer over all E * R rows
+        logits, u1 = mlp(z.reshape(-1, k), p["dial.W1"], p["dial.b1"], p["dial.W2"], p["dial.b2"])
+        return logits.reshape(*rows, -1), (entities, queries, act, alpha, z, u1.reshape(*rows, -1))
 
     def _head_backward(self, head: str, dout, cache, d_entities):
         """Backward of ``_head_forward``: accumulates parameter grads, adds
-        the entity gradient into ``d_entities`` and returns the query
-        gradient (Q, H)."""
+        the entity gradient into ``d_entities`` (E, 7, De) and returns the
+        query gradient (E, R, H)."""
         entities, queries, act, *dial = cache
-        if head != "dial":
-            de, dq = self._attention_backward(dout, act, entities, queries, head)
-            d_entities += de
-            return dq
-        p, g = self.store, self.store.grads
-        alpha, z, u1 = dial
-        dz, *grads = mlp_backward(dout, z, u1, p["dial.W1"], p["dial.W2"])
-        for name, grad in zip(("dial.W1", "dial.b1", "dial.W2", "dial.b2"), grads):
-            g[name] += grad
-        d_queries = dz[:, : self.config.hidden_dim].copy()
-        d_context = dz[:, self.config.hidden_dim:]
-        d_entities += alpha.T @ d_context
-        dscores = softmax_backward(d_context @ entities.T, alpha, axis=-1)
-        de, dq = self._attention_backward(dscores, act, entities, queries, "dial")
+        dscores, d_queries = dout, 0.0
+        if head == "dial":
+            p, g = self.store, self.store.grads
+            alpha, z, u1 = dial
+            dz, *grads = mlp_backward(dout, z, u1, p["dial.W1"], p["dial.W2"])
+            for name, grad in zip(("dial.W1", "dial.b1", "dial.W2", "dial.b2"), grads):
+                g[name] += grad
+            d_queries = dz[..., : self.config.hidden_dim]
+            d_context = dz[..., self.config.hidden_dim:]
+            d_entities += alpha.swapaxes(-1, -2) @ d_context
+            dscores = softmax_backward(d_context @ entities.swapaxes(-1, -2), alpha, axis=-1)
+        de, dq = self._attention_backward(dscores, act, entities, queries, head)
         d_entities += de
-        d_queries += dq
-        return d_queries
+        return d_queries + dq
 
     # --- joint forward/backward over packed examples ------------------------
 
@@ -542,18 +541,16 @@ class GroundingModel:
         losses: dict[str, float] = {}
         d_hd = np.zeros(hd.shape, dtype=hd.dtype) if backward else None
         d_entities = np.zeros_like(entities) if backward else None
-        for head in HEADS:
-            if head not in self.heads:
-                continue
+        for head in self.heads:
             rows, targets = _head_rows(ex, head)
             if len(rows) == 0:  # a markable-free example has no REF query
                 losses[head] = 0.0
                 continue
-            out, cache = self._head_forward(head, entities, entities_proj, _queries(hd, rows))
+            out, cache = self._head_forward(head, entities[None], entities_proj[None], _queries(hd, rows))
             loss_fn = bce_with_logits if head == "ref" else cross_entropy_rows
-            losses[head], dout = loss_fn(out, targets)
+            losses[head], dout = loss_fn(out[0], targets)
             if backward:
-                dq = self._head_backward(head, dout, cache, d_entities)
+                dq = self._head_backward(head, dout[None], cache, d_entities[None])[0]
                 np.add.at(d_hd, rows.T, dq / rows.shape[1])
 
         total = sum(losses.values())
@@ -602,8 +599,8 @@ class GroundingModel:
             probs = {}
             for head in heads:
                 rows, _ = _head_rows(ex, head)
-                scores, _ = self._head_forward(head, entities, entities_proj, _queries(h, rows))
-                probs[head] = softmax(scores[0]) if head == "tsel" else sigmoid(scores)
+                scores, _ = self._head_forward(head, entities[None], entities_proj[None], _queries(h, rows))
+                probs[head] = softmax(scores[0, 0]) if head == "tsel" else sigmoid(scores[0])
             out.append(probs)
         return out
 
@@ -626,7 +623,7 @@ class GroundingModel:
         """A decoder over the view features, in the store's dtype."""
         entities, entities_proj, _ = self.encode_entities(attrs, rel)
         h = np.zeros(self.config.hidden_dim, dtype=self.store.dtype)
-        return DecoderState(model=self, entities=entities, entities_proj=entities_proj, h=h)
+        return DecoderState(model=self, entities=entities[None], entities_proj=entities_proj[None], h=h)
 
     def save(self, prefix) -> None:
         save_checkpoint(self, prefix, "refgame-model")
@@ -649,8 +646,9 @@ def _head_rows(ex: StreamExample, head: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _queries(h: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Query rows (Q, H), each the mean of the states ``h[rows[q]]``."""
-    return h[rows].sum(axis=1) / rows.shape[1]
+    """The query rows (1, Q, H) of one entity set, each the mean of the
+    states ``h[rows[q]]``."""
+    return (h[rows].sum(axis=1) / rows.shape[1])[None]
 
 
 class DecoderState:
@@ -659,12 +657,13 @@ class DecoderState:
     Each lockstep decode step takes a list of states of one model and
     works on their rows: ``step_queued`` feeds each its next queued token
     in one ``gru_cell`` call, and ``DecoderState.next_token_probs`` scores
-    them in one DIAL head call.  A lone state is a list of one.  ``feed``
-    queues a token; reading ``h`` first feeds the state's own queue, one
-    row per step.  A step replaces ``h`` and never writes into it, so
-    forks share it until they step.  A state with a ``log`` list appends
-    ``(token id, state after it)`` for every token it steps, each state a
-    copy of its row, so the log holds no step's ``(n, H)`` array."""
+    them in one DIAL head call over their entity sets, each (1, 7, .).  A
+    lone state is a list of one.  ``feed`` queues a token; reading ``h``
+    first feeds the state's own queue, one row per step.  A step replaces
+    ``h`` and never writes into it, so forks share it until they step.  A
+    state with a ``log`` list appends ``(token id, state after it)`` for
+    every token it steps, each state a copy of its row, so the log holds
+    no step's ``(n, H)`` array."""
 
     def __init__(self, model: GroundingModel, entities: np.ndarray, entities_proj: np.ndarray,
                  h: np.ndarray, queue: Iterable[int] = (), log: list | None = None):
@@ -693,20 +692,20 @@ class DecoderState:
 
     def next_token_probs(states: Sequence["DecoderState"]) -> np.ndarray:
         """The next-token distributions (n, V) of n states of one model,
-        after the tokens fed to each so far, from one DIAL head call; each
-        row is scored against its own state's entities, stacked (n, 7, .).
-        Called on the class: ``DecoderState.next_token_probs(states)``."""
+        after the tokens fed to each so far, from one DIAL head call over n
+        entity sets (n, 7, .), one row each.  Called on the class:
+        ``DecoderState.next_token_probs(states)``."""
         logits, _ = states[0].model._head_forward(
             "dial",
-            np.stack([s.entities for s in states]),
-            np.stack([s.entities_proj for s in states]),
-            np.stack([s.h for s in states]),
+            np.concatenate([s.entities for s in states]),
+            np.concatenate([s.entities_proj for s in states]),
+            np.stack([s.h for s in states])[:, None],
         )
-        return softmax(logits, axis=-1)
+        return softmax(logits[:, 0], axis=-1)
 
     def tsel_probs(self) -> np.ndarray:
-        out, _ = self.model._head_forward("tsel", self.entities, self.entities_proj, self.h[None, :])
-        return softmax(out[0])
+        out, _ = self.model._head_forward("tsel", self.entities, self.entities_proj, self.h[None, None])
+        return softmax(out[0, 0])
 
 
 def step_queued(states: Sequence[DecoderState]) -> None:

@@ -46,6 +46,21 @@ def public_definitions(trees):
                         yield f"{node.name}.{sub.name}", True
 
 
+def private_definitions(trees):
+    """(qualified name, whether a method) for every private function,
+    class and method (``_name``, not a dunder) of ``trees``, at any depth."""
+    def visit(node):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.name.startswith("_") \
+                    and not sub.name.endswith("__"):
+                method = isinstance(node, ast.ClassDef) and isinstance(sub, ast.FunctionDef)
+                yield (f"{node.name}.{sub.name}" if method else sub.name), method
+            yield from visit(sub)
+
+    for tree in trees:
+        yield from visit(tree)
+
+
 def uncalled(definitions, trees) -> list[str]:
     """The definitions that no code in ``trees`` reads: a function or class
     by a bare name or an attribute, a method by an attribute.  A mention in
@@ -68,6 +83,32 @@ def test_every_public_definition_has_a_library_caller():
     definitions = public_definitions(parsed(SRC.rglob("*.py")))
     # an exemption whose definition gained a library caller fails too
     assert set(uncalled(definitions, library_trees())) == TEST_ONLY
+
+
+def test_every_private_definition_has_a_library_reader():
+    # a helper that a refactor leaves behind has no reader left
+    assert uncalled(private_definitions(parsed(SRC.rglob("*.py"))), library_trees()) == []
+
+
+def test_a_private_definition_without_a_reader_is_found():
+    tree = ast.parse(textwrap.dedent('''
+        class _Cache:
+            def __init__(self):
+                self._fill()
+
+            def _fill(self):
+                pass
+
+            def _stale(self):
+                pass
+
+        def _left_behind():
+            def _inner():
+                pass
+
+        _Cache()
+    '''))
+    assert uncalled(private_definitions([tree]), [tree]) == ["_Cache._stale", "_left_behind", "_inner"]
 
 
 def test_a_docstring_or_comment_mention_is_not_a_caller():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -527,6 +527,71 @@ class TestModelCommands:
         assert error["error"] == "RefgameError"
         assert "REF head" in error["message"] and "TSEL-DIAL" in error["message"]
         assert not (tmp_path / "sp").exists()
+
+
+def _gold_file(data_dir, tmp_path, case):
+    """A gold file for ``data_dir``'s corpus, damaged as ``case`` names, and
+    the markable that its error names."""
+    from refgame.agreement import aggregate_corpus_gold
+    from refgame.corpus import save_gold
+
+    corpus = load_corpus(data_dir)
+    gold = aggregate_corpus_gold(corpus)
+    ids = sorted(gold)
+    if case == "other-corpus":
+        other = aggregate_corpus_gold(make_synthetic_corpus(12, seed=91))
+        gold, named = other, min(gold.keys() ^ other.keys())
+    elif case == "empty":
+        gold, named = {}, ids[0]
+    elif case == "half":
+        gold, named = {mid: gold[mid] for mid in ids[::2]}, ids[1]
+    else:  # "outside-view": a speaker's referent that the speaker cannot see
+        named = ids[len(ids) // 2]
+        m = corpus.markables[named]
+        hidden = {e.id for e in corpus.scenarios[corpus.dialogues[m.dialogue_id].scenario_id].entities}
+        hidden -= corpus.visible_to_speaker(m)
+        gold[named] = replace(gold[named], referents=gold[named].referents | {min(hidden)})
+    path = tmp_path / "gold.json"
+    save_gold(gold, path)
+    return path, named
+
+
+class TestGoldFiles:
+    @pytest.mark.parametrize("command,case", [
+        ("train", "other-corpus"),
+        ("train", "empty"),
+        ("evaluate", "half"),
+        ("render", "empty"),
+        ("evaluate", "outside-view"),
+    ])
+    def test_a_gold_file_that_does_not_fit_the_corpus_is_refused(self, data_dir, trained, tmp_path,
+                                                                  capsys, command, case):
+        workdir, split, model = trained
+        gold, named = _gold_file(data_dir, tmp_path, case)
+        out = tmp_path / "out"
+        args = {
+            "train": ("--split", split, "--out", out, "--epochs", "1", "--quiet"),
+            "evaluate": ("--split", split, "--model", model, "--out", out),
+            "render": ("--dialogue", sorted(load_corpus(data_dir).dialogues)[0], "--out", out),
+        }[command]
+        assert run(command, "--data", data_dir, "--gold", gold, *args) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "SchemaError"
+        assert str(gold) in err["message"] and f"markable {named}:" in err["message"]
+        assert not out.exists()
+
+    def test_the_aggregate_output_is_accepted_as_gold(self, data_dir, trained, tmp_path):
+        workdir, split, model = trained
+        gold = tmp_path / "gold.json"
+        assert run("aggregate", "--data", data_dir, "--out", gold) == 0
+        for out, flags in ((tmp_path / "given", ("--gold", gold)), (tmp_path / "voted", ())):
+            assert run(
+                "evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", out, *flags
+            ) == 0
+        reports = [(tmp_path / name / "report.json").read_bytes() for name in ("given", "voted")]
+        assert reports[0] == reports[1]
 
 
 class TestSelfplayAndRender:

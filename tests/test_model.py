@@ -350,37 +350,70 @@ class TestGradients:
         )
         assert report.max_rel_err < 1e-4
 
+    def test_dial_head_backward_over_many_sets_and_rows(self, micro):
+        # three entity sets, each read by its own two rows: the DIAL
+        # backward against central differences, inputs included
+        *_, vocab = micro
+        model = GroundingModel(ModelConfig(variant="TSEL-DIAL", seed=6, **TINY), vocab)
+        rng = np.random.default_rng(0)
+        de = TINY["attr_dim"] + TINY["rel_dim"]
+        inputs = {
+            "entities": np.tanh(rng.standard_normal((3, 7, de))),
+            "queries": rng.standard_normal((3, 2, TINY["hidden_dim"])),
+        }
+        weights = rng.standard_normal((3, 2, len(vocab)))
+        p = model.store
+
+        def forward():
+            entities = inputs["entities"]
+            return model._head_forward("dial", entities, entities @ p["attn.We"].T, inputs["queries"])
+
+        def loss_fn():
+            return float((forward()[0] * weights).sum())
+
+        p.zero_grads()
+        d_entities = np.zeros_like(inputs["entities"])
+        d_queries = model._head_backward("dial", weights, forward()[1], d_entities)
+        report = gradient_check(
+            loss_fn, {**p.params, **inputs}, {**p.grads, "entities": d_entities, "queries": d_queries},
+            max_checks_per_param=32, seed=0,
+        )
+        assert report.max_rel_err < 1e-4, report.per_param
+
 
 def _attention_backward_einsum(p, dscores, act, entities, queries, head):
     """Reference attention backward: the six einsum contractions, written
-    out over the (Q, 7, A) pre-activation gradient."""
+    out over the (E, R, 7, A) pre-activation gradient."""
     v = p[f"attn.v_{head}"]
-    dact = dscores[:, :, None] * v[None, None, :] * (1.0 - act * act)
+    dact = dscores[..., None] * v * (1.0 - act * act)
     grads = {
-        f"attn.v_{head}": np.einsum("qi,qid->d", dscores, act),
-        "attn.We": np.einsum("qid,ie->de", dact, entities),
-        "attn.Wq": np.einsum("qid,qh->dh", dact, queries),
-        "attn.b": dact.sum(axis=(0, 1)),
+        f"attn.v_{head}": np.einsum("eri,erid->d", dscores, act),
+        "attn.We": np.einsum("erid,eif->df", dact, entities),
+        "attn.Wq": np.einsum("erid,erh->dh", dact, queries),
+        "attn.b": dact.sum(axis=(0, 1, 2)),
     }
-    d_entities = np.einsum("qid,de->ie", dact, p["attn.We"])
-    d_queries = np.einsum("qid,dh->qh", dact, p["attn.Wq"])
+    d_entities = np.einsum("erid,df->eif", dact, p["attn.We"])
+    d_queries = np.einsum("erid,dh->erh", dact, p["attn.Wq"])
     return grads, d_entities, d_queries
 
 
 class TestBackwardMatchesEinsumReference:
     CFG = dict(embed_dim=7, hidden_dim=11, attr_dim=6, rel_dim=5, attn_dim=9, mlp_dim=8)
 
-    @pytest.mark.parametrize("n_queries", (1, 13))
+    # one set read by one row or by 13 (training, prediction), and 13 sets
+    # read by one row each (lockstep decoding)
+    @pytest.mark.parametrize("n_sets,n_rows", ((1, 1), (1, 13), (13, 1)), ids=("1", "13", "lockstep-13"))
     @pytest.mark.parametrize("head", ("tsel", "ref", "dial"))
-    def test_attention_backward(self, micro, head, n_queries):
+    def test_attention_backward(self, micro, head, n_sets, n_rows):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL-REF-DIAL", seed=3, **self.CFG), vocab)
         ex = _examples(micro)[0]
-        rng = np.random.default_rng(n_queries)
-        entities, entities_proj, _ = model.encode_entities(ex.attrs, ex.rel)
-        queries = rng.standard_normal((n_queries, self.CFG["hidden_dim"]))
-        _, act = model._attention(entities_proj, queries, head)
-        dscores = rng.standard_normal((n_queries, 7))
+        rng = np.random.default_rng(n_sets * n_rows)
+        entities, _, _ = model.encode_entities(ex.attrs, ex.rel)
+        entities = entities + 0.1 * rng.standard_normal((n_sets, *entities.shape))
+        queries = rng.standard_normal((n_sets, n_rows, self.CFG["hidden_dim"]))
+        _, act = model._attention(entities @ model.store["attn.We"].T, queries, head)
+        dscores = rng.standard_normal((n_sets, n_rows, 7))
 
         model.store.zero_grads()
         # the backward overwrites act with its gradient

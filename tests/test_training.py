@@ -140,9 +140,13 @@ def test_seeded_training_does_not_depend_on_string_hashing(tmp_path):
 # when it started.  The parameters, their gradients and Adam's two moments
 # come to about 21 MiB and the best-epoch copy to 5 MiB.  One example at a
 # time peaked at 26.4 MiB; packing PACK_CHUNK = 8 examples per GRU pass
-# peaks at 28.5 MiB, and all 16 of a minibatch at 33.8 MiB.  The budget
-# admits the chunked kernel and rejects whole-minibatch packs, which would
-# push the train benchmark's peak_rss_mb past 1.10x the one-example form.
+# peaks at 28.5 MiB, and all 16 of a minibatch at 33.8 MiB.  Running the
+# heads once over each 8-example pack, rather than per example, peaked at
+# 35.4-40.9 MiB: the pack's DIAL activation and its temporaries sit on top
+# of the chunk's GRU cache.  The budget admits the chunked kernel with
+# per-example heads and rejects whole-minibatch packs and pack-wide heads,
+# which would push the train benchmark's peak_rss_mb past 1.10x the
+# one-example form.
 EPOCH_MEMORY_BUDGET_MIB = 32.0
 
 
