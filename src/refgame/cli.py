@@ -317,8 +317,17 @@ def cmd_render(args) -> int:
     from .corpus import load_corpus
     from .render import render_dialogue, render_judgements, render_view
 
+    targets = {"--scenario": args.scenario, "--dialogue": args.dialogue, "--markable": args.markable}
+    given = [flag for flag, value in targets.items() if value is not None]
+    if len(given) != 1:
+        got = " and ".join(given) or "none"
+        raise RefgameError(f"render needs exactly one of --scenario, --dialogue and --markable, got {got}")
+    if args.agent_view is not None and args.scenario is None:
+        raise RefgameError("render takes --agent-view only with --scenario")
+    if args.gold is not None and args.dialogue is None:
+        raise RefgameError("render takes --gold only with --dialogue")
     corpus = load_corpus(_data_dir(args))
-    if args.dialogue:
+    if args.dialogue is not None:
         dialogue = _by_id(corpus.dialogues, "--dialogue", args.dialogue)
         scenario = corpus.scenarios[dialogue.scenario_id]
         ids = corpus.markables_by_dialogue.get(args.dialogue, ())
@@ -326,17 +335,15 @@ def cmd_render(args) -> int:
         refs = {mid: gold[mid].referents for mid in ids if mid in gold and not gold[mid].dropped}
         html = render_dialogue(dialogue, scenario, [corpus.markables[mid] for mid in ids], refs)
         atomic_write_text(args.out, html)
-    elif args.markable:
+    elif args.markable is not None:
         _by_id(corpus.markables, "--markable", args.markable)
         atomic_write_text(args.out, render_judgements(corpus, args.markable))
-    elif args.scenario:
+    else:
         scenario = _by_id(corpus.scenarios, "--scenario", args.scenario)
         agent = args.agent_view or "A"
         atomic_write_text(
             args.out, render_view(scenario.view(agent), scenario, title=f"{agent}'s view")
         )
-    else:
-        raise RefgameError("render needs --scenario, --dialogue or --markable")
     print(f"wrote {args.out}")
     return 0
 

@@ -3,15 +3,10 @@ one JSON writer, one CSV writer, and one strict reader that builds record
 dataclasses from JSON objects.
 
 Every JSON file the package writes goes through one writer,
-``atomic_write_json``: UTF-8 text byte for byte equal to
-``json.dumps(obj, indent=2, ensure_ascii=False)`` plus a newline.  With
-``indent`` set, ``json.dumps`` runs the pure-Python encoder.  The writer's
-``json_chunks`` runs Python's C encoder instead, with a line break and the
-indent of a depth as its item separator, so that a list or dict of
-scalars comes out in the indented layout from one call; the lists and
-dicts of one nesting depth go through it together, and Python walks only
-the nesting above the scalars.  Without the C encoder it falls back to
-``json.dumps``.
+``atomic_write_json``, in one layout: a top-level list or object holds one
+record per line, each as ``json.dumps(record, ensure_ascii=False)``
+encodes it, so a file is valid, deterministic and written a record at a
+time.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import tempfile
 from dataclasses import MISSING, fields
 from functools import cache
 from io import StringIO
-from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,122 +44,28 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, obj) -> None:
-    """Write ``obj`` as ``json.dumps(obj, indent=2, ensure_ascii=False)``
-    plus a newline, in UTF-8."""
+    """Write ``obj`` in the canonical layout (``json_chunks``) plus a
+    newline, in UTF-8."""
     atomic_write_bytes(path, *(chunk.encode("utf-8") for chunk in json_chunks(obj)), b"\n")
 
 
-# --- indented JSON through the C encoder ----------------------------------------
-
-_INDENT = "  "
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_all_scalars = _SCALARS.issuperset  # of an iterable of types
-# items of a top-level list encoded together
-_ITEMS_PER_BATCH = 256
-
-
-@cache
-def _encoder(depth: int):
-    """The C encoder for a container whose items sit at ``depth``: with a line
-    break and that depth's indent as item separator, its one-line output is
-    the indented layout but for the line breaks next to the brackets."""
-    return c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring, None,
-        ": ", ",\n" + _INDENT * depth, False, False, True,
-    )
-
-
-def _encoded_all(values, depth: int) -> list[str]:
-    """Each of ``values`` laid out as ``json.dumps(indent=2)`` lays it out
-    with its opening bracket at ``depth``.
-
-    The values are encoded a level at a time.  All the lists of scalars go
-    through one C call, and so do all the dicts, with null in place of each
-    list or dict they hold; those nested values, all of them at once, are
-    the next level, and their encodings replace the nulls.  No encoded
-    scalar or string holds a line break or ends in "]" or "}", so ",\n"
-    and the indent end an item, and "],\n" or "},\n" followed by it and a
-    bracket ends a container: a nested value's lines are indented deeper,
-    but for its closing bracket, which no opening bracket follows.
-    """
-    inner, outer = _INDENT * (depth + 1), _INDENT * depth
-    sep = ",\n" + inner
-    out = [""] * len(values)
-    dicts, flats, lists = [], [], []
-    for i, v in enumerate(values):
-        if isinstance(v, dict):
-            if v:
-                dicts.append((i, v))
-            else:
-                out[i] = "{}"
-        elif isinstance(v, (list, tuple)):
-            if not v:
-                out[i] = "[]"
-            elif _all_scalars(map(type, v)):
-                flats.append((i, v))
-            else:
-                lists.append((i, v))
-        else:
-            out[i] = "".join(_encoder(depth)(v, 0))
-    if flats:
-        text = "".join(_encoder(depth + 1)([v for _, v in flats], 0))
-        for (i, _), body in zip(flats, text[2:-2].split("],\n" + inner + "[")):
-            out[i] = f"[\n{inner}{body}\n{outer}]"
-    if lists:
-        encoded = _encoded_all([item for _, v in lists for item in v], depth + 1)
-        at = 0
-        for i, v in lists:
-            out[i] = f"[\n{inner}{sep.join(encoded[at: at + len(v)])}\n{outer}]"
-            at += len(v)
-    if dicts:
-        # the item number of each null, counted over all the dicts
-        rows, nulls, nested, at = [], [], [], 0
-        for _, d in dicts:
-            if _all_scalars(map(type, d.values())):
-                rows.append(d)
-                at += len(d)
-                continue
-            row = {}
-            for k, v in d.items():
-                if type(v) in _SCALARS:
-                    row[k] = v
-                else:
-                    row[k] = None
-                    nulls.append(at)
-                    nested.append(v)
-                at += 1
-            rows.append(row)
-        text = "".join(_encoder(depth + 1)(rows, 0))[2:-2]
-        if nested:
-            items = text.split(sep)
-            for at, value in zip(nulls, _encoded_all(nested, depth + 1)):
-                item = items[at]
-                # "null", or "null}" as the last item of a dict
-                items[at] = item[:-4] + value if item[-1] == "l" else item[:-5] + value + "}"
-            text = sep.join(items)
-        for (i, _), body in zip(dicts, text.split("},\n" + inner + "{")):
-            out[i] = f"{{\n{inner}{body}\n{outer}}}"
-    return out
-
-
 def json_chunks(obj) -> list[str]:
-    """Pieces that join to ``json.dumps(obj, indent=2, ensure_ascii=False)``:
-    one per item of a top-level list, so a file is written without one
-    string of it all."""
-    if c_make_encoder is None:
-        return [json.dumps(obj, indent=2, ensure_ascii=False)]
-    try:
-        if not isinstance(obj, (list, tuple)) or not obj or _all_scalars(map(type, obj)):
-            return _encoded_all([obj], 0)
-        items = []
-        for lo in range(0, len(obj), _ITEMS_PER_BATCH):
-            items += _encoded_all(obj[lo: lo + _ITEMS_PER_BATCH], 1)
-    except RecursionError:
-        # a list or dict that holds itself: json.dumps names the cycle
-        return [json.dumps(obj, indent=2, ensure_ascii=False)]
-    chunks = [f",\n{_INDENT}{item}" for item in items]
-    chunks[0] = f"[\n{_INDENT}{items[0]}"
-    chunks.append("\n]")
+    """Pieces that join to the canonical layout of ``obj``: a non-empty
+    top-level list or object is its opening bracket, one line per item
+    indented two spaces, then its closing bracket; each item (each
+    ``"key": value`` entry) is encoded as ``json.dumps(item,
+    ensure_ascii=False)`` encodes it.  Any other value is one line.  A piece
+    holds one item, so a file is written without one string of it all."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    if isinstance(obj, (list, tuple)) and obj:
+        brackets, items = "[]", map(encode, obj)
+    elif isinstance(obj, dict) and obj:
+        brackets, items = "{}", (encode({key: value})[1:-1] for key, value in obj.items())
+    else:
+        return [encode(obj)]
+    chunks = [",\n  " + item for item in items]
+    chunks[0] = brackets[0] + chunks[0][1:]
+    chunks.append("\n" + brackets[1])
     return chunks
 
 

@@ -426,7 +426,7 @@ class GroundingModel:
         *rows, h = queries.shape
         # one GEMM over all E * R rows, so a lockstep row rounds as a row of a stack does
         q_proj = (queries.reshape(-1, h) @ p["attn.Wq"].T).reshape(*rows, 1, len(p["attn.Wq"]))
-        act = tanh(entities_proj[..., None, :, :] + q_proj + p["attn.b"])
+        act = tanh(entities_proj[:, None] + q_proj + p["attn.b"])
         return act @ p[f"attn.v_{head}"], act
 
     def _attention_backward(self, dscores, act, entities, queries, head: str):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -627,6 +628,24 @@ class TestSelfplayAndRender:
         assert run("render", "--data", data_dir, "--out", "/tmp/x.svg") == 1
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--scenario", "S", "--dialogue", "D"), "--scenario and --dialogue"),
+        (("--dialogue", "D", "--markable", "M"), "--dialogue and --markable"),
+        (("--scenario", "S", "--dialogue", "D", "--markable", "M"), "--scenario and --dialogue and --markable"),
+        (("--dialogue", "D", "--agent-view", "B"), "--agent-view only with --scenario"),
+        (("--markable", "M", "--agent-view", "A"), "--agent-view only with --scenario"),
+        (("--scenario", "S", "--gold", "nope.json"), "--gold only with --dialogue"),
+        (("--markable", "M", "--gold", "nope.json"), "--gold only with --dialogue"),
+    ])
+    def test_render_refuses_flags_its_mode_does_not_read(self, data_dir, tmp_path, capsys, flags, named):
+        corpus = load_corpus(data_dir)
+        ids = {"S": min(corpus.scenarios), "D": min(corpus.dialogues), "M": min(corpus.markables)}
+        argv = [ids.get(flag, flag) for flag in flags]
+        assert run("render", "--data", data_dir, *argv, "--out", tmp_path / "out" / "x.html") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RefgameError" and named in err["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--dialogue", "--scenario", "--markable"])
     def test_render_unknown_id_names_flag_and_id(self, data_dir, tmp_path, capsys, flag):
         assert run("render", "--data", data_dir, flag, "nope", "--out", tmp_path / "x.svg") == 1
@@ -817,8 +836,20 @@ def test_every_json_file_the_cli_writes_is_canonical(data_dir, trained, tagger_c
         "selfplay/corpus/markables.json", "selfplay/corpus/judgements.json",
     } <= set(written)
     for name, data in written.items():
-        text = json.dumps(json.loads(data), indent=2, ensure_ascii=False) + "\n"
-        assert data == text.encode("utf-8"), name
+        assert data == canonical_json(json.loads(data)).encode("utf-8"), name
+
+
+def canonical_json(value) -> str:
+    """A file's canonical text, built from ``json.dumps`` of each top-level
+    item of the list or the string-keyed object it holds."""
+    one_line = partial(json.dumps, ensure_ascii=False)
+    if isinstance(value, list):
+        lines, brackets = [one_line(item) for item in value], "[]"
+    else:
+        lines, brackets = [f"{one_line(key)}: {one_line(item)}" for key, item in value.items()], "{}"
+    if not lines:
+        return brackets + "\n"
+    return brackets[0] + "\n  " + ",\n  ".join(lines) + "\n" + brackets[1] + "\n"
 
 
 def test_every_readme_walkthrough_command_parses():

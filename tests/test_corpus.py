@@ -357,11 +357,28 @@ class TestRoundTrip:
         save_corpus(make_synthetic_corpus(12, seed=3), tmp_path)
         digests = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in FILES}
         assert digests == {
-            "scenarios.json": "7a82de117ad17d6c1fa43bc300eb5cb591f965ad08478f18b898e60a0d8337e3",
-            "dialogues.json": "e14e197a864ea64df793e0fe8be52aa1a09b7613c55ea885132855782ca280af",
-            "markables.json": "f843c9b8bf9ed91746522abe5331b565b429ff2336bad21e6cbbbb1840e9b073",
-            "judgements.json": "0836a7ac8eb89fe20de77b2dd165fc2110a33edc707bc2e585e6d5b79ad034fe",
+            "scenarios.json": "aaf3366919b11f8ea7c7192cf9502e18787611a3380a265c8c9e96f2732ffaaf",
+            "dialogues.json": "4932896432222774ec5f6f9a7ca1b3b8efe4b2d7934f3c49bb7d0be6ba0954c9",
+            "markables.json": "09e298abca1626eff0ae625da47f15975f083a71202b2f505d7f36143c7bacd8",
+            "judgements.json": "47fbc1d26f3d196f338f87cb84de8e74724678779ea30ce6e4e06ba1098f5209",
         }
+
+    def test_a_corpus_in_the_indented_layout_still_loads(self, tmp_path):
+        # corpora written before the one-record-per-line layout hold
+        # json.dumps(records, indent=2) text
+        corpus = make_synthetic_corpus(12, seed=3)
+        save_corpus(corpus, tmp_path / "new")
+        (tmp_path / "old").mkdir()
+        for name in FILES:
+            new = (tmp_path / "new" / name).read_text(encoding="utf-8")
+            old = json.dumps(json.loads(new), indent=2, ensure_ascii=False) + "\n"
+            assert old != new
+            (tmp_path / "old" / name).write_text(old, encoding="utf-8")
+        old, new = load_corpus(tmp_path / "old"), load_corpus(tmp_path / "new")
+        assert old.scenarios == new.scenarios == corpus.scenarios
+        assert old.dialogues == new.dialogues == corpus.dialogues
+        assert old.markables == new.markables == corpus.markables
+        assert old.judgements == new.judgements == corpus.judgements
 
     def test_judgement_referent_invariant_corpus_wide(self, medium_corpus):
         for mid, js in medium_corpus.judgements.items():

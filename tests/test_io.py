@@ -7,15 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refgame import io
-from refgame.io import atomic_write_json, json_chunks
+from refgame.io import atomic_write_json, json_chunks, read_json
 
 
-def indented(value) -> str:
-    return json.dumps(value, indent=2, ensure_ascii=False)
+def one_line(value) -> str:
+    return json.dumps(value, ensure_ascii=False)
 
 
-# the characters that could confuse a writer which splits encoded text:
+def canonical(value) -> str:
+    """The canonical layout built from ``json.dumps`` of each top-level item:
+    a non-empty list or object holds one item per line, indented two
+    spaces; an object's key is written as ``json.dumps`` converts a key."""
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join("  " + one_line(item) for item in value) + "\n]"
+    if isinstance(value, dict) and value:
+        entries = (
+            f"  {one_line(key if isinstance(key, str) else one_line(key))}: {one_line(item)}"
+            for key, item in value.items()
+        )
+        return "{\n" + ",\n".join(entries) + "\n}"
+    return one_line(value)
+
+
+# the characters that could break a line-per-record layout or its escaping:
 # brackets, commas, quotes, backslashes, line breaks, control characters
 # and text outside ASCII
 TRICKY = st.text(st.sampled_from('{}[],:" \\\n\r\t\x00\x1f\x7fé→漢😀a0'), max_size=8)
@@ -45,29 +59,29 @@ JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=40)
 
 @settings(max_examples=400, deadline=None)
 @given(JSON_VALUES)
-def test_chunks_join_to_indented_json_dumps(value):
-    assert "".join(json_chunks(value)) == indented(value)
+def test_chunks_join_to_the_canonical_layout(value):
+    text = "".join(json_chunks(value))
+    assert text == canonical(value)
+    assert one_line(json.loads(text)) == one_line(json.loads(one_line(value)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(JSON_VALUES, min_size=1, max_size=6))
 def test_a_top_level_list_comes_one_chunk_per_item(values):
     chunks = json_chunks(values)
-    assert "".join(chunks) == indented(values)
-    if not all(type(v) in (str, int, float, bool, type(None)) for v in values):
-        assert len(chunks) == len(values) + 1
+    assert "".join(chunks) == canonical(values)
+    assert len(chunks) == len(values) + 1 and chunks[-1] == "\n]"
 
 
 def test_layouts_of_nested_values():
-    values = [
-        {"center_distance": {4: 0.5, 5.5: 0.75, True: 1, None: [1, {}]}, "x": math.nan},
-        [{"a": 1}, {}, {"b": "},\n  {"}],
-        [{"a": [{"b": [[]], "c": -math.inf}], "d": {"e": {}}}, {"f": "é\n"}],
-        [[{"a": 1, "b": 2}, {"c": 3}], [[1, 2], [], [3]]],
-        ([1, (2, 3)], {"t": (4,)}),
-    ]
-    for value in values:
-        assert "".join(json_chunks(value)) == indented(value)
+    assert "".join(json_chunks({"center_distance": {4: 0.5}, 5.5: [1, {}], True: None, "x": math.nan})) == (
+        '{\n  "center_distance": {"4": 0.5},\n  "5.5": [1, {}],\n  "true": null,\n  "x": NaN\n}'
+    )
+    assert "".join(json_chunks([{"b": "},\n  {"}, (1, (2,)), "é"])) == (
+        '[\n  {"b": "},\\n  {"},\n  [1, [2]],\n  "é"\n]'
+    )
+    for value in ([], {}, (), "x", 1.5, None):
+        assert json_chunks(value) == [one_line(value)]
 
 
 def test_deep_nesting_and_many_items():
@@ -76,7 +90,7 @@ def test_deep_nesting_and_many_items():
         deep = {"d": [deep, depth, {"e": [depth]}]}
     many = [{"id": i, "l": [i, str(i)], "m": {"n": i / 7}} for i in range(700)]
     for value in (deep, many, [deep, many]):
-        assert "".join(json_chunks(value)) == indented(value)
+        assert "".join(json_chunks(value)) == canonical(value)
 
 
 def test_errors_match_json_dumps():
@@ -88,17 +102,26 @@ def test_errors_match_json_dumps():
         with pytest.raises(TypeError) as ours:
             json_chunks(value)
         with pytest.raises(TypeError) as theirs:
-            indented(value)
+            one_line(value)
         assert str(ours.value) == str(theirs.value)
-
-
-def test_without_the_c_encoder_falls_back_to_json_dumps(monkeypatch):
-    value = [{"a": [1, 2], "b": {"c": None}}, {"d": "é"}]
-    monkeypatch.setattr(io, "c_make_encoder", None)
-    assert json_chunks(value) == [indented(value)]
 
 
 def test_atomic_write_json_writes_utf8_with_a_final_newline(tmp_path):
     value = {"name": "café", "rows": [{"a": 1.5, "b": [True, None]}, {"c": "x"}]}
     atomic_write_json(tmp_path / "v.json", value)
-    assert (tmp_path / "v.json").read_bytes() == (indented(value) + "\n").encode("utf-8")
+    assert (tmp_path / "v.json").read_bytes() == (canonical(value) + "\n").encode("utf-8")
+    assert read_json(tmp_path / "v.json") == value
+
+
+def test_a_value_the_encoder_refuses_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "v.json"
+    atomic_write_json(path, [{"kept": True}])
+    before = path.read_bytes()
+    cyclic = {"a": [1]}
+    cyclic["a"].append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        atomic_write_json(path, [cyclic])
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        atomic_write_json(path, [{"a": {1, 2}}])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]

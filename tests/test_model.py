@@ -198,10 +198,11 @@ class TestForward:
     def test_identical_entities_identical_scores(self, micro):
         *_, vocab = micro
         model = GroundingModel(ModelConfig(variant="TSEL", seed=0, **TINY), vocab)
-        entities = np.tile(np.linspace(0.1, 0.7, 7), (7, 1))
+        entities = np.tile(np.linspace(0.1, 0.7, 7), (1, 7, 1))
         scores, _ = model._attention(entities @ model.store["attn.We"].T,
-                                     np.zeros((1, 6)), "tsel")
-        assert np.allclose(scores[0], scores[0][0])
+                                     np.zeros((1, 1, 6)), "tsel")
+        assert scores.shape == (1, 1, 7)
+        assert np.allclose(scores[0, 0], scores[0, 0, 0])
 
     def test_zero_head_vector_zero_scores(self, micro):
         *_, vocab = micro
