@@ -247,8 +247,11 @@ def token_exact_match_correlation(
     markable span (binary) and the markable's mean pairwise exact-match
     rate, over all manually judged markables.  The reported count is the
     token's total corpus frequency; tokens under ``min_count`` or with
-    zero variance are omitted."""
+    zero variance are omitted.  With fewer than two rated markables no token
+    has a correlation, and the result is empty."""
     rates = markable_exact_rates(corpus)
+    if len(rates) < 2:
+        return {}
     mids = sorted(rates)
     y = [rates[mid] for mid in mids]
     token_rows: dict[str, set[int]] = {}

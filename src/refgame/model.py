@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -107,11 +106,16 @@ class Vocabulary:
 CHECKPOINT_VERSION = 2
 
 
+def _layout(net) -> list:
+    """The parameter layout ``[[name, shape], ...]`` of ``net``, in store order."""
+    return [[name, list(a.shape)] for name, a in net.store.params.items()]
+
+
 def save_checkpoint(net, prefix, fmt: str) -> None:
     """Write ``net`` to ``<prefix>.ckpt``: one JSON header line, then every
     parameter's raw little-endian bytes in store order.  The header holds
     the format tag, the version, the package version, ``net.config``,
-    ``net.vocab``, the parameter layout ``[[name, shape], ...]`` and the
+    ``net.vocab``, the parameter layout ``_layout(net)`` and the
     payload's SHA-256; the payload's dtype is the config's."""
     arrays = [np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")) for a in net.store.params.values()]
     digest = hashlib.sha256()
@@ -123,20 +127,21 @@ def save_checkpoint(net, prefix, fmt: str) -> None:
         "refgame": __version__,
         "config": asdict(net.config),
         "vocab": list(net.vocab.tokens[len(SPECIALS):]),
-        "params": [[name, list(a.shape)] for name, a in net.store.params.items()],
+        "params": _layout(net),
         "payload_sha256": digest.hexdigest(),
     }
     atomic_write_bytes(Path(prefix).with_suffix(".ckpt"), json.dumps(header).encode() + b"\n", *arrays)
 
 
 def load_checkpoint(cls, prefix, fmt: str, config_cls):
-    """Read a ``save_checkpoint`` file back into a fresh ``cls(config, vocab)``.
+    """Read a ``save_checkpoint`` file back into a fresh ``cls(config, vocab)``,
+    in the parameter layout that net declares.
 
     Raises SchemaError naming the file when the header is not a JSON line
     of a version 2 ``fmt`` checkpoint with fields of their JSON types, when
-    the payload's length or SHA-256 differs from what the header declares,
-    and when the parameters' names or shapes differ from the layout that
-    ``cls(config, vocab)`` declares."""
+    the header's ``params`` is not ``_layout`` of that net, and when the
+    payload's length or SHA-256 differs from what the layout and the header
+    declare."""
     path = Path(prefix).with_suffix(".ckpt")
     with open(path, "rb") as f:
         line = f.readline()
@@ -152,37 +157,24 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
             raise SchemaError(f"not a version {CHECKPOINT_VERSION} {fmt.removeprefix('refgame-')} checkpoint")
         net = cls(from_record(config_cls, read_value(header, "config", dict)),
                   Vocabulary(read_list(header, "vocab", str)))
-        values = _unpack(payload, read_list(header, "params", list), net.store.dtype)
+        # compared as JSON, so a shape of floats or bools is not the layout
+        if json.dumps(read_list(header, "params", list)) != json.dumps(_layout(net)):
+            raise SchemaError("the parameters do not match the config and vocabulary")
+        params = net.store.params
+        size = sum(a.nbytes for a in params.values())
+        if len(payload) != size:
+            raise SchemaError(f"the payload is {len(payload)} bytes; the layout needs {size}")
         if hashlib.sha256(payload).hexdigest() != read_value(header, "payload_sha256", str):
             raise SchemaError("the payload's SHA-256 is not the header's payload_sha256")
-        try:
-            net.store.load_values(values)
-        except ValueError as exc:
-            raise SchemaError(f"the parameters do not match the config and vocabulary: {exc}") from None
+        values, offset = {}, 0
+        for name, a in params.items():
+            array = np.frombuffer(payload, a.dtype.newbyteorder("<"), a.size, offset)
+            values[name] = array.reshape(a.shape).astype(a.dtype, copy=False)
+            offset += a.nbytes
+        net.store.load_values(values)
     except (SchemaError, ValueError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return net
-
-
-def _unpack(payload: bytes, layout: list, dtype: np.dtype) -> dict[str, np.ndarray]:
-    """Read-only arrays over ``payload`` by the header's ``[[name, shape],
-    ...]`` layout, which must cover its bytes exactly."""
-    for entry in layout:
-        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str \
-                or type(entry[1]) is not list or not all(type(n) is int and n >= 0 for n in entry[1]):
-            raise SchemaError(f"a params entry must be [name, shape], got {entry!r:.60}")
-    sizes = [math.prod(shape) * dtype.itemsize for _, shape in layout]
-    if sum(sizes) != len(payload):
-        raise SchemaError(f"the payload is {len(payload)} bytes; the header's {dtype} layout needs {sum(sizes)}")
-    values = {}
-    offset = 0
-    for (name, shape), size in zip(layout, sizes):
-        if name in values:
-            raise SchemaError(f"parameter {name!r} is listed twice")
-        array = np.frombuffer(payload, dtype.newbyteorder("<"), size // dtype.itemsize, offset)
-        values[name] = array.reshape(shape).astype(dtype, copy=False)
-        offset += size
-    return values
 
 
 def check_dtype(dtype: str) -> None:
@@ -608,10 +600,11 @@ class GroundingModel:
 
     def input_table(self) -> np.ndarray:
         """The GRU input projection of every token for incremental decoding,
-        ``(V, 3H)``.  Row ``t`` is the matvec ``gru.W @ emb[t] + gru.b``;
-        one GEMM would round differently in the last bits, and the rows
-        must equal projecting the token when it is fed.  Built on first use
-        and again whenever ``store.version`` has moved."""
+        ``(V, 3H)``, read only by ``step_queued``.  Row ``t`` is the matvec
+        ``gru.W @ emb[t] + gru.b``; one GEMM would round differently in the
+        last bits, and so could change the tokens that seeded selfplay
+        samples.  Built on first use and again whenever ``store.version``
+        has moved."""
         p = self.store
         if self._input_table_version != p.version:
             w, b = p["gru.W"], p["gru.b"]

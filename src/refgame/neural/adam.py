@@ -80,11 +80,12 @@ def fit(
     fields)``, lower score better.  The rng that shuffles each epoch is the
     one handed to ``step``.  The best epoch's parameters are restored, and
     each epoch record goes to stdout unless ``quiet`` and to the JSONL
-    ``log_path``.  A record holds the mean loss under ``loss_key``, the
-    mean pre-clip gradient norm over the epoch's minibatches
-    (``grad_norm``), the share of minibatches that were clipped
-    (``clip_rate``), then ``fields`` and the epoch's ``seconds``.  Returns
-    ``(history, best_epoch)``."""
+    ``log_path``, which is rewritten whole after every epoch, so a run that
+    stops on DivergenceError leaves the epochs it finished.  A record holds
+    the mean loss under ``loss_key``, the mean pre-clip gradient norm over
+    the epoch's minibatches (``grad_norm``), the share of minibatches that
+    were clipped (``clip_rate``), then ``fields`` and the epoch's
+    ``seconds``.  Returns ``(history, best_epoch)``."""
     opt = Adam(store, lr=config.lr)
     rng = np.random.default_rng(config.seed)
     best_score = math.inf
@@ -117,6 +118,8 @@ def fit(
             "seconds": round(time.perf_counter() - t0, 3),
         }
         history.append(record)
+        if log_path is not None:
+            atomic_write_text(log_path, "\n".join(map(json.dumps, history)) + "\n")
         if not quiet:
             print(json.dumps(record))
         if score < best_score:
@@ -130,6 +133,4 @@ def fit(
                 break
     if best_params is not None:
         store.load_values(best_params)
-    if log_path is not None:
-        atomic_write_text(log_path, "\n".join(map(json.dumps, history)) + "\n")
     return history, best_epoch

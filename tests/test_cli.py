@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from refgame.cli import main
-from refgame.corpus import load_corpus, save_corpus
+from refgame.corpus import AnnotatedCorpus, load_corpus, save_corpus
 from refgame.scenario import DEFAULT_CONFIG
 from refgame.synth import make_synthetic_corpus
 from refgame.tagger import MarkableTagger
@@ -88,6 +88,22 @@ class TestAnalyticsCommands:
         assert (out / "token_correlation.csv").exists()
         report = json.loads((out / "agreement.json").read_text())
         assert 0.0 <= report["observed"] <= 1.0
+
+    def test_agreement_with_one_multiply_judged_markable(self, data_dir, tmp_path):
+        # all judgements of one markable and one of every other: no token
+        # has a correlation over a single rated markable
+        corpus = load_corpus(data_dir)
+        judged = sorted(corpus.judgements.items())
+        kept = next(mid for mid, js in judged if len(js) > 1)
+        judgements = [j for mid, js in judged for j in (js if mid == kept else js[:1])]
+        data = tmp_path / "data"
+        save_corpus(AnnotatedCorpus.build(corpus.scenarios.values(), corpus.dialogues.values(),
+                                          corpus.markables.values(), judgements), data)
+        out = tmp_path / "agr"
+        assert run("agreement", "--data", data, "--out", out) == 0
+        assert run("agreement", "--data", data_dir, "--out", tmp_path / "full") == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert (out / "token_correlation.csv").read_text().splitlines() == ["token,rho,count"]
 
     def test_aggregate_and_split(self, data_dir, tmp_path):
         gold = tmp_path / "gold.json"

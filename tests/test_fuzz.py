@@ -217,6 +217,26 @@ def test_truncated_payload_schema_error(net):
     check()
 
 
+# each edit maps a saved header's params to a layout that its config and
+# vocabulary do not declare; the payload and its hash stay the file's own
+LAYOUT_EDITS = {
+    "reordered": lambda params: params[::-1],
+    "an undeclared name": lambda params: [["extra", params[0][1]], *params[1:]],
+    "shapes of floats": lambda params: [[name, [float(n) for n in shape]] for name, shape in params],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+@pytest.mark.parametrize("net", sorted(NETS))
+def test_undeclared_layout_schema_error(net, edit, tmp_path):
+    cls = NETS[net][0]
+    header, payload = _checkpoint(net)
+    edited = {**header, "params": LAYOUT_EDITS[edit](header["params"])}
+    (tmp_path / "net.ckpt").write_bytes(_files(edited, payload)["net.ckpt"])
+    with pytest.raises(SchemaError, match="net.ckpt: the parameters do not match"):
+        cls.load(tmp_path / "net")
+
+
 @pytest.mark.parametrize("net", sorted(NETS))
 def test_swapped_params_file_schema_error(net, tmp_path):
     # b's payload fits a's config and vocabulary, so only the hash tells them apart

@@ -647,9 +647,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         header, payload = _read_ckpt(path)
         other_header, other_payload = _read_ckpt(tmp_path / "other.ckpt")
-        # the other layout over this payload: the payload's length disagrees
+        # the other layout over this payload: the layout that the config and
+        # vocabulary declare rejects it before the payload is read
         path.write_bytes(_ckpt({**header, "params": other_header["params"]}, payload))
-        with pytest.raises(SchemaError, match="model.ckpt: the payload is"):
+        with pytest.raises(SchemaError, match="model.ckpt: the parameters do not match"):
             GroundingModel.load(tmp_path / "model")
         # the other layout, payload and hash under this config: the layout
         # that the config and vocabulary declare rejects it

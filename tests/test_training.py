@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import refgame
 from refgame.agreement import aggregate_corpus_gold
 from refgame.corpus import Split, split_dataset
-from refgame.errors import SchemaError
+from refgame.errors import DivergenceError, SchemaError
 from refgame.model import ModelConfig, train_model
 from refgame.neural import ParamStore, fit
 from refgame.synth import make_synthetic_corpus
@@ -50,6 +51,28 @@ def test_fit_stops_after_patience_and_restores_best(tmp_path):
     assert not np.array_equal(store["w"], snapshots[3]["w"])
     lines = log.read_text().splitlines()
     assert [json.loads(line) for line in lines] == history
+
+
+def test_fit_leaves_the_log_of_the_epochs_before_a_divergence(tmp_path):
+    store = ParamStore(seed=0)
+    store.add("w", (2, 2))
+    config = SimpleNamespace(lr=0.1, grad_clip=1.0, batch_size=2, epochs=3, patience=3, seed=0)
+    validated = []  # one entry per finished epoch
+
+    def step(batch, rng):
+        store.grads["w"] += 1.0
+        return [math.nan if validated else 1.0] * len(batch)
+
+    def validate():
+        validated.append(True)
+        return 1.0, {}
+
+    log = tmp_path / "fit.log.jsonl"
+    with pytest.raises(DivergenceError, match="epoch 1"):
+        fit(store, [1.0, -2.0, 0.5], step, validate, config, "train_loss", log_path=log)
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [0]
+    assert records[0]["train_loss"] == 1.0
 
 
 @pytest.mark.parametrize("empty", ["train", "valid"])
