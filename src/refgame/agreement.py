@@ -18,8 +18,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import AnnotatedCorpus, GoldEntry, Markable, ReferentJudgement, propagate_auto_referents
-from .errors import SchemaError
-from .io import from_record, read_json, read_list
 from .scenario import VIEW_SIZE
 
 
@@ -46,31 +44,6 @@ def aggregate_corpus_gold(corpus: AnnotatedCorpus) -> dict[str, GoldEntry]:
     for flagged/linked ones."""
     manual = {mid: aggregate_markable(js) for mid, js in corpus.judgements.items()}
     return {**manual, **propagate_auto_referents(corpus, manual)}
-
-
-def load_gold(path, corpus: AnnotatedCorpus) -> dict[str, GoldEntry]:
-    """The gold of ``corpus`` in a ``save_gold`` file.  Raises SchemaError
-    naming the file and the first offending markable, in id order, when
-    the file's markables are not those ``aggregate_corpus_gold(corpus)``
-    covers or an entry names a referent outside its speaker's view."""
-    data = read_json(path)
-    if type(data) is not dict:
-        raise SchemaError(f"{path} must hold a JSON object")
-    covered = aggregate_corpus_gold(corpus)
-    gold = {}
-    for mid in sorted(data.keys() | covered.keys()):
-        try:
-            if mid not in covered:
-                raise SchemaError("not a markable that the corpus's gold covers")
-            if mid not in data:
-                raise SchemaError("no entry, though the corpus's gold covers it")
-            d = data[mid]
-            gold[mid] = from_record(GoldEntry, d, referents=frozenset(read_list(d, "referents", int)))
-            if outside := gold[mid].referents - corpus.visible_to_speaker(corpus.markables[mid]):
-                raise SchemaError(f"referents {sorted(outside)} are outside the speaker's view")
-        except SchemaError as exc:
-            raise SchemaError(f"{path}, markable {mid}: {exc}") from None
-    return gold
 
 
 def _multi_judged(corpus: AnnotatedCorpus) -> list[tuple[str, tuple[ReferentJudgement, ...]]]:

@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .errors import RefgameError
+from .errors import RefgameError, SchemaError
 from .io import atomic_write_bytes, atomic_write_json, atomic_write_text, csv_text, read_json, read_records
 
 
@@ -52,12 +52,26 @@ def _by_id(table, flag: str, key: str):
     return table[key]
 
 
-def _gold(args, corpus):
-    """The gold of ``--gold``, checked against ``corpus``, or else the
-    corpus's majority vote."""
-    from .agreement import aggregate_corpus_gold, load_gold
+def _split(path, corpus):
+    """The split in ``path``.  Raises SchemaError naming the file when it
+    is not a split, and when an id, the first in train, valid, test order,
+    is not a dialogue of ``corpus`` or is listed a second time."""
+    from .corpus import Split
 
-    return load_gold(args.gold, corpus) if args.gold else aggregate_corpus_gold(corpus)
+    data = read_json(path)
+    try:
+        split = Split.from_dict(data)
+        seen = set()
+        for part in ("train", "valid", "test"):
+            for did in getattr(split, part):
+                if did not in corpus.dialogues:
+                    raise SchemaError(f"{part} dialogue {did!r} is not in the corpus")
+                if did in seen:
+                    raise SchemaError(f"{part} dialogue {did!r} is listed twice")
+                seen.add(did)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return split
 
 
 def _scenario_config(args):
@@ -181,18 +195,16 @@ TRAIN_FLAGS = {
 def cmd_train(args) -> int:
     from dataclasses import fields
 
-    from .corpus import Split, load_corpus
+    from .corpus import load_corpus
 
     corpus = load_corpus(_data_dir(args))
-    split = Split.from_dict(read_json(args.split))
+    split = _split(args.split, corpus)
     out = Path(args.out)
     given = {k: v for k in TRAIN_FLAGS if (v := getattr(args, k)) is not None}
     if args.task == "tagger":
         from .tagger import TaggerConfig, train_tagger
 
         model_only = set(given) - {f.name for f in fields(TaggerConfig)}
-        if args.gold:
-            model_only.add("gold")
         if model_only:
             flags = ", ".join("--" + k.replace("_", "-") for k in sorted(model_only))
             raise RefgameError(f"--task tagger does not take {flags}")
@@ -203,10 +215,11 @@ def cmd_train(args) -> int:
         print(json.dumps({"task": "tagger", "best_epoch": result.best_epoch, **best}))
         return 0
 
+    from .agreement import aggregate_corpus_gold
     from .model import ModelConfig, train_model
 
-    gold = _gold(args, corpus)
     config = ModelConfig(**given)
+    gold = aggregate_corpus_gold(corpus)
     result = train_model(
         config, corpus, split, gold, log_path=out.with_suffix(".log.jsonl"), quiet=args.quiet
     )
@@ -216,14 +229,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .corpus import Split, load_corpus
+    from .agreement import aggregate_corpus_gold
+    from .corpus import load_corpus
     from .evaluation import evaluate_model
     from .model import GroundingModel
 
     corpus = load_corpus(_data_dir(args))
-    split = Split.from_dict(read_json(args.split))
+    split = _split(args.split, corpus)
     model = GroundingModel.load(args.model)
-    report = evaluate_model(model, corpus, split.test, _gold(args, corpus))
+    report = evaluate_model(model, corpus, split.test, aggregate_corpus_gold(corpus))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_json(out / "report.json", report.to_dict())
@@ -314,6 +328,7 @@ def cmd_selfplay(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .agreement import aggregate_corpus_gold
     from .corpus import load_corpus
     from .render import render_dialogue, render_judgements, render_view
 
@@ -324,14 +339,12 @@ def cmd_render(args) -> int:
         raise RefgameError(f"render needs exactly one of --scenario, --dialogue and --markable, got {got}")
     if args.agent_view is not None and args.scenario is None:
         raise RefgameError("render takes --agent-view only with --scenario")
-    if args.gold is not None and args.dialogue is None:
-        raise RefgameError("render takes --gold only with --dialogue")
     corpus = load_corpus(_data_dir(args))
     if args.dialogue is not None:
         dialogue = _by_id(corpus.dialogues, "--dialogue", args.dialogue)
         scenario = corpus.scenarios[dialogue.scenario_id]
         ids = corpus.markables_by_dialogue.get(args.dialogue, ())
-        gold = _gold(args, corpus)
+        gold = aggregate_corpus_gold(corpus)
         refs = {mid: gold[mid].referents for mid in ids if mid in gold and not gold[mid].dropped}
         html = render_dialogue(dialogue, scenario, [corpus.markables[mid] for mid in ids], refs)
         atomic_write_text(args.out, html)
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=10)
     p.set_defaults(fn=cmd_agreement)
 
-    p = sub.add_parser("aggregate", help="majority-vote gold referents")
+    p = sub.add_parser("aggregate", help="export the majority-vote gold that train, evaluate and render use")
     p.add_argument("--data")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_aggregate)
@@ -444,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--split", required=True)
     p.add_argument("--task", choices=("model", "tagger"), default="model")
-    p.add_argument("--gold", help="gold referents JSON (default: aggregate on the fly)")
     for name, kind in TRAIN_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--quiet", action="store_true")
@@ -455,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--split", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--gold")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_evaluate)
 
@@ -492,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent-view", choices=("A", "B"))
     p.add_argument("--dialogue")
     p.add_argument("--markable")
-    p.add_argument("--gold")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_render)
 

@@ -43,7 +43,7 @@ from .corpus import (
 )
 from .errors import SchemaError
 from .io import from_record, read_list, read_records, read_value
-from .scenario import COLOR_RANGE, DEFAULT_CONFIG, Entity, Scenario, View
+from .scenario import COLOR_RANGE, DEFAULT_CONFIG, VIEW_SIZE, Entity, Scenario, View
 
 AGENT_NAMES = {0: "A", 1: "B", "0": "A", "1": "B", "A": "A", "B": "B"}
 
@@ -99,8 +99,8 @@ def import_scenario(record: dict) -> tuple[Scenario, dict]:
     membership: dict[RawId, list[int]] = {}
     for agent_idx, kb in enumerate(kbs):
         keys = [read_value(e, "id", RawId) for e in kb]
-        if len(keys) != 7 or len(set(keys)) != 7:
-            raise SchemaError(f"scenario {uuid}: agent {agent_idx} context must list 7 distinct entities")
+        if len(keys) != VIEW_SIZE or len(set(keys)) != VIEW_SIZE:
+            raise SchemaError(f"scenario {uuid}: agent {agent_idx} context must list {VIEW_SIZE} distinct entities")
         for key, e in zip(keys, kb):
             attrs = (
                 read_value(e, "x", float),

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -177,10 +178,18 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
     return net
 
 
-def check_dtype(dtype: str) -> None:
-    """The kernels run in float32 or float64 only."""
-    if dtype not in ("float32", "float64"):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+def check_config(config) -> None:
+    """Refuse a training config that ``fit`` cannot run: a dtype other than
+    float32 or float64 (the kernels' two), a ``*_dim``, ``epochs`` or
+    ``batch_size`` below 1, or an ``lr`` that is not finite and positive.
+    Each raises ValueError naming the field."""
+    if config.dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype must be float32 or float64, got {config.dtype!r}")
+    for f in fields(config):
+        if (f.name.endswith("_dim") or f.name in ("epochs", "batch_size")) and getattr(config, f.name) < 1:
+            raise ValueError(f"{f.name} must be at least 1, got {getattr(config, f.name)}")
+    if not 0 < config.lr < math.inf:
+        raise ValueError(f"lr must be finite and greater than 0, got {config.lr}")
 
 
 @dataclass(frozen=True)
@@ -203,10 +212,9 @@ class ModelConfig:
 
     def __post_init__(self):
         variant_heads(self.variant)
-        check_dtype(self.dtype)
-        for name in ("embed_dim", "hidden_dim", "attr_dim", "rel_dim", "attn_dim", "mlp_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_config(self)
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be at least 0 and below 1, got {self.dropout}")
 
 
 @dataclass

@@ -327,11 +327,14 @@ def view_feature_matrix(scenario: Scenario, agent: str) -> tuple[np.ndarray, np.
 
     ``attrs`` (7, 4) holds each entity's (x, y, size, color) in the
     view-local [-1, 1] frame: position re-centred on the view centre and
-    divided by the radius; size (in DEFAULT_CONFIG's range, which the
-    importer rescales into) and color affinely mapped from their ranges.
-    The map is invertible given the view.  ``rel`` (7, 6, 5) holds, for
-    entity i and each other entity j in view order, (dx, dy, euclidean
-    distance, dsize, dcolor) on those attributes, deltas j - i."""
+    divided by the radius; size and color affinely mapped from their
+    ranges.  Sizes are mapped from DEFAULT_CONFIG's range, which the
+    importer rescales into, whatever config generated the scenario: a
+    size range beyond it gives size features outside [-1, 1] (0.5 to 3.0
+    for sizes from 0.05 to 0.1).  The map is invertible given the view.
+    ``rel`` (7, 6, 5) holds, for entity i and each other entity j in view
+    order, (dx, dy, euclidean distance, dsize, dcolor) on those
+    attributes, deltas j - i."""
     view = scenario.view(agent)
     raw = np.array([(e.x, e.y, e.size, e.color) for e in map(scenario.entity, view.visible)])
     size_min, size_max = DEFAULT_CONFIG.size_min, DEFAULT_CONFIG.size_max

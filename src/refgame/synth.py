@@ -21,7 +21,7 @@ from .corpus import (
     ReferentJudgement,
     Selection,
 )
-from .scenario import DEFAULT_CONFIG, Scenario, generate_scenario
+from .scenario import DEFAULT_CONFIG, SHARED_COUNTS, Scenario, generate_scenario
 
 N_ANNOTATORS = 3   # judgements per manually judged markable
 SUCCESS_RATE = 0.8  # share of dialogues whose two selections match
@@ -66,7 +66,7 @@ def make_synthetic_corpus(n_dialogues: int, seed: int = 0, *, flip_rate: float =
 
     for d_idx in range(n_dialogues):
         rng = np.random.default_rng(streams[d_idx])
-        k = [4, 5, 6][d_idx % 3]
+        k = SHARED_COUNTS[d_idx % len(SHARED_COUNTS)]
         scenario = generate_scenario(DEFAULT_CONFIG, k, rng)
         if scenario.id not in scenarios:
             scenarios[scenario.id] = scenario

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import AnnotatedCorpus, Markable, Split
-from .model import Vocabulary, check_dtype, load_checkpoint, require_examples, save_checkpoint
+from .model import Vocabulary, check_config, load_checkpoint, require_examples, save_checkpoint
 from .neural import (
     ParamStore,
     add_gru_params,
@@ -81,7 +81,7 @@ class TaggerConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        check_dtype(self.dtype)
+        check_config(self)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -410,7 +410,7 @@ class TestModelCommands:
         assert run("validate", "--data", data) == 0
         assert run("stats", "--data", data, "--out", tmp_path / "stats.json") == 0
         assert run("aggregate", "--data", data, "--out", tmp_path / "gold.json") == 0
-        # without --gold, render takes the corpus's majority vote: the speaker's prediction
+        # render takes the corpus's majority vote: the speaker's prediction
         page = tmp_path / "game0.html"
         assert run("render", "--data", data, "--dialogue", "game00000", "--out", page) == 0
         corpus = load_corpus(data)
@@ -546,71 +546,6 @@ class TestModelCommands:
         assert not (tmp_path / "sp").exists()
 
 
-def _gold_file(data_dir, tmp_path, case):
-    """A gold file for ``data_dir``'s corpus, damaged as ``case`` names, and
-    the markable that its error names."""
-    from refgame.agreement import aggregate_corpus_gold
-    from refgame.corpus import save_gold
-
-    corpus = load_corpus(data_dir)
-    gold = aggregate_corpus_gold(corpus)
-    ids = sorted(gold)
-    if case == "other-corpus":
-        other = aggregate_corpus_gold(make_synthetic_corpus(12, seed=91))
-        gold, named = other, min(gold.keys() ^ other.keys())
-    elif case == "empty":
-        gold, named = {}, ids[0]
-    elif case == "half":
-        gold, named = {mid: gold[mid] for mid in ids[::2]}, ids[1]
-    else:  # "outside-view": a speaker's referent that the speaker cannot see
-        named = ids[len(ids) // 2]
-        m = corpus.markables[named]
-        hidden = {e.id for e in corpus.scenarios[corpus.dialogues[m.dialogue_id].scenario_id].entities}
-        hidden -= corpus.visible_to_speaker(m)
-        gold[named] = replace(gold[named], referents=gold[named].referents | {min(hidden)})
-    path = tmp_path / "gold.json"
-    save_gold(gold, path)
-    return path, named
-
-
-class TestGoldFiles:
-    @pytest.mark.parametrize("command,case", [
-        ("train", "other-corpus"),
-        ("train", "empty"),
-        ("evaluate", "half"),
-        ("render", "empty"),
-        ("evaluate", "outside-view"),
-    ])
-    def test_a_gold_file_that_does_not_fit_the_corpus_is_refused(self, data_dir, trained, tmp_path,
-                                                                  capsys, command, case):
-        workdir, split, model = trained
-        gold, named = _gold_file(data_dir, tmp_path, case)
-        out = tmp_path / "out"
-        args = {
-            "train": ("--split", split, "--out", out, "--epochs", "1", "--quiet"),
-            "evaluate": ("--split", split, "--model", model, "--out", out),
-            "render": ("--dialogue", sorted(load_corpus(data_dir).dialogues)[0], "--out", out),
-        }[command]
-        assert run(command, "--data", data_dir, "--gold", gold, *args) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "SchemaError"
-        assert str(gold) in err["message"] and f"markable {named}:" in err["message"]
-        assert not out.exists()
-
-    def test_the_aggregate_output_is_accepted_as_gold(self, data_dir, trained, tmp_path):
-        workdir, split, model = trained
-        gold = tmp_path / "gold.json"
-        assert run("aggregate", "--data", data_dir, "--out", gold) == 0
-        for out, flags in ((tmp_path / "given", ("--gold", gold)), (tmp_path / "voted", ())):
-            assert run(
-                "evaluate", "--data", data_dir, "--split", split, "--model", model, "--out", out, *flags
-            ) == 0
-        reports = [(tmp_path / name / "report.json").read_bytes() for name in ("given", "voted")]
-        assert reports[0] == reports[1]
-
-
 class TestSelfplayAndRender:
     def test_selfplay_scripted_three_rows(self, tmp_path):
         out = tmp_path / "sp"
@@ -629,17 +564,6 @@ class TestSelfplayAndRender:
         assert run("render", "--data", data_dir, "--scenario", sid, "--out", out) == 0
         assert out.read_text().startswith("<svg")
 
-    def test_render_dialogue_with_gold(self, data_dir, tmp_path):
-        gold = tmp_path / "gold.json"
-        run("aggregate", "--data", data_dir, "--out", gold)
-        corpus = load_corpus(data_dir)
-        did = sorted(corpus.dialogues)[0]
-        out = tmp_path / "dialogue.html"
-        assert run(
-            "render", "--data", data_dir, "--dialogue", did, "--gold", gold, "--out", out
-        ) == 0
-        assert out.read_text().startswith("<!DOCTYPE html>")
-
     def test_render_requires_target(self, data_dir, capsys):
         assert run("render", "--data", data_dir, "--out", "/tmp/x.svg") == 1
         assert "render needs" in json.loads(capsys.readouterr().err)["message"]
@@ -650,8 +574,6 @@ class TestSelfplayAndRender:
         (("--scenario", "S", "--dialogue", "D", "--markable", "M"), "--scenario and --dialogue and --markable"),
         (("--dialogue", "D", "--agent-view", "B"), "--agent-view only with --scenario"),
         (("--markable", "M", "--agent-view", "A"), "--agent-view only with --scenario"),
-        (("--scenario", "S", "--gold", "nope.json"), "--gold only with --dialogue"),
-        (("--markable", "M", "--gold", "nope.json"), "--gold only with --dialogue"),
     ])
     def test_render_refuses_flags_its_mode_does_not_read(self, data_dir, tmp_path, capsys, flags, named):
         corpus = load_corpus(data_dir)
@@ -737,15 +659,12 @@ LIST_FILE = "<a file holding []>"
     (("train", "--dtype", "int64", "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"), "ValueError"),
     (("split",), "ValueError"),
     (("train", "--split", LIST_FILE), "SchemaError"),
-    (("evaluate", "--gold", LIST_FILE), "SchemaError"),
     (("selfplay", "--agent", "random", "--model", "no-such-model"), "RefgameError"),
-    (("train", "--task", "tagger", "--gold", "no-such-gold.json"), "RefgameError"),
     (("selfplay", "--temperature", "nan"), "ValueError"),
     (("selfplay", "--temperature", "inf"), "ValueError"),
-], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list", "gold-is-list",
-        "model-with-scripted-agent", "tagger-gold",
-        "temperature-nan", "temperature-inf"])
-def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request, argv, error):
+], ids=["variant", "tagger-dtype", "int-dtype", "split-too-few", "split-is-list",
+        "model-with-scripted-agent", "temperature-nan", "temperature-inf"])
+def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, argv, error):
     list_file = tmp_path / "list.json"
     list_file.write_text("[]\n")
     command, *flags = (list_file if a == LIST_FILE else a for a in argv)
@@ -759,16 +678,79 @@ def test_bad_config_values_report_json_error(data_dir, tmp_path, capsys, request
         split = tmp_path / "split.json"
         assert run("split", "--data", data_dir, "--out", split) == 0
         capsys.readouterr()
-        args = (command, "--data", data_dir, "--split", split, "--out", tmp_path / "m")
-        if command == "evaluate":
-            args += ("--model", request.getfixturevalue("trained")[2])
-        else:
-            args += ("--quiet",)
+        args = (command, "--data", data_dir, "--split", split, "--out", tmp_path / "m", "--quiet")
     # a flag given in argv comes last, so it overrides the defaults above
     assert run(*args, *flags) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+@pytest.mark.parametrize("flags,field", [
+    (("--task", "tagger", "--epochs", "0"), "epochs"),
+    (("--epochs", "0"), "epochs"),
+    (("--task", "tagger", "--embed-dim", "0"), "embed_dim"),
+    (("--hidden-dim", "-1"), "hidden_dim"),
+    (("--batch-size", "0"), "batch_size"),
+    (("--task", "tagger", "--batch-size", "0"), "batch_size"),
+    (("--dropout", "-0.5"), "dropout"),
+    (("--dropout", "1"), "dropout"),
+    (("--lr", "nan"), "lr"),
+    (("--task", "tagger", "--lr", "0"), "lr"),
+], ids=["tagger-epochs", "model-epochs", "tagger-embed-dim", "model-hidden-dim", "model-batch-size",
+        "tagger-batch-size", "negative-dropout", "dropout-one", "model-lr-nan", "tagger-lr-zero"])
+def test_training_values_that_cannot_run_are_refused(data_dir, tmp_path, capsys, flags, field):
+    split = tmp_path / "split.json"
+    assert run("split", "--data", data_dir, "--out", split) == 0
+    capsys.readouterr()
+    assert run("train", "--data", data_dir, "--split", split, "--out", tmp_path / "m", "--quiet", *flags) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError" and error["message"].startswith(f"{field} must be")
+    # no checkpoint and no log
+    assert list(tmp_path.iterdir()) == [split]
+
+
+@pytest.mark.parametrize("damage", ["unknown-id", "in-train-and-valid", "twice-in-test", "seed-is-str"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_bad_split_file_is_refused(data_dir, trained, tmp_path, capsys, command, damage):
+    workdir, split, model = trained
+    parts = json.loads(split.read_text())
+    if damage == "unknown-id":
+        parts["test"].append("nope")
+        named = "test dialogue 'nope' is not in the corpus"
+    elif damage == "in-train-and-valid":
+        parts["valid"] += parts["train"][:3]
+        named = f"valid dialogue {parts['train'][0]!r} is listed twice"
+    elif damage == "twice-in-test":
+        parts["test"].append(parts["test"][0])
+        named = f"test dialogue {parts['test'][0]!r} is listed twice"
+    else:
+        parts["seed"] = "x"
+        named = "Split.seed must be int, got 'x'"
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(parts))
+    out = tmp_path / "out"
+    flags = ("--model", model) if command == "evaluate" else ("--epochs", "1", "--quiet")
+    assert run(command, "--data", data_dir, "--split", bad, "--out", out, *flags) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaError" and error["message"] == f"{bad}: {named}"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ("--split", "split.json")),
+    ("evaluate", ("--split", "split.json", "--model", "m")),
+    ("render", ("--dialogue", "d00000")),
+], ids=["train", "evaluate", "render"])
+def test_gold_is_not_an_option(data_dir, tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--data", data_dir, *flags, "--gold", "gold.json", "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gold gold.json" in capsys.readouterr().err
 
 
 def test_report_summarizes_eval_reports(trained, data_dir, tmp_path):

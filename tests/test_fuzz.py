@@ -2,26 +2,30 @@
 dropped key, a value of a wrong JSON type (a bool for a number included),
 a truncated checkpoint payload or an offset outside its utterance either
 still loads (a dropped optional key) or raises SchemaError; no other
-exception escapes."""
+exception escapes.  A training config either raises ValueError when it
+is built or trains to a best epoch."""
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from refgame.agreement import aggregate_corpus_gold
+from refgame.corpus import split_dataset
 from refgame.errors import SchemaError
 from refgame.importer import import_bundle
-from refgame.model import GroundingModel, ModelConfig, Vocabulary
+from refgame.model import GroundingModel, ModelConfig, Vocabulary, train_model
 from refgame.synth import make_synthetic_corpus
-from refgame.tagger import MarkableTagger, TaggerConfig
+from refgame.tagger import MarkableTagger, TaggerConfig, train_tagger
 from test_importer import make_bundle
 
 JSON_KINDS = {
@@ -248,3 +252,42 @@ def test_swapped_params_file_schema_error(net, tmp_path):
     (tmp_path / "a.ckpt").write_bytes(header + b"\n" + payload)
     with pytest.raises(SchemaError, match="a.ckpt: the payload's SHA-256"):
         cls.load(tmp_path / "a")
+
+
+# --- training configs ------------------------------------------------------------
+
+@cache
+def _training_data():
+    corpus = make_synthetic_corpus(12, seed=6)
+    return corpus, split_dataset(corpus, 0), aggregate_corpus_gold(corpus)
+
+
+def _config_values(cls):
+    """(cls, field values): every int field but seed from -1..3, dropout and
+    lr from values on both sides of their bounds."""
+    values = {f.name: st.integers(-1, 3) for f in fields(cls) if f.type == "int" and f.name != "seed"}
+    values["lr"] = st.sampled_from([math.nan, -1e-3, 1e-3])
+    if cls is ModelConfig:
+        values["dropout"] = st.sampled_from([-0.5, 0.0, 0.5, 1.0])
+    return st.tuples(st.just(cls), st.fixed_dictionaries(values))
+
+
+SMALLEST = dict(embed_dim=1, hidden_dim=1, batch_size=1, epochs=2, patience=-1, lr=1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_config_values(ModelConfig), _config_values(TaggerConfig)))
+@example((ModelConfig, dict(SMALLEST, attr_dim=1, rel_dim=1, attn_dim=1, mlp_dim=1, dropout=0.5)))
+@example((TaggerConfig, SMALLEST))
+def test_a_config_is_refused_or_trains(drawn):
+    cls, values = drawn
+    try:
+        config = cls(**values)
+    except ValueError:
+        return
+    corpus, split, gold = _training_data()
+    if cls is ModelConfig:
+        result = train_model(config, corpus, split, gold)
+    else:
+        result = train_tagger(corpus, split, config)
+    assert result.best_epoch >= 0
