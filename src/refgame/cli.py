@@ -303,7 +303,7 @@ def cmd_selfplay(args) -> int:
     seconds = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
     if tagger is not None:
-        save_corpus(result.corpus(scenarios), out / "corpus")
+        save_corpus(result.corpus(), out / "corpus")
     atomic_write_text(out / "summary.csv", result.summary_csv())
     atomic_write_json(out / "summary.json", {
         **result.summary(seconds),

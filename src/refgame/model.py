@@ -180,14 +180,15 @@ def load_checkpoint(cls, prefix, fmt: str, config_cls):
 
 def check_config(config) -> None:
     """Refuse a training config that ``fit`` cannot run: a dtype other than
-    float32 or float64 (the kernels' two), a ``*_dim``, ``epochs`` or
-    ``batch_size`` below 1, or an ``lr`` that is not finite and positive.
-    Each raises ValueError naming the field."""
+    float32 or float64 (the kernels' two), a ``*_dim``, ``epochs``,
+    ``batch_size`` or ``patience`` below 1, or an ``lr`` that is not finite
+    and positive.  Each raises ValueError naming the field."""
     if config.dtype not in ("float32", "float64"):
         raise ValueError(f"dtype must be float32 or float64, got {config.dtype!r}")
     for f in fields(config):
-        if (f.name.endswith("_dim") or f.name in ("epochs", "batch_size")) and getattr(config, f.name) < 1:
-            raise ValueError(f"{f.name} must be at least 1, got {getattr(config, f.name)}")
+        value = getattr(config, f.name)
+        if (f.name.endswith("_dim") or f.name in ("epochs", "batch_size", "patience")) and value < 1:
+            raise ValueError(f"{f.name} must be at least 1, got {value}")
     if not 0 < config.lr < math.inf:
         raise ValueError(f"lr must be finite and greater than 0, got {config.lr}")
 

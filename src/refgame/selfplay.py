@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Message, ReferentJudgement, Selection
+from .corpus import AnnotatedCorpus, Dialogue, GoldEntry, Markable, Message, ReferentJudgement, Selection
 from .errors import GameAbortedError
 from .io import csv_text
 from .model import (
@@ -54,6 +54,14 @@ class ProtocolConfig:
             raise ValueError("limits must be positive")
 
 
+class GameAnnotation(NamedTuple):
+    """A game's corpus records from ``annotate_transcript``: one judgement per markable, in order."""
+    scenario: Scenario
+    dialogue: Dialogue
+    markables: list[Markable]
+    judgements: list[ReferentJudgement]
+
+
 @dataclass
 class GameTranscript:
     scenario_id: str
@@ -63,8 +71,7 @@ class GameTranscript:
     selections: dict = field(default_factory=dict)      # speaker -> entity id
     success: bool = False
     forced: bool = False
-    predicted_referents: dict | None = None             # markable id -> [entity ids]
-    markables: list | None = field(default=None, repr=False)  # annotate_transcript's; not in the record
+    annotation: GameAnnotation | None = field(default=None, repr=False)  # in the record as predicted_referents
     aborted: bool = False
     abort_message: str | None = None
     # role -> the committed DecoderState of each of two state-keeping model
@@ -86,10 +93,8 @@ class GameTranscript:
             "success": self.success,
             "forced": self.forced,
         }
-        if self.predicted_referents is not None:
-            out["predicted_referents"] = {
-                mid: sorted(refs) for mid, refs in self.predicted_referents.items()
-            }
+        if self.annotation is not None:
+            out["predicted_referents"] = {j.markable_id: sorted(j.referents) for j in self.annotation.judgements}
         if self.aborted:
             out["aborted"] = True
             out["abort_message"] = self.abort_message
@@ -98,17 +103,9 @@ class GameTranscript:
     def to_dialogue(self, dialogue_id: str) -> Dialogue:
         if self.aborted:
             raise ValueError(f"the game on scenario {self.scenario_id} aborted, so it has no dialogue")
-        events: list = [
-            Message(speaker=m["speaker"], tokens=tuple(m["tokens"])) for m in self.messages
-        ]
-        events.append(Selection(speaker="A", entity_id=self.selections["A"]))
-        events.append(Selection(speaker="B", entity_id=self.selections["B"]))
-        return Dialogue(
-            id=dialogue_id,
-            scenario_id=self.scenario_id,
-            events=tuple(events),
-            outcome=self.success,
-        )
+        messages = [Message(m["speaker"], tuple(m["tokens"])) for m in self.messages]
+        selections = [Selection(role, self.selections[role]) for role in ("A", "B")]
+        return Dialogue(dialogue_id, self.scenario_id, tuple(messages + selections), outcome=self.success)
 
 
 def temperature_weights(probs: np.ndarray, temperature) -> np.ndarray:
@@ -255,6 +252,8 @@ class ModelAgent:
             raise ValueError("selfplay needs a variant with TSEL and DIAL heads")
         if not 0 < temperature < math.inf:
             raise ValueError("temperature must be > 0")
+        if max_tokens < 1:
+            raise ValueError(f"max_tokens must be at least 1, got {max_tokens}")
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens
@@ -569,18 +568,15 @@ class BatchResult:
             "tokens_per_s": sum(tokens) / seconds,
         }
 
-    def corpus(self, scenarios: Sequence[Scenario]) -> AnnotatedCorpus:
-        """The games ``run_batch`` annotated, the i-th played on ``scenarios[i]``, as a corpus:
-        their scenarios, a dialogue per game (id ``GAME_ID`` of i), the tagger's markables and,
-        per markable, one ``speaker-model`` judgement holding the speaker's REF prediction."""
-        games = [(GAME_ID.format(i), t, s) for i, (t, s) in enumerate(zip(self.transcripts, scenarios))
-                 if t.markables is not None]
+    def corpus(self) -> AnnotatedCorpus:
+        """The corpus of the annotated games' records: their scenarios and dialogues, the tagger's
+        markables and each markable's ``speaker-model`` judgement, the speaker's REF prediction."""
+        games = [t.annotation for t in self.transcripts if t.annotation is not None]
         return AnnotatedCorpus.build(
-            list({s.id: s for _, _, s in games}.values()),
-            [t.to_dialogue(game) for game, t, _ in games],
-            [m for _, t, _ in games for m in t.markables],
-            [ReferentJudgement(m.id, "speaker-model", frozenset(t.predicted_referents[m.id]))
-             for _, t, _ in games for m in t.markables],
+            list({g.scenario.id: g.scenario for g in games}.values()),
+            [g.dialogue for g in games],
+            [m for g in games for m in g.markables],
+            [j for g in games for j in g.judgements],
         )
 
 
@@ -594,8 +590,8 @@ def annotate_transcript(
     """Interpretation pipeline for a finished game: detect markables with
     the tagger, then predict each markable's referents with the model's REF
     head from the speaker's own perspective.  Returns (dialogue, markables,
-    predicted referent sets keyed by markable id) and stores the
-    markables and predictions on the transcript.
+    predicted referent sets keyed by markable id) and stores the game's
+    corpus records on the transcript as its ``annotation``.
 
     A perspective whose player was a state-keeping ``ModelAgent`` of
     ``model`` reads its REF rows from the states that player's decoder
@@ -631,8 +627,8 @@ def annotate_transcript(
     for ex, probs in zip(examples, model.ref_probs_at(examples)):
         for mid, row in zip(ex.markable_ids, probs >= REF_THRESHOLD):
             predictions[mid] = frozenset(e for e, hit in zip(ex.entity_ids, row) if hit)
-    transcript.predicted_referents = {k: sorted(v) for k, v in predictions.items()}
-    transcript.markables = markables
+    judgements = [ReferentJudgement(m.id, "speaker-model", predictions[m.id]) for m in markables]
+    transcript.annotation = GameAnnotation(scenario, dialogue, markables, judgements)
     return dialogue, markables, predictions
 
 

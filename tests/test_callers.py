@@ -133,15 +133,23 @@ def test_a_docstring_or_comment_mention_is_not_a_caller():
     assert uncalled(public_definitions([tree]), [tree]) == ["Model.predict", "helper"]
 
 
-def library_calls() -> dict[str, list[ast.Call]]:
-    """Every call in the package and the benchmark, keyed by the called
-    name (a bare function name or a method/attribute name)."""
+def called_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees``, keyed by the called name (a bare function
+    name or a method/attribute name).  ``partial(f, *args, **kwargs)``
+    counts as a call of ``f`` with ``args`` and ``kwargs`` as well."""
     calls: dict[str, list[ast.Call]] = {}
-    for tree in library_trees():
+    for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls.setdefault(name, []).append(node)
+            if not isinstance(node, ast.Call):
+                continue
+            calls.setdefault(called_name(node), []).append(node)
+            if called_name(node) == "partial" and node.args and not isinstance(node.args[0], ast.Starred):
+                bound = ast.Call(func=node.args[0], args=node.args[1:], keywords=node.keywords)
+                calls.setdefault(called_name(bound), []).append(bound)
     return calls
 
 
@@ -155,20 +163,73 @@ def sets_parameter(call: ast.Call, name: str, position: int | None) -> bool:
     )
 
 
+def defaulted_parameters(trees):
+    """(called name, qualified parameter name, position in a call or None)
+    for each defaulted parameter of a public function, of a public method
+    and of a public class's ``__init__`` (called by the class's name).  A
+    method's positions skip its ``self`` or ``cls``, unless it is a
+    staticmethod."""
+    functions = []  # (called name, qualified name, definition, leading parameters a call skips)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions.append((node.name, node.name, node, 0))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and (sub.name == "__init__" or not sub.name.startswith("_")):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                        called = node.name if sub.name == "__init__" else sub.name
+                        functions.append((called, f"{node.name}.{sub.name}", sub, 0 if static else 1))
+    for called, qualified, function, skipped in functions:
+        args = function.args
+        positional = args.posonlyargs + args.args
+        first_default = len(positional) - len(args.defaults)
+        for i, p in enumerate(positional[first_default:], first_default):
+            yield called, f"{qualified}.{p.arg}", i - skipped
+        for p, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield called, f"{qualified}.{p.arg}", None
+
+
+def unset_defaults(definition_trees, call_trees) -> list[str]:
+    """The defaulted parameters of ``definition_trees`` (see
+    ``defaulted_parameters``) that no call in ``call_trees`` may set."""
+    calls = calls_by_name(call_trees)
+    return [
+        qualified for called, qualified, position in defaulted_parameters(definition_trees)
+        if not any(sets_parameter(c, qualified.rpartition(".")[2], position) for c in calls.get(called, []))
+    ]
+
+
 def test_every_default_is_set_by_some_library_call():
-    calls = library_calls()
-    unset = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in TEST_ONLY:
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first_default = len(positional) - len(args.defaults)
-            defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first_default]
-            defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            unset += [
-                f"{node.name}.{name}" for name, position in defaulted
-                if not any(sets_parameter(c, name, position) for c in calls.get(node.name, []))
-            ]
-    assert sorted(unset) == sorted(UNSET_DEFAULTS)
+    unset = unset_defaults(parsed(SRC.rglob("*.py")), library_trees())
+    assert sorted(n for n in unset if n.partition(".")[0] not in TEST_ONLY) == sorted(UNSET_DEFAULTS)
+
+
+def test_a_default_set_through_partial_or_a_method_call_is_found():
+    tree = ast.parse(textwrap.dedent('''
+        from functools import partial
+
+        class Agent:
+            def __init__(self, model, temperature=1.0, keep=True, log=None):
+                pass
+
+            def act(self, greedy=False, limit=5):
+                pass
+
+            @staticmethod
+            def build(size=1):
+                pass
+
+            def _hidden(self, flag=False):
+                pass
+
+        def play(rounds=3, *, quiet=False):
+            agent = partial(Agent, "model", 0.5, log=[])()
+            agent.act(True)
+            Agent.build(2)
+
+        play(quiet=True)
+    '''))
+    # partial's first argument is the callee, so 0.5 is the temperature, not keep
+    assert unset_defaults([tree], [tree]) == ["Agent.__init__.keep", "Agent.act.limit", "play.rounds"]

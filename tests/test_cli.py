@@ -455,7 +455,7 @@ class TestModelCommands:
 
         def recorded(*args, **kwargs):
             result = run_batch(*args, **kwargs)
-            returned.append([(t.states is None, t.predicted_referents is not None)
+            returned.append([(t.states is None, t.annotation is not None)
                              for t in result.transcripts])
             return result
 

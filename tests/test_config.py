@@ -7,7 +7,9 @@ import pytest
 
 from refgame.cli import main
 from refgame.errors import SchemaError
+from refgame.model import ModelConfig
 from refgame.scenario import ScenarioConfig, load_scenario_config
+from refgame.tagger import TaggerConfig
 
 
 def write_config(tmp_path, values) -> str:
@@ -87,3 +89,12 @@ def test_config_refuses_ints_too_large_for_a_float(values, fragment):
     # the Python API takes ints where config files would refuse them first
     with pytest.raises(ValueError, match=re.escape(fragment)):
         ScenarioConfig(**values)
+
+
+@pytest.mark.parametrize("cls", [ModelConfig, TaggerConfig])
+@pytest.mark.parametrize("patience", [0, -1])
+def test_training_configs_refuse_a_patience_below_one(cls, patience):
+    # fit would stop at the first epoch without improvement, as with patience 1
+    with pytest.raises(ValueError, match=f"patience must be at least 1, got {patience}"):
+        cls(patience=patience)
+    assert cls(patience=1).patience == 1

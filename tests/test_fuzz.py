@@ -272,7 +272,7 @@ def _config_values(cls):
     return st.tuples(st.just(cls), st.fixed_dictionaries(values))
 
 
-SMALLEST = dict(embed_dim=1, hidden_dim=1, batch_size=1, epochs=2, patience=-1, lr=1e-3)
+SMALLEST = dict(embed_dim=1, hidden_dim=1, batch_size=1, epochs=2, patience=1, lr=1e-3)
 
 
 @settings(max_examples=25, deadline=None)

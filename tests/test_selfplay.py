@@ -122,6 +122,12 @@ class TestTemperature:
             with pytest.raises(ValueError, match="temperature must be > 0"):
                 ModelAgent(tiny_model, temperature, 12)
 
+    def test_model_agent_rejects_a_token_cap_below_one(self, tiny_model):
+        # an agent that may draw no token would play silent, forced games
+        for max_tokens in (0, -3):
+            with pytest.raises(ValueError, match=f"max_tokens must be at least 1, got {max_tokens}"):
+                ModelAgent(tiny_model, 1.0, max_tokens)
+
     def test_row_weights_equal_one_row_weights(self):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(30), size=8)
@@ -269,19 +275,22 @@ class TestTranscript:
 
     def test_annotated_games_make_a_corpus(self, tmp_path):
         from refgame.corpus import Markable, Message, ReferentJudgement, load_corpus, save_corpus
-        from refgame.selfplay import BatchResult, GameTranscript
+        from refgame.selfplay import BatchResult, GameAnnotation, GameTranscript
 
         scenarios = generate_scenarios(CFG, {4: 2, 6: 2}, seed=8)
         views = [(s.view("A").visible, s.view("B").visible) for s in scenarios]
 
         def game(i, messages, markables, predicted, aborted=False):
             picks = {"A": int(views[i][0][0]), "B": int(views[i][1][0])}
-            return GameTranscript(
+            t = GameTranscript(
                 scenario_id=scenarios[i].id, num_shared=scenarios[i].num_shared, seed=0,
                 messages=[{"speaker": who, "tokens": line.split()} for who, line in messages],
-                selections={} if aborted else picks, success=picks["A"] == picks["B"],
-                predicted_referents=predicted, markables=markables, aborted=aborted,
+                selections={} if aborted else picks, success=picks["A"] == picks["B"], aborted=aborted,
             )
+            if markables is not None:  # the records annotate_transcript keeps
+                t.annotation = GameAnnotation(scenarios[i], t.to_dialogue(f"game{i:05d}"), markables, [
+                    ReferentJudgement(m.id, "speaker-model", frozenset(predicted[m.id])) for m in markables])
+            return t
 
         a0 = Markable("game00000_auto_0_1", "game00000", 0, 1, 3, "A")
         b0 = Markable("game00000_auto_1_0", "game00000", 1, 0, 2, "B")
@@ -294,7 +303,8 @@ class TestTranscript:
             game(2, [("A", "hello")], [], {}),           # finished, with no markable detected
             game(3, [("A", "it")], [a3], {a3.id: []}),   # a markable predicted to refer to nothing
         ])
-        corpus = result.corpus(scenarios)
+        assert result.transcripts[0].to_dict()["predicted_referents"] == {a0.id: a_refs, b0.id: b_refs}
+        corpus = result.corpus()
         assert list(corpus.scenarios) == [scenarios[i].id for i in (0, 2, 3)]
         assert list(corpus.dialogues) == ["game00000", "game00002", "game00003"]
         assert corpus.dialogues["game00000"].messages == (
@@ -744,6 +754,7 @@ def tiny_tagger():
 
 class TestAnnotation:
     def test_annotate_transcript_pipeline(self, tiny_model, tiny_tagger, tmp_path):
+        from refgame.corpus import ReferentJudgement
         from refgame.render import render_dialogue
         from refgame.selfplay import annotate_transcript
 
@@ -757,15 +768,17 @@ class TestAnnotation:
         dialogue, markables, refs = annotate_transcript(
             transcript, scenario, tiny_model, tiny_tagger
         )
-        assert transcript.predicted_referents is not None
-        assert set(transcript.predicted_referents) == {m.id for m in markables} & set(refs)
+        # the transcript keeps the game's corpus records, a judgement per markable in their order
+        assert transcript.annotation == (scenario, dialogue, markables, [
+            ReferentJudgement(m.id, "speaker-model", refs[m.id]) for m in markables])
+        assert set(refs) == {m.id for m in markables}
         for mid, entities in refs.items():
             m = next(mk for mk in markables if mk.id == mid)
             assert entities <= frozenset(scenario.view(m.speaker).visible)
         # empty predictions render as plain underlines; page builds either way
         html = render_dialogue(dialogue, scenario, markables, refs)
         assert html.startswith("<!DOCTYPE html>")
-        assert transcript.to_dict().get("predicted_referents") is not None
+        assert transcript.to_dict()["predicted_referents"] == {m.id: sorted(refs[m.id]) for m in markables}
 
     def test_predictions_are_the_thresholded_ref_head(self, tiny_model, tiny_tagger):
         from refgame.corpus import GoldEntry, Message
@@ -930,9 +943,10 @@ class TestPlayStates:
         assert t.states is not None  # pickling leaves the original's states
         annotate_transcript(t, scenario, tiny_model, tiny_tagger)
         assert t.states is None
-        # the detected markables stay out of the record but travel in pickles
-        assert t.markables is not None and "markables" not in t.to_dict()
-        assert pickle.loads(pickle.dumps(t)).markables == t.markables
+        # the annotation is in the record only as its predictions, and travels in pickles
+        assert t.annotation is not None and "annotation" not in repr(t)
+        assert "markables" not in t.to_dict() and "predicted_referents" in t.to_dict()
+        assert pickle.loads(pickle.dumps(t)).annotation == t.annotation
 
     def test_agents_that_keep_no_states_leave_none(self, tiny_model):
         scenario = generate_scenario(CFG, 4, np.random.default_rng(13))
@@ -1001,7 +1015,7 @@ def test_run_batch_with_a_tagger_annotates_all_but_an_aborted_game(tiny_model, t
     factory = partial(FailingSelect, tiny_model, 1.0, 12, bad=scenarios[7].id)
     annotated = run_batch(factory, scenarios, proto, tagger=tiny_tagger).transcripts
     assert len(annotated) == 12
-    assert annotated[7].aborted and annotated[7].predicted_referents is None
+    assert annotated[7].aborted and annotated[7].annotation is None
     assert all(t.states is None for t in annotated)
     # the same games played without a tagger, then annotated one by one
     played = run_batch(factory, scenarios, proto).transcripts
@@ -1009,7 +1023,47 @@ def test_run_batch_with_a_tagger_annotates_all_but_an_aborted_game(tiny_model, t
         if i != 7:
             annotate_transcript(t, scenario, tiny_model, tiny_tagger, dialogue_id=f"game{i:05d}")
     assert [t.to_dict() for t in annotated] == [t.to_dict() for t in played]
-    assert sum(len(t.predicted_referents) for t in annotated if not t.aborted) > 0
+    assert sum(len(t.annotation.judgements) for t in annotated if not t.aborted) > 0
+
+
+@pytest.mark.parametrize("dialogue_id", ["g{:04d}", None], ids=["numbered", "default"])
+def test_games_annotated_under_any_dialogue_id_make_a_corpus(tiny_model, tiny_tagger, tmp_path, dialogue_id):
+    from refgame.corpus import load_corpus, save_corpus
+    from refgame.selfplay import annotate_transcript
+
+    # annotated as perfbench does, after play, under its ids or the default ones
+    scenarios = generate_scenarios(CFG, {4: 3, 6: 3}, seed=7)
+    proto = ProtocolConfig(seed=5, temperature=1.0, max_utterances=6, max_tokens_per_utterance=12)
+    result = run_batch(partial(ModelAgent, tiny_model, 1.0, 12), scenarios, proto)
+    for i, (t, scenario) in enumerate(zip(result.transcripts, scenarios)):
+        annotate_transcript(t, scenario, tiny_model, tiny_tagger, dialogue_id=dialogue_id and dialogue_id.format(i))
+    corpus = result.corpus()
+    ids = [dialogue_id.format(i) if dialogue_id else f"selfplay_{s.id}" for i, s in enumerate(scenarios)]
+    assert list(corpus.dialogues) == ids
+    assert [d.scenario_id for d in corpus.dialogues.values()] == [s.id for s in scenarios]
+    predicted = {mid: refs for t in result.transcripts for mid, refs in t.to_dict()["predicted_referents"].items()}
+    assert len(predicted) > 0 and set(corpus.markables) == set(predicted)
+    assert {mid: sorted(j.referents) for mid, (j,) in corpus.judgements.items()} == predicted
+    save_corpus(corpus, tmp_path / "corpus")
+    assert load_corpus(tmp_path / "corpus") == corpus
+
+
+def test_a_corpus_keeps_each_game_on_its_own_scenario(tiny_model, tiny_tagger, monkeypatch):
+    from refgame import selfplay
+    from refgame.selfplay import BatchResult
+
+    monkeypatch.setattr(selfplay, "GAMES_CHUNK", 4)
+    scenarios = generate_scenarios(CFG, {4: 3, 5: 3}, seed=9)
+    proto = ProtocolConfig(seed=6, temperature=1.0, max_utterances=6, max_tokens_per_utterance=12)
+    factory = partial(ModelAgent, tiny_model, 1.0, 12)
+    # the scenarios played in another order than they were made, then the games collected in reverse
+    shuffled = [scenarios[i] for i in (4, 1, 5, 0, 3, 2)]
+    result = run_batch(factory, shuffled, proto, tagger=tiny_tagger)
+    corpus = BatchResult(result.transcripts[::-1]).corpus()
+    assert corpus == result.corpus()
+    assert list(corpus.dialogues) == [f"game{i:05d}" for i in range(5, -1, -1)]
+    for i, scenario in enumerate(shuffled):
+        assert corpus.scenarios[corpus.dialogues[f"game{i:05d}"].scenario_id] == scenario
 
 
 OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
