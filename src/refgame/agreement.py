@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,29 +70,26 @@ class AgreementReport:
         }
 
 
-def fleiss_multi_pi(labels_per_item: Sequence[Sequence]) -> AgreementReport:
-    """Chance-corrected agreement over items with >= 2 coders each.
+def fleiss_multi_pi(table) -> AgreementReport:
+    """Chance-corrected agreement from Fleiss's (items x categories) count
+    table: entry (i, j) is how many coders put item i in category j, and
+    every item needs at least 2 coders (the counts may vary by item).
 
-    Observed agreement is the mean over items of the mean pairwise
-    agreement among that item's coders; expected agreement is sum(p_k^2)
-    over the pooled category proportions p_k; multi-pi = (Ao-Ae)/(1-Ae).
-    Variable coder counts are allowed (all-pairs averaging per item).
+    Observed agreement is the mean over items of the share of agreeing
+    coder pairs, sum_j n_ij (n_ij - 1) / (n_i (n_i - 1)); expected
+    agreement is sum_j p_j^2 over the pooled proportions p_j of the
+    non-empty columns; multi-pi = (Ao - Ae) / (1 - Ae).
     """
-    items = [list(labels) for labels in labels_per_item]
-    if not items:
-        raise ValueError("no items")
-    if any(len(ls) < 2 for ls in items):
+    counts = np.asarray(table, dtype=np.int64)
+    if counts.ndim != 2 or not counts.size:
+        raise ValueError("need a non-empty (items x categories) count table")
+    coders = counts.sum(axis=1)
+    if (coders < 2).any():
         raise ValueError("every item needs at least 2 coders")
-    per_item = []
-    for ls in items:
-        pairs = list(combinations(ls, 2))
-        per_item.append(sum(a == b for a, b in pairs) / len(pairs))
-    observed = float(np.mean(per_item))
-    pooled: Counter = Counter()
-    for ls in items:
-        pooled.update(ls)
-    total = sum(pooled.values())
-    proportions = {k: c / total for k, c in pooled.items()}
+    observed = float(((counts * (counts - 1)).sum(axis=1) / (coders * (coders - 1))).mean())
+    pooled = counts.sum(axis=0).tolist()
+    total = sum(pooled)
+    proportions = {k: c / total for k, c in enumerate(pooled) if c}
     expected = float(sum(p * p for p in proportions.values()))
     if expected >= 1.0:
         return AgreementReport(observed, expected, None, category_proportions=proportions)
@@ -101,22 +97,50 @@ def fleiss_multi_pi(labels_per_item: Sequence[Sequence]) -> AgreementReport:
     return AgreementReport(observed, expected, pi, category_proportions=proportions)
 
 
+def _yes_no_table(yes: Sequence[int], coders) -> np.ndarray:
+    """Fleiss's table of yes/no items from each item's yes count and its
+    coder count (one for all items, or one per item): column 0 counts the
+    coders who said no (label 0), column 1 those who said yes (label 1)."""
+    ones = np.asarray(yes, dtype=np.int64)
+    return np.stack([np.asarray(coders, dtype=np.int64) - ones, ones], axis=1)
+
+
+def _exact_pairs(judgements: Sequence[ReferentJudgement]) -> tuple[int, int]:
+    """(judgement pairs naming the same referent set, all judgement pairs);
+    c judgements naming one set make c (c - 1) / 2 same-set pairs."""
+    multiplicity: dict[frozenset[int], int] = {}
+    for j in judgements:
+        multiplicity[j.referents] = multiplicity.get(j.referents, 0) + 1
+    same = 0
+    for c in multiplicity.values():
+        same += c * (c - 1)
+    n = len(judgements)
+    return same // 2, n * (n - 1) // 2
+
+
 def referent_agreement(corpus: AnnotatedCorpus) -> AgreementReport:
     """Entity-level agreement over all manually judged markables (items =
-    markable x entity binary labels), plus the markable-level exact match
-    rate over all judgement pairs."""
-    items: list[list[int]] = []
-    exact_pairs = 0
-    exact_hits = 0
+    markable x visible entity, in id and entity order, each a yes/no count
+    of the judgements naming it), plus the markable-level exact match rate
+    over all judgement pairs."""
+    yes: list[int] = []
+    coders: list[int] = []
+    exact_hits = exact_pairs = 0
     for mid, js in _multi_judged(corpus):
-        for e in sorted(corpus.visible_to_speaker(corpus.markables[mid])):
-            items.append([int(e in j.referents) for j in js])
-        for a, b in combinations(js, 2):
-            exact_pairs += 1
-            exact_hits += a.referents == b.referents
-    if not items:
+        # judgements naming each visible entity; every referent is visible
+        named = dict.fromkeys(sorted(corpus.speaker_view(corpus.markables[mid]).visible), 0)
+        for j in js:
+            for e in j.referents:
+                named[e] += 1
+        yes.extend(named.values())
+        coders.extend([len(js)] * len(named))
+        hits, pairs = _exact_pairs(js)
+        exact_hits += hits
+        exact_pairs += pairs
+    if not yes:
         raise ValueError("corpus has no multiply-judged manual markables")
-    return replace(fleiss_multi_pi(items), exact_match=exact_hits / exact_pairs)
+    report = fleiss_multi_pi(_yes_no_table(yes, coders))
+    return replace(report, exact_match=exact_hits / exact_pairs)
 
 
 # --- span agreement -----------------------------------------------------------
@@ -129,25 +153,29 @@ def span_agreement(
 
     ``annotations`` maps annotator id -> their markables over a shared set
     of dialogues.  Every token of every annotated utterance yields two
-    binary items: is it the start of a markable, is it the last token of
+    yes/no items: is it the start of a markable, is it the last token of
     one.  Returns (start report, end report).
     """
     if len(annotations) < 2:
         raise ValueError("need at least 2 annotators")
-    names = sorted(annotations)
-    marks = {a: list(annotations[a]) for a in names}
-    # (dialogue, utterance, token) of each annotator's span starts and last tokens
-    starts = {a: {(m.dialogue_id, m.utterance_index, m.start_token) for m in marks[a]} for a in names}
-    ends = {a: {(m.dialogue_id, m.utterance_index, m.end_token - 1) for m in marks[a]} for a in names}
-    covered = {(m.dialogue_id, m.utterance_index) for ms in marks.values() for m in ms}
-    start_items: list[list[int]] = []
-    end_items: list[list[int]] = []
+    # (dialogue, utterance, token) -> annotators with a span starting / ending there
+    starts: Counter = Counter()
+    ends: Counter = Counter()
+    covered: set[tuple[str, int]] = set()
+    for marks in annotations.values():
+        marks = list(marks)
+        starts.update({(m.dialogue_id, m.utterance_index, m.start_token) for m in marks})
+        ends.update({(m.dialogue_id, m.utterance_index, m.end_token - 1) for m in marks})
+        covered.update((m.dialogue_id, m.utterance_index) for m in marks)
+    start_yes: list[int] = []
+    end_yes: list[int] = []
     for dialogue_id, utt in sorted(covered):
         for t in range(len(corpus.dialogues[dialogue_id].messages[utt].tokens)):
             key = (dialogue_id, utt, t)
-            start_items.append([int(key in starts[a]) for a in names])
-            end_items.append([int(key in ends[a]) for a in names])
-    return fleiss_multi_pi(start_items), fleiss_multi_pi(end_items)
+            start_yes.append(starts[key])
+            end_yes.append(ends[key])
+    n = len(annotations)
+    return fleiss_multi_pi(_yes_no_table(start_yes, n)), fleiss_multi_pi(_yes_no_table(end_yes, n))
 
 
 # --- per-referent-count breakdown ------------------------------------------------
@@ -208,8 +236,8 @@ def markable_exact_rates(corpus: AnnotatedCorpus) -> dict[str, float]:
     """Mean pairwise exact-match rate per manually judged markable."""
     rates = {}
     for mid, js in _multi_judged(corpus):
-        pairs = list(combinations(js, 2))
-        rates[mid] = sum(a.referents == b.referents for a, b in pairs) / len(pairs)
+        hits, pairs = _exact_pairs(js)
+        rates[mid] = hits / pairs
     return rates
 
 
@@ -226,18 +254,20 @@ def token_exact_match_correlation(
     if len(rates) < 2:
         return {}
     mids = sorted(rates)
-    y = [rates[mid] for mid in mids]
-    token_rows: dict[str, set[int]] = {}
+    y = np.array([rates[mid] for mid in mids])
+    token_rows: dict[str, list[int]] = {}
     for row, mid in enumerate(mids):
         for tok in set(corpus.markable_tokens(corpus.markables[mid])):
-            token_rows.setdefault(tok, set()).add(row)
+            token_rows.setdefault(tok, []).append(row)
+    x = np.zeros(len(mids))
     out: dict[str, tuple[float, int]] = {}
     for tok, rows in sorted(token_rows.items()):
         count = corpus.vocabulary[tok]
         if count < min_count:
             continue
-        x = [1.0 if i in rows else 0.0 for i in range(len(mids))]
+        x[rows] = 1.0
         rho = pearson(x, y)
+        x[rows] = 0.0
         if rho is None:
             continue
         out[tok] = (rho, count)
@@ -245,6 +275,9 @@ def token_exact_match_correlation(
 
 
 # --- color kernel density estimation ------------------------------------------------
+
+_KDE_BLOCK = 64  # points per block of ColorKDE.density
+
 
 @dataclass(frozen=True)
 class ColorKDE:
@@ -255,10 +288,15 @@ class ColorKDE:
     bandwidth: float
 
     def density(self, x) -> np.ndarray:
+        """Density at each point of ``x``, evaluated ``_KDE_BLOCK`` points at
+        a time so the (points x samples) temporaries stay small."""
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
         c = np.asarray(self.samples)
-        z = (xs[:, None] - c[None, :]) / self.bandwidth
-        d = np.exp(-0.5 * z * z).sum(axis=1) / (len(c) * self.bandwidth * math.sqrt(2.0 * math.pi))
+        norm = len(c) * self.bandwidth * math.sqrt(2.0 * math.pi)
+        d = np.empty(len(xs))
+        for lo in range(0, len(xs), _KDE_BLOCK):
+            z = (xs[lo:lo + _KDE_BLOCK, None] - c[None, :]) / self.bandwidth
+            d[lo:lo + _KDE_BLOCK] = np.exp(-0.5 * z * z).sum(axis=1) / norm
         return d
 
     def grid(self, lo: float | None = None, hi: float | None = None, n: int = 512):
@@ -293,21 +331,25 @@ def color_kde(
 ) -> dict[str, ColorKDE]:
     """Density of gold-referent colors for markables containing each
     adjective (exact token match inside the markable span), with
-    Silverman's-rule bandwidth per adjective."""
-    out = {}
-    for adj in adjectives:
-        colors: list[float] = []
-        for mid, entry in sorted(gold.items()):
-            if entry.dropped or not entry.referents:
-                continue
-            m = corpus.markables[mid]
-            if adj not in corpus.markable_tokens(m):
-                continue
-            scenario = corpus.scenarios[corpus.dialogues[m.dialogue_id].scenario_id]
-            colors.extend(scenario.entity(e).color for e in sorted(entry.referents))
-        if not colors:
+    Silverman's-rule bandwidth per adjective.  One pass over the gold, in
+    id order, collects the samples of every adjective."""
+    colors: dict[str, list[float]] = {adj: [] for adj in adjectives}
+    for mid, entry in sorted(gold.items()):
+        if entry.dropped or not entry.referents:
+            continue
+        m = corpus.markables[mid]
+        tokens = corpus.markable_tokens(m)
+        matched = [adj for adj in colors if adj in tokens]
+        if not matched:
+            continue
+        scenario = corpus.scenarios[corpus.dialogues[m.dialogue_id].scenario_id]
+        referent_colors = [scenario.entity(e).color for e in sorted(entry.referents)]
+        for adj in matched:
+            colors[adj].extend(referent_colors)
+    for adj, samples in colors.items():
+        if not samples:
             raise ValueError(f"no referent color samples for adjective {adj!r}")
-        out[adj] = ColorKDE(
-            adjective=adj, samples=tuple(colors), bandwidth=silverman_bandwidth(colors)
-        )
-    return out
+    return {
+        adj: ColorKDE(adjective=adj, samples=tuple(samples), bandwidth=silverman_bandwidth(samples))
+        for adj, samples in colors.items()
+    }

@@ -131,10 +131,9 @@ def cmd_agreement(args) -> int:
     from .corpus import load_corpus
 
     corpus = load_corpus(_data_dir(args))
+    report = referent_agreement(corpus)  # before mkdir: a refused corpus leaves no directory
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    report = referent_agreement(corpus)
     atomic_write_json(out / "agreement.json", report.to_dict())
 
     rows = [

@@ -259,7 +259,7 @@ def test_criterion_3_property_suite(medium_corpus, tmp_path):
             list(r.integers(0, 2, size=int(r.integers(2, 6))))
             for _ in range(int(r.integers(1, 11)))
         ]
-        rep = fleiss_multi_pi(table)
+        rep = fleiss_multi_pi([[list(ls).count(0), list(ls).count(1)] for ls in table])
         ao = float(np.mean([
             np.mean([a == b for a, b in combinations(ls, 2)]) for ls in table
         ]))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from refgame.agreement import (
     AgreementReport,
+    ColorKDE,
     aggregate_corpus_gold,
     aggregate_markable,
     agreement_by_referent_count,
@@ -33,6 +34,21 @@ def J(referents, unidentifiable=False, mid="m", ann="a"):
         markable_id=mid, annotator_id=ann, referents=frozenset(referents),
         unidentifiable=unidentifiable,
     )
+
+
+def counted(labels_per_item):
+    """Fleiss's count table of 0/1 label lists: (number of 0s, number of 1s)."""
+    return [[list(labels).count(0), list(labels).count(1)] for labels in labels_per_item]
+
+
+def brute_force_pi(labels_per_item):
+    """(Ao, Ae) from every coder pair of every item and the pooled labels."""
+    ao = float(np.mean([
+        np.mean([a == b for a, b in combinations(labels, 2)]) for labels in labels_per_item
+    ]))
+    pooled = Counter(label for labels in labels_per_item for label in labels)
+    total = sum(pooled.values())
+    return ao, sum((c / total) ** 2 for c in pooled.values())
 
 
 class TestAggregate:
@@ -82,29 +98,29 @@ class TestAggregate:
 
 class TestFleissMultiPi:
     def test_worked_example(self):
-        # two items, three coders: [1,1,0] and [0,0,0]
+        # two items, three coders: [1,1,0] and [0,0,0], counted (0s, 1s)
         # Ao: item1 pairs agree 1/3, item2 3/3 -> mean 2/3
         # pooled: p(1)=2/6, p(0)=4/6 -> Ae = (1/3)^2 + (2/3)^2 = 5/9
         # pi = (2/3 - 5/9) / (1 - 5/9) = 0.25
-        report = fleiss_multi_pi([[1, 1, 0], [0, 0, 0]])
+        report = fleiss_multi_pi([[1, 2], [3, 0]])
         assert report.observed == pytest.approx(2 / 3)
         assert report.expected == pytest.approx(5 / 9)
         assert report.multi_pi == pytest.approx(0.25)
 
     def test_perfect_agreement_mixed_categories(self):
-        report = fleiss_multi_pi([[1, 1], [0, 0], [1, 1]])
+        report = fleiss_multi_pi(counted([[1, 1], [0, 0], [1, 1]]))
         assert report.observed == 1.0
         assert report.multi_pi == pytest.approx(1.0)
 
     def test_degenerate_single_category(self):
-        report = fleiss_multi_pi([[1, 1], [1, 1]])
+        report = fleiss_multi_pi(counted([[1, 1], [1, 1]]))
         assert report.observed == 1.0
         assert report.expected == 1.0
         assert report.multi_pi is None
 
     def test_requires_two_coders(self):
         with pytest.raises(ValueError):
-            fleiss_multi_pi([[1]])
+            fleiss_multi_pi(counted([[1]]))
 
     @given(
         table=st.lists(
@@ -114,20 +130,23 @@ class TestFleissMultiPi:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_all_pairs_brute_force(self, table):
-        report = fleiss_multi_pi(table)
-        per_item = []
-        for labels in table:
-            pairs = list(combinations(labels, 2))
-            per_item.append(np.mean([a == b for a, b in pairs]))
-        ao = float(np.mean(per_item))
-        pooled = Counter(l for ls in table for l in ls)
-        total = sum(pooled.values())
-        ae = sum((c / total) ** 2 for c in pooled.values())
+        report = fleiss_multi_pi(counted(table))
+        ao, ae = brute_force_pi(table)
         assert abs(report.observed - ao) < 1e-12
         assert abs(report.expected - ae) < 1e-12
         if ae < 1.0:
             assert abs(report.multi_pi - (ao - ae) / (1 - ae)) < 1e-12
             assert report.multi_pi <= report.observed + 1e-12
+
+    def test_category_proportions_in_column_order(self):
+        report = fleiss_multi_pi([[0, 2], [1, 1], [0, 3]])
+        assert list(report.category_proportions) == [0, 1]
+        assert fleiss_multi_pi([[0, 2, 0], [0, 1, 1]]).category_proportions == {1: 0.75, 2: 0.25}
+
+    def test_rejects_tables_it_cannot_read(self):
+        for table in ([], [1, 1], [[0, 0]]):
+            with pytest.raises(ValueError):
+                fleiss_multi_pi(table)
 
     def test_corpus_level_report(self, medium_corpus):
         report = referent_agreement(medium_corpus)
@@ -178,6 +197,58 @@ class TestSpanAgreement:
         assert start.observed < 1.0
         assert end.observed < 1.0
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_reports_match_label_lists(self, small_corpus, data):
+        """Random spans by 2-4 annotators: each token's counts are the sums
+        of the label lists built annotator by annotator, and the reports
+        match an all-pairs brute force over those lists."""
+        from refgame import agreement
+        from refgame.corpus import Markable
+
+        utterances = sorted(
+            (did, u, len(msg.tokens))
+            for did, d in small_corpus.dialogues.items() for u, msg in enumerate(d.messages)
+            if msg.tokens
+        )
+        annotations = {}
+        for a in range(data.draw(st.integers(2, 4))):
+            marks = []
+            for k in range(data.draw(st.integers(0 if a else 1, 6))):
+                did, utt, n = data.draw(st.sampled_from(utterances))
+                start = data.draw(st.integers(0, n - 1))
+                end = data.draw(st.integers(start + 1, n))
+                marks.append(Markable(f"s{a}_{k}", did, utt, start, end, speaker="A"))
+            annotations[f"ann{a}"] = marks
+
+        # label lists as built token by token, annotator by annotator
+        names = sorted(annotations)
+        starts = {a: {(m.dialogue_id, m.utterance_index, m.start_token) for m in annotations[a]}
+                  for a in names}
+        ends = {a: {(m.dialogue_id, m.utterance_index, m.end_token - 1) for m in annotations[a]}
+                for a in names}
+        covered = sorted({(m.dialogue_id, m.utterance_index) for ms in annotations.values() for m in ms})
+        keys = [(did, utt, t) for did, utt in covered
+                for t in range(len(small_corpus.dialogues[did].messages[utt].tokens))]
+        start_labels = [[int(key in starts[a]) for a in names] for key in keys]
+        end_labels = [[int(key in ends[a]) for a in names] for key in keys]
+
+        tables = []
+        real = agreement.fleiss_multi_pi
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agreement, "fleiss_multi_pi", lambda t: tables.append(t) or real(t))
+            reports = span_agreement(annotations, small_corpus)
+
+        for table, labels, report in zip(tables, (start_labels, end_labels), reports, strict=True):
+            assert table.tolist() == [[len(ls) - sum(ls), sum(ls)] for ls in labels]
+            ao, ae = brute_force_pi(labels)
+            assert abs(report.observed - ao) < 1e-12
+            assert abs(report.expected - ae) < 1e-12
+            if ae < 1.0:
+                assert abs(report.multi_pi - (ao - ae) / (1 - ae)) < 1e-12
+            else:
+                assert report.multi_pi is None
+
     def test_needs_two_annotators(self, small_corpus):
         ann = make_span_annotations(small_corpus, n_annotators=1)
         with pytest.raises(ValueError):
@@ -197,7 +268,7 @@ def reference_referent_agreement(corpus):
         for a, b in combinations(js, 2):
             pairs += 1
             hits += a.referents == b.referents
-    report = fleiss_multi_pi(items)
+    report = fleiss_multi_pi(counted(items))
     return AgreementReport(
         report.observed, report.expected, report.multi_pi, hits / pairs, report.category_proportions
     )
@@ -319,14 +390,50 @@ class TestTokenCorrelation:
         rates = markable_exact_rates(medium_corpus)
         assert all(0.0 <= r <= 1.0 for r in rates.values())
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_rates_match_pair_reference(self, small_corpus, data):
+        base = small_corpus
+        judgements = []
+        for mid in sorted(base.judgements):
+            visible = sorted(base.visible_to_speaker(base.markables[mid]))
+            for a in range(data.draw(st.integers(0, 5))):
+                referents = data.draw(st.frozensets(st.sampled_from(visible), max_size=2))
+                judgements.append(ReferentJudgement(mid, f"a{a}", referents))
+        corpus = AnnotatedCorpus.build(
+            base.scenarios.values(), base.dialogues.values(), base.markables.values(), judgements
+        )
+        reference = {}
+        for mid in sorted(corpus.judgements):
+            pairs = list(combinations(corpus.judgements[mid], 2))
+            if pairs:
+                reference[mid] = sum(a.referents == b.referents for a, b in pairs) / len(pairs)
+        assert markable_exact_rates(corpus) == reference
+
 
 class TestColorKDE:
     def test_single_sample_closed_form(self):
-        from refgame.agreement import ColorKDE
-
         kde = ColorKDE(adjective="dark", samples=(128.0,), bandwidth=10.0)
         expected = 1.0 / (10.0 * math.sqrt(2 * math.pi))
         assert kde.density(128.0)[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("points", [1, 63, 64, 65, 512])
+    def test_blocked_density_matches_one_shot_formula(self, points):
+        rng = np.random.default_rng(points)
+        kde = ColorKDE(adjective="dark", samples=tuple(rng.uniform(0, 256, size=450)), bandwidth=9.5)
+        x = np.linspace(-20.0, 280.0, points)
+        c = np.asarray(kde.samples)
+        z = (x[:, None] - c[None, :]) / kde.bandwidth
+        one_shot = np.exp(-0.5 * z * z).sum(axis=1) / (len(c) * kde.bandwidth * math.sqrt(2.0 * math.pi))
+        assert kde.density(x).tobytes() == one_shot.tobytes()
+
+    def test_several_adjectives_match_one_call_each(self, medium_corpus):
+        gold = aggregate_corpus_gold(medium_corpus)
+        adjectives = ["light", "dark", "gray", "dark"]
+        together = color_kde(medium_corpus, adjectives, gold)
+        assert list(together) == ["light", "dark", "gray"]
+        for adj in adjectives:
+            assert together[adj] == color_kde(medium_corpus, [adj], gold)[adj]
 
     def test_density_integrates_to_one(self, medium_corpus):
         gold = aggregate_corpus_gold(medium_corpus)

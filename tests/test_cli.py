@@ -105,6 +105,17 @@ class TestAnalyticsCommands:
         assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in (tmp_path / "full").iterdir())
         assert (out / "token_correlation.csv").read_text().splitlines() == ["token,rho,count"]
 
+    def test_refused_agreement_writes_no_directory(self, data_dir, tmp_path, capsys):
+        corpus = load_corpus(data_dir)
+        judgements = [js[0] for _, js in sorted(corpus.judgements.items())]
+        data = tmp_path / "data"
+        save_corpus(AnnotatedCorpus.build(corpus.scenarios.values(), corpus.dialogues.values(),
+                                          corpus.markables.values(), judgements), data)
+        capsys.readouterr()
+        assert run("agreement", "--data", data, "--out", tmp_path / "agr") == 1
+        assert "multiply-judged" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "agr").exists()
+
     def test_aggregate_and_split(self, data_dir, tmp_path):
         gold = tmp_path / "gold.json"
         split = tmp_path / "split.json"
